@@ -40,7 +40,7 @@
 //! floor so sibling zones keep advancing.
 
 use crate::rti::{FederateId, FederationError, RtiStats, MAX_FEDERATES};
-use crate::solver::{node_floor, LbtsGraph, LbtsSolver, NodeView};
+use crate::solver::{node_floor, LbtsGraph, LbtsSolver, NodeView, TAG_MAX};
 use crate::zone::{
     zone_uplink_eventgroup, ZoneCoordinator, ZoneId, COORD_ROOT_INSTANCE, MAX_ZONES,
 };
@@ -53,13 +53,12 @@ use dear_someip::{
 use dear_time::Duration;
 use dear_transactors::{tag_to_wire, wire_to_tag};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
-/// One downward relay batch: `(upstream federate, clamped floor,
-/// retreat?)` — a retreat fans down as a `Rejoin`-kind record.
-type RelayRecords = Vec<(u16, Tag, bool)>;
+/// One downward relay record: `(downstream zone, upstream zone, clamped
+/// floor, retreat?)` — a retreat fans down as a `Rejoin`-kind record.
+type RelayRecord = (u16, u16, Tag, bool);
 
 struct ZoneEntry {
     /// Floor most recently rolled up by the zone (monotone max; origin
@@ -72,9 +71,9 @@ struct ZoneEntry {
     /// Zone-level edge skeleton: (upstream zone, min delay over all
     /// federate edges crossing that zone pair).
     upstream: Vec<(u16, Duration)>,
-    /// Last floor relayed down to this zone, per upstream zone
-    /// (relays are change-driven).
-    last_relay: BTreeMap<u16, Tag>,
+    /// Last floor relayed down to this zone, per `upstream` edge (relays
+    /// are change-driven).
+    last_relay: Vec<Option<Tag>>,
 }
 
 impl ZoneEntry {
@@ -114,6 +113,16 @@ struct RootInner {
     /// Global federate id → (zone, member graph index).
     fed_map: Vec<(u16, usize)>,
     solver: LbtsSolver,
+    /// Zones whose floor or liveness moved since the last recompute.
+    dirty: Vec<u16>,
+    /// Zones heard from in the frame being handled (scratch).
+    alive: Vec<u16>,
+    /// Zones downstream of anything the latest recompute affected
+    /// (scratch).
+    downstream: Vec<u16>,
+    /// The recompute's output buffer, reused across rounds: ascending by
+    /// downstream zone, edge order within one.
+    relays: Vec<RelayRecord>,
     stats: RtiStats,
     liveness_deadline: Option<Duration>,
     /// Control-plane diet switch, propagated to every zone (current and
@@ -169,6 +178,10 @@ impl HierarchicalRti {
             entries: Vec::new(),
             fed_map: Vec::new(),
             solver: LbtsSolver::new(),
+            dirty: Vec::new(),
+            alive: Vec::new(),
+            downstream: Vec::new(),
+            relays: Vec::new(),
             stats: RtiStats::default(),
             liveness_deadline: None,
             diet: false,
@@ -203,8 +216,9 @@ impl HierarchicalRti {
             dead: false,
             liveness_gen: 0,
             upstream: Vec::new(),
-            last_relay: BTreeMap::new(),
+            last_relay: Vec::new(),
         });
+        inner.solver.invalidate();
         zone
     }
 
@@ -270,11 +284,15 @@ impl HierarchicalRti {
         // would hold the shared floor down and wedge this zone).
         self.0.borrow().zones[usize::from(up_zone)].mark_exported();
         let mut inner = self.0.borrow_mut();
-        let skeleton = &mut inner.entries[usize::from(down_zone)].upstream;
-        match skeleton.iter_mut().find(|(z, _)| *z == up_zone) {
+        let entry = &mut inner.entries[usize::from(down_zone)];
+        match entry.upstream.iter_mut().find(|(z, _)| *z == up_zone) {
             Some((_, d)) => *d = (*d).min(min_delay),
-            None => skeleton.push((up_zone, min_delay)),
+            None => {
+                entry.upstream.push((up_zone, min_delay));
+                entry.last_relay.push(None);
+            }
         }
+        inner.solver.invalidate();
     }
 
     /// Number of zones.
@@ -389,10 +407,9 @@ impl HierarchicalRti {
     /// may *retreat* a zone's floor — a crashed member replayed its
     /// durable log and rejoined below the bound its death had released.
     fn on_rollup_frame(&self, sim: &mut Simulation, payload: &[u8]) {
-        let mut touched: Vec<u16> = Vec::new();
         {
             let mut inner = self.0.borrow_mut();
-            let apply = |inner: &mut RootInner, msg: &CoordMsg, touched: &mut Vec<u16>| {
+            let apply = |inner: &mut RootInner, msg: &CoordMsg| {
                 let retreat = msg.kind == CoordKind::Rejoin;
                 if msg.kind != CoordKind::Floor && !retreat {
                     return;
@@ -411,6 +428,7 @@ impl HierarchicalRti {
                 }
                 entry.liveness_gen += 1;
                 let relayed = wire_to_tag(msg.tag);
+                let before = (entry.floor, entry.dead);
                 if retreat {
                     entry.dead = false;
                     // Non-monotone on purpose: the rejoined member resumed
@@ -420,9 +438,13 @@ impl HierarchicalRti {
                 } else {
                     entry.floor = entry.floor.max(relayed);
                 }
+                // A heartbeat repeats the floor: proof of life, no more.
+                if before != (entry.floor, entry.dead) {
+                    inner.dirty.push(msg.federate);
+                }
                 inner.stats.floor_records += 1;
-                if !touched.contains(&msg.federate) {
-                    touched.push(msg.federate);
+                if !inner.alive.contains(&msg.federate) {
+                    inner.alive.push(msg.federate);
                 }
             };
             if payload.first() == Some(&COORD_BATCH_MARKER) {
@@ -430,36 +452,32 @@ impl HierarchicalRti {
                     return;
                 };
                 for msg in batch.iter() {
-                    apply(&mut inner, &msg, &mut touched);
+                    apply(&mut inner, &msg);
                 }
             } else if let Ok(msg) = CoordMsg::decode(payload) {
-                apply(&mut inner, &msg, &mut touched);
+                apply(&mut inner, &msg);
             }
-        }
-        if touched.is_empty() {
-            return;
-        }
-        for zone in touched {
-            self.arm_zone_liveness(sim, ZoneId(zone));
+            if inner.alive.is_empty() {
+                return;
+            }
+            for &zone in &inner.alive {
+                self.arm_zone_liveness(sim, &inner, ZoneId(zone));
+            }
+            inner.alive.clear();
         }
         self.recompute(sim);
     }
 
-    fn arm_zone_liveness(&self, sim: &mut Simulation, zone: ZoneId) {
-        let armed = {
-            let inner = self.0.borrow();
-            inner.liveness_deadline.and_then(|deadline| {
-                inner
-                    .entries
-                    .get(usize::from(zone.0))
-                    .filter(|e| !e.dead)
-                    .map(|e| (deadline, e.liveness_gen))
-            })
-        };
-        let Some((deadline, generation)) = armed else {
+    /// Arms (or supersedes) the uplink-silence check of `zone`.
+    fn arm_zone_liveness(&self, sim: &mut Simulation, inner: &RootInner, zone: ZoneId) {
+        let Some(deadline) = inner.liveness_deadline else {
             return;
         };
-        let root = self.clone();
+        let entry = &inner.entries[usize::from(zone.0)];
+        if entry.dead {
+            return;
+        }
+        let (root, generation) = (self.clone(), entry.liveness_gen);
         sim.schedule_in(deadline, move |sim| {
             root.on_zone_liveness_check(sim, zone, generation);
         });
@@ -475,6 +493,7 @@ impl HierarchicalRti {
                 return; // superseded, or already dead
             }
             entry.dead = true;
+            inner.dirty.push(zone.0);
             inner.stats.deaths += 1;
         }
         sim.trace_with("rti", || {
@@ -483,25 +502,41 @@ impl HierarchicalRti {
         self.recompute(sim);
     }
 
-    /// Recomputes the zone-level fixpoint and relays changed upstream
-    /// floors down, one batched frame per downstream zone. A relay that
-    /// fell below the last one (an upstream member rejoined) fans down as
-    /// a `Rejoin`-kind record so the zone retreats its proxy head.
+    /// Brings the zone-level fixpoint up to date with the dirty zones and
+    /// relays changed upstream floors down, one batched frame per
+    /// downstream zone. A relay that fell below the last one (an upstream
+    /// member rejoined) fans down as a `Rejoin`-kind record so the zone
+    /// retreats its proxy head.
     fn recompute(&self, sim: &mut Simulation) {
-        let relays: Vec<(ZoneId, RelayRecords)> = {
+        let (relays, binding) = {
             let mut inner = self.0.borrow_mut();
             let RootInner {
+                binding,
                 entries,
                 solver,
+                dirty,
+                downstream,
+                relays,
                 stats,
                 ..
             } = &mut *inner;
-            let lbts = solver.solve(&ZoneGraph(entries)).to_vec();
-            let mut relays = Vec::new();
-            for z in 0..entries.len() {
-                let mut records: Vec<(u16, Tag, bool)> = Vec::new();
-                for e in 0..entries[z].upstream.len() {
-                    let (up, _) = entries[z].upstream[e];
+            solver.update(&ZoneGraph(entries), dirty);
+            dirty.clear();
+            // What zone `z` is told about its upstream `up` is `up`'s floor
+            // under the root's fixpoint, so a relay can only be due where
+            // some upstream was affected.
+            downstream.clear();
+            for &up in solver.affected() {
+                downstream.extend_from_slice(solver.downstream(usize::from(up)));
+            }
+            downstream.sort_unstable();
+            downstream.dedup();
+            let lbts = solver.lbts();
+            relays.clear();
+            for &z in downstream.iter() {
+                let before = relays.len();
+                for e in 0..entries[usize::from(z)].upstream.len() {
+                    let (up, _) = entries[usize::from(z)].upstream[e];
                     // What the downstream zone may assume about `up`:
                     // its floor under the *root's* (global) fixpoint —
                     // the same clamp the flat RTI applies through
@@ -509,43 +544,39 @@ impl HierarchicalRti {
                     // never leaks past its own upstream constraints.
                     let relayed =
                         node_floor(&entries[usize::from(up)].view(), lbts[usize::from(up)]);
-                    let prev = entries[z].last_relay.get(&up).copied();
-                    if prev == Some(relayed) {
-                        continue;
+                    let prev = entries[usize::from(z)].last_relay[e].replace(relayed);
+                    if prev != Some(relayed) {
+                        relays.push((z, up, relayed, prev.is_some_and(|p| relayed < p)));
                     }
-                    let retreat = prev.is_some_and(|p| relayed < p);
-                    entries[z].last_relay.insert(up, relayed);
-                    records.push((up, relayed, retreat));
                 }
-                if !records.is_empty() {
-                    stats.floor_records += records.len() as u64;
+                if relays.len() > before {
+                    stats.floor_records += (relays.len() - before) as u64;
                     stats.batches_sent += 1;
-                    relays.push((ZoneId(z as u16), records));
                 }
             }
-            relays
+            // Sent with the table unborrowed; the buffer goes back below.
+            (std::mem::take(relays), binding.clone())
         };
-        let observe = sim.observe().clone();
+        let observe = sim.observe();
         if observe.is_enabled() {
             let now = sim.now();
             observe.count("coord/fixpoint/root", 1);
             observe.instant(dear_observe::Lane::Root, "fixpoint", now);
             // Root-level coordination lag: how far each relayed upstream
             // floor trails true time when it fans back down.
-            for (_, records) in &relays {
-                observe.record_value("coord/batch_size", records.len() as u64);
-                for (_, floor, _) in records {
-                    if *floor < crate::solver::TAG_MAX {
+            for batch in relays.chunk_by(|a, b| a.0 == b.0) {
+                observe.record_value("coord/batch_size", batch.len() as u64);
+                for (_, _, floor, _) in batch {
+                    if *floor < TAG_MAX {
                         observe.record_duration("coord/root_relay_lag_ns", now - floor.time);
                     }
                 }
             }
         }
 
-        let binding = self.0.borrow().binding.clone();
-        for (zone, records) in relays {
+        for records in relays.chunk_by(|a, b| a.0 == b.0) {
             let mut batch = CoordBatch::pooled(&binding.pool());
-            for (up, floor, retreat) in records {
+            for &(_, up, floor, retreat) in records {
                 let kind = if retreat {
                     CoordKind::Rejoin
                 } else {
@@ -556,10 +587,11 @@ impl HierarchicalRti {
             binding.notify(
                 sim,
                 ServiceInstance::new(COORD_SERVICE, COORD_ROOT_INSTANCE),
-                zone_uplink_eventgroup(zone),
+                zone_uplink_eventgroup(ZoneId(records[0].0)),
                 COORD_EVENT,
                 batch.freeze(),
             );
         }
+        self.0.borrow_mut().relays = relays;
     }
 }

@@ -10,7 +10,9 @@
 //! SOME/IP middleware:
 //!
 //! * [`LbtsSolver`] — the Chandy–Misra-style LBTS fixpoint itself,
-//!   shared by every coordination level over the [`LbtsGraph`] trait;
+//!   shared by every coordination level over the [`LbtsGraph`] trait:
+//!   solved once per topology, then kept between control messages and
+//!   updated incrementally (work follows what moved, not fleet size);
 //! * [`Rti`] — the flat coordinator: per-federate NET/LTC state, the
 //!   declared inter-federate topology, and TAG/PTAG grants (including
 //!   provisional grants that break zero-delay cycles);
@@ -77,7 +79,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+// Lets the oracle's support module, shared with `tests/`, name this crate
+// the way an integration test does.
+#[cfg(test)]
+extern crate self as dear_federation;
+
 mod hierarchy;
+#[cfg(test)]
+mod oracle;
 mod platform;
 mod rti;
 mod solver;
@@ -85,6 +94,8 @@ mod zone;
 
 pub use hierarchy::HierarchicalRti;
 pub use platform::{CoordinatedPlatform, PlatformRecovery};
+#[doc(hidden)]
+pub use rti::GrantTable;
 pub use rti::{FederateId, FederationError, Rti, RtiStats, MAX_FEDERATES};
 pub use solver::{
     edge_add, lattice_next, node_floor, tag_succ, LbtsGraph, LbtsSolver, NodeView, TAG_MAX,

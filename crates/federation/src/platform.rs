@@ -1205,12 +1205,16 @@ impl CoordinatedPlatform {
                         inner.processed_since_snapshot = 0;
                     }
                 }
-                let executed: Vec<ReactionId> = inner.runtime.executed_at_last_tag().to_vec();
+                let PlatformInner {
+                    runtime,
+                    costs,
+                    cost_rng,
+                    ..
+                } = &mut *inner;
                 let mut total = dear_time::Duration::ZERO;
-                for rid in executed {
-                    if let Some(model) = inner.costs.get(&rid) {
-                        let model = model.clone();
-                        total += model.sample(&mut inner.cost_rng);
+                for rid in runtime.executed_at_last_tag() {
+                    if let Some(model) = costs.get(rid) {
+                        total += model.sample(cost_rng);
                     }
                 }
                 let busy_from = inner.busy_until.max(sim.now());

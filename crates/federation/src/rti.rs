@@ -145,6 +145,24 @@ impl fmt::Display for RtiStats {
     }
 }
 
+/// What one control record did to a coordinator's table entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Applied {
+    /// Not a sign of life (a grant or floor echo, a message to the dead):
+    /// nothing changed, and the liveness watchdog must not be re-armed.
+    Ignored,
+    /// A genuine report that moved nothing the solver or the grant passes
+    /// read — a heartbeat NET repeating the head, an LTC below the
+    /// high-water mark.
+    Unchanged,
+    /// The entry's floor inputs or grant eligibility moved: the entry is
+    /// dirty for the next [`GrantTable::round`].
+    Moved,
+}
+
+/// One grant record: `(federate, kind, tag, fence)`.
+pub type Grant = (u16, CoordKind, Tag, WireTag);
+
 pub(crate) struct FederateEntry {
     pub(crate) name: String,
     #[allow(dead_code)]
@@ -246,54 +264,58 @@ impl FederateEntry {
         !self.has_downstream && !self.remote_downstream
     }
 
-    /// Applies one federate → coordinator control record and bumps the
-    /// matching counters. Returns `false` when the record must not count
-    /// as a sign of life (grant/floor echoes, messages to the dead) —
-    /// the liveness generation is bumped only for genuine reports, so an
-    /// echo can neither disarm the armed watchdog nor revive a zombie.
-    pub(crate) fn apply_control(&mut self, msg: &CoordMsg, stats: &mut RtiStats) -> bool {
+    /// Applies one federate → coordinator control record, bumps the
+    /// matching counters and reports what it did. [`Applied::Ignored`]
+    /// records must not count as a sign of life — the liveness generation
+    /// is bumped only for genuine reports, so an echo can neither disarm
+    /// the armed watchdog nor revive a zombie.
+    pub(crate) fn apply_control(&mut self, msg: &CoordMsg, stats: &mut RtiStats) -> Applied {
         // Rejoin is the one record the dead may send: it must be looked at
         // *before* the zombie filter below, and it alone may clear `dead`.
         if msg.kind == CoordKind::Rejoin {
             return self.apply_rejoin(msg, stats);
         }
         if self.dead {
-            return false;
+            return Applied::Ignored;
         }
-        // Grants and DNET pushes are coordinator → federate only, and
-        // floor records are coordinator ↔ coordinator only.
-        if matches!(
-            msg.kind,
-            CoordKind::Tag | CoordKind::Ptag | CoordKind::Floor | CoordKind::Dnet
-        ) {
-            return false;
-        }
-        self.liveness_gen += 1;
-        match msg.kind {
-            CoordKind::Join => self.connected = true,
+        let moved = match msg.kind {
+            CoordKind::Join => !std::mem::replace(&mut self.connected, true),
             CoordKind::Net => {
-                self.head = wire_to_tag(msg.tag);
-                self.fence = self.fence.max(wire_to_tag(msg.fence));
+                let head = wire_to_tag(msg.tag);
+                let fence = self.fence.max(wire_to_tag(msg.fence));
+                // The fence bounds the floor of `external` federates only.
+                let moved = head != self.head || (self.external && fence != self.fence);
+                self.head = head;
+                self.fence = fence;
                 stats.nets_received += 1;
+                moved
             }
             CoordKind::Ltc => {
                 let tag = wire_to_tag(msg.tag);
-                self.completed = Some(self.completed.map_or(tag, |c| c.max(tag)));
+                let completed = Some(self.completed.map_or(tag, |c| c.max(tag)));
                 stats.ltcs_received += 1;
+                std::mem::replace(&mut self.completed, completed) != completed
             }
-            CoordKind::Resign => self.resigned = true,
+            CoordKind::Resign => !std::mem::replace(&mut self.resigned, true),
             CoordKind::Period => {
                 let nanos = i64::try_from(msg.tag.nanos).unwrap_or(i64::MAX);
-                self.period = (nanos > 0).then(|| Duration::from_nanos(nanos));
+                let period = (nanos > 0).then(|| Duration::from_nanos(nanos));
+                std::mem::replace(&mut self.period, period) != period
             }
-            // Unreachable: filtered above.
+            // Grants and DNET pushes are coordinator → federate only, and
+            // floor records are coordinator ↔ coordinator only.
             CoordKind::Tag
             | CoordKind::Ptag
             | CoordKind::Floor
             | CoordKind::Dnet
-            | CoordKind::Rejoin => return false,
+            | CoordKind::Rejoin => return Applied::Ignored,
+        };
+        self.liveness_gen += 1;
+        if moved {
+            Applied::Moved
+        } else {
+            Applied::Unchanged
         }
-        true
     }
 
     /// Applies a `Rejoin` record: revives a dead federate at its replayed
@@ -302,10 +324,10 @@ impl FederateEntry {
     /// duplicates and stale pre-crash echoes fall through as dead letters.
     /// Resignation stays final: a resigned federate has declared it
     /// imposes no further constraints, and nothing downstream waits on it.
-    fn apply_rejoin(&mut self, msg: &CoordMsg, stats: &mut RtiStats) -> bool {
+    fn apply_rejoin(&mut self, msg: &CoordMsg, stats: &mut RtiStats) -> Applied {
         let incarnation = msg.fence.microstep;
         if incarnation <= self.incarnation || self.resigned {
-            return false;
+            return Applied::Ignored;
         }
         self.incarnation = incarnation;
         self.dead = false;
@@ -332,7 +354,7 @@ impl FederateEntry {
         self.last_ptag = None;
         self.last_dnet = None;
         stats.rejoins += 1;
-        true
+        Applied::Moved
     }
 }
 
@@ -359,7 +381,7 @@ impl LbtsGraph for FederateGraph<'_> {
 /// solver already leaps over, and the platform's own clock gate (a tag is
 /// never processed before physical time reaches it, the PTIDES `D+L+E`
 /// argument from the paper) keeps the free-run safe.
-fn grant_horizon(federates: &[FederateEntry], f: usize, bound: Tag) -> Option<Tag> {
+pub(crate) fn grant_horizon(federates: &[FederateEntry], f: usize, bound: Tag) -> Option<Tag> {
     let entry = &federates[f];
     let g = entry.period?;
     if bound >= TAG_MAX {
@@ -389,110 +411,198 @@ fn grant_horizon(federates: &[FederateEntry], f: usize, bound: Tag) -> Option<Ta
     ))
 }
 
-/// Runs the solver over `federates` and returns the grants it justifies,
-/// in deterministic order: the TAG pass (strict bounds that advanced)
-/// followed by at most one PTAG (zero-delay stall breaker, minimal
-/// `(tag, index)` tie-break), followed — under the control diet — by the
-/// DNET suppression records whose flag word changed. Updates per-entry
-/// grant high-water marks and the issue counters. Shared verbatim by the
-/// flat RTI and the zone coordinators — the flat path is the one-zone
-/// special case.
+/// A coordinator's federate table together with the solver and the
+/// buffers that keep a round allocation-free: everything the flat RTI and
+/// a zone coordinator share, minus the network around it. The flat RTI is
+/// the one-zone special case — every entry grantable, no proxies.
 ///
-/// Each returned record is `(federate, kind, tag, fence)`: the fence slot
-/// of the wire record carries the window horizon on a TAG and the flag
-/// word on a DNET, and stays zero otherwise.
-pub(crate) fn solve_grants(
-    solver: &mut LbtsSolver,
-    federates: &mut [FederateEntry],
-    stats: &mut RtiStats,
-    grantable: usize,
-    diet: bool,
-) -> Vec<(u16, CoordKind, Tag, WireTag)> {
-    let lbts = solver.solve(&FederateGraph(federates)).to_vec();
-    let mut grants = Vec::new();
-    // TAG pass: strict bounds that advanced. Only the first `grantable`
-    // entries are real members (a zone's table continues with proxies).
-    for (f, &bound) in lbts.iter().enumerate().take(grantable) {
-        let entry = &federates[f];
-        if !entry.connected || entry.released() {
-            continue;
-        }
-        if entry.last_granted.is_none_or(|g| bound > g) {
-            let window = if diet {
-                grant_horizon(federates, f, bound)
-            } else {
-                None
-            };
-            match window {
-                Some(horizon) => {
-                    grants.push((f as u16, CoordKind::Tag, bound, tag_to_wire(horizon)));
-                    // The horizon is the new high-water mark: intermediate
-                    // bounds inside the window never echo back as TAGs.
-                    federates[f].last_granted = Some(horizon);
-                    stats.window_tags += u64::from(GRANT_WINDOW_PERIODS);
-                }
-                None => {
-                    grants.push((f as u16, CoordKind::Tag, bound, WireTag::new(0, 0)));
-                    federates[f].last_granted = Some(bound);
-                }
-            }
-            stats.tags_issued += 1;
-        }
+/// Hidden from the docs but public, so the allocation test in `tests/`
+/// can run ten thousand rounds without a simulation in the way.
+#[doc(hidden)]
+#[derive(Default)]
+pub struct GrantTable {
+    /// Members first, then (in a zone) the proxies of upstream zones.
+    pub(crate) entries: Vec<FederateEntry>,
+    pub(crate) solver: LbtsSolver,
+    /// Entries whose state moved since the last round.
+    dirty: Vec<u16>,
+    /// The round's output buffer, handed out and taken back.
+    grants: Vec<Grant>,
+    pub(crate) stats: RtiStats,
+    /// Control-plane diet (DNET suppression, grant-ahead windows, the
+    /// periodic fast path). Opt-in so existing deployments keep their
+    /// control traffic — and traces — bit for bit.
+    pub(crate) diet: bool,
+}
+
+impl GrantTable {
+    /// An empty table, diet off.
+    #[must_use]
+    pub fn new() -> Self {
+        GrantTable::default()
     }
-    // PTAG pass: break a zero-delay stall (see LbtsSolver::ptag_candidate).
-    let candidate = solver.ptag_candidate(&FederateGraph(federates), |f| {
-        let entry = &federates[f];
-        f < grantable && entry.connected && entry.last_ptag.is_none_or(|p| entry.head > p)
-    });
-    if let Some((tag, f)) = candidate {
-        grants.push((f as u16, CoordKind::Ptag, tag, WireTag::new(0, 0)));
-        federates[f].last_ptag = Some(tag);
-        stats.ptags_issued += 1;
+
+    /// Appends an entry and returns its index.
+    pub fn register(&mut self, name: &str, node: NodeId, external: bool) -> usize {
+        self.entries.push(FederateEntry::new(name, node, external));
+        self.solver.invalidate();
+        self.entries.len() - 1
     }
-    // DNET pass: push each member's suppression state when it changes.
-    // Flags only ever *add* report traffic here to *remove* much more on
-    // the federate side; a dead or resigned federate is skipped (its
-    // state is moot — release already unblocks everyone downstream).
-    if diet {
-        for f in 0..grantable {
-            let entry = &federates[f];
+
+    /// Declares the edge `upstream → downstream` (table indices).
+    pub fn connect(&mut self, upstream: usize, downstream: usize, min_delay: Duration) {
+        self.entries[downstream]
+            .upstream
+            .push((upstream as u16, min_delay));
+        self.entries[upstream].has_downstream = true;
+        self.solver.invalidate();
+    }
+
+    /// Switches the control-plane diet. Every entry's suppression state
+    /// is due (or moot) afterwards, so the next round looks at them all.
+    pub fn set_control_diet(&mut self, diet: bool) {
+        self.diet = diet;
+        self.solver.invalidate();
+    }
+
+    /// Applies one federate → coordinator record to entry `index` and
+    /// remembers the entry for the next round if anything moved.
+    pub fn control(&mut self, index: usize, msg: &CoordMsg) -> Applied {
+        let applied = self.entries[index].apply_control(msg, &mut self.stats);
+        if applied == Applied::Moved {
+            self.dirty.push(index as u16);
+        }
+        applied
+    }
+
+    /// Remembers that entry `index` was changed in place (declared dead,
+    /// or — for a proxy — given a new relayed head).
+    pub(crate) fn mark_dirty(&mut self, index: usize) {
+        self.dirty.push(index as u16);
+    }
+
+    /// One round: brings the solver up to date with the entries that
+    /// moved since the last one and returns the grants that justifies, in
+    /// deterministic order: the TAG pass (strict bounds that advanced,
+    /// ascending by index) followed by at most one PTAG (zero-delay stall
+    /// breaker, minimal `(tag, index)` tie-break), followed — under the
+    /// control diet — by the DNET suppression records whose flag word
+    /// changed. Updates per-entry grant high-water marks and the issue
+    /// counters. Only the first `grantable` entries are real members.
+    ///
+    /// Every round leaves each member with nothing further to be sent, so
+    /// the TAG and DNET passes only look at what the solver reports
+    /// [`affected`](LbtsSolver::affected): an entry whose LBTS, state and
+    /// eligibility all stayed put has nothing new to be told. After a
+    /// structural change that is every entry.
+    ///
+    /// Each record is `(federate, kind, tag, fence)`: the fence slot of
+    /// the wire record carries the window horizon on a TAG and the flag
+    /// word on a DNET, and stays zero otherwise. The list is the table's
+    /// own buffer: hand it back through [`GrantTable::recycle`].
+    pub fn round(&mut self, grantable: usize) -> Vec<Grant> {
+        let GrantTable {
+            entries,
+            solver,
+            dirty,
+            grants,
+            stats,
+            diet,
+        } = self;
+        grants.clear();
+        solver.update(&FederateGraph(entries), dirty);
+        dirty.clear();
+        let (lbts, affected) = (solver.lbts(), solver.affected());
+        // `affected` is ascending, so the members in it come first.
+        let affected = &affected[..affected.partition_point(|&f| usize::from(f) < grantable)];
+        // TAG pass: strict bounds that advanced.
+        for &f in affected {
+            let (f, bound) = (usize::from(f), lbts[usize::from(f)]);
+            let entry = &entries[f];
             if !entry.connected || entry.released() {
                 continue;
             }
-            let mut flags = 0u32;
-            if entry.period.is_some() {
-                flags |= DNET_NET_LATTICE;
-            }
-            if entry.is_sink() {
-                flags |= DNET_SINK;
-            }
-            if flags != 0 && entry.last_dnet != Some(flags) {
-                // The horizon slot: "no report before this tag can move a
-                // downstream LBTS". A sink's reports never can.
-                let horizon = if entry.is_sink() { TAG_MAX } else { lbts[f] };
-                grants.push((f as u16, CoordKind::Dnet, horizon, WireTag::new(0, flags)));
-                federates[f].last_dnet = Some(flags);
-                stats.dnets_sent += 1;
+            if entry.last_granted.is_none_or(|g| bound > g) {
+                let window = if *diet {
+                    grant_horizon(entries, f, bound)
+                } else {
+                    None
+                };
+                match window {
+                    Some(horizon) => {
+                        grants.push((f as u16, CoordKind::Tag, bound, tag_to_wire(horizon)));
+                        // The horizon is the new high-water mark: intermediate
+                        // bounds inside the window never echo back as TAGs.
+                        entries[f].last_granted = Some(horizon);
+                        stats.window_tags += u64::from(GRANT_WINDOW_PERIODS);
+                    }
+                    None => {
+                        grants.push((f as u16, CoordKind::Tag, bound, WireTag::new(0, 0)));
+                        entries[f].last_granted = Some(bound);
+                    }
+                }
+                stats.tags_issued += 1;
             }
         }
+        // PTAG pass: break a zero-delay stall (see LbtsSolver::ptag_candidate).
+        // Not driven by `affected`: one PTAG goes out per round, so a second
+        // candidate waits for the next round whatever that round moves.
+        let candidate = solver.ptag_candidate(&FederateGraph(entries), |f| {
+            let entry = &entries[f];
+            f < grantable && entry.connected && entry.last_ptag.is_none_or(|p| entry.head > p)
+        });
+        if let Some((tag, f)) = candidate {
+            grants.push((f as u16, CoordKind::Ptag, tag, WireTag::new(0, 0)));
+            entries[f].last_ptag = Some(tag);
+            stats.ptags_issued += 1;
+        }
+        // DNET pass: push each member's suppression state when it changes.
+        // Flags only ever *add* report traffic here to *remove* much more on
+        // the federate side; a dead or resigned federate is skipped (its
+        // state is moot — release already unblocks everyone downstream).
+        if *diet {
+            for &f in affected {
+                let f = usize::from(f);
+                let entry = &entries[f];
+                if !entry.connected || entry.released() {
+                    continue;
+                }
+                let mut flags = 0u32;
+                if entry.period.is_some() {
+                    flags |= DNET_NET_LATTICE;
+                }
+                if entry.is_sink() {
+                    flags |= DNET_SINK;
+                }
+                if flags != 0 && entry.last_dnet != Some(flags) {
+                    // The horizon slot: "no report before this tag can move a
+                    // downstream LBTS". A sink's reports never can.
+                    let horizon = if entry.is_sink() { TAG_MAX } else { lbts[f] };
+                    grants.push((f as u16, CoordKind::Dnet, horizon, WireTag::new(0, flags)));
+                    entries[f].last_dnet = Some(flags);
+                    stats.dnets_sent += 1;
+                }
+            }
+        }
+        std::mem::take(grants)
     }
-    grants
+
+    /// Takes the list [`GrantTable::round`] handed out back as the next
+    /// round's buffer.
+    pub fn recycle(&mut self, grants: Vec<Grant>) {
+        self.grants = grants;
+    }
 }
 
 struct RtiInner {
     binding: Binding,
-    federates: Vec<FederateEntry>,
-    solver: LbtsSolver,
-    stats: RtiStats,
+    /// Table index = federate id; every entry is grantable.
+    table: GrantTable,
     /// Liveness deadline: a connected federate silent (no NET/LTC/Join)
     /// for longer than this is declared dead. `None` disables the
     /// watchdog (the default — death detection is opt-in so that
     /// fault-free scenarios schedule zero extra events).
     liveness_deadline: Option<Duration>,
-    /// Control-plane diet (DNET suppression, grant-ahead windows, the
-    /// periodic fast path). Opt-in so existing deployments keep their
-    /// control traffic — and traces — bit for bit.
-    diet: bool,
 }
 
 /// A shared handle to the centralized coordinator.
@@ -506,8 +616,8 @@ impl fmt::Debug for Rti {
         let inner = self.0.borrow();
         f.debug_struct("Rti")
             .field("node", &inner.binding.node())
-            .field("federates", &inner.federates.len())
-            .field("stats", &inner.stats)
+            .field("federates", &inner.table.entries.len())
+            .field("stats", &inner.table.stats)
             .finish()
     }
 }
@@ -533,11 +643,8 @@ impl Rti {
         );
         let rti = Rti(Rc::new(RefCell::new(RtiInner {
             binding: binding.clone(),
-            federates: Vec::new(),
-            solver: LbtsSolver::new(),
-            stats: RtiStats::default(),
+            table: GrantTable::new(),
             liveness_deadline: None,
-            diet: false,
         })));
         let hook = rti.clone();
         binding.register_method(COORD_SERVICE, COORD_METHOD, move |sim, req, _responder| {
@@ -566,17 +673,14 @@ impl Rti {
         external: bool,
     ) -> Result<FederateId, FederationError> {
         let mut inner = self.0.borrow_mut();
-        if inner.federates.len() >= MAX_FEDERATES {
+        if inner.table.entries.len() >= MAX_FEDERATES {
             return Err(FederationError::Full {
                 limit: MAX_FEDERATES,
             });
         }
-        let id = FederateId(inner.federates.len() as u16);
-        inner
-            .federates
-            .push(FederateEntry::new(name, node, external));
-        inner.stats.federates += 1;
-        Ok(id)
+        let id = inner.table.register(name, node, external);
+        inner.table.stats.federates += 1;
+        Ok(FederateId(id as u16))
     }
 
     /// Declares a coordination edge: messages caused by `upstream`
@@ -585,11 +689,11 @@ impl Rti {
     /// the sender deadline plus the network and clock bounds, `D + L + E`.
     pub fn connect(&self, upstream: FederateId, downstream: FederateId, min_delay: Duration) {
         assert!(!min_delay.is_negative(), "edge delays must be non-negative");
-        let mut inner = self.0.borrow_mut();
-        inner.federates[downstream.0 as usize]
-            .upstream
-            .push((upstream.0, min_delay));
-        inner.federates[upstream.0 as usize].has_downstream = true;
+        self.0.borrow_mut().table.connect(
+            usize::from(upstream.0),
+            usize::from(downstream.0),
+            min_delay,
+        );
     }
 
     /// Enables the coordination **control-plane diet**: DNET suppression
@@ -599,31 +703,31 @@ impl Rti {
     /// and honour suppression). Opt-in: without this call the RTI's
     /// control traffic — and therefore every trace — is unchanged.
     pub fn enable_control_diet(&self) {
-        self.0.borrow_mut().diet = true;
+        self.0.borrow_mut().table.set_control_diet(true);
     }
 
     /// Whether [`Rti::enable_control_diet`] has been called.
     #[must_use]
     pub fn control_diet_enabled(&self) -> bool {
-        self.0.borrow().diet
+        self.0.borrow().table.diet
     }
 
     /// The federate's name (for reports).
     #[must_use]
     pub fn federate_name(&self, fed: FederateId) -> String {
-        self.0.borrow().federates[fed.0 as usize].name.clone()
+        self.0.borrow().table.entries[fed.0 as usize].name.clone()
     }
 
     /// The exclusive bound most recently granted to `fed`, if any.
     #[must_use]
     pub fn last_granted(&self, fed: FederateId) -> Option<Tag> {
-        self.0.borrow().federates[fed.0 as usize].last_granted
+        self.0.borrow().table.entries[fed.0 as usize].last_granted
     }
 
     /// Activity counters.
     #[must_use]
     pub fn stats(&self) -> RtiStats {
-        self.0.borrow().stats
+        self.0.borrow().table.stats
     }
 
     /// Enables the liveness watchdog: a connected federate that sends no
@@ -658,13 +762,10 @@ impl Rti {
     fn on_msg(&self, sim: &mut Simulation, msg: CoordMsg) {
         {
             let mut inner = self.0.borrow_mut();
-            let RtiInner {
-                federates, stats, ..
-            } = &mut *inner;
-            let Some(entry) = federates.get_mut(msg.federate as usize) else {
-                return;
-            };
-            if !entry.apply_control(&msg, stats) {
+            let index = usize::from(msg.federate);
+            if index >= inner.table.entries.len()
+                || inner.table.control(index, &msg) == Applied::Ignored
+            {
                 return;
             }
         }
@@ -680,7 +781,8 @@ impl Rti {
             let inner = self.0.borrow();
             inner.liveness_deadline.and_then(|deadline| {
                 inner
-                    .federates
+                    .table
+                    .entries
                     .get(fed.0 as usize)
                     .filter(|e| e.connected && !e.released())
                     .map(|e| (deadline, e.liveness_gen))
@@ -698,15 +800,18 @@ impl Rti {
     fn on_liveness_check(&self, sim: &mut Simulation, fed: FederateId, generation: u64) {
         let name = {
             let mut inner = self.0.borrow_mut();
-            let Some(entry) = inner.federates.get_mut(fed.0 as usize) else {
+            let table = &mut inner.table;
+            let Some(entry) = table.entries.get_mut(fed.0 as usize) else {
                 return;
             };
             if entry.liveness_gen != generation || entry.released() {
                 return; // superseded, or no longer eligible
             }
             entry.dead = true;
-            inner.stats.deaths += 1;
-            inner.federates[fed.0 as usize].name.clone()
+            let name = entry.name.clone();
+            table.mark_dirty(usize::from(fed.0));
+            table.stats.deaths += 1;
+            name
         };
         sim.trace_with("rti", || {
             format!("federate {fed} ({name}) declared dead; releasing its LBTS bound")
@@ -716,46 +821,43 @@ impl Rti {
         self.recompute(sim);
     }
 
-    /// Recomputes every federate's LBTS and sends out newly justified
-    /// grants, one single-record frame per grant on the federate's own
-    /// eventgroup (the flat protocol; zones batch instead).
+    /// Brings the LBTS of everything downstream of the dirty federates up
+    /// to date and sends out newly justified grants, one single-record
+    /// frame per grant on the federate's own eventgroup (the flat
+    /// protocol; zones batch instead).
     fn recompute(&self, sim: &mut Simulation) {
-        let grants = {
+        let (grants, binding) = {
             let mut inner = self.0.borrow_mut();
-            let diet = inner.diet;
-            let RtiInner {
-                federates,
-                solver,
-                stats,
-                ..
-            } = &mut *inner;
-            let grantable = federates.len();
-            solve_grants(solver, federates, stats, grantable, diet)
+            let grantable = inner.table.entries.len();
+            // Sent with the table unborrowed; the buffer goes back below.
+            (inner.table.round(grantable), inner.binding.clone())
         };
-        let observe = sim.observe().clone();
+        let observe = sim.observe();
         if observe.is_enabled() {
             observe.count("coord/fixpoint/flat", 1);
             observe.record_value("coord/grants_per_round", grants.len() as u64);
             observe.instant(dear_observe::Lane::Root, "fixpoint", sim.now());
         }
 
-        let binding = self.0.borrow().binding.clone();
-        let pool = binding.pool();
-        for (fed, kind, tag, fence) in grants {
-            let msg = CoordMsg {
-                kind,
-                federate: fed,
-                tag: tag_to_wire(tag),
-                fence,
-            };
-            binding.notify(
-                sim,
-                ServiceInstance::new(COORD_SERVICE, COORD_INSTANCE),
-                coord_eventgroup(fed),
-                COORD_EVENT,
-                msg.encode_into(&pool),
-            );
+        if !grants.is_empty() {
+            let pool = binding.pool();
+            for &(fed, kind, tag, fence) in &grants {
+                let msg = CoordMsg {
+                    kind,
+                    federate: fed,
+                    tag: tag_to_wire(tag),
+                    fence,
+                };
+                binding.notify(
+                    sim,
+                    ServiceInstance::new(COORD_SERVICE, COORD_INSTANCE),
+                    coord_eventgroup(fed),
+                    COORD_EVENT,
+                    msg.encode_into(&pool),
+                );
+            }
         }
+        self.0.borrow_mut().table.recycle(grants);
     }
 }
 

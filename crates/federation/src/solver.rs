@@ -14,10 +14,20 @@
 //! from outside the federation, the reported fence). Floors propagate
 //! along edges shifted by the edge delay until stable; values start at
 //! [`TAG_MAX`] and only decrease, and simple paths bound the result, so
-//! `n` rounds suffice.
+//! `n` rounds suffice. That sweep is [`LbtsSolver::solve`].
+//!
+//! A coordinator runs it once per topology. Between control messages the
+//! solver keeps its vector, and [`LbtsSolver::update`] re-relaxes only the
+//! downstream cone of the nodes whose state moved — in topological order
+//! of the SCC condensation, so every value is computed once, from final
+//! inputs, and propagation stops wherever a value comes out unchanged.
+//! The result is the same greatest fixpoint the sweep finds: both are
+//! exact, the oracle tests hold them equal after every step.
 
 use dear_core::Tag;
 use dear_time::{Duration, Instant};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The greatest representable tag, used as the "no constraint" sentinel.
 /// Round-trips through the wire encoding as `dear_someip::TAG_NEVER`.
@@ -137,40 +147,223 @@ pub fn node_floor(view: &NodeView, arrival: Tag) -> Tag {
         .map_or(reported, |c| tag_succ(c).max(reported))
 }
 
-/// The reusable LBTS fixpoint. Owns its scratch buffer so repeated
-/// recomputes on a steady topology allocate nothing.
+/// `Topology::scc` flag: the SCC is waiting in the worklist.
+const QUEUED: u8 = 1;
+/// `Topology::scc` flag: the SCC contains a cycle (several members, or
+/// one with a self-loop).
+const CYCLIC: u8 = 2;
+
+/// What the incremental path knows about the graph's *shape*: who is
+/// downstream of whom, in which order SCCs must be relaxed, and which
+/// nodes can ever need a provisional grant. Derived from the edge lists
+/// alone, so it survives every NET/LTC and is rebuilt only after
+/// [`LbtsSolver::invalidate`]. A few flat vectors, `O(nodes + edges)`.
+#[derive(Debug, Default)]
+struct Topology {
+    /// CSR downstream adjacency: the successors of node `u` are
+    /// `down[down_off[u]..down_off[u + 1]]`.
+    down_off: Vec<u32>,
+    down: Vec<u16>,
+    /// The nodes in topological order of the SCC condensation (upstream
+    /// SCCs first), the members of one SCC adjacent.
+    order: Vec<u16>,
+    /// Per node: the position in `order` of its SCC's first member. That
+    /// position names the SCC and is its topological rank.
+    rank: Vec<u16>,
+    /// Per SCC (indexed by rank): [`QUEUED`] | [`CYCLIC`].
+    scc: Vec<u8>,
+    /// Nodes with at least one zero-delay upstream edge, ascending: the
+    /// only possible PTAG candidates (see [`LbtsSolver::ptag_candidate`]).
+    zero_delay: Vec<u16>,
+}
+
+impl Topology {
+    /// Puts the SCCs of `u`'s successors on the worklist — all but the
+    /// SCC ranked `skip`.
+    fn enqueue_downstream(
+        &mut self,
+        queue: &mut BinaryHeap<Reverse<u16>>,
+        u: u16,
+        skip: Option<u16>,
+    ) {
+        let u = usize::from(u);
+        for &w in &self.down[self.down_off[u] as usize..self.down_off[u + 1] as usize] {
+            let p = self.rank[usize::from(w)];
+            let scc = &mut self.scc[usize::from(p)];
+            if Some(p) != skip && *scc & QUEUED == 0 {
+                *scc |= QUEUED;
+                queue.push(Reverse(p));
+            }
+        }
+    }
+
+    /// Rebuilds every table from the graph's edge lists. `stack` is
+    /// borrowed scratch, left empty. Returns the number of SCCs and the
+    /// size of the largest cyclic one.
+    fn build(&mut self, graph: &impl LbtsGraph, stack: &mut Vec<u16>) -> (usize, usize) {
+        let n = graph.len();
+        self.down_off.clear();
+        self.down_off.resize(n + 1, 0);
+        self.zero_delay.clear();
+        for f in 0..n {
+            let ups = graph.upstream(f);
+            for &(u, _) in ups {
+                self.down_off[usize::from(u) + 1] += 1;
+            }
+            if ups.iter().any(|(_, d)| d.is_zero()) {
+                self.zero_delay.push(f as u16);
+            }
+        }
+        for u in 0..n {
+            self.down_off[u + 1] += self.down_off[u];
+        }
+        // `down_off[u + 1]` is the end of `u`'s run. Filling back to front
+        // walks it down to the run's start, which leaves the whole table
+        // shifted by one slot; shift it back afterwards.
+        let edges = self.down_off[n];
+        self.down.clear();
+        self.down.resize(edges as usize, 0);
+        for f in (0..n).rev() {
+            for &(u, _) in graph.upstream(f) {
+                let slot = &mut self.down_off[usize::from(u) + 1];
+                *slot -= 1;
+                self.down[*slot as usize] = f as u16;
+            }
+        }
+        self.down_off.copy_within(1.., 0);
+        self.down_off[n] = edges;
+
+        // Tarjan over the *upstream* edges: an SCC is emitted once all the
+        // SCCs it depends on have been, so emission order is the order
+        // relaxation needs. `visit[v]` is the DFS number (0 = unvisited,
+        // MAX = already emitted, which makes the on-stack test implicit)
+        // and `visit[n + v]` the low-link.
+        self.order.clear();
+        self.rank.clear();
+        self.rank.resize(n, 0);
+        self.scc.clear();
+        self.scc.resize(n, 0);
+        let mut visit = vec![0u32; 2 * n];
+        let mut dfs: Vec<(u16, u32)> = Vec::new();
+        let (mut counter, mut sccs, mut largest_cycle) = (0u32, 0, 0);
+        stack.clear();
+        for root in 0..n {
+            if visit[root] != 0 {
+                continue;
+            }
+            dfs.push((root as u16, 0));
+            while let Some(top) = dfs.last_mut() {
+                let v = usize::from(top.0);
+                if top.1 == 0 {
+                    counter += 1;
+                    (visit[v], visit[n + v]) = (counter, counter);
+                    stack.push(v as u16);
+                }
+                let edge = graph.upstream(v).get(top.1 as usize);
+                top.1 += 1;
+                if let Some(&(w, _)) = edge {
+                    if visit[usize::from(w)] == 0 {
+                        dfs.push((w, 0));
+                    } else {
+                        visit[n + v] = visit[n + v].min(visit[usize::from(w)]);
+                    }
+                    continue;
+                }
+                dfs.pop();
+                if let Some(&(parent, _)) = dfs.last() {
+                    let parent = n + usize::from(parent);
+                    visit[parent] = visit[parent].min(visit[n + v]);
+                }
+                if visit[n + v] != visit[v] {
+                    continue;
+                }
+                let first = self.order.len();
+                loop {
+                    let w = stack.pop().expect("an SCC's root is on the stack");
+                    visit[usize::from(w)] = u32::MAX;
+                    self.rank[usize::from(w)] = first as u16;
+                    self.order.push(w);
+                    if usize::from(w) == v {
+                        break;
+                    }
+                }
+                sccs += 1;
+                let size = self.order.len() - first;
+                if size > 1 || graph.upstream(v).iter().any(|&(u, _)| usize::from(u) == v) {
+                    self.scc[first] = CYCLIC;
+                    largest_cycle = largest_cycle.max(size);
+                }
+            }
+        }
+        (sccs, largest_cycle)
+    }
+}
+
+/// `lbts[f]` from the current values of `f`'s upstreams.
+fn relax(graph: &impl LbtsGraph, lbts: &[Tag], f: usize) -> Tag {
+    graph.upstream(f).iter().fold(TAG_MAX, |bound, &(u, d)| {
+        let u = usize::from(u);
+        bound.min(edge_add(node_floor(&graph.node(u), lbts[u]), d))
+    })
+}
+
+/// The reusable LBTS fixpoint. Keeps the LBTS vector *between* calls, so
+/// a coordinator pays a full [`LbtsSolver::solve`] once per topology and
+/// an [`LbtsSolver::update`] — work proportional to what moved — per
+/// control message. Owns all its buffers: on a steady topology neither
+/// entry point allocates.
 #[derive(Debug, Default)]
 pub struct LbtsSolver {
     lbts: Vec<Tag>,
+    topology: Topology,
+    /// `topology` matches the graph's current edge lists.
+    indexed: bool,
+    /// Worklist of SCC ranks awaiting relaxation, lowest (most upstream)
+    /// first, so every SCC is relaxed at most once per update and only
+    /// after everything it depends on is final.
+    queue: BinaryHeap<Reverse<u16>>,
+    /// Result of the latest update: see [`LbtsSolver::affected`].
+    affected: Vec<u16>,
+    /// Scratch: a cyclic SCC's values before it is re-solved.
+    before: Vec<Tag>,
 }
 
 impl LbtsSolver {
-    /// Creates a solver with an empty scratch buffer.
+    /// Creates a solver with empty buffers.
     #[must_use]
     pub fn new() -> Self {
         LbtsSolver::default()
     }
 
-    /// Runs the fixpoint: `lbts[f] = min` over upstream edges `(u, d)` of
-    /// `edge_add(floor(u), d)`, where `floor(u)` itself uses `lbts[u]`.
-    /// Nodes without upstream edges keep the unconstrained [`TAG_MAX`].
-    /// Returns the per-node LBTS slice (valid until the next call).
+    /// Declares that the graph's **shape** changed (a node or an edge was
+    /// added, an edge delay changed, indices shifted): the next solve
+    /// rebuilds the topology tables and the next [`LbtsSolver::update`]
+    /// is a full solve. Changes of node *state* never need this.
+    pub fn invalidate(&mut self) {
+        self.indexed = false;
+    }
+
+    /// Runs the fixpoint from scratch: `lbts[f] = min` over upstream edges
+    /// `(u, d)` of `edge_add(floor(u), d)`, where `floor(u)` itself uses
+    /// `lbts[u]`. Nodes without upstream edges keep the unconstrained
+    /// [`TAG_MAX`]. Returns the per-node LBTS slice (valid until the next
+    /// call). This is the cold-start path — the first solve of a topology
+    /// — and the oracle [`LbtsSolver::update`] is tested against.
     pub fn solve(&mut self, graph: &impl LbtsGraph) -> &[Tag] {
         let n = graph.len();
+        if !self.indexed || self.topology.rank.len() != n {
+            let (sccs, largest_cycle) = self.topology.build(graph, &mut self.affected);
+            self.queue.reserve(sccs);
+            self.affected.reserve(n);
+            self.before.reserve(largest_cycle);
+            self.indexed = true;
+        }
         self.lbts.clear();
         self.lbts.resize(n, TAG_MAX);
         for _ in 0..=n {
             let mut changed = false;
             for f in 0..n {
-                if graph.upstream(f).is_empty() {
-                    continue;
-                }
-                let mut new = TAG_MAX;
-                for &(u, d) in graph.upstream(f) {
-                    let u = usize::from(u);
-                    let uf = node_floor(&graph.node(u), self.lbts[u]);
-                    new = new.min(edge_add(uf, d));
-                }
+                let new = relax(graph, &self.lbts, f);
                 if new != self.lbts[f] {
                     self.lbts[f] = new;
                     changed = true;
@@ -183,10 +376,110 @@ impl LbtsSolver {
         &self.lbts
     }
 
-    /// The LBTS values of the latest [`LbtsSolver::solve`] call.
+    /// Brings the LBTS vector of the previous solve or update up to date
+    /// after the [`NodeView`]s of the `dirty` nodes changed — and nothing
+    /// else did. Only the downstream cone of the dirty nodes is relaxed,
+    /// SCC by SCC in topological order, stopping wherever a value comes
+    /// out unchanged; the result equals [`LbtsSolver::solve`] exactly.
+    ///
+    /// A raised floor cannot be propagated round a cycle from the stale
+    /// values in it (they would creep up one lap at a time), so a cyclic
+    /// SCC that is reached is reset to [`TAG_MAX`] and iterated to its own
+    /// fixpoint from its — already final — outside upstreams.
+    ///
+    /// Returns [`LbtsSolver::affected`]. After [`LbtsSolver::invalidate`],
+    /// or on a solver that never solved, this *is* a full solve and every
+    /// node is reported affected.
+    pub fn update(&mut self, graph: &impl LbtsGraph, dirty: &[u16]) -> &[u16] {
+        let n = graph.len();
+        if !self.indexed || self.lbts.len() != n {
+            self.solve(graph);
+            self.affected.clear();
+            self.affected.extend((0..n).map(|f| f as u16));
+            return &self.affected;
+        }
+        let LbtsSolver {
+            lbts,
+            topology: t,
+            queue,
+            affected,
+            before,
+            ..
+        } = self;
+        affected.clear();
+        for &v in dirty {
+            affected.push(v);
+            // A dirty member of a cyclic SCC has a successor inside it,
+            // so this queues its own SCC too.
+            t.enqueue_downstream(queue, v, None);
+        }
+        while let Some(Reverse(p)) = queue.pop() {
+            let first = usize::from(p);
+            t.scc[first] &= !QUEUED;
+            if t.scc[first] & CYCLIC == 0 {
+                let f = t.order[first];
+                let new = relax(graph, lbts, usize::from(f));
+                if new != lbts[usize::from(f)] {
+                    lbts[usize::from(f)] = new;
+                    affected.push(f);
+                    t.enqueue_downstream(queue, f, None);
+                }
+                continue;
+            }
+            // The SCC's members sit side by side in `order`, all ranked `p`.
+            let same_scc = |&&m: &&u16| t.rank[usize::from(m)] == p;
+            let members = first..first + t.order[first..].iter().take_while(same_scc).count();
+            before.clear();
+            for &m in &t.order[members.clone()] {
+                before.push(std::mem::replace(&mut lbts[usize::from(m)], TAG_MAX));
+            }
+            for _ in 0..=members.len() {
+                let mut changed = false;
+                for &m in &t.order[members.clone()] {
+                    let new = relax(graph, lbts, usize::from(m));
+                    if new != lbts[usize::from(m)] {
+                        lbts[usize::from(m)] = new;
+                        changed = true;
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+            for (i, &old) in members.zip(before.iter()) {
+                let m = t.order[i];
+                if lbts[usize::from(m)] != old {
+                    affected.push(m);
+                    t.enqueue_downstream(queue, m, Some(p));
+                }
+            }
+        }
+        affected.sort_unstable();
+        affected.dedup();
+        affected
+    }
+
+    /// The LBTS values of the latest solve or update.
     #[must_use]
     pub fn lbts(&self) -> &[Tag] {
         &self.lbts
+    }
+
+    /// What the latest [`LbtsSolver::update`] touched, ascending and
+    /// without duplicates: every node whose LBTS changed, plus the dirty
+    /// nodes themselves. Anything a coordinator derives per node from the
+    /// node's state and LBTS can only have changed for these.
+    #[must_use]
+    pub fn affected(&self) -> &[u16] {
+        &self.affected
+    }
+
+    /// The nodes with an edge from `u` (one entry per edge), as of the
+    /// latest solve.
+    #[must_use]
+    pub fn downstream(&self, u: usize) -> &[u16] {
+        let t = &self.topology;
+        &t.down[t.down_off[u] as usize..t.down_off[u + 1] as usize]
     }
 
     /// The floor of node `i` under the latest solve.
@@ -203,6 +496,11 @@ impl LbtsSolver {
     /// grant per round keeps ties deterministic (minimal `(tag, index)`
     /// wins); the resulting LTC advances the rest.
     ///
+    /// Only nodes with a zero-delay upstream edge are looked at: the edge
+    /// that attains a node's LBTS carries exactly `head` when the two are
+    /// equal, and the justification below accepts equality on a
+    /// zero-delay edge only. A graph without such edges costs nothing.
+    ///
     /// `eligible` supplies the caller-side conditions the solver cannot
     /// see (connected, not already granted this head, ...).
     #[must_use]
@@ -212,14 +510,10 @@ impl LbtsSolver {
         eligible: impl Fn(usize) -> bool,
     ) -> Option<(Tag, usize)> {
         let mut candidate: Option<(Tag, usize)> = None;
-        for f in 0..graph.len() {
+        for &f in &self.topology.zero_delay {
+            let f = usize::from(f);
             let view = graph.node(f);
-            if view.released
-                || graph.upstream(f).is_empty()
-                || view.head >= TAG_MAX
-                || view.head != self.lbts[f]
-                || !eligible(f)
-            {
+            if view.released || view.head >= TAG_MAX || view.head != self.lbts[f] || !eligible(f) {
                 continue;
             }
             let justified = graph.upstream(f).iter().all(|&(u, d)| {
@@ -228,7 +522,8 @@ impl LbtsSolver {
                 let uf = node_floor(&up, self.lbts[u]);
                 edge_add(uf, d) > view.head || (d.is_zero() && up.head >= view.head)
             });
-            if justified && candidate.is_none_or(|(t, i)| (view.head, f) < (t, i)) {
+            // Ascending scan: a later node wins on a strictly smaller tag only.
+            if justified && candidate.is_none_or(|(t, _)| view.head < t) {
                 candidate = Some((view.head, f));
             }
         }

@@ -24,8 +24,8 @@
 //! silent member is declared dead and the zone floor rises past it), and
 //! the root watches whole zones via the uplink heartbeat.
 
-use crate::rti::{solve_grants, FederateEntry, FederationError, RtiStats, MAX_FEDERATES};
-use crate::solver::{node_floor, LbtsSolver, TAG_MAX};
+use crate::rti::{Applied, FederateEntry, FederationError, GrantTable, RtiStats, MAX_FEDERATES};
+use crate::solver::{node_floor, TAG_MAX};
 use dear_core::Tag;
 use dear_sim::{NetworkHandle, NodeId, Simulation};
 use dear_someip::{
@@ -90,7 +90,7 @@ struct ZoneInner {
     /// Members first (graph index = registration order), proxies after.
     /// Proxies are plain entries that never connect, so the shared grant
     /// passes skip them by construction.
-    table: Vec<FederateEntry>,
+    table: GrantTable,
     member_count: usize,
     /// Graph index → global federate id, for members.
     member_ids: Vec<u16>,
@@ -98,15 +98,12 @@ struct ZoneInner {
     by_global: BTreeMap<u16, usize>,
     /// Upstream zone id → graph index of its proxy entry.
     proxy_index: BTreeMap<u16, usize>,
-    solver: LbtsSolver,
-    stats: RtiStats,
+    /// Members heard from in the frame being handled (scratch).
+    alive: Vec<u16>,
     liveness_deadline: Option<Duration>,
     /// Last floor rolled up to the root (roll-ups are change-driven,
     /// plus the unconditional uplink heartbeat).
     last_rollup: Option<Tag>,
-    /// Control-plane diet, propagated from the hierarchy (see
-    /// [`HierarchicalRti::enable_control_diet`](crate::HierarchicalRti::enable_control_diet)).
-    diet: bool,
     /// Another zone imports from this one. The zone floor is the `min`
     /// over **all** member floors, so once it is consumed elsewhere no
     /// member may be DNET-classified as a sink — a silent member would
@@ -145,16 +142,14 @@ impl ZoneCoordinator {
         let coordinator = ZoneCoordinator(Rc::new(RefCell::new(ZoneInner {
             zone,
             binding: binding.clone(),
-            table: Vec::new(),
+            table: GrantTable::new(),
             member_count: 0,
             member_ids: Vec::new(),
             by_global: BTreeMap::new(),
             proxy_index: BTreeMap::new(),
-            solver: LbtsSolver::new(),
-            stats: RtiStats::default(),
+            alive: Vec::new(),
             liveness_deadline: None,
             last_rollup: None,
-            diet: false,
             exported: false,
         })));
         let hook = coordinator.clone();
@@ -186,8 +181,8 @@ impl ZoneCoordinator {
         // Members precede proxies in the graph index space; inserting a
         // member after proxies exist shifts every proxy index up by one.
         let index = inner.member_count;
-        if index < inner.table.len() {
-            for entry in &mut inner.table {
+        if index < inner.table.entries.len() {
+            for entry in &mut inner.table.entries {
                 for edge in &mut entry.upstream {
                     if usize::from(edge.0) >= index {
                         edge.0 += 1;
@@ -202,21 +197,21 @@ impl ZoneCoordinator {
         // An exported zone's floor is consumed elsewhere: every member's
         // reports move it, so none may be suppressed as a sink.
         entry.remote_downstream = inner.exported;
-        inner.table.insert(index, entry);
+        inner.table.entries.insert(index, entry);
+        inner.table.solver.invalidate();
         inner.member_count += 1;
         inner.member_ids.insert(index, global);
         inner.by_global.insert(global, index);
-        inner.stats.federates += 1;
+        inner.table.stats.federates += 1;
         Ok(index)
     }
 
     /// Declares an intra-zone edge between member graph indices.
     pub(crate) fn connect_local(&self, upstream: usize, downstream: usize, min_delay: Duration) {
-        let mut inner = self.0.borrow_mut();
-        inner.table[downstream]
-            .upstream
-            .push((upstream as u16, min_delay));
-        inner.table[upstream].has_downstream = true;
+        self.0
+            .borrow_mut()
+            .table
+            .connect(upstream, downstream, min_delay);
     }
 
     /// Marks this zone as exported (another zone imports from it): every
@@ -228,14 +223,16 @@ impl ZoneCoordinator {
         let mut inner = self.0.borrow_mut();
         inner.exported = true;
         let members = inner.member_count;
-        for entry in inner.table.iter_mut().take(members) {
+        for entry in inner.table.entries.iter_mut().take(members) {
             entry.remote_downstream = true;
         }
+        // Sink classification changed: every member's DNET state is due.
+        inner.table.solver.invalidate();
     }
 
     /// Propagates the hierarchy-wide control-plane diet switch.
     pub(crate) fn set_control_diet(&self, diet: bool) {
-        self.0.borrow_mut().diet = diet;
+        self.0.borrow_mut().table.set_control_diet(diet);
     }
 
     /// Declares an edge from a remote zone into local member `downstream`,
@@ -250,33 +247,27 @@ impl ZoneCoordinator {
         let proxy = match inner.proxy_index.get(&upstream_zone.0) {
             Some(&p) => p,
             None => {
-                let p = inner.table.len();
-                let mut entry = FederateEntry::new(
-                    &format!("proxy:{upstream_zone}"),
-                    inner.binding.node(),
-                    false,
-                );
                 // A proxy's head is the floor the root most recently
                 // relayed for that zone; origin until the first relay
                 // ("unknown, assume anything"), exactly like a federate
                 // that has not reported yet.
-                entry.head = Tag::ORIGIN;
-                inner.table.push(entry);
+                let node = inner.binding.node();
+                let p = inner
+                    .table
+                    .register(&format!("proxy:{upstream_zone}"), node, false);
                 inner.proxy_index.insert(upstream_zone.0, p);
                 p
             }
         };
-        inner.table[downstream]
-            .upstream
-            .push((proxy as u16, min_delay));
+        inner.table.connect(proxy, downstream, min_delay);
     }
 
     pub(crate) fn member_name(&self, index: usize) -> String {
-        self.0.borrow().table[index].name.clone()
+        self.0.borrow().table.entries[index].name.clone()
     }
 
     pub(crate) fn stats(&self) -> RtiStats {
-        self.0.borrow().stats
+        self.0.borrow().table.stats
     }
 
     /// Enables the per-member liveness watchdog (see
@@ -310,21 +301,21 @@ impl ZoneCoordinator {
     /// once per *frame*, which is exactly the batching win — N records
     /// no longer trigger N fixpoints and N grant fan-outs.
     fn on_member_frame(&self, sim: &mut Simulation, payload: &[u8]) {
-        let mut touched: Vec<usize> = Vec::new();
         {
             let mut inner = self.0.borrow_mut();
             let ZoneInner {
                 table,
                 by_global,
-                stats,
+                alive,
                 ..
             } = &mut *inner;
-            let mut apply = |msg: &CoordMsg, touched: &mut Vec<usize>| {
+            let mut apply = |msg: &CoordMsg| {
                 let Some(&index) = by_global.get(&msg.federate) else {
                     return;
                 };
-                if table[index].apply_control(msg, stats) && !touched.contains(&index) {
-                    touched.push(index);
+                if table.control(index, msg) != Applied::Ignored && !alive.contains(&(index as u16))
+                {
+                    alive.push(index as u16);
                 }
             };
             if payload.first() == Some(&COORD_BATCH_MARKER) {
@@ -332,17 +323,18 @@ impl ZoneCoordinator {
                     return;
                 };
                 for msg in batch.iter() {
-                    apply(&msg, &mut touched);
+                    apply(&msg);
                 }
             } else if let Ok(msg) = CoordMsg::decode(payload) {
-                apply(&msg, &mut touched);
+                apply(&msg);
             }
-        }
-        if touched.is_empty() {
-            return;
-        }
-        for index in touched {
-            self.arm_liveness(sim, index);
+            if inner.alive.is_empty() {
+                return;
+            }
+            for &index in &inner.alive {
+                self.arm_liveness(sim, &inner, usize::from(index));
+            }
+            inner.alive.clear();
         }
         self.recompute(sim);
     }
@@ -365,10 +357,11 @@ impl ZoneCoordinator {
                     return false;
                 };
                 let relayed = dear_transactors::wire_to_tag(msg.tag);
-                let head = inner.table[proxy].head;
+                let head = inner.table.entries[proxy].head;
                 if relayed > head || (retreat && relayed < head) {
-                    inner.table[proxy].head = relayed;
-                    inner.stats.floor_records += 1;
+                    inner.table.entries[proxy].head = relayed;
+                    inner.table.mark_dirty(proxy);
+                    inner.table.stats.floor_records += 1;
                     true
                 } else {
                     false
@@ -390,21 +383,17 @@ impl ZoneCoordinator {
         }
     }
 
-    fn arm_liveness(&self, sim: &mut Simulation, index: usize) {
-        let armed = {
-            let inner = self.0.borrow();
-            inner.liveness_deadline.and_then(|deadline| {
-                inner
-                    .table
-                    .get(index)
-                    .filter(|e| e.connected && !e.released())
-                    .map(|e| (deadline, e.liveness_gen))
-            })
-        };
-        let Some((deadline, generation)) = armed else {
+    /// Arms (or supersedes) the liveness check of member `index` (see
+    /// `Rti::arm_liveness`).
+    fn arm_liveness(&self, sim: &mut Simulation, inner: &ZoneInner, index: usize) {
+        let Some(deadline) = inner.liveness_deadline else {
             return;
         };
-        let zone = self.clone();
+        let entry = &inner.table.entries[index];
+        if !entry.connected || entry.released() {
+            return;
+        }
+        let (zone, generation) = (self.clone(), entry.liveness_gen);
         sim.schedule_in(deadline, move |sim| {
             zone.on_liveness_check(sim, index, generation);
         });
@@ -413,18 +402,17 @@ impl ZoneCoordinator {
     fn on_liveness_check(&self, sim: &mut Simulation, index: usize, generation: u64) {
         let traced = {
             let mut inner = self.0.borrow_mut();
-            let Some(entry) = inner.table.get_mut(index) else {
+            let Some(entry) = inner.table.entries.get_mut(index) else {
                 return;
             };
             if entry.liveness_gen != generation || entry.released() {
                 return; // superseded, or no longer eligible
             }
             entry.dead = true;
-            inner.stats.deaths += 1;
-            let global = inner.member_ids[index];
-            let zone = inner.zone;
-            let name = inner.table[index].name.clone();
-            (zone, global, name)
+            let name = entry.name.clone();
+            inner.table.mark_dirty(index);
+            inner.table.stats.deaths += 1;
+            (inner.zone, inner.member_ids[index], name)
         };
         let (zone, global, name) = traced;
         sim.trace_with("rti", || {
@@ -433,56 +421,54 @@ impl ZoneCoordinator {
         self.recompute(sim);
     }
 
-    /// Recomputes the zone-local LBTS, fans grants out as one batched
-    /// frame, and rolls the zone floor up to the root when it changed.
+    /// Brings the zone-local LBTS up to date with the dirty entries, fans
+    /// grants out as one batched frame, and rolls the zone floor up to the
+    /// root when it changed.
     fn recompute(&self, sim: &mut Simulation) {
-        let (grants, rollup, binding, instance) = {
+        let (grants, rollup, binding, zone) = {
             let mut inner = self.0.borrow_mut();
             let ZoneInner {
+                zone,
+                binding,
                 table,
                 member_count,
                 member_ids,
-                solver,
-                stats,
                 last_rollup,
-                diet,
                 ..
             } = &mut *inner;
             let grantable = *member_count;
-            let grants = solve_grants(solver, table, stats, grantable, *diet);
+            let mut grants = table.round(grantable);
             // The zone floor: what this zone as a whole promises the rest
             // of the federation. `min` over member floors; proxies are
-            // the other zones' business.
-            let mut floor = TAG_MAX;
-            for (i, entry) in table.iter().enumerate().take(grantable) {
-                floor = floor.min(node_floor(&entry.view(), solver.lbts()[i]));
+            // the other zones' business. No floor moves in a round that
+            // affected nothing.
+            let mut rollup = None;
+            if grantable > 0 && !table.solver.affected().is_empty() {
+                let lbts = table.solver.lbts();
+                let mut floor = TAG_MAX;
+                for (entry, &lbts) in table.entries.iter().zip(lbts).take(grantable) {
+                    floor = floor.min(node_floor(&entry.view(), lbts));
+                }
+                // Roll-ups are change-driven in *both* directions: a floor
+                // that fell back below the last roll-up means a dead member
+                // rejoined, and must travel as a `Rejoin`-kind record so the
+                // root applies the retreat its monotone `Floor` path rejects.
+                if *last_rollup != Some(floor) {
+                    let retreat = last_rollup.is_some_and(|prev| floor < prev);
+                    *last_rollup = Some(floor);
+                    rollup = Some((floor, retreat));
+                }
             }
-            // Roll-ups are change-driven in *both* directions: a floor
-            // that fell back below the last roll-up means a dead member
-            // rejoined, and must travel as a `Rejoin`-kind record so the
-            // root applies the retreat its monotone `Floor` path rejects.
-            let rollup = if grantable > 0 && *last_rollup != Some(floor) {
-                let retreat = last_rollup.is_some_and(|prev| floor < prev);
-                *last_rollup = Some(floor);
-                Some((floor, retreat))
-            } else {
-                None
-            };
-            let grants: Vec<_> = grants
-                .into_iter()
-                .map(|(index, kind, tag, fence)| (member_ids[usize::from(index)], kind, tag, fence))
-                .collect();
-            (
-                grants,
-                rollup,
-                inner.binding.clone(),
-                zone_instance(inner.zone),
-            )
+            // Grants leave the zone addressed by global federate id. Sent
+            // with the table unborrowed; the buffer goes back below.
+            for grant in &mut grants {
+                grant.0 = member_ids[usize::from(grant.0)];
+            }
+            (grants, rollup, binding.clone(), *zone)
         };
-        let observe = sim.observe().clone();
+        let observe = sim.observe();
         if observe.is_enabled() {
             let now = sim.now();
-            let zone = self.0.borrow().zone;
             observe.count("coord/fixpoint/zone", 1);
             observe.record_value("coord/grants_per_round", grants.len() as u64);
             observe.instant(dear_observe::Lane::Zone(zone.0), "fixpoint", now);
@@ -490,7 +476,7 @@ impl ZoneCoordinator {
             // round promised to the rest of the federation trails the
             // true time at which it was computed.
             if let Some((floor, _)) = rollup {
-                if floor < crate::solver::TAG_MAX {
+                if floor < TAG_MAX {
                     observe.record_duration("coord/zone_floor_lag_ns", now - floor.time);
                 }
             }
@@ -498,7 +484,7 @@ impl ZoneCoordinator {
 
         if !grants.is_empty() {
             let mut batch = CoordBatch::pooled(&binding.pool());
-            for (global, kind, tag, fence) in grants {
+            for &(global, kind, tag, fence) in &grants {
                 batch.push(&CoordMsg {
                     kind,
                     federate: global,
@@ -506,15 +492,20 @@ impl ZoneCoordinator {
                     fence,
                 });
             }
-            observe.record_value("coord/batch_size", batch.len() as u64);
+            sim.observe()
+                .record_value("coord/batch_size", batch.len() as u64);
             binding.notify(
                 sim,
-                ServiceInstance::new(COORD_SERVICE, instance),
+                ServiceInstance::new(COORD_SERVICE, zone_instance(zone)),
                 ZONE_MEMBER_EVENTGROUP,
                 COORD_EVENT,
                 batch.freeze(),
             );
-            self.0.borrow_mut().stats.batches_sent += 1;
+        }
+        {
+            let mut inner = self.0.borrow_mut();
+            inner.table.stats.batches_sent += u64::from(!grants.is_empty());
+            inner.table.recycle(grants);
         }
         if let Some((floor, retreat)) = rollup {
             self.send_rollup(sim, floor, retreat);
@@ -548,8 +539,8 @@ impl ZoneCoordinator {
             .is_ok()
         {
             let mut inner = self.0.borrow_mut();
-            inner.stats.floor_records += 1;
-            inner.stats.batches_sent += 1;
+            inner.table.stats.floor_records += 1;
+            inner.table.stats.batches_sent += 1;
         }
     }
 }
