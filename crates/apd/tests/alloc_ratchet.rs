@@ -1,20 +1,27 @@
 //! Allocation ratchet for a one-frame `run_det`: the deterministic
 //! stand-in for the benchmark's `setup_s` on the `brake_*` workloads,
 //! which times exactly this call and is too noisy on a shared VM to debug
-//! against (identical code has read 20.7, 21.7 and 27.6 µs).
+//! against (identical code has read 19.1, 21.7 and 27.6 µs).
 //!
-//! The decentralized count is pinned **exactly**: that build never runs a
-//! coordinator, so a change to `dear-federation` that moves it has leaked
-//! out of its layer. The centralized count is a ceiling (720 before the
-//! incremental solver, 699 with it): work moved into coordinator
-//! construction or into the first solve — where the solver builds its
-//! topology tables — shows up here as a number, not as a noisy 25 % on a
-//! 50 µs timing.
+//! All five brake configurations the benchmark times are counted, so a
+//! regression in platform construction or first-step work shows up as an
+//! integer in tier-1, not as a coin-flip on a 50 µs timing.
+//!
+//! The decentralized count is pinned **exactly**: that build runs the
+//! bare driver loop and no coordinator, so it moves only when the loop
+//! itself changes. It was 534 while `FederatedPlatform` had its own copy
+//! of the loop; the shared loop samples compute costs in place instead of
+//! copying the executed-reaction list (5 processed tags per frame), hence
+//! 529. A change to `dear-federation` that moves it has leaked out of its
+//! layer. The four coordinated counts are ceilings, each the count
+//! measured at the commit before the loops were merged — centralized was
+//! 720 before the incremental solver, 699 with it.
 //!
 //! One test function: the counter is process-global, and the test
 //! harness runs functions on parallel threads.
 
-use dear_apd::{run_det, DetParams};
+use dear_apd::{run_det, DetParams, RecoveryParams};
+use dear_time::Duration;
 use dear_transactors::Coordination;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,18 +51,59 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// The five brake configurations the benchmark times as `setup_s`, with
+/// the `DetParams` it builds for each at one frame (the durable one
+/// crashes the CV federate after frame `frames / 2 = 0` for 10 ms).
+fn configurations() -> [(&'static str, DetParams); 5] {
+    let centralized = DetParams {
+        frames: 1,
+        coordination: Coordination::Centralized,
+        ..DetParams::default()
+    };
+    [
+        (
+            "decentralized",
+            DetParams {
+                frames: 1,
+                ..DetParams::default()
+            },
+        ),
+        ("centralized", centralized.clone()),
+        (
+            "diet",
+            DetParams {
+                control_diet: true,
+                ..centralized.clone()
+            },
+        ),
+        (
+            "durable",
+            DetParams {
+                recovery: Some(RecoveryParams {
+                    crash_after_frame: 0,
+                    dead_for: Duration::from_millis(10),
+                    ..RecoveryParams::default()
+                }),
+                ..centralized.clone()
+            },
+        ),
+        (
+            "observed",
+            DetParams {
+                observability: true,
+                ..centralized
+            },
+        ),
+    ]
+}
+
 /// Allocations of one one-frame `run_det` at seed 1, after warm-up runs
 /// have filled every process-wide lazy (thread-locals, the harness's own
 /// buffers). Two measured runs must agree or the count is not a count.
-fn one_frame_allocations(coordination: Coordination) -> u64 {
-    let params = DetParams {
-        frames: 1,
-        coordination,
-        ..DetParams::default()
-    };
+fn one_frame_allocations(name: &str, params: &DetParams) -> u64 {
     let measure = || {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let report = run_det(1, &params);
+        let report = run_det(1, params);
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
         assert_eq!(report.frames_sent, 1);
         allocations
@@ -64,21 +112,24 @@ fn one_frame_allocations(coordination: Coordination) -> u64 {
         measure();
     }
     let (first, second) = (measure(), measure());
-    assert_eq!(first, second, "{coordination:?}: the count must repeat");
+    assert_eq!(first, second, "{name}: the count must repeat");
     first
 }
 
 #[test]
 fn one_frame_run_det_allocation_ratchet() {
-    assert_eq!(
-        one_frame_allocations(Coordination::Decentralized),
-        534,
-        "the decentralized build runs no coordinator: nothing in this change may reach it"
-    );
-    let centralized = one_frame_allocations(Coordination::Centralized);
-    assert!(
-        centralized <= 699,
-        "one centralized frame allocated {centralized} times (ceiling 699; it was 720 before \
-         the incremental solver took the per-round buffers out)"
-    );
+    let ceilings = [529, 699, 702, 866, 736];
+    for ((name, params), ceiling) in configurations().into_iter().zip(ceilings) {
+        let count = one_frame_allocations(name, &params);
+        assert!(
+            count <= ceiling,
+            "one {name} frame allocated {count} times (ceiling {ceiling})"
+        );
+        if name == "decentralized" {
+            assert_eq!(
+                count, ceiling,
+                "the decentralized build runs the bare driver loop: only a change to the loop moves it"
+            );
+        }
+    }
 }

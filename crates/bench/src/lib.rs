@@ -1,8 +1,8 @@
 //! Shared helpers for the figure-regeneration harnesses.
 //!
 //! Every bench target regenerates one table/figure of the paper (see
-//! `DESIGN.md` §4 and `EXPERIMENTS.md`). Harness scale can be adjusted
-//! through environment variables without recompiling:
+//! `EXPERIMENTS.md`). Harness scale can be adjusted through environment
+//! variables without recompiling:
 //!
 //! * `DEAR_FRAMES` — frames per brake-assistant instance (Figure 5
 //!   defaults to 20 000; the paper used 100 000);

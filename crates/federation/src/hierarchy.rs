@@ -47,7 +47,7 @@ use crate::zone::{
 use dear_core::Tag;
 use dear_sim::{NetworkHandle, NodeId, Simulation};
 use dear_someip::{
-    Binding, CoordBatch, CoordKind, CoordMsg, SdRegistry, ServiceInstance, COORD_BATCH_MARKER,
+    visit_control_records, Binding, CoordBatch, CoordKind, CoordMsg, SdRegistry, ServiceInstance,
     COORD_EVENT, COORD_METHOD, COORD_SERVICE,
 };
 use dear_time::Duration;
@@ -447,15 +447,8 @@ impl HierarchicalRti {
                     inner.alive.push(msg.federate);
                 }
             };
-            if payload.first() == Some(&COORD_BATCH_MARKER) {
-                let Ok(batch) = CoordBatch::decode(payload) else {
-                    return;
-                };
-                for msg in batch.iter() {
-                    apply(&mut inner, &msg);
-                }
-            } else if let Ok(msg) = CoordMsg::decode(payload) {
-                apply(&mut inner, &msg);
+            if visit_control_records(payload, |msg| apply(&mut inner, msg)).is_err() {
+                return;
             }
             if inner.alive.is_empty() {
                 return;

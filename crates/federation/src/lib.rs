@@ -21,17 +21,22 @@
 //!   that solves the same fixpoint over zone summaries, with batched
 //!   coordination frames on every fan-out/roll-up hop and per-shard
 //!   liveness (a silent zone is released without stalling its siblings);
-//! * [`CoordinatedPlatform`] — a drop-in [`PlatformDriver`]: the
-//!   decentralized driver's clock gating *plus* grant gating through the
-//!   runtime's externally granted tag bound, with all coordination
-//!   counters reported through `TransactorStats`. It speaks both the
-//!   flat single-record protocol and the zones' batched protocol
-//!   ([`CoordinatedPlatform::new_in_zone`]).
+//! * [`CoordinatedPlatform`] — a drop-in [`PlatformDriver`]: the one
+//!   driver loop of `dear-transactors` with the grant protocol plugged
+//!   in as its coordination policy. This crate has no scheduler of its
+//!   own; the policy answers the loop's five seams — which tag may be
+//!   released (grant gating through the runtime's tag bound), is the
+//!   process down (crash / recover), a tag was processed (LTC, durable
+//!   record), a batch was drained / an input was injected (durable
+//!   records), and after the step (NET, `Resign`) — with all
+//!   coordination counters reported through `TransactorStats`. It
+//!   speaks both the flat single-record protocol and the zones' batched
+//!   protocol ([`CoordinatedPlatform::new_in_zone`]).
 //!
-//! Because the grant layer is strictly additive, a centralized run
-//! produces **bit-identical event traces** to a decentralized run of the
-//! same scenario — verified by `tests/federation_equivalence.rs` on the
-//! brake-assistant topology.
+//! Because a policy can only *delay* the loop's clock rule, a centralized
+//! run produces **bit-identical event traces** to a decentralized run of
+//! the same scenario — verified by `tests/federation_equivalence.rs` on
+//! the brake-assistant topology.
 //!
 //! ## Quickstart
 //!

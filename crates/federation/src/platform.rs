@@ -1,18 +1,31 @@
-//! The coordinated platform driver: `FederatedPlatform` semantics plus
-//! RTI-granted tag advances.
+//! The coordinated platform driver: the one driver loop of
+//! `dear-transactors` with the RTI grant protocol plugged in as its
+//! coordination policy.
 //!
-//! A [`CoordinatedPlatform`] gates tag processing on **both** conditions:
+//! There is no second scheduler here. [`FederatedPlatform`] owns the
+//! wake-up arithmetic, the compute-cost sampling, the busy time and the
+//! outbox draining; a [`CoordinatedPlatform`] is that loop plus a policy
+//! that answers its five seams:
 //!
-//! 1. the platform's local physical clock has passed the tag (the same
-//!    rule the decentralized driver enforces — this keeps deadline
-//!    behaviour and therefore event traces bit-identical), and
-//! 2. the tag lies strictly below the bound granted by the [`Rti`]
-//!    (inclusively below for a provisional PTAG).
+//! 1. **which tag may be released** — only a tag strictly below the bound
+//!    granted by the [`Rti`] (inclusively below for a provisional PTAG);
+//!    the clock rule of the loop still applies on top, which keeps
+//!    deadline behaviour and therefore event traces bit-identical to a
+//!    decentralized run. Time spent blocked is the grant wait.
+//! 2. **is the process down** — [`CoordinatedPlatform::crash`] takes the
+//!    federate down until [`CoordinatedPlatform::recover`]; wake-ups and
+//!    drains of the dead incarnation are stranded.
+//! 3. **a tag was processed** — bound-breach check, durable `Processed`
+//!    record, `compute` span, and the LTC report (alone, or batched with
+//!    the NET in a zone) unless the coordinator marked it irrelevant.
+//! 4. **a batch was drained / an input was injected** — durable
+//!    `Drained` / `Input` records; a downed federate's inbox keeps
+//!    logging.
+//! 5. **after the step** — NET whenever the queue head or physical fence
+//!    changed, `Resign` once the runtime stopped.
 //!
-//! After every processed tag the platform reports LTC, and whenever its
-//! queue head or physical fence changes it reports NET; grants arrive as
-//! coordination-service notifications and widen the runtime's tag bound.
-//! All coordination counters land in the shared
+//! Grants arrive as coordination-service notifications and widen the
+//! runtime's tag bound. All coordination counters land in the shared
 //! [`TransactorStats`], so centralized and decentralized runs report
 //! comparable numbers.
 
@@ -20,26 +33,26 @@ use crate::hierarchy::HierarchicalRti;
 use crate::rti::{FederateId, FederationError, Rti};
 use crate::solver::{tag_succ, TAG_MAX};
 use crate::zone::{zone_instance, ZoneId, ZONE_MEMBER_EVENTGROUP};
-use dear_core::{PhysicalAction, ReactionId, Runtime, RuntimeStats, StepOutcome, Tag};
+use dear_core::{
+    PhysicalAction, ReactionId, Runtime, RuntimeError, RuntimeStats, StepOutcome, Tag,
+};
 use dear_durable::{EventLog, Record};
 use dear_observe::{Lane, Observe};
 use dear_sim::{LatencyModel, SimRng, Simulation, VirtualClock};
 use dear_someip::{
-    coord_eventgroup, Binding, CoordBatch, CoordKind, CoordMsg, ServiceInstance, WireTag,
-    COORD_BATCH_MARKER, COORD_EVENT, COORD_INSTANCE, COORD_METHOD, COORD_SERVICE, DNET_SINK,
+    coord_eventgroup, visit_control_records, Binding, CoordBatch, CoordKind, CoordMsg,
+    ServiceInstance, WireTag, COORD_EVENT, COORD_INSTANCE, COORD_METHOD, COORD_SERVICE, DNET_SINK,
     TAG_NEVER,
 };
-use dear_time::Instant;
+use dear_time::{Duration, Instant};
 use dear_transactors::{
-    tag_to_wire, wire_to_tag, OutboundMsg, Outbox, PlatformDriver, TransactorStats,
+    tag_to_wire, wire_to_tag, CoordinationPolicy, FederatedPlatform, OutboundMsg, Outbox,
+    PlatformCore, PlatformDriver, TransactorStats,
 };
 use std::any::Any;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
-
-type RouteHandler = Rc<dyn Fn(&mut Simulation, OutboundMsg)>;
 
 type EncodeFn = Rc<dyn Fn(&dyn Any) -> Option<Vec<u8>>>;
 type ReplayFn = Rc<dyn Fn(&mut Runtime, Tag, &[u8]) -> bool>;
@@ -104,17 +117,9 @@ impl fmt::Display for PlatformRecovery {
     }
 }
 
-struct PlatformInner {
-    name: String,
-    runtime: Runtime,
-    clock: VirtualClock,
-    outbox: Outbox,
-    routes: BTreeMap<u32, RouteHandler>,
-    costs: BTreeMap<ReactionId, LatencyModel>,
-    cost_rng: SimRng,
-    busy_until: Instant,
-    generation: u64,
-    started: bool,
+/// The centralized coordination policy: what a federate of an RTI keeps
+/// beyond the driver loop's own state.
+struct Coordinated {
     resigned: bool,
     federate: FederateId,
     binding: Binding,
@@ -137,13 +142,6 @@ struct PlatformInner {
     last_net_sent_at: Option<Instant>,
     /// True time at which the current grant wait began, if blocked.
     blocked_since: Option<Instant>,
-    /// True time of the currently armed wake-up, if one is pending.
-    ///
-    /// Re-arms that would not change the wake time are suppressed so
-    /// that grant arrivals never reshuffle same-instant event order —
-    /// that is what keeps centralized traces bit-identical to
-    /// decentralized ones.
-    armed_wake: Option<Instant>,
     /// Greatest tag processed so far (for the never-beyond-bound check).
     max_processed: Option<Tag>,
     /// Whether the federate was registered with physical inputs from
@@ -155,7 +153,7 @@ struct PlatformInner {
     /// at start. `Some` only when the coordinator's control diet was on
     /// at build time and the program is statically periodic (timers
     /// only — see [`dear_core::Program::periodic_lattice`]).
-    lattice: Option<dear_time::Duration>,
+    lattice: Option<Duration>,
     /// The DNET suppression flag word most recently pushed by the
     /// coordinator (zero until the first push): which of this federate's
     /// reports provably cannot move any downstream LBTS.
@@ -180,16 +178,20 @@ struct PlatformInner {
     /// recovery and carried in the `Rejoin` frame's fence microstep so
     /// the coordinator can drop stale-incarnation control echoes.
     incarnation: u32,
-    /// Bumped on every crash. Scheduled outbox drains capture the epoch
-    /// at scheduling time and no-op on mismatch — the wake-up
-    /// `generation` cannot guard them because `arm` bumps it on every
-    /// re-arm.
+    /// Bumped on every crash, so an outbox drain scheduled by a dead
+    /// incarnation no-ops even if recovery completed in the meantime.
     epoch: u64,
     /// Report of the most recent recovery, if any.
     last_recovery: Option<PlatformRecovery>,
 }
 
-impl PlatformInner {
+type Core = PlatformCore<Coordinated>;
+
+impl Coordinated {
+    fn lane(&self) -> Lane {
+        Lane::Federate(self.federate.0)
+    }
+
     /// Whether the NET report with queue head `head` may be skipped,
     /// counting it when so. Two rules, both fixpoint-neutral: a
     /// DNET-flagged sink constrains nobody downstream, and a pure
@@ -207,23 +209,360 @@ impl PlatformInner {
             false
         }
     }
+
+    /// Sends one control record to the coordinator. Control messages ride
+    /// recycled pool frames like all data-plane traffic: encode once into
+    /// a headroom buffer, wire-assemble in place, zero steady-state
+    /// allocations.
+    fn send(&self, sim: &mut Simulation, msg: CoordMsg) {
+        self.call(sim, msg.encode_into(&self.binding.pool()));
+    }
+
+    fn call(&self, sim: &mut Simulation, payload: dear_someip::FrameBuf) {
+        self.binding
+            .call_no_return(
+                sim,
+                COORD_SERVICE,
+                self.coord_instance,
+                COORD_METHOD,
+                payload,
+            )
+            .expect("coordination service not offered — construct the coordinator first");
+    }
 }
 
-/// A platform participating in a centrally coordinated federation.
+/// The NET report (queue head + physical fence) a live federate owes the
+/// coordinator at `now`, recorded as sent — or `None` when it repeats the
+/// last report or is provably irrelevant downstream. A `heartbeat` skips
+/// both suppressions: liveness needs traffic.
+fn next_net(core: &mut Core, now: Instant, heartbeat: bool) -> Option<CoordMsg> {
+    if !core.is_started() || core.policy.resigned || core.policy.crashed {
+        return None;
+    }
+    let head = core.runtime.next_tag().map_or(TAG_NEVER, tag_to_wire);
+    let fence = tag_to_wire(Tag::at(core.clock.local_time(now)));
+    let c = &mut core.policy;
+    if !heartbeat && (c.last_net == Some((head, fence)) || c.suppress_net(head)) {
+        return None;
+    }
+    c.last_net = Some((head, fence));
+    c.last_net_sent_at = Some(now);
+    c.stats.record_net_sent();
+    c.observe.count("coord/sent/net", 1);
+    Some(CoordMsg::net(c.federate.0, head, fence))
+}
+
+/// Reports NET when it changed.
+fn report_status(core: &mut Core, sim: &mut Simulation) {
+    if let Some(net) = next_net(core, sim.now(), false) {
+        core.policy.send(sim, net);
+    }
+}
+
+/// Batched-protocol step report: the LTC plus (when it changed) the NET
+/// packed into a single control frame, so the zone recomputes once
+/// instead of twice and the wire carries one header. The NET report that
+/// follows the step sees an up-to-date `last_net` and stays silent.
+fn send_step_batch(core: &mut Core, sim: &mut Simulation, ltc: CoordMsg) {
+    let net = next_net(core, sim.now(), false);
+    let c = &core.policy;
+    c.stats.record_coord_batch_sent();
+    let mut batch = CoordBatch::pooled(&c.binding.pool());
+    batch.push(&ltc);
+    if let Some(net) = net {
+        batch.push(&net);
+    }
+    c.observe
+        .record_value("coord/step_batch_size", batch.len() as u64);
+    c.call(sim, batch.freeze());
+}
+
+/// The exclusive tag bound a grant record carries: a TAG's bound or, when
+/// later, its grant-ahead horizon; one past a provisional PTAG's tag
+/// (process up to and including it). `None` for every other record.
+fn bound_of_grant(msg: &CoordMsg) -> Option<Tag> {
+    match msg.kind {
+        CoordKind::Tag => Some(wire_to_tag(msg.tag).max(wire_to_tag(msg.fence))),
+        CoordKind::Ptag => Some(tag_succ(wire_to_tag(msg.tag))),
+        _ => None,
+    }
+}
+
+/// Applies one grant record if it is addressed to this federate; whether
+/// it widened the runtime's bound.
+fn apply_grant(core: &mut Core, msg: &CoordMsg, now: Instant) -> bool {
+    let c = &mut core.policy;
+    if msg.federate != c.federate.0 {
+        return false;
+    }
+    let Some(bound) = bound_of_grant(msg) else {
+        if msg.kind == CoordKind::Dnet && !c.crashed {
+            // Suppression-state push: remember which of our reports the
+            // coordinator has proven irrelevant downstream. No bound
+            // change, nothing to re-arm.
+            c.dnet_flags = msg.fence.microstep;
+            c.observe
+                .record_value("coord/dnet_horizon_ns", msg.tag.nanos.min(i64::MAX as u64));
+        }
+        return false;
+    };
+    if let Some(log) = &c.log {
+        log.append(&Record::Granted { bound });
+    }
+    if c.crashed {
+        // Durable inbox for the control plane: a grant addressed to a
+        // downed federate lands in its log so recovery can restore the
+        // bound, but nothing moves until then.
+        return false;
+    }
+    core.runtime.set_tag_bound(bound);
+    let granted = wire_to_tag(msg.tag);
+    if msg.kind == CoordKind::Tag && bound > granted {
+        // Grant-ahead window: free-run to the horizon with no per-tag
+        // round-trips. The clock gate still paces every tag to its
+        // physical time.
+        c.stats.record_windowed_grant();
+        let len = bound.time - granted.time;
+        c.observe.record_value(
+            "coord/window_len",
+            u64::try_from(len.as_nanos()).unwrap_or(0),
+        );
+    }
+    c.stats.record_grant_received(msg.kind == CoordKind::Ptag);
+    c.observe.count("coord/grants_received", 1);
+    // The NET→TAG round trip: report out, fixpoint at the coordinator,
+    // grant back. The first grant answering the outstanding NET takes
+    // the measurement.
+    if let Some(sent) = c.last_net_sent_at.take() {
+        c.observe
+            .record_duration("coord/net_tag_rtt_ns", now - sent);
+    }
+    true
+}
+
+/// Dispatches one grant notification frame: either a flat-protocol
+/// single record or a zone batch, from which the platform applies the
+/// records addressed to its own federate id (in frame order — the same
+/// order a flat RTI would have delivered them in). Re-arms only when a
+/// bound was applied.
+fn on_grant_frame(platform: &FederatedPlatform<Coordinated>, sim: &mut Simulation, payload: &[u8]) {
+    let now = sim.now();
+    let applied = {
+        let core = &mut *platform.core();
+        let mut applied = false;
+        let Ok(batch) =
+            visit_control_records(payload, |msg| applied |= apply_grant(core, msg, now))
+        else {
+            return;
+        };
+        if let Some(records) = batch {
+            core.policy.stats.record_coord_batch_received();
+            core.policy
+                .observe
+                .record_value("coord/grant_batch_size", records as u64);
+        }
+        applied
+    };
+    if applied {
+        platform.arm(sim);
+    }
+}
+
+impl CoordinationPolicy for Coordinated {
+    fn starting(core: &mut Core, sim: &mut Simulation, local_now: Instant) {
+        let c = &mut core.policy;
+        // Capture the simulation's telemetry handle: the platform's own
+        // coordination metrics and the runtime's per-tag spans both land
+        // on this federate's lane.
+        c.observe = sim.observe().clone();
+        c.observe.set_lane_name(c.lane(), &core.name);
+        core.runtime.set_observe(c.observe.clone(), c.lane());
+        if let Some(log) = &c.log {
+            // Anchor record: replay restarts the fresh runtime at the
+            // same local clock reading.
+            log.append(&Record::Started {
+                anchor: local_now.as_nanos(),
+            });
+        }
+        c.send(sim, CoordMsg::new(CoordKind::Join, c.federate.0, TAG_NEVER));
+        // Declare the periodic lattice (control diet only): the solver
+        // may then leap this federate's stale head whole periods, and
+        // grant-ahead windows become eligible.
+        let period = c.lattice.and_then(|g| u64::try_from(g.as_nanos()).ok());
+        if let Some(nanos) = period.filter(|&nanos| nanos > 0) {
+            let period = WireTag::new(nanos, 0);
+            c.send(sim, CoordMsg::new(CoordKind::Period, c.federate.0, period));
+        }
+    }
+
+    fn may_release(core: &mut Core, head: Tag, now: Instant) -> bool {
+        let c = &mut core.policy;
+        if core.runtime.tag_bound().is_some_and(|bound| head >= bound) {
+            // The head lies beyond the granted bound: wait for the RTI.
+            // The grant handler re-arms.
+            c.blocked_since.get_or_insert(now);
+            return false;
+        }
+        if let Some(since) = c.blocked_since.take() {
+            c.stats.add_grant_wait(now - since);
+            c.observe
+                .record_duration("coord/grant_wait_ns", now - since);
+            c.observe.span(c.lane(), "grant-wait", since, now);
+        }
+        true
+    }
+
+    fn live_epoch(&self) -> Option<u64> {
+        (!self.crashed).then_some(self.epoch)
+    }
+
+    fn tag_processed(
+        core: &mut Core,
+        sim: &mut Simulation,
+        tag: Tag,
+        local_now: Instant,
+        busy_from: Instant,
+    ) {
+        let (busy_until, bound) = (core.busy_until, core.runtime.tag_bound());
+        let c = &mut core.policy;
+        // The acceptance invariant: a processed tag must lie within the
+        // granted bound (exclusive).
+        if bound.is_some_and(|b| tag >= b) {
+            c.stats.record_bound_breach();
+        }
+        c.max_processed = Some(c.max_processed.map_or(tag, |m| m.max(tag)));
+        if let Some(log) = &c.log {
+            // The logged clock reading is what replay feeds back into
+            // `step` — deadline classification depends on it.
+            log.append(&Record::Processed {
+                tag,
+                local: local_now.as_nanos(),
+            });
+            c.processed_since_snapshot += 1;
+            if c.processed_since_snapshot >= c.snapshot_every {
+                log.append(&Record::Snapshot {
+                    seq: 0,
+                    last_processed: c.max_processed,
+                    granted: bound,
+                });
+                c.processed_since_snapshot = 0;
+            }
+        }
+        if busy_until > busy_from {
+            c.observe
+                .span_tagged(c.lane(), "compute", busy_from, busy_until, tag.as_logical());
+        }
+        if c.observe.is_enabled() {
+            let occupancy = c.binding.pool().stats().occupancy();
+            c.observe.gauge(
+                "frame/occupancy",
+                i64::try_from(occupancy).unwrap_or(i64::MAX),
+            );
+            c.observe.record_value("frame/occupancy_hist", occupancy);
+        }
+        if c.dnet_flags & DNET_SINK != 0 {
+            // DNET sink: no downstream LBTS can move on this LTC, so the
+            // report (and the recompute it would trigger) is pure
+            // overhead. Our own grants ride upstream reports, which the
+            // coordinator still receives.
+            c.stats.record_net_suppressed();
+            c.observe.count("coord/nets_suppressed", 1);
+            return;
+        }
+        let ltc = CoordMsg::new(CoordKind::Ltc, c.federate.0, tag_to_wire(tag));
+        c.stats.record_ltc_sent();
+        c.observe.count("coord/sent/ltc", 1);
+        if c.batched {
+            send_step_batch(core, sim, ltc);
+        } else {
+            c.send(sim, ltc);
+        }
+    }
+
+    fn batch_drained(core: &mut Core, batch: &[OutboundMsg]) {
+        // Watermark record: every message at or below this tag is now on
+        // the wire, so recovery replay must not send it again. Tags only
+        // grow between drains, which makes the batch maximum a prefix
+        // watermark.
+        if let Some(log) = &core.policy.log {
+            if let Some(max) = batch.iter().map(|m| wire_to_tag(m.tag)).max() {
+                log.append(&Record::Drained { tag: max });
+            }
+        }
+    }
+
+    fn inject<T: Send + Sync + 'static>(
+        core: &mut Core,
+        action: &PhysicalAction<T>,
+        value: T,
+        at: Option<Tag>,
+        now: Instant,
+    ) -> Result<Tag, RuntimeError> {
+        let c = &core.policy;
+        if c.crashed && at.is_none() {
+            // Arrival-time tagging needs a live local clock; there is no
+            // exact tag to log, so the injection is refused rather than
+            // replayed at a made-up time.
+            return Err(RuntimeError::NotRunning);
+        }
+        let key = action.id().index() as u32;
+        // Encode before scheduling: the payload moves into the queue.
+        let record = c.log.clone().and_then(|log| {
+            let bytes = (c.codecs.get(&key)?.encode)(&value)?;
+            Some((log, bytes))
+        });
+        if c.crashed {
+            // Durable inbox: the frame reached a downed federate. It
+            // cannot be processed now, but logging it lets recovery
+            // replay rebuild the event at this exact tag.
+            let (Some(tag), Some((log, bytes))) = (at, record) else {
+                return Err(RuntimeError::NotRunning);
+            };
+            log.append(&Record::Input { key, tag, bytes });
+            return Ok(tag);
+        }
+        let tag = core.schedule_input(action, value, at, now)?;
+        if let Some((log, bytes)) = record {
+            log.append(&Record::Input { key, tag, bytes });
+        }
+        Ok(tag)
+    }
+
+    fn queue_changed(core: &mut Core, sim: &mut Simulation, stopped: bool) {
+        let c = &mut core.policy;
+        if stopped && !c.resigned {
+            c.resigned = true;
+            c.send(
+                sim,
+                CoordMsg::new(CoordKind::Resign, c.federate.0, TAG_NEVER),
+            );
+        }
+        report_status(core, sim);
+    }
+}
+
+/// A platform participating in a centrally coordinated federation: the
+/// `dear-transactors` driver loop under the grant-protocol policy.
 ///
 /// Cheap to clone; clones share the platform.
 #[derive(Clone)]
-pub struct CoordinatedPlatform(Rc<RefCell<PlatformInner>>);
+pub struct CoordinatedPlatform(FederatedPlatform<Coordinated>);
 
 impl fmt::Debug for CoordinatedPlatform {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.0.borrow();
+        let core = self.0.core();
         f.debug_struct("CoordinatedPlatform")
-            .field("name", &inner.name)
-            .field("federate", &inner.federate)
-            .field("started", &inner.started)
-            .field("granted", &inner.runtime.tag_bound())
+            .field("name", &core.name)
+            .field("federate", &core.policy.federate)
+            .field("started", &core.is_started())
+            .field("granted", &core.runtime.tag_bound())
             .finish()
+    }
+}
+
+impl PlatformDriver for CoordinatedPlatform {
+    fn platform(&self) -> &FederatedPlatform<impl CoordinationPolicy> {
+        &self.0
     }
 }
 
@@ -353,17 +692,7 @@ impl CoordinatedPlatform {
         } else {
             None
         };
-        let platform = CoordinatedPlatform(Rc::new(RefCell::new(PlatformInner {
-            name: name.into(),
-            runtime,
-            clock,
-            outbox,
-            routes: BTreeMap::new(),
-            costs: BTreeMap::new(),
-            cost_rng,
-            busy_until: Instant::EPOCH,
-            generation: 0,
-            started: false,
+        let policy = Coordinated {
             resigned: false,
             federate,
             binding: binding.clone(),
@@ -374,7 +703,6 @@ impl CoordinatedPlatform {
             last_net: None,
             last_net_sent_at: None,
             blocked_since: None,
-            armed_wake: None,
             max_processed: None,
             external,
             lattice,
@@ -388,46 +716,48 @@ impl CoordinatedPlatform {
             incarnation: 0,
             epoch: 0,
             last_recovery: None,
-        })));
+        };
+        let platform =
+            FederatedPlatform::with_policy(name, runtime, clock, outbox, cost_rng, policy);
         binding.subscribe(
             ServiceInstance::new(COORD_SERVICE, coord_instance),
             grant_eventgroup,
         );
         let hook = platform.clone();
         binding.on_event(COORD_SERVICE, COORD_EVENT, move |sim, msg| {
-            hook.on_grant_frame(sim, &msg.payload);
+            on_grant_frame(&hook, sim, &msg.payload);
         });
-        platform
+        CoordinatedPlatform(platform)
     }
 
     /// The platform's name.
     #[must_use]
     pub fn name(&self) -> String {
-        self.0.borrow().name.clone()
+        self.0.name()
     }
 
     /// The federate id assigned by the RTI (for topology declarations).
     #[must_use]
     pub fn federate_id(&self) -> FederateId {
-        self.0.borrow().federate
+        self.0.core().policy.federate
     }
 
     /// The coordination counters (shared handle).
     #[must_use]
     pub fn coordination_stats(&self) -> TransactorStats {
-        self.0.borrow().stats.clone()
+        self.0.core().policy.stats.clone()
     }
 
     /// The greatest tag processed so far.
     #[must_use]
     pub fn max_processed_tag(&self) -> Option<Tag> {
-        self.0.borrow().max_processed
+        self.0.core().policy.max_processed
     }
 
     /// The currently granted exclusive tag bound.
     #[must_use]
     pub fn granted_bound(&self) -> Option<Tag> {
-        self.0.borrow().runtime.tag_bound()
+        self.0.core().runtime.tag_bound()
     }
 
     /// Registers the interpreter for an outbox route.
@@ -436,29 +766,29 @@ impl CoordinatedPlatform {
         route: u32,
         handler: impl Fn(&mut Simulation, OutboundMsg) + 'static,
     ) {
-        self.0.borrow_mut().routes.insert(route, Rc::new(handler));
+        self.0.register_route(route, handler);
     }
 
     /// Attaches a modelled compute cost to a reaction.
     pub fn set_reaction_cost(&self, reaction: ReactionId, model: LatencyModel) {
-        self.0.borrow_mut().costs.insert(reaction, model);
+        self.0.set_reaction_cost(reaction, model);
     }
 
     /// The platform's local clock reading at the current simulation time.
     #[must_use]
     pub fn local_now(&self, sim: &Simulation) -> Instant {
-        self.0.borrow().clock.local_time(sim.now())
+        self.0.local_now(sim)
     }
 
     /// Runs a closure with mutable access to the runtime.
     pub fn with_runtime<R>(&self, f: impl FnOnce(&mut Runtime) -> R) -> R {
-        f(&mut self.0.borrow_mut().runtime)
+        self.0.with_runtime(f)
     }
 
     /// Runtime statistics snapshot.
     #[must_use]
     pub fn stats(&self) -> RuntimeStats {
-        self.0.borrow().runtime.stats()
+        self.0.stats()
     }
 
     /// Attaches a durable event log. From `start` on, every granted
@@ -471,15 +801,15 @@ impl CoordinatedPlatform {
     /// Panics if the platform already started — the log must see the
     /// `Started` anchor record first.
     pub fn attach_durable(&self, log: EventLog) {
-        let mut inner = self.0.borrow_mut();
-        assert!(!inner.started, "attach the durable log before start");
-        inner.log = Some(log);
+        let mut core = self.0.core();
+        assert!(!core.is_started(), "attach the durable log before start");
+        core.policy.log = Some(log);
     }
 
     /// The attached durable log, if any.
     #[must_use]
     pub fn durable_log(&self) -> Option<EventLog> {
-        self.0.borrow().log.clone()
+        self.0.core().policy.log.clone()
     }
 
     /// Sets how many processed tags elapse between durable checkpoints
@@ -490,7 +820,7 @@ impl CoordinatedPlatform {
     /// Panics if `every` is zero.
     pub fn set_snapshot_every(&self, every: u64) {
         assert!(every > 0, "snapshot interval must be positive");
-        self.0.borrow_mut().snapshot_every = every;
+        self.0.core().policy.snapshot_every = every;
     }
 
     /// Registers a serialization codec for a physical action, so
@@ -510,22 +840,20 @@ impl CoordinatedPlatform {
                 .map(|value| runtime.schedule_physical_at(&action, value, tag).is_ok())
                 .unwrap_or(false)
         });
-        self.0
-            .borrow_mut()
-            .codecs
-            .insert(key, InputCodec { encode, replay });
+        let codec = InputCodec { encode, replay };
+        self.0.core().policy.codecs.insert(key, codec);
     }
 
     /// Whether the federate is currently down.
     #[must_use]
     pub fn is_crashed(&self) -> bool {
-        self.0.borrow().crashed
+        self.0.core().policy.crashed
     }
 
     /// Report of the most recent recovery, if any.
     #[must_use]
     pub fn last_recovery(&self) -> Option<PlatformRecovery> {
-        self.0.borrow().last_recovery.clone()
+        self.0.core().policy.last_recovery.clone()
     }
 
     /// Kills the federate process: all armed wake-ups and scheduled
@@ -539,23 +867,22 @@ impl CoordinatedPlatform {
     ///
     /// Panics if the platform has not started.
     pub fn crash(&self, sim: &Simulation) {
-        let mut inner = self.0.borrow_mut();
-        assert!(inner.started, "crash before start");
-        if inner.crashed {
+        let core = &mut *self.0.core();
+        assert!(core.is_started(), "crash before start");
+        if core.policy.crashed {
             return;
         }
-        inner.crashed = true;
-        inner.crashed_at = Some(sim.now());
-        inner.generation += 1; // strand every armed wake-up
-        inner.epoch += 1; // strand every scheduled outbox drain
-        inner.armed_wake = None;
-        inner.blocked_since = None;
-        inner.last_net = None;
-        inner.last_net_sent_at = None;
         // In-flight outputs die with the process; replay decides which
         // of them the wire actually saw.
-        let _ = inner.outbox.drain();
-        inner.observe.count("recovery/crashes", 1);
+        core.halt();
+        let c = &mut core.policy;
+        c.crashed = true;
+        c.crashed_at = Some(sim.now());
+        c.epoch += 1;
+        c.blocked_since = None;
+        c.last_net = None;
+        c.last_net_sent_at = None;
+        c.observe.count("recovery/crashes", 1);
     }
 
     /// Restarts a crashed federate from its durable log: replays every
@@ -573,10 +900,12 @@ impl CoordinatedPlatform {
     ///
     /// Panics if the platform is not crashed or has no attached log.
     pub fn recover(&self, sim: &mut Simulation, fresh: Runtime) -> PlatformRecovery {
-        let (mut report, resend, rejoin) = {
-            let mut inner = self.0.borrow_mut();
-            assert!(inner.crashed, "recover on a live platform");
-            let log = inner
+        let now = sim.now();
+        let (report, resend) = {
+            let core = &mut *self.0.core();
+            assert!(core.policy.crashed, "recover on a live platform");
+            let log = core
+                .policy
                 .log
                 .clone()
                 .expect("recover requires an attached durable log");
@@ -590,45 +919,37 @@ impl CoordinatedPlatform {
                     _ => None,
                 })
                 .max();
-            inner.runtime = fresh;
-            let lane = Lane::Federate(inner.federate.0);
-            let observe = inner.observe.clone();
-            inner.runtime.set_observe(observe, lane);
-            inner.incarnation += 1;
-            inner.busy_until = Instant::EPOCH;
-            inner.dnet_flags = 0;
-            inner.last_net = None;
-            inner.last_net_sent_at = None;
-            inner.blocked_since = None;
-            inner.armed_wake = None;
-            inner.max_processed = None;
-            inner.processed_since_snapshot = 0;
-            let crashed_at = inner.crashed_at.take().unwrap_or_else(|| sim.now());
+            core.restart(fresh);
+            let c = &mut core.policy;
+            core.runtime.set_observe(c.observe.clone(), c.lane());
+            c.incarnation += 1;
+            c.dnet_flags = 0;
+            c.max_processed = None;
+            c.processed_since_snapshot = 0;
+            let crashed_at = c.crashed_at.take().unwrap_or(now);
             let mut report = PlatformRecovery {
                 crashed_at,
-                rejoined_at: sim.now(),
+                rejoined_at: now,
                 replayed_tags: 0,
                 replayed_inputs: 0,
                 suppressed_sends: 0,
                 resent_sends: 0,
                 last_processed: None,
                 restored_bound: None,
-                incarnation: inner.incarnation,
+                incarnation: c.incarnation,
                 replay_mismatches: 0,
             };
             let mut resend: Vec<OutboundMsg> = Vec::new();
-            let mut max_granted: Option<Tag> = None;
-            let inner = &mut *inner;
             for record in &records {
                 match record {
                     Record::Started { anchor } => {
-                        inner.runtime.start(Instant::from_nanos(*anchor));
+                        core.runtime.start(Instant::from_nanos(*anchor));
                     }
                     Record::Input { key, tag, bytes } => {
-                        let ok = inner
+                        let ok = c
                             .codecs
                             .get(key)
-                            .is_some_and(|c| (c.replay)(&mut inner.runtime, *tag, bytes));
+                            .is_some_and(|c| (c.replay)(&mut core.runtime, *tag, bytes));
                         if ok {
                             report.replayed_inputs += 1;
                         } else {
@@ -636,27 +957,23 @@ impl CoordinatedPlatform {
                         }
                     }
                     Record::Granted { bound } => {
-                        max_granted = Some(max_granted.map_or(*bound, |m| m.max(*bound)));
+                        report.restored_bound = report.restored_bound.max(Some(*bound));
                     }
                     Record::Processed { tag, local } => {
-                        inner.runtime.set_tag_bound(tag_succ(*tag));
-                        match inner.runtime.step(Instant::from_nanos(*local)) {
+                        core.runtime.set_tag_bound(tag_succ(*tag));
+                        match core.runtime.step(Instant::from_nanos(*local)) {
                             StepOutcome::Processed(summary) if summary.tag == *tag => {
                                 report.replayed_tags += 1;
-                                inner.max_processed = Some(
-                                    inner
-                                        .max_processed
-                                        .map_or(summary.tag, |m| m.max(summary.tag)),
-                                );
+                                c.max_processed = c.max_processed.max(Some(summary.tag));
                             }
                             _ => report.replay_mismatches += 1,
                         }
                         // Outbound effects of the replayed step: swallow
                         // what the wire already saw, hold the rest for a
                         // post-replay re-send.
-                        for msg in inner.outbox.drain() {
+                        for msg in core.outbox.drain() {
                             if watermark.is_some_and(|w| wire_to_tag(msg.tag) <= w) {
-                                inner.stats.record_replay_suppressed();
+                                c.stats.record_replay_suppressed();
                                 report.suppressed_sends += 1;
                             } else {
                                 resend.push(msg);
@@ -666,102 +983,52 @@ impl CoordinatedPlatform {
                     Record::Drained { .. } | Record::Snapshot { .. } => {}
                 }
             }
-            if let Some(bound) = max_granted {
-                inner.runtime.set_tag_bound(bound);
-                report.restored_bound = Some(bound);
+            if let Some(bound) = report.restored_bound {
+                core.runtime.set_tag_bound(bound);
             }
-            report.last_processed = inner.max_processed;
+            report.last_processed = c.max_processed;
             report.resent_sends = resend.len() as u64;
-            inner.crashed = false;
+            c.crashed = false;
+            c.observe.count("recovery/rejoins", 1);
+            c.observe
+                .record_value("recovery/replayed_tags", report.replayed_tags);
+            c.observe
+                .record_value("recovery/replayed_inputs", report.replayed_inputs);
+            c.observe
+                .record_value("recovery/suppressed_sends", report.suppressed_sends);
+            c.observe
+                .record_duration("recovery/outage_ns", now - crashed_at);
+            c.observe.span(c.lane(), "rejoin", crashed_at, now);
+            (report, resend)
+        };
+        // Outputs the previous incarnation produced but never drained go
+        // on the wire now — exactly once, after the suppression pass.
+        self.0.dispatch(sim, resend);
+        {
+            let core = &mut *self.0.core();
+            let c = &mut core.policy;
             // The Rejoin frame: tag = last replayed tag (TAG_NEVER when
             // the federate died before completing any), fence microstep
             // = the new incarnation, which must strictly exceed the one
             // the coordinator last saw.
             let rejoin = CoordMsg {
                 kind: CoordKind::Rejoin,
-                federate: inner.federate.0,
-                tag: inner.max_processed.map_or(TAG_NEVER, tag_to_wire),
-                fence: WireTag::new(0, inner.incarnation),
+                federate: c.federate.0,
+                tag: c.max_processed.map_or(TAG_NEVER, tag_to_wire),
+                fence: WireTag::new(0, c.incarnation),
             };
-            inner.observe.count("recovery/rejoins", 1);
-            inner
-                .observe
-                .record_value("recovery/replayed_tags", report.replayed_tags);
-            inner
-                .observe
-                .record_value("recovery/replayed_inputs", report.replayed_inputs);
-            inner
-                .observe
-                .record_value("recovery/suppressed_sends", report.suppressed_sends);
-            inner
-                .observe
-                .record_duration("recovery/outage_ns", sim.now() - crashed_at);
-            inner.observe.span(lane, "rejoin", crashed_at, sim.now());
-            (report, resend, rejoin)
-        };
-        // Outputs the previous incarnation produced but never drained go
-        // on the wire now — exactly once, after the suppression pass.
-        for msg in resend {
-            let handler = self.0.borrow().routes.get(&msg.route).cloned();
-            match handler {
-                Some(h) => h(sim, msg),
-                None => panic!(
-                    "outbox message for unregistered route {} on platform {}",
-                    msg.route,
-                    self.0.borrow().name
-                ),
-            }
+            c.send(sim, rejoin);
+            c.last_recovery = Some(report.clone());
+            report_status(core, sim);
         }
-        self.send_to_rti(sim, rejoin);
-        self.report_status(sim);
-        self.arm(sim);
-        report.rejoined_at = sim.now();
-        self.0.borrow_mut().last_recovery = Some(report.clone());
+        self.0.arm(sim);
         report
     }
 
     /// Starts the runtime, announces the federate to the RTI and arms the
     /// first wake-up.
     pub fn start(&self, sim: &mut Simulation) {
-        let (federate, lattice) = {
-            let mut inner = self.0.borrow_mut();
-            assert!(!inner.started, "platform already started");
-            inner.started = true;
-            // Capture the simulation's telemetry handle: the platform's
-            // own coordination metrics and the runtime's per-tag spans
-            // both land on this federate's lane.
-            inner.observe = sim.observe().clone();
-            let lane = Lane::Federate(inner.federate.0);
-            inner.observe.set_lane_name(lane, &inner.name);
-            let observe = inner.observe.clone();
-            inner.runtime.set_observe(observe, lane);
-            let local_now = inner.clock.local_time(sim.now());
-            inner.runtime.start(local_now);
-            if let Some(log) = inner.log.clone() {
-                // Anchor record: replay restarts the fresh runtime at the
-                // same local clock reading.
-                log.append(&Record::Started {
-                    anchor: local_now.as_nanos(),
-                });
-            }
-            (inner.federate, inner.lattice)
-        };
-        self.send_to_rti(sim, CoordMsg::new(CoordKind::Join, federate.0, TAG_NEVER));
-        // Declare the periodic lattice (control diet only): the solver
-        // may then leap this federate's stale head whole periods, and
-        // grant-ahead windows become eligible.
-        if let Some(g) = lattice {
-            if let Ok(nanos) = u64::try_from(g.as_nanos()) {
-                if nanos > 0 {
-                    self.send_to_rti(
-                        sim,
-                        CoordMsg::new(CoordKind::Period, federate.0, WireTag::new(nanos, 0)),
-                    );
-                }
-            }
-        }
-        self.report_status(sim);
-        self.arm(sim);
+        self.0.start(sim);
     }
 
     /// Starts a periodic control-plane heartbeat: every `interval` the
@@ -780,55 +1047,36 @@ impl CoordinatedPlatform {
     /// # Panics
     ///
     /// Panics if `interval` is not positive.
-    pub fn enable_heartbeat(&self, sim: &mut Simulation, interval: dear_time::Duration) {
-        assert!(
-            interval > dear_time::Duration::ZERO,
-            "interval must be positive"
-        );
+    pub fn enable_heartbeat(&self, sim: &mut Simulation, interval: Duration) {
+        assert!(interval > Duration::ZERO, "interval must be positive");
         let platform = self.clone();
         sim.schedule_in(interval, move |sim| platform.heartbeat_tick(sim, interval));
     }
 
-    fn heartbeat_tick(&self, sim: &mut Simulation, interval: dear_time::Duration) {
-        let msg = {
-            let mut inner = self.0.borrow_mut();
-            if inner.resigned {
+    fn heartbeat_tick(&self, sim: &mut Simulation, interval: Duration) {
+        {
+            let core = &mut *self.0.core();
+            if core.policy.resigned {
                 return; // resignation ends the heartbeat
             }
             // A crashed process sends nothing — its silence is what the
             // liveness watchdog detects — but the tick keeps rescheduling
             // so the heartbeat resumes the moment recovery completes.
-            if inner.started && !inner.crashed {
-                let head = inner.runtime.next_tag().map_or(TAG_NEVER, tag_to_wire);
-                let local_now = inner.clock.local_time(sim.now());
-                let fence = tag_to_wire(Tag::at(local_now));
-                inner.last_net = Some((head, fence));
-                inner.last_net_sent_at = Some(sim.now());
-                inner.stats.record_net_sent();
-                inner.observe.count("coord/sent/net", 1);
-                Some(CoordMsg::net(inner.federate.0, head, fence))
-            } else {
-                None
+            if let Some(net) = next_net(core, sim.now(), true) {
+                core.policy.send(sim, net);
             }
-        };
-        if let Some(msg) = msg {
-            self.send_to_rti(sim, msg);
         }
-        let platform = self.clone();
-        sim.schedule_in(interval, move |sim| platform.heartbeat_tick(sim, interval));
+        self.enable_heartbeat(sim, interval);
     }
 
     /// Requests runtime shutdown at the given local time.
     pub fn stop_at_local(&self, sim: &mut Simulation, local: Instant) {
-        {
-            let mut inner = self.0.borrow_mut();
-            let _ = inner.runtime.stop_at(local);
-        }
-        self.report_status(sim);
-        self.arm(sim);
+        self.0.stop_at_local(sim, local);
     }
 
-    /// Injects a payload into a physical action at an exact tag.
+    /// Injects a payload into a physical action at an exact tag. With a
+    /// durable log attached the payload is logged first; while the
+    /// federate is down it is *only* logged (the durable inbox).
     ///
     /// # Errors
     ///
@@ -839,550 +1087,23 @@ impl CoordinatedPlatform {
         action: &PhysicalAction<T>,
         value: T,
         tag: Tag,
-    ) -> Result<(), dear_core::RuntimeError> {
-        let result = {
-            let mut inner = self.0.borrow_mut();
-            let key = action.id().index() as u32;
-            // Encode before scheduling: the payload moves into the queue.
-            let encoded = if inner.log.is_some() {
-                inner.codecs.get(&key).and_then(|c| (c.encode)(&value))
-            } else {
-                None
-            };
-            if inner.crashed {
-                // Durable inbox: the frame reached a downed federate. It
-                // cannot be processed now, but logging it lets recovery
-                // replay rebuild the event at this exact tag.
-                return match (inner.log.clone(), encoded) {
-                    (Some(log), Some(bytes)) => {
-                        log.append(&Record::Input { key, tag, bytes });
-                        Ok(())
-                    }
-                    _ => Err(dear_core::RuntimeError::NotRunning),
-                };
-            }
-            let result = inner.runtime.schedule_physical_at(action, value, tag);
-            if result.is_ok() {
-                if let (Some(log), Some(bytes)) = (inner.log.clone(), encoded) {
-                    log.append(&Record::Input { key, tag, bytes });
-                }
-            }
-            result
-        };
-        if result.is_ok() {
-            self.report_status(sim);
-            self.arm(sim);
-        }
-        result
+    ) -> Result<(), RuntimeError> {
+        self.0.inject_at(sim, action, value, tag)
     }
 
     /// Injects a payload tagged with the local physical arrival time.
     ///
     /// # Errors
     ///
-    /// Propagates the runtime's not-running error.
+    /// Propagates the runtime's not-running error (also while the
+    /// federate is down).
     pub fn inject_now<T: Send + Sync + 'static>(
         &self,
         sim: &mut Simulation,
         action: &PhysicalAction<T>,
         value: T,
-    ) -> Result<Tag, dear_core::RuntimeError> {
-        let result = {
-            let mut inner = self.0.borrow_mut();
-            if inner.crashed {
-                // Arrival-time tagging needs a live local clock; there is
-                // no exact tag to log, so the injection is refused rather
-                // than replayed at a made-up time.
-                return Err(dear_core::RuntimeError::NotRunning);
-            }
-            let key = action.id().index() as u32;
-            let encoded = if inner.log.is_some() {
-                inner.codecs.get(&key).and_then(|c| (c.encode)(&value))
-            } else {
-                None
-            };
-            let local_now = inner.clock.local_time(sim.now());
-            let result = inner.runtime.schedule_physical(action, value, local_now);
-            if let (Ok(tag), Some(log), Some(bytes)) = (&result, inner.log.clone(), encoded) {
-                log.append(&Record::Input {
-                    key,
-                    tag: *tag,
-                    bytes,
-                });
-            }
-            result
-        };
-        if result.is_ok() {
-            self.report_status(sim);
-            self.arm(sim);
-        }
-        result
-    }
-
-    fn send_to_rti(&self, sim: &mut Simulation, msg: CoordMsg) {
-        let (binding, instance) = {
-            let inner = self.0.borrow();
-            (inner.binding.clone(), inner.coord_instance)
-        };
-        // Control messages ride recycled pool frames like all data-plane
-        // traffic: encode once into a headroom buffer, wire-assemble in
-        // place, zero steady-state allocations.
-        let payload = msg.encode_into(&binding.pool());
-        binding
-            .call_no_return(sim, COORD_SERVICE, instance, COORD_METHOD, payload)
-            .expect("coordination service not offered — construct the coordinator first");
-    }
-
-    /// Batched-protocol step report: the LTC plus (when it changed) the
-    /// NET packed into a single control frame, so the zone recomputes
-    /// once instead of twice and the wire carries one header.
-    fn send_step_batch(&self, sim: &mut Simulation, ltc: CoordMsg) {
-        let (binding, instance, net) = {
-            let mut inner = self.0.borrow_mut();
-            let net = if !inner.started || inner.resigned || inner.crashed {
-                None
-            } else {
-                let head = inner.runtime.next_tag().map_or(TAG_NEVER, tag_to_wire);
-                let local_now = inner.clock.local_time(sim.now());
-                let fence = tag_to_wire(Tag::at(local_now));
-                if inner.last_net == Some((head, fence)) || inner.suppress_net(head) {
-                    None
-                } else {
-                    inner.last_net = Some((head, fence));
-                    inner.last_net_sent_at = Some(sim.now());
-                    inner.stats.record_net_sent();
-                    inner.observe.count("coord/sent/net", 1);
-                    Some(CoordMsg::net(inner.federate.0, head, fence))
-                }
-            };
-            inner.stats.record_coord_batch_sent();
-            (inner.binding.clone(), inner.coord_instance, net)
-        };
-        let mut batch = CoordBatch::pooled(&binding.pool());
-        batch.push(&ltc);
-        if let Some(net) = net {
-            batch.push(&net);
-        }
-        self.0
-            .borrow()
-            .observe
-            .record_value("coord/step_batch_size", batch.len() as u64);
-        binding
-            .call_no_return(sim, COORD_SERVICE, instance, COORD_METHOD, batch.freeze())
-            .expect("coordination service not offered — construct the coordinator first");
-    }
-
-    /// Reports NET (queue head + physical fence) when it changed.
-    fn report_status(&self, sim: &mut Simulation) {
-        let msg = {
-            let mut inner = self.0.borrow_mut();
-            if !inner.started || inner.resigned || inner.crashed {
-                None
-            } else {
-                let head = inner.runtime.next_tag().map_or(TAG_NEVER, tag_to_wire);
-                let local_now = inner.clock.local_time(sim.now());
-                let fence = tag_to_wire(Tag::at(local_now));
-                if inner.last_net == Some((head, fence)) || inner.suppress_net(head) {
-                    None
-                } else {
-                    inner.last_net = Some((head, fence));
-                    inner.last_net_sent_at = Some(sim.now());
-                    inner.stats.record_net_sent();
-                    inner.observe.count("coord/sent/net", 1);
-                    Some(CoordMsg::net(inner.federate.0, head, fence))
-                }
-            }
-        };
-        if let Some(msg) = msg {
-            self.send_to_rti(sim, msg);
-        }
-    }
-
-    /// Dispatches one grant notification frame: either a flat-protocol
-    /// single record or a zone batch, from which the platform applies
-    /// the records addressed to its own federate id (in frame order —
-    /// the same order a flat RTI would have delivered them in).
-    fn on_grant_frame(&self, sim: &mut Simulation, payload: &[u8]) {
-        let now = sim.now();
-        if payload.first() == Some(&COORD_BATCH_MARKER) {
-            let Ok(batch) = CoordBatch::decode(payload) else {
-                return;
-            };
-            {
-                let inner = self.0.borrow();
-                inner.stats.record_coord_batch_received();
-                inner
-                    .observe
-                    .record_value("coord/grant_batch_size", batch.len() as u64);
-            }
-            let mut applied = false;
-            for msg in batch.iter() {
-                applied |= self.apply_grant(&msg, now);
-            }
-            if applied {
-                self.arm(sim);
-            }
-        } else if let Ok(msg) = CoordMsg::decode(payload) {
-            if self.apply_grant(&msg, now) {
-                self.arm(sim);
-            }
-        }
-    }
-
-    /// Applies one grant record if it is addressed to this federate.
-    fn apply_grant(&self, msg: &CoordMsg, now: Instant) -> bool {
-        let mut inner = self.0.borrow_mut();
-        if msg.federate != inner.federate.0 {
-            return false;
-        }
-        if inner.crashed {
-            // Durable inbox for the control plane: grants addressed to a
-            // downed federate land in its log so recovery can restore
-            // the bound, but nothing moves until then.
-            if let Some(log) = inner.log.clone() {
-                match msg.kind {
-                    CoordKind::Tag => {
-                        let bound = wire_to_tag(msg.tag);
-                        let horizon = wire_to_tag(msg.fence);
-                        log.append(&Record::Granted {
-                            bound: if horizon > bound { horizon } else { bound },
-                        });
-                    }
-                    CoordKind::Ptag => {
-                        log.append(&Record::Granted {
-                            bound: tag_succ(wire_to_tag(msg.tag)),
-                        });
-                    }
-                    _ => {}
-                }
-            }
-            return false;
-        }
-        let applied = match msg.kind {
-            CoordKind::Tag => {
-                let bound = wire_to_tag(msg.tag);
-                let horizon = wire_to_tag(msg.fence);
-                if horizon > bound {
-                    // Grant-ahead window: free-run to the horizon with no
-                    // per-tag round-trips. The clock gate still paces
-                    // every tag to its physical time.
-                    inner.runtime.set_tag_bound(horizon);
-                    inner.stats.record_windowed_grant();
-                    let len = horizon.time - bound.time;
-                    inner.observe.record_value(
-                        "coord/window_len",
-                        u64::try_from(len.as_nanos()).unwrap_or(0),
-                    );
-                } else {
-                    inner.runtime.set_tag_bound(bound);
-                }
-                if let Some(log) = inner.log.clone() {
-                    log.append(&Record::Granted {
-                        bound: if horizon > bound { horizon } else { bound },
-                    });
-                }
-                inner.stats.record_grant_received(false);
-                true
-            }
-            CoordKind::Ptag => {
-                // Provisional: process up to and including the tag.
-                let bound = tag_succ(wire_to_tag(msg.tag));
-                inner.runtime.set_tag_bound(bound);
-                if let Some(log) = inner.log.clone() {
-                    log.append(&Record::Granted { bound });
-                }
-                inner.stats.record_grant_received(true);
-                true
-            }
-            CoordKind::Dnet => {
-                // Suppression-state push: remember which of our reports
-                // the coordinator has proven irrelevant downstream.
-                inner.dnet_flags = msg.fence.microstep;
-                inner
-                    .observe
-                    .record_value("coord/dnet_horizon_ns", msg.tag.nanos.min(i64::MAX as u64));
-                false // no bound change, nothing to re-arm
-            }
-            _ => false,
-        };
-        if applied {
-            inner.observe.count("coord/grants_received", 1);
-            // The NET→TAG round trip: report out, fixpoint at the
-            // coordinator, grant back. The first grant answering the
-            // outstanding NET takes the measurement.
-            if let Some(sent) = inner.last_net_sent_at.take() {
-                inner
-                    .observe
-                    .record_duration("coord/net_tag_rtt_ns", now - sent);
-            }
-        }
-        applied
-    }
-
-    /// Schedules the next wake-up for the earliest *granted* pending tag.
-    fn arm(&self, sim: &mut Simulation) {
-        let (wake_at, generation) = {
-            let mut inner = self.0.borrow_mut();
-            if !inner.started || inner.crashed || !inner.runtime.is_running() {
-                return;
-            }
-            if inner.runtime.next_tag().is_none() {
-                return;
-            }
-            let Some(tag) = inner.runtime.next_releasable_tag() else {
-                // Head exists but lies beyond the granted bound: wait for
-                // the RTI. The grant handler re-arms.
-                inner.armed_wake = None;
-                if inner.blocked_since.is_none() {
-                    inner.blocked_since = Some(sim.now());
-                }
-                return;
-            };
-            if let Some(since) = inner.blocked_since.take() {
-                let now = sim.now();
-                inner.stats.add_grant_wait(now - since);
-                inner
-                    .observe
-                    .record_duration("coord/grant_wait_ns", now - since);
-                inner
-                    .observe
-                    .span(Lane::Federate(inner.federate.0), "grant-wait", since, now);
-            }
-            let tag_true = inner.clock.true_time_at_local(tag.time);
-            let wake = tag_true.max(inner.busy_until).max(sim.now());
-            if inner.armed_wake == Some(wake) {
-                // A wake-up for this instant is already pending; keep its
-                // calendar position.
-                return;
-            }
-            inner.armed_wake = Some(wake);
-            inner.generation += 1;
-            (wake, inner.generation)
-        };
-        let platform = self.clone();
-        sim.schedule_at(wake_at, move |sim| platform.on_wake(sim, generation));
-    }
-
-    fn on_wake(&self, sim: &mut Simulation, generation: u64) {
-        {
-            let mut inner = self.0.borrow_mut();
-            if generation != inner.generation || !inner.started || inner.crashed {
-                return;
-            }
-            inner.armed_wake = None;
-        }
-        let (outcome, drain_at, ltc) = {
-            let mut inner = self.0.borrow_mut();
-            let local_now = inner.clock.local_time(sim.now());
-            let outcome = inner.runtime.step(local_now);
-            let mut drain_at = sim.now();
-            let mut ltc = None;
-            if let StepOutcome::Processed(summary) = outcome {
-                // The acceptance invariant: a processed tag must lie
-                // within the granted bound (exclusive).
-                if inner.runtime.tag_bound().is_some_and(|b| summary.tag >= b) {
-                    inner.stats.record_bound_breach();
-                }
-                inner.max_processed = Some(
-                    inner
-                        .max_processed
-                        .map_or(summary.tag, |m| m.max(summary.tag)),
-                );
-                if let Some(log) = inner.log.clone() {
-                    // The logged clock reading is what replay feeds back
-                    // into `step` — deadline classification depends on it.
-                    log.append(&Record::Processed {
-                        tag: summary.tag,
-                        local: local_now.as_nanos(),
-                    });
-                    inner.processed_since_snapshot += 1;
-                    if inner.processed_since_snapshot >= inner.snapshot_every {
-                        log.append(&Record::Snapshot {
-                            seq: 0,
-                            last_processed: inner.max_processed,
-                            granted: inner.runtime.tag_bound(),
-                        });
-                        inner.processed_since_snapshot = 0;
-                    }
-                }
-                let PlatformInner {
-                    runtime,
-                    costs,
-                    cost_rng,
-                    ..
-                } = &mut *inner;
-                let mut total = dear_time::Duration::ZERO;
-                for rid in runtime.executed_at_last_tag() {
-                    if let Some(model) = costs.get(rid) {
-                        total += model.sample(cost_rng);
-                    }
-                }
-                let busy_from = inner.busy_until.max(sim.now());
-                inner.busy_until = busy_from + total;
-                drain_at = inner.busy_until;
-                if total > dear_time::Duration::ZERO {
-                    inner.observe.span_tagged(
-                        Lane::Federate(inner.federate.0),
-                        "compute",
-                        busy_from,
-                        inner.busy_until,
-                        summary.tag.as_logical(),
-                    );
-                }
-                if inner.observe.is_enabled() {
-                    let occupancy = inner.binding.pool().stats().occupancy();
-                    inner.observe.gauge(
-                        "frame/occupancy",
-                        i64::try_from(occupancy).unwrap_or(i64::MAX),
-                    );
-                    inner
-                        .observe
-                        .record_value("frame/occupancy_hist", occupancy);
-                }
-                if inner.dnet_flags & DNET_SINK != 0 {
-                    // DNET sink: no downstream LBTS can move on this LTC,
-                    // so the report (and the recompute it would trigger)
-                    // is pure overhead. Our own grants ride upstream
-                    // reports, which the coordinator still receives.
-                    inner.stats.record_net_suppressed();
-                    inner.observe.count("coord/nets_suppressed", 1);
-                } else {
-                    ltc = Some(CoordMsg::new(
-                        CoordKind::Ltc,
-                        inner.federate.0,
-                        tag_to_wire(summary.tag),
-                    ));
-                    inner.stats.record_ltc_sent();
-                    inner.observe.count("coord/sent/ltc", 1);
-                }
-            }
-            (outcome, drain_at, ltc)
-        };
-        if let Some(msg) = ltc {
-            if self.0.borrow().batched {
-                // Zone protocol: LTC + NET in one frame. The later
-                // report_status call sees an up-to-date `last_net` and
-                // suppresses the duplicate.
-                self.send_step_batch(sim, msg);
-            } else {
-                self.send_to_rti(sim, msg);
-            }
-        }
-        match outcome {
-            StepOutcome::Processed(_) => {
-                if drain_at > sim.now() {
-                    let platform = self.clone();
-                    // The epoch guard strands this drain if the federate
-                    // crashes first: recovery replay then decides whether
-                    // the batch goes on the wire.
-                    let epoch = self.0.borrow().epoch;
-                    sim.schedule_at(drain_at, move |sim| {
-                        if platform.0.borrow().epoch == epoch {
-                            platform.drain_outbox(sim);
-                        }
-                    });
-                } else {
-                    self.drain_outbox(sim);
-                }
-            }
-            StepOutcome::Stopped => {
-                self.resign(sim);
-                return;
-            }
-            StepOutcome::Idle => {}
-        }
-        self.report_status(sim);
-        self.arm(sim);
-    }
-
-    fn resign(&self, sim: &mut Simulation) {
-        let msg = {
-            let mut inner = self.0.borrow_mut();
-            if inner.resigned {
-                None
-            } else {
-                inner.resigned = true;
-                Some(CoordMsg::new(
-                    CoordKind::Resign,
-                    inner.federate.0,
-                    TAG_NEVER,
-                ))
-            }
-        };
-        if let Some(msg) = msg {
-            self.send_to_rti(sim, msg);
-        }
-    }
-
-    fn drain_outbox(&self, sim: &mut Simulation) {
-        let msgs = {
-            let inner = self.0.borrow();
-            inner.outbox.drain()
-        };
-        if msgs.is_empty() {
-            return;
-        }
-        // Watermark record: every message at or below this tag is now on
-        // the wire, so recovery replay must not send it again. Tags only
-        // grow between drains, which makes the batch maximum a prefix
-        // watermark.
-        if let Some(log) = self.0.borrow().log.clone() {
-            if let Some(max) = msgs.iter().map(|m| wire_to_tag(m.tag)).max() {
-                log.append(&Record::Drained { tag: max });
-            }
-        }
-        for msg in msgs {
-            let handler = self.0.borrow().routes.get(&msg.route).cloned();
-            match handler {
-                Some(h) => h(sim, msg),
-                None => panic!(
-                    "outbox message for unregistered route {} on platform {}",
-                    msg.route,
-                    self.0.borrow().name
-                ),
-            }
-        }
-    }
-}
-
-impl PlatformDriver for CoordinatedPlatform {
-    fn driver_name(&self) -> String {
-        self.name()
-    }
-
-    fn register_route(&self, route: u32, handler: impl Fn(&mut Simulation, OutboundMsg) + 'static) {
-        CoordinatedPlatform::register_route(self, route, handler);
-    }
-
-    fn set_reaction_cost(&self, reaction: ReactionId, model: LatencyModel) {
-        CoordinatedPlatform::set_reaction_cost(self, reaction, model);
-    }
-
-    fn with_runtime<R>(&self, f: impl FnOnce(&mut Runtime) -> R) -> R {
-        CoordinatedPlatform::with_runtime(self, f)
-    }
-
-    fn start(&self, sim: &mut Simulation) {
-        CoordinatedPlatform::start(self, sim);
-    }
-
-    fn inject_at<T: Send + Sync + 'static>(
-        &self,
-        sim: &mut Simulation,
-        action: &PhysicalAction<T>,
-        value: T,
-        tag: Tag,
-    ) -> Result<(), dear_core::RuntimeError> {
-        CoordinatedPlatform::inject_at(self, sim, action, value, tag)
-    }
-
-    fn inject_now<T: Send + Sync + 'static>(
-        &self,
-        sim: &mut Simulation,
-        action: &PhysicalAction<T>,
-        value: T,
-    ) -> Result<Tag, dear_core::RuntimeError> {
-        CoordinatedPlatform::inject_now(self, sim, action, value)
+    ) -> Result<Tag, RuntimeError> {
+        self.0.inject_now(sim, action, value)
     }
 }
 

@@ -29,7 +29,7 @@ use crate::solver::{node_floor, TAG_MAX};
 use dear_core::Tag;
 use dear_sim::{NetworkHandle, NodeId, Simulation};
 use dear_someip::{
-    Binding, CoordBatch, CoordKind, CoordMsg, SdRegistry, ServiceInstance, COORD_BATCH_MARKER,
+    visit_control_records, Binding, CoordBatch, CoordKind, CoordMsg, SdRegistry, ServiceInstance,
     COORD_EVENT, COORD_METHOD, COORD_SERVICE,
 };
 use dear_time::Duration;
@@ -309,7 +309,7 @@ impl ZoneCoordinator {
                 alive,
                 ..
             } = &mut *inner;
-            let mut apply = |msg: &CoordMsg| {
+            let apply = |msg: &CoordMsg| {
                 let Some(&index) = by_global.get(&msg.federate) else {
                     return;
                 };
@@ -318,15 +318,8 @@ impl ZoneCoordinator {
                     alive.push(index as u16);
                 }
             };
-            if payload.first() == Some(&COORD_BATCH_MARKER) {
-                let Ok(batch) = CoordBatch::decode(payload) else {
-                    return;
-                };
-                for msg in batch.iter() {
-                    apply(&msg);
-                }
-            } else if let Ok(msg) = CoordMsg::decode(payload) {
-                apply(&msg);
+            if visit_control_records(payload, apply).is_err() {
+                return;
             }
             if inner.alive.is_empty() {
                 return;
@@ -367,15 +360,8 @@ impl ZoneCoordinator {
                     false
                 }
             };
-            if payload.first() == Some(&COORD_BATCH_MARKER) {
-                if let Ok(batch) = CoordBatch::decode(payload) {
-                    for msg in batch.iter() {
-                        changed |= apply(&mut inner, &msg);
-                    }
-                }
-            } else if let Ok(msg) = CoordMsg::decode(payload) {
-                changed = apply(&mut inner, &msg);
-            }
+            // A malformed frame applies nothing, so `changed` stays false.
+            let _ = visit_control_records(payload, |msg| changed |= apply(&mut inner, msg));
             changed
         };
         if changed {

@@ -1,15 +1,19 @@
 //! Behavioural tests of centralized coordination: grant flow on a
-//! two-federate pipeline, the never-beyond-bound invariant, and the PTAG
-//! path that keeps zero-delay cycles live.
+//! two-federate pipeline, the never-beyond-bound invariant, the PTAG
+//! path that keeps zero-delay cycles live, and the driver loop's
+//! same-instant re-arming under both coordination policies.
 
 use dear_core::{ProgramBuilder, Runtime, Tag};
 use dear_federation::{CoordinatedPlatform, Rti, TAG_MAX};
-use dear_sim::{LinkConfig, NetworkHandle, NodeId, Simulation, VirtualClock};
+use dear_sim::{LatencyModel, LinkConfig, NetworkHandle, NodeId, Simulation, VirtualClock};
 use dear_someip::{Binding, SdRegistry, ServiceInstance};
 use dear_time::{Duration, Instant};
 use dear_transactors::{
-    ClientEventTransactor, DearConfig, EventSpec, Outbox, ServerEventTransactor,
+    tag_to_wire, ClientEventTransactor, DearConfig, EventSpec, FederatedPlatform, OutboundMsg,
+    Outbox, PlatformDriver, ServerEventTransactor,
 };
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 const SERVICE_PING: u16 = 0x0100;
@@ -542,4 +546,146 @@ fn unconnected_topology_blocks_consumer() {
         Some(Tag::at(Instant::from_millis(1)))
     );
     assert!(platform.stats().bound_deferrals > 0 || platform.stats().processed_tags == 1);
+}
+
+fn us(micros: u64) -> Instant {
+    Instant::from_micros(micros)
+}
+
+/// What one platform's driver loop did, seen from outside it.
+#[derive(Debug, PartialEq)]
+struct LoopTrace {
+    /// Every processed tag with the simulation instant of its step (the
+    /// clock is ideal, so the reaction's physical time is that instant).
+    steps: Vec<(Tag, Instant)>,
+    /// The simulation instant of every outbox drain that carried output.
+    drains: Vec<Instant>,
+    busy_until: Instant,
+}
+
+/// Drives one platform through the two same-instant re-arms: a delivery
+/// that lands at exactly the armed wake instant (twice — once behind the
+/// armed tag, once ahead of it), and whatever `midway` finds between the
+/// first arm and the first step. Every step costs 1 ms of compute and
+/// sends one message, so every step has a drain of its own.
+fn run_rearm_scenario<D: PlatformDriver>(
+    sim: &mut Simulation,
+    build: impl FnOnce(&mut Simulation, Runtime, Outbox) -> D,
+    midway: impl FnOnce(&D),
+) -> LoopTrace {
+    let steps = Arc::new(Mutex::new(Vec::new()));
+    let outbox = Outbox::new();
+    let route = outbox.allocate_route();
+    let mut b = ProgramBuilder::new();
+    let mut r = b.reactor("sink", ());
+    let input = r.physical_action::<u8>("input", Duration::ZERO);
+    let (seen, sender) = (steps.clone(), outbox.sender());
+    let record = r
+        .reaction("record")
+        .triggered_by(input)
+        .body(move |_, ctx| {
+            seen.lock().unwrap().push((ctx.tag(), ctx.physical_time()));
+            sender.push(OutboundMsg {
+                route,
+                payload: vec![0].into(),
+                tag: tag_to_wire(ctx.tag()),
+            });
+        });
+    r.finish();
+
+    let driver = build(sim, Runtime::new(b.build().unwrap()), outbox);
+    driver.set_reaction_cost(record, LatencyModel::constant(Duration::from_millis(1)));
+    let drains = Rc::new(RefCell::new(Vec::new()));
+    let sink = drains.clone();
+    driver.register_route(route, move |sim, _| sink.borrow_mut().push(sim.now()));
+
+    // The deliveries enter the calendar before the wake-ups they collide
+    // with, so each runs while that wake-up is still pending.
+    for (when, tag) in [(us(10_000), us(12_000)), (us(12_000), us(11_500))] {
+        let driver = driver.clone();
+        sim.schedule_at(when, move |sim| {
+            driver.inject_at(sim, &input, 0, Tag::at(tag)).unwrap();
+        });
+    }
+    driver.start(sim);
+    driver
+        .inject_at(sim, &input, 0, Tag::at(us(10_000)))
+        .unwrap();
+    sim.run_until(us(5_000));
+    assert!(
+        steps.lock().unwrap().is_empty(),
+        "the first wake is pending"
+    );
+    midway(&driver);
+    sim.run_until(Instant::from_secs(1));
+
+    let steps = steps.lock().unwrap().clone();
+    let drains = drains.borrow().clone();
+    LoopTrace {
+        steps,
+        drains,
+        busy_until: driver.platform().busy_until(),
+    }
+}
+
+/// The seam the two driver copies used to disagree on: re-arming for the
+/// instant a wake-up is already pending at. Under both policies the
+/// pending wake-up keeps its calendar position, so steps, drains and
+/// busy time agree to the instant and no superseded wake-up is ever
+/// executed.
+#[test]
+fn same_instant_rearm_agrees_under_both_policies() {
+    let expected = LoopTrace {
+        // The tag delivered late (11.5 ms, arriving at 12 ms) overtakes
+        // the armed 12 ms tag without moving the wake instant.
+        steps: vec![
+            (Tag::at(us(10_000)), us(10_000)),
+            (Tag::at(us(11_500)), us(12_000)),
+            (Tag::at(us(12_000)), us(13_000)),
+        ],
+        drains: vec![us(11_000), us(13_000), us(14_000)],
+        busy_until: us(14_000),
+    };
+    // Two deliveries, three wake-ups, three drains — and nothing else.
+    let loop_events = 8;
+
+    let mut sim = Simulation::new(11);
+    let decentralized = run_rearm_scenario(
+        &mut sim,
+        |sim, runtime, outbox| {
+            let costs = sim.fork_rng("costs");
+            FederatedPlatform::new("solo", runtime, VirtualClock::ideal(), outbox, costs)
+        },
+        |_| {},
+    );
+    assert_eq!(decentralized, expected);
+    assert_eq!(sim.stats().executed_events, loop_events);
+
+    // A federate with no upstream edge: its one grant is unconstrained,
+    // and arrives while the wake-up for the 10 ms tag is pending.
+    let mut sim = Simulation::new(11);
+    let net = NetworkHandle::new(
+        LinkConfig::ideal(Duration::from_micros(100)),
+        sim.fork_rng("net"),
+    );
+    let sd = SdRegistry::new();
+    let rti = Rti::new(&mut sim, &net, &sd, NodeId(0));
+    let binding = Binding::new(&net, &sd, NodeId(1), 0x11);
+    let coordinated = run_rearm_scenario(
+        &mut sim,
+        |sim, runtime, outbox| {
+            let costs = sim.fork_rng("costs");
+            let clock = VirtualClock::ideal();
+            CoordinatedPlatform::new("solo", runtime, clock, outbox, costs, &rti, &binding, false)
+        },
+        |platform| {
+            assert_eq!(platform.coordination_stats().grants_received(), 1);
+            assert_eq!(platform.granted_bound(), Some(TAG_MAX));
+        },
+    );
+    assert_eq!(coordinated, expected);
+    // Every frame on this network is a control frame, delivered by one
+    // simulation event.
+    let control_events = net.stats().sent;
+    assert_eq!(sim.stats().executed_events - control_events, loop_events);
 }

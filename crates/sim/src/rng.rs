@@ -9,7 +9,7 @@
 //! The generator is xoshiro256\*\* (Blackman & Vigna), seeded through
 //! SplitMix64, implemented locally (~100 lines) instead of pulling in the
 //! `rand` crate so that the stream definition can never change underneath
-//! the experiments (see DESIGN.md §2 for the dependency rationale).
+//! the experiments.
 
 use dear_time::Duration;
 

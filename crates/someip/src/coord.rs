@@ -415,6 +415,31 @@ impl CoordBatch {
     }
 }
 
+/// The one decode entry point for control payloads: visits every record
+/// of `payload` in wire order, whether it is a single record or a
+/// [`CoordBatch`] frame, and reports which — `Some(n)` for a batch of `n`
+/// records, `None` for a single record.
+///
+/// The whole payload is validated first: on a malformed one `visit` is
+/// never called, so a receiver applies all of a frame or none of it.
+///
+/// # Errors
+///
+/// Returns the [`CoordMsg::decode`] or [`CoordBatch::decode`] error.
+pub fn visit_control_records(
+    payload: &[u8],
+    mut visit: impl FnMut(&CoordMsg),
+) -> Result<Option<usize>, CoordError> {
+    if payload.first() == Some(&COORD_BATCH_MARKER) {
+        let batch = CoordBatch::decode(payload)?;
+        batch.iter().for_each(|msg| visit(&msg));
+        Ok(Some(batch.len()))
+    } else {
+        visit(&CoordMsg::decode(payload)?);
+        Ok(None)
+    }
+}
+
 /// A validated, zero-copy view over the records of a [`CoordBatch`]
 /// payload. Iterate it (or index with [`CoordBatchView::get`]) to read
 /// the records in wire order.

@@ -43,9 +43,10 @@ pub use binding::{Binding, BindingError, BindingStats, Responder};
 // them), but they are the middleware's payload currency, so they are
 // re-exported here for the layers above.
 pub use coord::{
-    coord_eventgroup, CoordBatch, CoordBatchView, CoordError, CoordKind, CoordMsg,
-    COORD_BATCH_HEADER_LEN, COORD_BATCH_MARKER, COORD_EVENT, COORD_EVENTGROUP_BASE, COORD_INSTANCE,
-    COORD_METHOD, COORD_PAYLOAD_LEN, COORD_SERVICE, DNET_NET_LATTICE, DNET_SINK, TAG_NEVER,
+    coord_eventgroup, visit_control_records, CoordBatch, CoordBatchView, CoordError, CoordKind,
+    CoordMsg, COORD_BATCH_HEADER_LEN, COORD_BATCH_MARKER, COORD_EVENT, COORD_EVENTGROUP_BASE,
+    COORD_INSTANCE, COORD_METHOD, COORD_PAYLOAD_LEN, COORD_SERVICE, DNET_NET_LATTICE, DNET_SINK,
+    TAG_NEVER,
 };
 pub use dear_sim::{FrameBuf, FrameMut, FramePool, FramePoolStats};
 pub use payload::{PayloadError, PayloadReader, PayloadWriter};

@@ -4,8 +4,8 @@
 
 use dear_sim::FramePool;
 use dear_someip::{
-    CoordBatch, CoordKind, CoordMsg, MessageId, SomeIpMessage, WireTag, COORD_BATCH_MARKER,
-    COORD_METHOD, COORD_SERVICE,
+    visit_control_records, CoordBatch, CoordKind, CoordMsg, MessageId, SomeIpMessage, WireTag,
+    COORD_BATCH_HEADER_LEN, COORD_BATCH_MARKER, COORD_METHOD, COORD_SERVICE,
 };
 use proptest::prelude::*;
 
@@ -92,6 +92,54 @@ proptest! {
             bytes[0] = COORD_BATCH_MARKER;
         }
         let _ = CoordBatch::decode(&bytes);
+    }
+
+    #[test]
+    fn single_record_and_batch_of_one_visit_the_same_record(
+        kind_index in any::<u8>(),
+        federate in any::<u16>(),
+        nanos in any::<u64>(), microstep in any::<u32>(),
+        fence_nanos in any::<u64>(), fence_microstep in any::<u32>(),
+    ) {
+        // The one decode entry point: a receiver sees the same record
+        // whichever carriage the sender chose, and is told which it was.
+        let msg = CoordMsg {
+            kind: kind(kind_index),
+            federate,
+            tag: WireTag::new(nanos, microstep),
+            fence: WireTag::new(fence_nanos, fence_microstep),
+        };
+        let mut batch = CoordBatch::pooled(&FramePool::new());
+        batch.push(&msg);
+        let mut single = Vec::new();
+        let mut batched = Vec::new();
+        prop_assert_eq!(visit_control_records(&msg.encode(), |m| single.push(*m)), Ok(None));
+        prop_assert_eq!(
+            visit_control_records(batch.freeze().as_slice(), |m| batched.push(*m)),
+            Ok(Some(1))
+        );
+        prop_assert_eq!(&single, &[msg]);
+        prop_assert_eq!(single, batched);
+    }
+
+    #[test]
+    fn truncated_batch_applies_nothing(
+        records in proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u64>()), 1..16),
+        cut in any::<usize>(),
+    ) {
+        // All of a frame or none of it: a batch cut anywhere short of its
+        // declared length is an error, and no record of it is visited —
+        // not even the complete ones before the cut.
+        let mut batch = CoordBatch::pooled(&FramePool::new());
+        for &(k, federate, nanos) in &records {
+            batch.push(&CoordMsg::new(kind(k), federate, WireTag::new(nanos, 0)));
+        }
+        let frame = batch.freeze();
+        let bytes = frame.as_slice();
+        let keep = COORD_BATCH_HEADER_LEN + cut % (bytes.len() - COORD_BATCH_HEADER_LEN);
+        let mut visited = 0;
+        prop_assert!(visit_control_records(&bytes[..keep], |_| visited += 1).is_err());
+        prop_assert_eq!(visited, 0);
     }
 
     #[test]

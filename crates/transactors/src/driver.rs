@@ -1,26 +1,29 @@
-//! The pluggable coordination layer: a platform-driver abstraction that
-//! lets the same transactors and scenarios run under either of DEAR's two
+//! The pluggable coordination layer: the driver abstraction transactors
+//! bind to, so the same scenario runs under either of DEAR's two
 //! coordination strategies.
+//!
+//! There is **one** driver loop — [`FederatedPlatform`] — and two
+//! policies plugged into it (see the [`CoordinationPolicy`] seams):
 //!
 //! * **Decentralized** (paper §III.A): each platform locally gates tags
 //!   against its physical clock; safety comes from the `t + D + L + E`
-//!   safe-to-process offset. Implemented by [`FederatedPlatform`].
+//!   safe-to-process offset. This is the loop with the empty
+//!   [`Decentralized`](crate::Decentralized) policy.
 //! * **Centralized**: a run-time infrastructure (RTI) tracks every
 //!   federate's next-event tag and explicitly grants tag advances
-//!   (NET/TAG/PTAG/LTC). Implemented by `dear-federation`'s
-//!   `CoordinatedPlatform`, which layers the grant protocol *on top of*
-//!   the same clock gating, so both drivers produce bit-identical event
-//!   traces.
+//!   (NET/TAG/PTAG/LTC). `dear-federation`'s `CoordinatedPlatform` is the
+//!   same loop with the grant protocol as its policy; a grant can only
+//!   delay the clock rule, so both produce bit-identical event traces.
 //!
-//! Transactor `bind` methods accept any [`PlatformDriver`], which is what
+//! Transactor `bind` methods accept any [`PlatformDriver`] — anything
+//! that can name the [`FederatedPlatform`] it drives — which is what
 //! makes the coordination layer pluggable: scenario code chooses a
 //! [`Coordination`] strategy and constructs the matching driver; nothing
 //! else changes.
-//!
-//! [`FederatedPlatform`]: crate::FederatedPlatform
 
 use crate::config::{DearConfig, UntaggedPolicy};
 use crate::outbox::OutboundMsg;
+use crate::platform::{CoordinationPolicy, FederatedPlatform};
 use crate::stats::TransactorStats;
 use dear_core::{PhysicalAction, ReactionId, Runtime, RuntimeError, RuntimeStats, Tag};
 use dear_sim::{LatencyModel, Simulation};
@@ -48,30 +51,45 @@ impl fmt::Display for Coordination {
 
 /// A platform driver a transactor can bind to.
 ///
-/// Implementors own a reactor [`Runtime`] plus the platform's clock and
-/// outbox, and decide *when* the runtime may process tags (that is the
-/// coordination strategy). Handles are cheap to clone and shared.
+/// A driver is a handle to a [`FederatedPlatform`] — the loop that owns a
+/// reactor [`Runtime`] plus the platform's clock and outbox — under some
+/// coordination policy, which decides *when* the runtime may process
+/// tags. Everything but [`platform`](PlatformDriver::platform) is
+/// provided. Handles are cheap to clone and shared.
 pub trait PlatformDriver: Clone + 'static {
+    /// The driver loop behind this handle.
+    fn platform(&self) -> &FederatedPlatform<impl CoordinationPolicy>;
+
     /// The platform's name.
-    fn driver_name(&self) -> String;
+    fn driver_name(&self) -> String {
+        self.platform().name()
+    }
 
     /// Registers the interpreter for an outbox route.
-    fn register_route(&self, route: u32, handler: impl Fn(&mut Simulation, OutboundMsg) + 'static);
+    fn register_route(&self, route: u32, handler: impl Fn(&mut Simulation, OutboundMsg) + 'static) {
+        self.platform().register_route(route, handler);
+    }
 
     /// Attaches a modelled compute cost to a reaction.
-    fn set_reaction_cost(&self, reaction: ReactionId, model: LatencyModel);
+    fn set_reaction_cost(&self, reaction: ReactionId, model: LatencyModel) {
+        self.platform().set_reaction_cost(reaction, model);
+    }
 
     /// Runs a closure with mutable access to the runtime (tracing,
     /// workers, statistics).
-    fn with_runtime<R>(&self, f: impl FnOnce(&mut Runtime) -> R) -> R;
+    fn with_runtime<R>(&self, f: impl FnOnce(&mut Runtime) -> R) -> R {
+        self.platform().with_runtime(f)
+    }
 
     /// Runtime statistics snapshot.
     fn runtime_stats(&self) -> RuntimeStats {
-        self.with_runtime(|rt| rt.stats())
+        self.platform().stats()
     }
 
     /// Starts the runtime and arms the first wake-up.
-    fn start(&self, sim: &mut Simulation);
+    fn start(&self, sim: &mut Simulation) {
+        self.platform().start(sim);
+    }
 
     /// Injects a payload into a physical action at an exact tag — the
     /// PTIDES "schedule an action with tag `t + D + L + E`" step.
@@ -86,7 +104,9 @@ pub trait PlatformDriver: Clone + 'static {
         action: &PhysicalAction<T>,
         value: T,
         tag: Tag,
-    ) -> Result<(), RuntimeError>;
+    ) -> Result<(), RuntimeError> {
+        self.platform().inject_at(sim, action, value, tag)
+    }
 
     /// Injects a payload tagged with the local physical arrival time.
     ///
@@ -98,7 +118,9 @@ pub trait PlatformDriver: Clone + 'static {
         sim: &mut Simulation,
         action: &PhysicalAction<T>,
         value: T,
-    ) -> Result<Tag, RuntimeError>;
+    ) -> Result<Tag, RuntimeError> {
+        self.platform().inject_now(sim, action, value)
+    }
 
     /// Delivers a received message to a physical action according to the
     /// DEAR rules: tagged messages are released at `wire_tag + L + E`;
@@ -129,6 +151,12 @@ pub trait PlatformDriver: Clone + 'static {
                 }
             },
         }
+    }
+}
+
+impl<P: CoordinationPolicy> PlatformDriver for FederatedPlatform<P> {
+    fn platform(&self) -> &FederatedPlatform<impl CoordinationPolicy> {
+        self
     }
 }
 

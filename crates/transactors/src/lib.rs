@@ -16,14 +16,19 @@
 //!   event path (the brake-assistant pipeline);
 //! * [`FieldClientTransactor`] / [`FieldServerTransactor`] — fields as
 //!   one event plus two method transactors;
-//! * [`FederatedPlatform`] — per-platform driver enforcing the PTIDES
-//!   safe-to-process rule against the platform's local (skewed) clock,
-//!   with modelled per-reaction compute cost so that deadlines are
-//!   meaningful in simulation;
-//! * [`PlatformDriver`] / [`Coordination`] — the pluggable coordination
-//!   layer: transactors bind to any driver, so the same scenario runs
-//!   decentralized (this crate) or centralized (`dear-federation`'s RTI)
-//!   unchanged;
+//! * [`FederatedPlatform`] — the one platform driver loop, enforcing the
+//!   PTIDES safe-to-process rule against the platform's local (skewed)
+//!   clock, with modelled per-reaction compute cost so that deadlines
+//!   are meaningful in simulation;
+//! * [`CoordinationPolicy`] — what a coordination strategy adds to that
+//!   loop, at five seams: which tag may be released, is the process
+//!   down, a tag was processed, a batch was drained / an input was
+//!   injected, and after the step. [`Decentralized`] (this crate) adds
+//!   nothing; `dear-federation`'s RTI grant protocol is the other
+//!   policy. One loop, two policies — never two loops;
+//! * [`PlatformDriver`] / [`Coordination`] — what transactors bind to: a
+//!   handle to the loop under either policy, so the same scenario runs
+//!   decentralized or centralized unchanged;
 //! * [`Outbox`] — the deterministic reaction→middleware queue;
 //! * [`FailoverBinding`] — deterministic re-binding to redundant
 //!   providers (priority offers, TTL heartbeats, silence watchdog);
@@ -55,5 +60,5 @@ pub use failover::FailoverBinding;
 pub use field::{FieldClientTransactor, FieldServerTransactor};
 pub use method::{ClientMethodTransactor, ServerMethodTransactor};
 pub use outbox::{OutboundMsg, Outbox, OutboxSender};
-pub use platform::FederatedPlatform;
+pub use platform::{CoordinationPolicy, Decentralized, FederatedPlatform, PlatformCore};
 pub use stats::TransactorStats;

@@ -1,40 +1,145 @@
-//! The federated platform driver: one reactor runtime per platform,
-//! coordinated through the discrete-event simulation.
+//! The platform driver loop: one reactor runtime per platform, paced by
+//! the discrete-event simulation — written once, for both coordination
+//! strategies.
 //!
 //! A [`FederatedPlatform`] owns a [`Runtime`] and the platform's
 //! [`VirtualClock`]. It enforces the reactor rule that no event is
 //! processed before the *local physical clock* passes the event's tag:
-//! for the earliest pending tag `g`, it schedules a simulation wake-up at
-//! the true time at which the local clock reads `g.time` (or later, if
+//! for the earliest releasable tag `g`, it schedules a simulation wake-up
+//! at the true time at which the local clock reads `g.time` (or later, if
 //! the platform is still busy with modelled compute). Combined with the
 //! transactors' `t + D + L + E` tag arithmetic this yields the
 //! decentralized PTIDES-style coordination of the paper's §III.A —
 //! deterministic distributed execution without a central coordinator.
 //!
-//! **Lock-step mirror:** `dear-federation`'s `CoordinatedPlatform`
-//! reimplements this driver's scheduling core (arm/wake generations,
-//! cost sampling order, busy-time accounting, outbox draining) with
-//! grant gating layered on top. Behavioural changes here must be
-//! mirrored there, or the two drivers' traces diverge — the
-//! `federation_equivalence` integration test is the guard.
+//! ## One loop, two policies
+//!
+//! A central coordinator may only ever *delay* that rule, never change
+//! it, so coordination is a [`CoordinationPolicy`] plugged into the loop
+//! rather than a second loop. The [`PlatformCore`] owns the runtime, the
+//! clock, the outbox and its routes, the compute-cost models, the busy
+//! time and the wake-up bookkeeping; the policy is consulted at five
+//! seams:
+//!
+//! 1. **which tag may be released** —
+//!    [`may_release`](CoordinationPolicy::may_release);
+//! 2. **is the process down** —
+//!    [`live_epoch`](CoordinationPolicy::live_epoch);
+//! 3. **a tag was processed** —
+//!    [`tag_processed`](CoordinationPolicy::tag_processed);
+//! 4. **a batch was drained / an input was injected** —
+//!    [`batch_drained`](CoordinationPolicy::batch_drained) and
+//!    [`inject`](CoordinationPolicy::inject);
+//! 5. **after the step** (and after every other queue change) —
+//!    [`queue_changed`](CoordinationPolicy::queue_changed).
+//!
+//! [`Decentralized`] answers every seam with "nothing to add" and is
+//! statically dispatched, so the paper's build pays nothing for the
+//! seams; `dear-federation`'s `CoordinatedPlatform` plugs the RTI grant
+//! protocol, the durable log and crash recovery into the same five.
 
-use crate::driver::PlatformDriver;
 use crate::outbox::{OutboundMsg, Outbox};
-use dear_core::{PhysicalAction, ReactionId, Runtime, RuntimeStats, StepOutcome, Tag};
+use dear_core::{
+    PhysicalAction, ReactionId, Runtime, RuntimeError, RuntimeStats, StepOutcome, Tag,
+};
 use dear_sim::{LatencyModel, SimRng, Simulation, VirtualClock};
-use dear_time::Instant;
-use std::cell::RefCell;
+use dear_time::{Duration, Instant};
+use std::cell::{RefCell, RefMut};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
 type RouteHandler = Rc<dyn Fn(&mut Simulation, OutboundMsg)>;
 
-struct PlatformInner {
-    name: String,
-    runtime: Runtime,
-    clock: VirtualClock,
-    outbox: Outbox,
+/// What a coordination strategy adds to the platform driver loop.
+///
+/// Every hook runs with the platform's state borrowed, so it may use the
+/// simulation (send frames, schedule events) but must not call back into
+/// the platform's handle. The provided bodies are the decentralized
+/// answers: nothing gates a tag but the clock, the process never dies,
+/// and nobody is told about progress.
+pub trait CoordinationPolicy: Sized + 'static {
+    /// The platform is starting (the runtime starts right after, at
+    /// `local_now`): attach telemetry, announce the platform.
+    fn starting(core: &mut PlatformCore<Self>, sim: &mut Simulation, local_now: Instant);
+
+    /// Seam 1 — whether `head`, the earliest pending tag, may be processed
+    /// once the clock passes it.
+    fn may_release(_core: &mut PlatformCore<Self>, _head: Tag, _now: Instant) -> bool {
+        true
+    }
+
+    /// Seam 2 — `None` while the process is down; otherwise a number that
+    /// changes whenever the process dies, so work scheduled by an earlier
+    /// incarnation (a pending outbox drain) can tell it is stale.
+    fn live_epoch(&self) -> Option<u64> {
+        Some(0)
+    }
+
+    /// Seam 3 — `tag` was processed at local clock reading `local_now`;
+    /// its modelled compute occupies `busy_from..core.busy_until`.
+    fn tag_processed(
+        _core: &mut PlatformCore<Self>,
+        _sim: &mut Simulation,
+        _tag: Tag,
+        _local_now: Instant,
+        _busy_from: Instant,
+    ) {
+    }
+
+    /// Seam 4 — `batch` left the outbox and is about to go on the wire.
+    fn batch_drained(_core: &mut PlatformCore<Self>, _batch: &[OutboundMsg]) {}
+
+    /// Seam 4 — a payload is injected into a physical action, at `at` or
+    /// (when `None`) at the local clock reading of `now`. Returns the tag
+    /// it was scheduled at.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PlatformCore::schedule_input`]'s error.
+    fn inject<T: Send + Sync + 'static>(
+        core: &mut PlatformCore<Self>,
+        action: &PhysicalAction<T>,
+        value: T,
+        at: Option<Tag>,
+        now: Instant,
+    ) -> Result<Tag, RuntimeError> {
+        core.schedule_input(action, value, at, now)
+    }
+
+    /// Seam 5 — the event queue may have changed (start, injection, stop
+    /// request, a step); `stopped` when a step found the runtime shut
+    /// down. The driver re-arms right after.
+    fn queue_changed(_core: &mut PlatformCore<Self>, _sim: &mut Simulation, _stopped: bool) {}
+}
+
+/// The decentralized policy (paper §III.A): the local clock is the only
+/// gate, so every seam keeps its provided answer.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Decentralized;
+
+impl CoordinationPolicy for Decentralized {
+    fn starting(core: &mut PlatformCore<Self>, sim: &mut Simulation, _local_now: Instant) {
+        let observe = sim.observe().clone();
+        if observe.is_enabled() {
+            let lane = observe.register_federate_lane(&core.name);
+            core.runtime.set_observe(observe, lane);
+        }
+    }
+}
+
+/// The state one platform's driver loop runs on, shared by both
+/// coordination strategies; `policy` is the strategy's own state, kept in
+/// the same allocation.
+pub struct PlatformCore<P> {
+    /// The platform's name.
+    pub name: String,
+    /// The reactor runtime.
+    pub runtime: Runtime,
+    /// The platform's local clock.
+    pub clock: VirtualClock,
+    /// The reaction→middleware queue the platform's transactors push to.
+    pub outbox: Outbox,
     // BTreeMaps so that no observable behaviour can ever depend on hasher
     // state (the route table is only keyed lookups today, but this is a
     // determinism repo — iteration order must be boring by construction).
@@ -42,30 +147,97 @@ struct PlatformInner {
     costs: BTreeMap<ReactionId, LatencyModel>,
     cost_rng: SimRng,
     /// True time until which the platform's processor is busy.
-    busy_until: Instant,
+    pub busy_until: Instant,
     generation: u64,
+    /// True time of the pending wake-up, if one is armed.
+    ///
+    /// Re-arms that would not change the wake time are suppressed, so a
+    /// delivery or a grant landing on the armed instant never reshuffles
+    /// same-instant event order — which is what keeps a coordinated run's
+    /// trace bit-identical to the decentralized one.
+    armed_wake: Option<Instant>,
     started: bool,
+    /// The coordination strategy's state.
+    pub policy: P,
 }
 
-/// A platform participating in a federated DEAR deployment.
+impl<P> PlatformCore<P> {
+    /// Whether [`FederatedPlatform::start`] has run.
+    #[must_use]
+    pub fn is_started(&self) -> bool {
+        self.started
+    }
+
+    /// The process died: strands every armed wake-up and discards the
+    /// outputs that had not left the platform yet.
+    pub fn halt(&mut self) {
+        self.generation += 1;
+        self.armed_wake = None;
+        let _ = self.outbox.drain();
+    }
+
+    /// A fresh process takes over after [`halt`](Self::halt): `runtime`
+    /// replaces the dead one and the processor is idle again.
+    pub fn restart(&mut self, runtime: Runtime) {
+        self.runtime = runtime;
+        self.busy_until = Instant::EPOCH;
+    }
+
+    /// Schedules a payload on a physical action: at the exact tag `at` —
+    /// the PTIDES "schedule an action with tag `t + D + L + E`" step — or,
+    /// when `None`, at the local clock reading of `now` (the "sporadic
+    /// sensor" path). Returns the tag it was scheduled at.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the runtime's error when the tag is no longer safe to
+    /// process (counted by the runtime) or the runtime is not running.
+    pub fn schedule_input<T: Send + Sync + 'static>(
+        &mut self,
+        action: &PhysicalAction<T>,
+        value: T,
+        at: Option<Tag>,
+        now: Instant,
+    ) -> Result<Tag, RuntimeError> {
+        match at {
+            Some(tag) => self
+                .runtime
+                .schedule_physical_at(action, value, tag)
+                .map(|()| tag),
+            None => {
+                let local_now = self.clock.local_time(now);
+                self.runtime.schedule_physical(action, value, local_now)
+            }
+        }
+    }
+}
+
+/// A platform participating in a federated DEAR deployment: the handle to
+/// the driver loop, generic over the [`CoordinationPolicy`] plugged into
+/// it (decentralized unless stated otherwise).
 ///
 /// Cheap to clone; clones share the platform.
-#[derive(Clone)]
-pub struct FederatedPlatform(Rc<RefCell<PlatformInner>>);
+pub struct FederatedPlatform<P: CoordinationPolicy = Decentralized>(Rc<RefCell<PlatformCore<P>>>);
 
-impl fmt::Debug for FederatedPlatform {
+impl<P: CoordinationPolicy> Clone for FederatedPlatform<P> {
+    fn clone(&self) -> Self {
+        FederatedPlatform(self.0.clone())
+    }
+}
+
+impl<P: CoordinationPolicy> fmt::Debug for FederatedPlatform<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.0.borrow();
+        let core = self.0.borrow();
         f.debug_struct("FederatedPlatform")
-            .field("name", &inner.name)
-            .field("started", &inner.started)
-            .field("busy_until", &inner.busy_until)
+            .field("name", &core.name)
+            .field("started", &core.started)
+            .field("busy_until", &core.busy_until)
             .finish()
     }
 }
 
 impl FederatedPlatform {
-    /// Creates a platform around a built runtime.
+    /// Creates a decentralized platform around a built runtime.
     ///
     /// `outbox` must be the same outbox the platform's transactors were
     /// declared with; `cost_rng` drives the compute-time models.
@@ -77,7 +249,22 @@ impl FederatedPlatform {
         outbox: Outbox,
         cost_rng: SimRng,
     ) -> Self {
-        FederatedPlatform(Rc::new(RefCell::new(PlatformInner {
+        Self::with_policy(name, runtime, clock, outbox, cost_rng, Decentralized)
+    }
+}
+
+impl<P: CoordinationPolicy> FederatedPlatform<P> {
+    /// Creates a platform whose loop consults `policy`.
+    #[must_use]
+    pub fn with_policy(
+        name: &str,
+        runtime: Runtime,
+        clock: VirtualClock,
+        outbox: Outbox,
+        cost_rng: SimRng,
+        policy: P,
+    ) -> Self {
+        FederatedPlatform(Rc::new(RefCell::new(PlatformCore {
             name: name.into(),
             runtime,
             clock,
@@ -87,8 +274,18 @@ impl FederatedPlatform {
             cost_rng,
             busy_until: Instant::EPOCH,
             generation: 0,
+            armed_wake: None,
             started: false,
+            policy,
         })))
+    }
+
+    /// Mutable access to the platform's state, for the policy's own entry
+    /// points (a grant handler, a crash). Release it before calling any
+    /// other method of the handle.
+    #[must_use]
+    pub fn core(&self) -> RefMut<'_, PlatformCore<P>> {
+        self.0.borrow_mut()
     }
 
     /// The platform's name.
@@ -120,6 +317,13 @@ impl FederatedPlatform {
         self.0.borrow().clock.local_time(sim.now())
     }
 
+    /// True time until which the platform's processor is busy with
+    /// modelled compute.
+    #[must_use]
+    pub fn busy_until(&self) -> Instant {
+        self.0.borrow().busy_until
+    }
+
     /// Runs a closure with mutable access to the runtime (tracing,
     /// workers, statistics).
     pub fn with_runtime<R>(&self, f: impl FnOnce(&mut Runtime) -> R) -> R {
@@ -134,143 +338,181 @@ impl FederatedPlatform {
 
     /// Starts the runtime (anchored at the platform's local clock) and
     /// arms the first wake-up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the platform already started.
     pub fn start(&self, sim: &mut Simulation) {
         {
-            let mut inner = self.0.borrow_mut();
-            assert!(!inner.started, "platform already started");
-            inner.started = true;
-            let observe = sim.observe().clone();
-            if observe.is_enabled() {
-                let lane = observe.register_federate_lane(&inner.name);
-                inner.runtime.set_observe(observe, lane);
-            }
-            let local_now = inner.clock.local_time(sim.now());
-            inner.runtime.start(local_now);
+            let core = &mut *self.0.borrow_mut();
+            assert!(!core.started, "platform already started");
+            core.started = true;
+            let local_now = core.clock.local_time(sim.now());
+            P::starting(core, sim, local_now);
+            core.runtime.start(local_now);
         }
-        self.arm(sim);
+        self.requeue(sim, false);
     }
 
     /// Requests runtime shutdown at the given local time.
     pub fn stop_at_local(&self, sim: &mut Simulation, local: Instant) {
-        {
-            let mut inner = self.0.borrow_mut();
-            let _ = inner.runtime.stop_at(local);
-        }
-        self.arm(sim);
+        let _ = self.0.borrow_mut().runtime.stop_at(local);
+        self.requeue(sim, false);
     }
 
     /// Injects a payload into a physical action at an exact tag — the
     /// PTIDES "schedule an action with tag `t + D + L + E`" step.
     ///
+    /// # Errors
+    ///
     /// STP violations are counted in the runtime statistics and reported
     /// to the caller; the event is dropped (observable error, paper
-    /// §IV.B).
+    /// §IV.B). Also fails when the runtime is not running.
     pub fn inject_at<T: Send + Sync + 'static>(
         &self,
         sim: &mut Simulation,
         action: &PhysicalAction<T>,
         value: T,
         tag: Tag,
-    ) -> Result<(), dear_core::RuntimeError> {
-        let result = {
-            let mut inner = self.0.borrow_mut();
-            inner.runtime.schedule_physical_at(action, value, tag)
-        };
-        if result.is_ok() {
-            self.arm(sim);
-        }
-        result
+    ) -> Result<(), RuntimeError> {
+        self.inject(sim, action, value, Some(tag)).map(|_| ())
     }
 
     /// Injects a payload tagged with the local physical arrival time (the
     /// "sporadic sensor" path used for untagged messages and the
     /// brake-assistant video adapter).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the runtime's not-running error.
     pub fn inject_now<T: Send + Sync + 'static>(
         &self,
         sim: &mut Simulation,
         action: &PhysicalAction<T>,
         value: T,
-    ) -> Result<Tag, dear_core::RuntimeError> {
-        let result = {
-            let mut inner = self.0.borrow_mut();
-            let local_now = inner.clock.local_time(sim.now());
-            inner.runtime.schedule_physical(action, value, local_now)
-        };
+    ) -> Result<Tag, RuntimeError> {
+        self.inject(sim, action, value, None)
+    }
+
+    fn inject<T: Send + Sync + 'static>(
+        &self,
+        sim: &mut Simulation,
+        action: &PhysicalAction<T>,
+        value: T,
+        at: Option<Tag>,
+    ) -> Result<Tag, RuntimeError> {
+        let result = P::inject(&mut self.0.borrow_mut(), action, value, at, sim.now());
         if result.is_ok() {
-            self.arm(sim);
+            self.requeue(sim, false);
         }
         result
     }
 
-    /// Schedules the next wake-up for the earliest pending tag.
-    fn arm(&self, sim: &mut Simulation) {
-        let (wake_at, generation) = {
-            let mut inner = self.0.borrow_mut();
-            if !inner.started || !inner.runtime.is_running() {
-                return;
-            }
-            let Some(tag) = inner.runtime.next_tag() else {
-                return;
-            };
-            let tag_true = inner.clock.true_time_at_local(tag.time);
-            let wake = tag_true.max(inner.busy_until).max(sim.now());
-            inner.generation += 1;
-            (wake, inner.generation)
+    /// Schedules the next wake-up for the earliest releasable tag. The
+    /// policy calls this itself when only the release gate moved (a grant
+    /// arrived); every queue change re-arms on its own.
+    pub fn arm(&self, sim: &mut Simulation) {
+        self.arm_core(&mut self.0.borrow_mut(), sim);
+    }
+
+    /// Tells the policy the queue may have changed, then re-arms.
+    fn requeue(&self, sim: &mut Simulation, stopped: bool) {
+        let core = &mut *self.0.borrow_mut();
+        P::queue_changed(core, sim, stopped);
+        self.arm_core(core, sim);
+    }
+
+    fn arm_core(&self, core: &mut PlatformCore<P>, sim: &mut Simulation) {
+        if !core.started || core.policy.live_epoch().is_none() || !core.runtime.is_running() {
+            return;
+        }
+        let Some(tag) = core.runtime.next_tag() else {
+            // Nothing pending; a wake-up armed earlier stays as it is.
+            return;
         };
-        let platform = self.clone();
-        sim.schedule_at(wake_at, move |sim| platform.on_wake(sim, generation));
+        let now = sim.now();
+        if !P::may_release(core, tag, now) {
+            core.armed_wake = None;
+            return;
+        }
+        let tag_true = core.clock.true_time_at_local(tag.time);
+        let wake = tag_true.max(core.busy_until).max(now);
+        if core.armed_wake == Some(wake) {
+            // A wake-up for this instant is already pending; keep its
+            // calendar position.
+            return;
+        }
+        core.armed_wake = Some(wake);
+        core.generation += 1;
+        let (platform, generation) = (self.clone(), core.generation);
+        sim.schedule_at(wake, move |sim| platform.on_wake(sim, generation));
     }
 
     fn on_wake(&self, sim: &mut Simulation, generation: u64) {
         // Process one tag, attribute its compute cost, drain the outbox,
         // then re-arm. Superseded wake-ups (a newer arm happened) no-op.
-        {
-            let inner = self.0.borrow();
-            if generation != inner.generation || !inner.started {
+        let now = sim.now();
+        let (outcome, epoch, drain_at) = {
+            let core = &mut *self.0.borrow_mut();
+            let epoch = core.policy.live_epoch();
+            if generation != core.generation || !core.started || epoch.is_none() {
                 return;
             }
-        }
-        let (outcome, drain_at) = {
-            let mut inner = self.0.borrow_mut();
-            let local_now = inner.clock.local_time(sim.now());
-            let outcome = inner.runtime.step(local_now);
-            let mut drain_at = sim.now();
-            if let StepOutcome::Processed(_) = outcome {
+            core.armed_wake = None;
+            let local_now = core.clock.local_time(now);
+            let outcome = core.runtime.step(local_now);
+            if let StepOutcome::Processed(summary) = outcome {
                 // Accumulate modelled compute time of executed reactions.
-                let executed: Vec<ReactionId> = inner.runtime.executed_at_last_tag().to_vec();
-                let mut total = dear_time::Duration::ZERO;
-                for rid in executed {
-                    if let Some(model) = inner.costs.get(&rid) {
-                        let model = model.clone();
-                        total += model.sample(&mut inner.cost_rng);
+                let mut total = Duration::ZERO;
+                for rid in core.runtime.executed_at_last_tag() {
+                    if let Some(model) = core.costs.get(rid) {
+                        total += model.sample(&mut core.cost_rng);
                     }
                 }
-                let busy_from = inner.busy_until.max(sim.now());
-                inner.busy_until = busy_from + total;
-                // Outputs leave the platform when the modelled compute
-                // finishes (the skeleton promise resolves then), not when
-                // the tag starts.
-                drain_at = inner.busy_until;
+                let busy_from = core.busy_until.max(now);
+                core.busy_until = busy_from + total;
+                P::tag_processed(core, sim, summary.tag, local_now, busy_from);
             }
-            (outcome, drain_at)
+            (outcome, epoch, core.busy_until)
         };
         if let StepOutcome::Processed(_) = outcome {
-            if drain_at > sim.now() {
+            // Outputs leave the platform when the modelled compute
+            // finishes (the skeleton promise resolves then), not when the
+            // tag starts.
+            if drain_at > now {
                 let platform = self.clone();
-                sim.schedule_at(drain_at, move |sim| platform.drain_outbox(sim));
+                // A drain scheduled by a process that has died since is
+                // stranded: its outputs died with it.
+                sim.schedule_at(drain_at, move |sim| {
+                    if platform.0.borrow().policy.live_epoch() == epoch {
+                        platform.drain_outbox(sim);
+                    }
+                });
             } else {
                 self.drain_outbox(sim);
             }
         }
-        self.arm(sim);
+        self.requeue(sim, matches!(outcome, StepOutcome::Stopped));
     }
 
     fn drain_outbox(&self, sim: &mut Simulation) {
-        let msgs = {
-            let inner = self.0.borrow();
-            inner.outbox.drain()
+        let batch = {
+            let core = &mut *self.0.borrow_mut();
+            let batch = core.outbox.drain();
+            P::batch_drained(core, &batch);
+            batch
         };
-        for msg in msgs {
+        self.dispatch(sim, batch);
+    }
+
+    /// Hands each message to the handler registered for its route, in
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a message for a route nobody registered.
+    pub fn dispatch(&self, sim: &mut Simulation, batch: Vec<OutboundMsg>) {
+        for msg in batch {
             let handler = self.0.borrow().routes.get(&msg.route).cloned();
             match handler {
                 Some(h) => h(sim, msg),
@@ -281,46 +523,5 @@ impl FederatedPlatform {
                 ),
             }
         }
-    }
-}
-
-impl PlatformDriver for FederatedPlatform {
-    fn driver_name(&self) -> String {
-        self.name()
-    }
-
-    fn register_route(&self, route: u32, handler: impl Fn(&mut Simulation, OutboundMsg) + 'static) {
-        FederatedPlatform::register_route(self, route, handler);
-    }
-
-    fn set_reaction_cost(&self, reaction: ReactionId, model: LatencyModel) {
-        FederatedPlatform::set_reaction_cost(self, reaction, model);
-    }
-
-    fn with_runtime<R>(&self, f: impl FnOnce(&mut Runtime) -> R) -> R {
-        FederatedPlatform::with_runtime(self, f)
-    }
-
-    fn start(&self, sim: &mut Simulation) {
-        FederatedPlatform::start(self, sim);
-    }
-
-    fn inject_at<T: Send + Sync + 'static>(
-        &self,
-        sim: &mut Simulation,
-        action: &PhysicalAction<T>,
-        value: T,
-        tag: Tag,
-    ) -> Result<(), dear_core::RuntimeError> {
-        FederatedPlatform::inject_at(self, sim, action, value, tag)
-    }
-
-    fn inject_now<T: Send + Sync + 'static>(
-        &self,
-        sim: &mut Simulation,
-        action: &PhysicalAction<T>,
-        value: T,
-    ) -> Result<Tag, dear_core::RuntimeError> {
-        FederatedPlatform::inject_now(self, sim, action, value)
     }
 }
