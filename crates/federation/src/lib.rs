@@ -13,14 +13,25 @@
 //!   shared by every coordination level over the [`LbtsGraph`] trait:
 //!   solved once per topology, then kept between control messages and
 //!   updated incrementally (work follows what moved, not fleet size);
-//! * [`Rti`] — the flat coordinator: per-federate NET/LTC state, the
-//!   declared inter-federate topology, and TAG/PTAG grants (including
-//!   provisional grants that break zero-delay cycles);
-//! * [`HierarchicalRti`] — the fleet-scale topology: zone coordinators
-//!   own their local federates and roll per-zone floors up to a root
-//!   that solves the same fixpoint over zone summaries, with batched
-//!   coordination frames on every fan-out/roll-up hop and per-shard
-//!   liveness (a silent zone is released without stalling its siblings);
+//! * one coordinator **shell** around one **table**, at every level.
+//!   The table (`GrantTable`: per-federate NET/LTC state, the declared
+//!   topology, the solver, the TAG/PTAG/DNET passes, the liveness
+//!   deadline, the counters) is what a coordinator *is*; the shell is the
+//!   SOME/IP binding around it — registration, frame decode at one site,
+//!   one generation-guarded watchdog, one round, one grant send-out —
+//!   plus an **optional uplink** that places it in a hierarchy;
+//! * [`Rti`] — the flat coordinator: that shell *without* an uplink.
+//!   Every table entry is a member, federate ids are table indices, and
+//!   grants (including provisional grants that break zero-delay cycles)
+//!   leave one record per frame;
+//! * [`HierarchicalRti`] — the fleet-scale topology: zones are the same
+//!   shell *with* an uplink (global ids, one never-granted proxy entry
+//!   per upstream zone, grants batched per round, the zone floor rolled
+//!   up), under a root that runs the same table with no grantable entry
+//!   at all — its zone summaries are what a zone's proxies are, fed
+//!   through the same `Floor`/`Rejoin` apply function — and relays
+//!   clamped floors back down. Liveness is per shard: a silent zone is
+//!   released without stalling its siblings;
 //! * [`CoordinatedPlatform`] — a drop-in [`PlatformDriver`]: the one
 //!   driver loop of `dear-transactors` with the grant protocol plugged
 //!   in as its coordination policy. This crate has no scheduler of its

@@ -13,7 +13,6 @@ use crate::rti::{
     grant_horizon, FederateEntry, FederateGraph, Grant, GrantTable, RtiStats, GRANT_WINDOW_PERIODS,
 };
 use crate::solver::{LbtsSolver, TAG_MAX};
-use dear_sim::NodeId;
 use dear_someip::{CoordKind, CoordMsg, WireTag, DNET_NET_LATTICE, DNET_SINK, TAG_NEVER};
 use dear_time::Duration;
 use dear_transactors::tag_to_wire;
@@ -106,12 +105,19 @@ struct Twin {
 }
 
 impl Twin {
-    /// Changes entry `f` in place on both sides, the way the liveness
-    /// watchdog and the proxy relay do.
-    fn poke(&mut self, f: usize, change: impl Fn(&mut FederateEntry)) {
-        change(&mut self.reference[f]);
-        change(&mut self.table.entries[f]);
-        self.table.mark_dirty(f);
+    /// The liveness watchdog's verdict on entry `f`, on both sides.
+    fn expire(&mut self, f: usize) {
+        self.reference[f].dead = true;
+        self.reference_stats.deaths += 1;
+        let generation = self.table.entries[f].liveness_gen;
+        assert!(self.table.expire(f, generation));
+    }
+
+    /// A floor relayed into proxy `msg.federate`, on both sides.
+    fn relay(&mut self, msg: &CoordMsg) {
+        let f = usize::from(msg.federate);
+        let expected = self.reference[f].apply_floor(msg);
+        assert_eq!(self.table.relay(f, msg), expected);
     }
 
     fn connect(&mut self, up: usize, down: usize, delay: Duration) {
@@ -173,9 +179,8 @@ fn run_history(seed: u64, shape: Shape, diet: bool) {
     twin.table.set_control_diet(diet);
     for _ in 0..n {
         let external = rng.chance(30);
-        twin.reference
-            .push(FederateEntry::new("f", NodeId(1), external));
-        twin.table.register("f", NodeId(1), external);
+        twin.reference.push(FederateEntry::new("f", external));
+        twin.table.register("f", external);
     }
     for _ in 0..rng.below(2 * n) {
         if let Some((up, down, delay)) = random_edge(&mut rng, n, shape) {
@@ -188,11 +193,15 @@ fn run_history(seed: u64, shape: Shape, diet: bool) {
         let id = f as u16;
         let what = rng.below(100);
         match what {
-            // A member's reports; a proxy's relayed floor (zone.rs sets
-            // the head directly and marks the proxy dirty).
+            // A member's reports; a proxy's relayed floor — a monotone
+            // rise, or a retreat to wherever the rejoined member resumed.
             0..=34 if f >= grantable => {
-                let head = rng.tag();
-                twin.poke(f, |entry| entry.head = head);
+                let kind = if rng.chance(50) {
+                    CoordKind::Floor
+                } else {
+                    CoordKind::Rejoin
+                };
+                twin.relay(&CoordMsg::new(kind, id, tag_to_wire(rng.tag())));
             }
             0..=34 => {
                 let head = if rng.chance(10) { TAG_MAX } else { rng.tag() };
@@ -213,11 +222,7 @@ fn run_history(seed: u64, shape: Shape, diet: bool) {
                 ));
             }
             75..=77 => twin.control(&CoordMsg::new(CoordKind::Resign, id, TAG_NEVER)),
-            // The liveness watchdog's verdict (rti.rs / zone.rs set the
-            // flag directly and mark the entry dirty).
-            78..=82 if !twin.reference[f].released() => {
-                twin.poke(f, |entry| entry.dead = true);
-            }
+            78..=82 if !twin.reference[f].released() => twin.expire(f),
             83..=89 => {
                 // Sometimes stale on purpose: the incarnation guard must
                 // reject it on both sides.

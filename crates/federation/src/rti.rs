@@ -1,7 +1,7 @@
-//! The RTI (run-time infrastructure): a centralized logical-time
-//! coordinator for federated DEAR deployments.
+//! The coordinator's **table**, and the flat [`Rti`] handle over the one
+//! coordinator shell.
 //!
-//! The RTI tracks, per federate, the last completed tag (LTC), the
+//! A coordinator tracks, per federate, the last completed tag (LTC), the
 //! earliest pending event tag plus a physical-time fence (NET), and the
 //! declared inter-federate topology with per-edge minimum tag delays
 //! (`D + L + E` for a DEAR transactor edge). From these it computes each
@@ -12,29 +12,32 @@
 //! * **PTAG(g)** — provisional grant for exactly tag `g`, issued to break
 //!   zero-delay cycles where no strict bound can advance.
 //!
-//! The fixpoint itself lives in [`LbtsSolver`](crate::LbtsSolver): the
-//! flat RTI is the one-zone special case of the hierarchical coordinator
-//! ([`HierarchicalRti`](crate::HierarchicalRti)), running the solver over
-//! its full federate table.
+//! That state is one [`GrantTable`] at **every** level: the flat RTI's
+//! federates, a zone's members plus one never-granted proxy per upstream
+//! zone, and the hierarchy root's never-granted zone summaries are all
+//! rows of the same table, solved by the same [`LbtsSolver`], watched by
+//! the same liveness generation counters. The network shell around the
+//! table exists once too (`zone.rs`): [`Rti`] is that shell built
+//! **without an uplink** — literally the one-zone special case of
+//! [`HierarchicalRti`](crate::HierarchicalRti).
 //!
 //! All control traffic rides the SOME/IP coordination service defined in
-//! `dear-someip::coord`; the RTI is itself just a node with a binding, so
-//! grant latency is governed by the simulated network like any other
-//! message — which is exactly what the `coordination_lag` bench measures.
+//! `dear-someip::coord`; a coordinator is itself just a node with a
+//! binding, so grant latency is governed by the simulated network like
+//! any other message — which is exactly what the `coordination_lag` bench
+//! measures.
 
 use crate::solver::{tag_succ, LbtsGraph, LbtsSolver, NodeView, TAG_MAX};
+use crate::zone::Coordinator;
 use dear_core::Tag;
 use dear_sim::{NetworkHandle, NodeId, Simulation};
 use dear_someip::{
-    coord_eventgroup, Binding, CoordKind, CoordMsg, SdRegistry, ServiceInstance, WireTag,
-    COORD_EVENT, COORD_EVENTGROUP_BASE, COORD_INSTANCE, COORD_METHOD, COORD_SERVICE,
+    visit_control_records, CoordKind, CoordMsg, SdRegistry, WireTag, COORD_EVENTGROUP_BASE,
     DNET_NET_LATTICE, DNET_SINK, TAG_NEVER,
 };
 use dear_time::Duration;
 use dear_transactors::{tag_to_wire, wire_to_tag};
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
 /// The most federates one coordinator (flat RTI or hierarchical zone
 /// space) can register: per-federate grant eventgroups start at
@@ -122,6 +125,43 @@ pub struct RtiStats {
     /// replaying their durable log. Stale rejoins rejected by the
     /// incarnation guard are not counted.
     pub rejoins: u64,
+    /// Control payloads dropped as undecodable (a truncated record or
+    /// batch, an unknown kind, garbage). A rejected frame applies none of
+    /// its records and is not a sign of life.
+    pub frames_rejected: u64,
+}
+
+impl std::ops::AddAssign for RtiStats {
+    /// Field-wise sum. Destructures exhaustively, so a counter added to
+    /// the struct cannot be forgotten here.
+    fn add_assign(&mut self, rhs: RtiStats) {
+        let RtiStats {
+            federates,
+            nets_received,
+            ltcs_received,
+            tags_issued,
+            ptags_issued,
+            deaths,
+            floor_records,
+            batches_sent,
+            window_tags,
+            dnets_sent,
+            rejoins,
+            frames_rejected,
+        } = rhs;
+        self.federates += federates;
+        self.nets_received += nets_received;
+        self.ltcs_received += ltcs_received;
+        self.tags_issued += tags_issued;
+        self.ptags_issued += ptags_issued;
+        self.deaths += deaths;
+        self.floor_records += floor_records;
+        self.batches_sent += batches_sent;
+        self.window_tags += window_tags;
+        self.dnets_sent += dnets_sent;
+        self.rejoins += rejoins;
+        self.frames_rejected += frames_rejected;
+    }
 }
 
 impl fmt::Display for RtiStats {
@@ -129,7 +169,7 @@ impl fmt::Display for RtiStats {
         write!(
             f,
             "federates={} nets={} ltcs={} tags={} ptags={} deaths={} floors={} batches={} \
-             windows={} dnets={} rejoins={}",
+             windows={} dnets={} rejoins={} rejected={}",
             self.federates,
             self.nets_received,
             self.ltcs_received,
@@ -140,7 +180,8 @@ impl fmt::Display for RtiStats {
             self.batches_sent,
             self.window_tags,
             self.dnets_sent,
-            self.rejoins
+            self.rejoins,
+            self.frames_rejected
         )
     }
 }
@@ -165,8 +206,6 @@ pub type Grant = (u16, CoordKind, Tag, WireTag);
 
 pub(crate) struct FederateEntry {
     pub(crate) name: String,
-    #[allow(dead_code)]
-    pub(crate) node: NodeId,
     /// Whether the federate takes physical inputs from outside the
     /// federation (sensors, legacy AP components). Such federates bound
     /// their future event tags by the reported fence; pure federates are
@@ -184,7 +223,9 @@ pub(crate) struct FederateEntry {
     /// Last completed tag (monotone max over LTC reports).
     pub(crate) completed: Option<Tag>,
     /// Earliest pending event tag from the latest NET ([`TAG_MAX`] when
-    /// idle; starts at origin = "unknown, assume anything").
+    /// idle; starts at origin = "unknown, assume anything"). For a
+    /// summary entry — a zone's proxy of an upstream zone, the root's
+    /// entry of a zone — the floor most recently rolled up or relayed.
     pub(crate) head: Tag,
     /// Physical-time fence from NET reports (monotone max).
     pub(crate) fence: Tag,
@@ -192,9 +233,7 @@ pub(crate) struct FederateEntry {
     pub(crate) last_granted: Option<Tag>,
     /// Tag of the last PTAG grant.
     pub(crate) last_ptag: Option<Tag>,
-    /// Incoming edges: (upstream graph index, minimum tag delay). For the
-    /// flat RTI the index is the upstream federate id; a zone coordinator
-    /// uses its own member/proxy index space.
+    /// Incoming edges: (upstream table index, minimum tag delay).
     pub(crate) upstream: Vec<(u16, Duration)>,
     /// Declared periodic event lattice (from a `Period` record): every
     /// locally originated event tag is a whole multiple of this duration
@@ -216,10 +255,9 @@ pub(crate) struct FederateEntry {
 }
 
 impl FederateEntry {
-    pub(crate) fn new(name: &str, node: NodeId, external: bool) -> Self {
+    pub(crate) fn new(name: &str, external: bool) -> Self {
         FederateEntry {
             name: name.into(),
-            node,
             external,
             connected: false,
             resigned: false,
@@ -356,9 +394,48 @@ impl FederateEntry {
         stats.rejoins += 1;
         Applied::Moved
     }
+
+    /// Applies one coordinator ↔ coordinator record to a **summary**
+    /// entry, whose `head` is another coordinator's floor: a zone's proxy
+    /// of an upstream zone (records relayed down by the root) or the
+    /// root's entry of a zone (records rolled up by it). `Floor` raises
+    /// the head monotonically; `Rejoin` carries the one legitimate
+    /// *retreat* — a crashed member replayed its durable log and rejoined
+    /// below the bound its death had released — and is applied as sent.
+    ///
+    /// The dead stay dead: a zombie's late `Floor` must not resurrect a
+    /// released floor. A retreat is the exception — a zone actively
+    /// reporting a revived member is also proof of life for the zone
+    /// itself, and its link delivers in order, so a pre-death `Floor`
+    /// echo can never overtake it. Every accepted record is a sign of
+    /// life; one that repeats the head (a heartbeat) is no more than that.
+    pub(crate) fn apply_floor(&mut self, msg: &CoordMsg) -> Applied {
+        let retreat = match msg.kind {
+            CoordKind::Floor => false,
+            CoordKind::Rejoin => true,
+            _ => return Applied::Ignored,
+        };
+        if self.dead && !retreat {
+            return Applied::Ignored;
+        }
+        self.liveness_gen += 1;
+        let floor = wire_to_tag(msg.tag);
+        let before = (self.head, self.dead);
+        if retreat {
+            self.dead = false;
+            self.head = floor;
+        } else {
+            self.head = self.head.max(floor);
+        }
+        if before == (self.head, self.dead) {
+            Applied::Unchanged
+        } else {
+            Applied::Moved
+        }
+    }
 }
 
-/// The flat federate table as an [`LbtsGraph`]: graph index = federate id.
+/// A table's entries as an [`LbtsGraph`]: graph index = table index.
 pub(crate) struct FederateGraph<'a>(pub(crate) &'a [FederateEntry]);
 
 impl LbtsGraph for FederateGraph<'_> {
@@ -411,28 +488,36 @@ pub(crate) fn grant_horizon(federates: &[FederateEntry], f: usize, bound: Tag) -
     ))
 }
 
-/// A coordinator's federate table together with the solver and the
-/// buffers that keep a round allocation-free: everything the flat RTI and
-/// a zone coordinator share, minus the network around it. The flat RTI is
-/// the one-zone special case — every entry grantable, no proxies.
+/// A coordinator's entry table together with the solver, the liveness
+/// deadline and the buffers that keep a round allocation-free: everything
+/// a coordinator is, minus the network around it. Every level runs one —
+/// the flat RTI with every entry grantable, a zone with its proxies
+/// beyond `grantable`, the root with no grantable entry at all.
 ///
 /// Hidden from the docs but public, so the allocation test in `tests/`
 /// can run ten thousand rounds without a simulation in the way.
 #[doc(hidden)]
 #[derive(Default)]
 pub struct GrantTable {
-    /// Members first, then (in a zone) the proxies of upstream zones.
+    /// Members first, then the never-granted summary entries.
     pub(crate) entries: Vec<FederateEntry>,
     pub(crate) solver: LbtsSolver,
     /// Entries whose state moved since the last round.
     dirty: Vec<u16>,
     /// The round's output buffer, handed out and taken back.
     grants: Vec<Grant>,
+    /// Entries heard from in the frame being handled (scratch).
+    alive: Vec<u16>,
     pub(crate) stats: RtiStats,
     /// Control-plane diet (DNET suppression, grant-ahead windows, the
     /// periodic fast path). Opt-in so existing deployments keep their
     /// control traffic — and traces — bit for bit.
     pub(crate) diet: bool,
+    /// Liveness deadline: a connected entry silent for longer than this
+    /// is declared dead. `None` disables the watchdog (the default —
+    /// death detection is opt-in so that fault-free scenarios schedule
+    /// zero extra events).
+    pub(crate) liveness: Option<Duration>,
 }
 
 impl GrantTable {
@@ -443,8 +528,8 @@ impl GrantTable {
     }
 
     /// Appends an entry and returns its index.
-    pub fn register(&mut self, name: &str, node: NodeId, external: bool) -> usize {
-        self.entries.push(FederateEntry::new(name, node, external));
+    pub fn register(&mut self, name: &str, external: bool) -> usize {
+        self.entries.push(FederateEntry::new(name, external));
         self.solver.invalidate();
         self.entries.len() - 1
     }
@@ -465,20 +550,40 @@ impl GrantTable {
         self.solver.invalidate();
     }
 
-    /// Applies one federate → coordinator record to entry `index` and
-    /// remembers the entry for the next round if anything moved.
+    /// Applies one federate → coordinator record to member entry `index`
+    /// and remembers the entry for the next round if anything moved.
     pub fn control(&mut self, index: usize, msg: &CoordMsg) -> Applied {
         let applied = self.entries[index].apply_control(msg, &mut self.stats);
+        self.moved(index, applied)
+    }
+
+    /// Applies one coordinator ↔ coordinator record to summary entry
+    /// `index` (see [`FederateEntry::apply_floor`]), likewise.
+    pub(crate) fn relay(&mut self, index: usize, msg: &CoordMsg) -> Applied {
+        let applied = self.entries[index].apply_floor(msg);
+        self.moved(index, applied)
+    }
+
+    fn moved(&mut self, index: usize, applied: Applied) -> Applied {
         if applied == Applied::Moved {
             self.dirty.push(index as u16);
         }
         applied
     }
 
-    /// Remembers that entry `index` was changed in place (declared dead,
-    /// or — for a proxy — given a new relayed head).
-    pub(crate) fn mark_dirty(&mut self, index: usize) {
+    /// The watchdog's verdict on entry `index`, armed at `generation`:
+    /// declares it dead — released for LBTS purposes, dirty for the next
+    /// round — unless a sign of life superseded the check or the entry is
+    /// released already.
+    pub(crate) fn expire(&mut self, index: usize, generation: u64) -> bool {
+        let entry = &mut self.entries[index];
+        if entry.liveness_gen != generation || entry.released() {
+            return false;
+        }
+        entry.dead = true;
         self.dirty.push(index as u16);
+        self.stats.deaths += 1;
+        true
     }
 
     /// One round: brings the solver up to date with the entries that
@@ -508,6 +613,7 @@ impl GrantTable {
             grants,
             stats,
             diet,
+            ..
         } = self;
         grants.clear();
         solver.update(&FederateGraph(entries), dirty);
@@ -594,31 +700,90 @@ impl GrantTable {
     }
 }
 
-struct RtiInner {
-    binding: Binding,
-    /// Table index = federate id; every entry is grantable.
-    table: GrantTable,
-    /// Liveness deadline: a connected federate silent (no NET/LTC/Join)
-    /// for longer than this is declared dead. `None` disables the
-    /// watchdog (the default — death detection is opt-in so that
-    /// fault-free scenarios schedule zero extra events).
-    liveness_deadline: Option<Duration>,
+/// What the network shell around a [`GrantTable`] provides to the code
+/// every level shares: the flat/zone [`Coordinator`] and the hierarchy
+/// root implement it.
+pub(crate) trait Shell: Clone + 'static {
+    /// Runs `f` on the shell's table.
+    fn with_table<R>(&self, f: impl FnOnce(&mut GrantTable) -> R) -> R;
+    /// Entry `index` was just declared dead: trace it under `"rti"` and
+    /// recompute, so whatever waited on it gets its bound released.
+    fn declared_dead(&self, sim: &mut Simulation, index: usize);
 }
 
-/// A shared handle to the centralized coordinator.
+/// The liveness watchdog, once for members and zones alike. Arms (or
+/// supersedes) the check of entry `index`: if no further sign of life
+/// bumps the entry's generation within the deadline, it is declared dead
+/// at exactly `now + deadline` — a well-defined tag. Unconnected and
+/// released entries are not watched; `table` is the shell's own table,
+/// which the caller holds borrowed.
+pub(crate) fn arm_watchdog<S: Shell>(
+    shell: &S,
+    sim: &mut Simulation,
+    table: &GrantTable,
+    index: usize,
+) {
+    let Some(deadline) = table.liveness else {
+        return;
+    };
+    let entry = &table.entries[index];
+    if !entry.connected || entry.released() {
+        return;
+    }
+    let (shell, generation) = (shell.clone(), entry.liveness_gen);
+    sim.schedule_in(deadline, move |sim| {
+        if shell.with_table(|table| table.expire(index, generation)) {
+            shell.declared_dead(sim, index);
+        }
+    });
+}
+
+/// One control frame, at any level and from either direction — the single
+/// decode site. Every record of `payload` (a single record or a batch)
+/// goes through `apply`, which resolves the wire id to a table entry,
+/// applies the record and returns the entry's index if that was a sign of
+/// life worth a recompute; those entries get their watchdog re-armed. A
+/// malformed payload applies nothing and counts in
+/// [`RtiStats::frames_rejected`]. Returns whether any entry was heard
+/// from: the shell recomputes once per *frame*, which is exactly the
+/// batching win — N records no longer trigger N fixpoints.
+pub(crate) fn receive_frame<S: Shell>(
+    shell: &S,
+    sim: &mut Simulation,
+    table: &mut GrantTable,
+    payload: &[u8],
+    mut apply: impl FnMut(&mut GrantTable, &CoordMsg) -> Option<usize>,
+) -> bool {
+    // Who to re-arm only matters where there is a watchdog.
+    let watched = table.liveness.is_some();
+    let mut alive = std::mem::take(&mut table.alive);
+    let mut heard = false;
+    let decoded = visit_control_records(payload, |msg| {
+        if let Some(index) = apply(table, msg).map(|index| index as u16) {
+            heard = true;
+            if watched && !alive.contains(&index) {
+                alive.push(index);
+            }
+        }
+    });
+    table.stats.frames_rejected += u64::from(decoded.is_err());
+    for index in alive.drain(..) {
+        arm_watchdog(shell, sim, table, usize::from(index));
+    }
+    table.alive = alive;
+    heard
+}
+
+/// A shared handle to the centralized coordinator: the one coordinator
+/// shell, built without an uplink.
 ///
 /// Cheap to clone; clones share the coordinator.
 #[derive(Clone)]
-pub struct Rti(Rc<RefCell<RtiInner>>);
+pub struct Rti(Coordinator);
 
 impl fmt::Debug for Rti {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.0.borrow();
-        f.debug_struct("Rti")
-            .field("node", &inner.binding.node())
-            .field("federates", &inner.table.entries.len())
-            .field("stats", &inner.table.stats)
-            .finish()
+        f.debug_struct("Rti").field("stats", &self.stats()).finish()
     }
 }
 
@@ -635,27 +800,11 @@ impl Rti {
     #[must_use]
     pub fn new(sim: &mut Simulation, net: &NetworkHandle, sd: &SdRegistry, node: NodeId) -> Self {
         sim.observe().set_lane_name(dear_observe::Lane::Root, "rti");
-        let binding = Binding::new(net, sd, node, 0x0052);
-        binding.offer(
-            sim,
-            ServiceInstance::new(COORD_SERVICE, COORD_INSTANCE),
-            Duration::from_secs(1 << 30),
-        );
-        let rti = Rti(Rc::new(RefCell::new(RtiInner {
-            binding: binding.clone(),
-            table: GrantTable::new(),
-            liveness_deadline: None,
-        })));
-        let hook = rti.clone();
-        binding.register_method(COORD_SERVICE, COORD_METHOD, move |sim, req, _responder| {
-            if let Ok(msg) = CoordMsg::decode(&req.payload) {
-                hook.on_msg(sim, msg);
-            }
-        });
-        rti
+        Rti(Coordinator::new(sim, net, sd, node, None))
     }
 
-    /// Registers a federate hosted on `node`.
+    /// Registers a federate (hosted on `node`, which the coordinator
+    /// does not need to know: it answers on the federate's eventgroup).
     ///
     /// `external` declares whether the federate receives physical inputs
     /// from outside the federation (see the module docs); when in doubt,
@@ -669,18 +818,12 @@ impl Rti {
     pub fn register(
         &self,
         name: &str,
-        node: NodeId,
+        _node: NodeId,
         external: bool,
     ) -> Result<FederateId, FederationError> {
-        let mut inner = self.0.borrow_mut();
-        if inner.table.entries.len() >= MAX_FEDERATES {
-            return Err(FederationError::Full {
-                limit: MAX_FEDERATES,
-            });
-        }
-        let id = inner.table.register(name, node, external);
-        inner.table.stats.federates += 1;
-        Ok(FederateId(id as u16))
+        // A flat shell's federate ids are its table indices.
+        let index = self.0.register_member(None, name, external)?;
+        Ok(FederateId(index as u16))
     }
 
     /// Declares a coordination edge: messages caused by `upstream`
@@ -689,11 +832,9 @@ impl Rti {
     /// the sender deadline plus the network and clock bounds, `D + L + E`.
     pub fn connect(&self, upstream: FederateId, downstream: FederateId, min_delay: Duration) {
         assert!(!min_delay.is_negative(), "edge delays must be non-negative");
-        self.0.borrow_mut().table.connect(
-            usize::from(upstream.0),
-            usize::from(downstream.0),
-            min_delay,
-        );
+        let (upstream, downstream) = (usize::from(upstream.0), usize::from(downstream.0));
+        self.0
+            .with_table(|table| table.connect(upstream, downstream, min_delay));
     }
 
     /// Enables the coordination **control-plane diet**: DNET suppression
@@ -703,31 +844,33 @@ impl Rti {
     /// and honour suppression). Opt-in: without this call the RTI's
     /// control traffic — and therefore every trace — is unchanged.
     pub fn enable_control_diet(&self) {
-        self.0.borrow_mut().table.set_control_diet(true);
+        self.0.with_table(|table| table.set_control_diet(true));
     }
 
     /// Whether [`Rti::enable_control_diet`] has been called.
     #[must_use]
     pub fn control_diet_enabled(&self) -> bool {
-        self.0.borrow().table.diet
+        self.0.with_table(|table| table.diet)
     }
 
     /// The federate's name (for reports).
     #[must_use]
     pub fn federate_name(&self, fed: FederateId) -> String {
-        self.0.borrow().table.entries[fed.0 as usize].name.clone()
+        self.0
+            .with_table(|table| table.entries[usize::from(fed.0)].name.clone())
     }
 
     /// The exclusive bound most recently granted to `fed`, if any.
     #[must_use]
     pub fn last_granted(&self, fed: FederateId) -> Option<Tag> {
-        self.0.borrow().table.entries[fed.0 as usize].last_granted
+        self.0
+            .with_table(|table| table.entries[usize::from(fed.0)].last_granted)
     }
 
     /// Activity counters.
     #[must_use]
     pub fn stats(&self) -> RtiStats {
-        self.0.borrow().table.stats
+        self.0.with_table(|table| table.stats)
     }
 
     /// Enables the liveness watchdog: a connected federate that sends no
@@ -756,108 +899,7 @@ impl Rti {
     /// and therefore their traces — exactly as before.
     pub fn enable_liveness(&self, deadline: Duration) {
         assert!(deadline > Duration::ZERO, "deadline must be positive");
-        self.0.borrow_mut().liveness_deadline = Some(deadline);
-    }
-
-    fn on_msg(&self, sim: &mut Simulation, msg: CoordMsg) {
-        {
-            let mut inner = self.0.borrow_mut();
-            let index = usize::from(msg.federate);
-            if index >= inner.table.entries.len()
-                || inner.table.control(index, &msg) == Applied::Ignored
-            {
-                return;
-            }
-        }
-        self.arm_liveness(sim, FederateId(msg.federate));
-        self.recompute(sim);
-    }
-
-    /// Arms (or supersedes) the liveness check for one federate: if no
-    /// further control message arrives within the deadline, it is
-    /// declared dead at exactly `now + deadline` — a well-defined tag.
-    fn arm_liveness(&self, sim: &mut Simulation, fed: FederateId) {
-        let armed = {
-            let inner = self.0.borrow();
-            inner.liveness_deadline.and_then(|deadline| {
-                inner
-                    .table
-                    .entries
-                    .get(fed.0 as usize)
-                    .filter(|e| e.connected && !e.released())
-                    .map(|e| (deadline, e.liveness_gen))
-            })
-        };
-        let Some((deadline, generation)) = armed else {
-            return;
-        };
-        let rti = self.clone();
-        sim.schedule_in(deadline, move |sim| {
-            rti.on_liveness_check(sim, fed, generation);
-        });
-    }
-
-    fn on_liveness_check(&self, sim: &mut Simulation, fed: FederateId, generation: u64) {
-        let name = {
-            let mut inner = self.0.borrow_mut();
-            let table = &mut inner.table;
-            let Some(entry) = table.entries.get_mut(fed.0 as usize) else {
-                return;
-            };
-            if entry.liveness_gen != generation || entry.released() {
-                return; // superseded, or no longer eligible
-            }
-            entry.dead = true;
-            let name = entry.name.clone();
-            table.mark_dirty(usize::from(fed.0));
-            table.stats.deaths += 1;
-            name
-        };
-        sim.trace_with("rti", || {
-            format!("federate {fed} ({name}) declared dead; releasing its LBTS bound")
-        });
-        // Survivors downstream of the dead federate get their bound
-        // released right here.
-        self.recompute(sim);
-    }
-
-    /// Brings the LBTS of everything downstream of the dirty federates up
-    /// to date and sends out newly justified grants, one single-record
-    /// frame per grant on the federate's own eventgroup (the flat
-    /// protocol; zones batch instead).
-    fn recompute(&self, sim: &mut Simulation) {
-        let (grants, binding) = {
-            let mut inner = self.0.borrow_mut();
-            let grantable = inner.table.entries.len();
-            // Sent with the table unborrowed; the buffer goes back below.
-            (inner.table.round(grantable), inner.binding.clone())
-        };
-        let observe = sim.observe();
-        if observe.is_enabled() {
-            observe.count("coord/fixpoint/flat", 1);
-            observe.record_value("coord/grants_per_round", grants.len() as u64);
-            observe.instant(dear_observe::Lane::Root, "fixpoint", sim.now());
-        }
-
-        if !grants.is_empty() {
-            let pool = binding.pool();
-            for &(fed, kind, tag, fence) in &grants {
-                let msg = CoordMsg {
-                    kind,
-                    federate: fed,
-                    tag: tag_to_wire(tag),
-                    fence,
-                };
-                binding.notify(
-                    sim,
-                    ServiceInstance::new(COORD_SERVICE, COORD_INSTANCE),
-                    coord_eventgroup(fed),
-                    COORD_EVENT,
-                    msg.encode_into(&pool),
-                );
-            }
-        }
-        self.0.borrow_mut().table.recycle(grants);
+        self.0.with_table(|table| table.liveness = Some(deadline));
     }
 }
 
@@ -867,7 +909,7 @@ mod tests {
     use dear_time::Instant;
 
     fn lattice_entry(period_ms: i64) -> FederateEntry {
-        let mut entry = FederateEntry::new("f", NodeId(1), false);
+        let mut entry = FederateEntry::new("f", false);
         entry.period = Some(Duration::from_millis(period_ms));
         entry
     }

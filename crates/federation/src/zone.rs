@@ -1,36 +1,47 @@
-//! Zone coordinators: the lower tier of the hierarchical RTI.
+//! The coordinator shell: one [`GrantTable`] with a SOME/IP binding around
+//! it, at every level that has federates.
 //!
-//! A zone owns the NET/LTC/fence state of its local federates and runs
-//! the *same* [`LbtsSolver`](crate::LbtsSolver) the flat RTI runs — over
-//! its members plus one **proxy** node per upstream zone. A proxy stands
-//! in for everything beyond the zone boundary: its `head` is the floor
-//! most recently relayed by the root for that upstream zone, so from the
-//! solver's point of view a remote zone is just one more (never-granted)
-//! federate.
+//! A [`Coordinator`] owns the NET/LTC/fence state of its member federates,
+//! runs the [`LbtsSolver`](crate::LbtsSolver) over them and sends out the
+//! grants each round justifies. Member registration, `connect`, frame
+//! decode, the liveness watchdog, the round itself, the telemetry marks
+//! and the grant send-out exist once, here. What distinguishes a **zone**
+//! of the hierarchy from the flat RTI is an optional [`Uplink`], fixed at
+//! construction:
 //!
-//! Coordination traffic is batched on every hop that can carry more than
-//! one record (see `dear_someip::CoordBatch`):
+//! * **no uplink** — the flat [`Rti`](crate::Rti): federate ids are table
+//!   indices, every entry is a member, nothing is rolled up;
+//! * **an uplink** — a zone of a
+//!   [`HierarchicalRti`](crate::HierarchicalRti): members carry the
+//!   hierarchy's global ids, and behind them the table holds one
+//!   **proxy** entry per upstream zone. A proxy stands in for everything
+//!   beyond the zone boundary: its `head` is the floor most recently
+//!   relayed by the root for that upstream zone, so from the solver's
+//!   point of view a remote zone is just one more (never-granted)
+//!   federate. The zone's own state rolls **up** to the root as one
+//!   `Floor` record — the per-zone floor, `min` over member floors — and
+//!   only when it changed.
 //!
-//! * member grants fan out as **one** frame per recompute on the zone's
-//!   shared member eventgroup (refcounted zero-copy fan-out; members
-//!   filter by federate id);
-//! * the zone's state rolls **up** to the root as one `Floor` record —
-//!   the per-zone floor, `min` over member floors — and only when it
-//!   changed;
-//! * the root's relayed upstream-zone floors fan **down** as one frame
-//!   per zone.
+//! The one protocol difference left between the two is how grants travel
+//! (`send_grants`): the flat level sends one single-record frame per
+//! grant on the federate's own eventgroup, a zone **one** batched frame
+//! per round on its shared member eventgroup (refcounted zero-copy
+//! fan-out; members filter by federate id — see `dear_someip::CoordBatch`).
 //!
-//! Liveness is scoped per shard: the zone watches its own members (a
+//! Liveness is scoped per shard: a coordinator watches its own members (a
 //! silent member is declared dead and the zone floor rises past it), and
 //! the root watches whole zones via the uplink heartbeat.
 
-use crate::rti::{Applied, FederateEntry, FederationError, GrantTable, RtiStats, MAX_FEDERATES};
+use crate::rti::{
+    receive_frame, Applied, FederateEntry, FederationError, Grant, GrantTable, Shell, MAX_FEDERATES,
+};
 use crate::solver::{node_floor, TAG_MAX};
 use dear_core::Tag;
+use dear_observe::Lane;
 use dear_sim::{NetworkHandle, NodeId, Simulation};
 use dear_someip::{
-    visit_control_records, Binding, CoordBatch, CoordKind, CoordMsg, SdRegistry, ServiceInstance,
-    COORD_EVENT, COORD_METHOD, COORD_SERVICE,
+    coord_eventgroup, Binding, CoordBatch, CoordKind, CoordMsg, SdRegistry, ServiceInstance,
+    COORD_EVENT, COORD_INSTANCE, COORD_METHOD, COORD_SERVICE,
 };
 use dear_time::Duration;
 use dear_transactors::tag_to_wire;
@@ -84,23 +95,16 @@ pub fn zone_uplink_eventgroup(zone: ZoneId) -> u16 {
     ZONE_UPLINK_EVENTGROUP_BASE + zone.0
 }
 
-struct ZoneInner {
+/// A coordinator's place in a hierarchy — everything that makes it a
+/// *zone*. The flat RTI has none.
+struct Uplink {
     zone: ZoneId,
-    binding: Binding,
-    /// Members first (graph index = registration order), proxies after.
-    /// Proxies are plain entries that never connect, so the shared grant
-    /// passes skip them by construction.
-    table: GrantTable,
-    member_count: usize,
-    /// Graph index → global federate id, for members.
+    /// Table index → global federate id, for members. **Ascending**: the
+    /// hierarchy allocates global ids monotonically and members are
+    /// appended, so the reverse lookup is a binary search.
     member_ids: Vec<u16>,
-    /// Global federate id → graph index.
-    by_global: BTreeMap<u16, usize>,
-    /// Upstream zone id → graph index of its proxy entry.
+    /// Upstream zone id → table index of its proxy entry.
     proxy_index: BTreeMap<u16, usize>,
-    /// Members heard from in the frame being handled (scratch).
-    alive: Vec<u16>,
-    liveness_deadline: Option<Duration>,
     /// Last floor rolled up to the root (roll-ups are change-driven,
     /// plus the unconditional uplink heartbeat).
     last_rollup: Option<Tag>,
@@ -111,107 +115,130 @@ struct ZoneInner {
     exported: bool,
 }
 
-/// One zone coordinator (internal: constructed through
+struct ShellInner {
+    binding: Binding,
+    /// Members first (table index = registration order), proxies after.
+    /// Proxies are plain entries that never connect, so the shared grant
+    /// passes and the watchdog skip them by construction.
+    table: GrantTable,
+    member_count: usize,
+    uplink: Option<Uplink>,
+}
+
+impl ShellInner {
+    /// The uplink of a zone; the hierarchy never asks a flat shell.
+    fn uplink(&mut self) -> &mut Uplink {
+        self.uplink
+            .as_mut()
+            .expect("a zone-only call on a flat RTI")
+    }
+}
+
+/// The one coordinator shell (internal: public as [`Rti`](crate::Rti),
+/// or as a zone behind
 /// [`HierarchicalRti::add_zone`](crate::HierarchicalRti::add_zone)).
 #[derive(Clone)]
-pub(crate) struct ZoneCoordinator(Rc<RefCell<ZoneInner>>);
+pub(crate) struct Coordinator(Rc<RefCell<ShellInner>>);
 
-impl ZoneCoordinator {
+impl Coordinator {
+    /// Creates the shell on `node`, offers the coordination service and
+    /// starts listening. With `zone`, it is that zone of a hierarchy;
+    /// without, the flat RTI.
     pub(crate) fn new(
         sim: &mut Simulation,
         net: &NetworkHandle,
         sd: &SdRegistry,
         node: NodeId,
-        zone: ZoneId,
+        zone: Option<ZoneId>,
     ) -> Self {
-        sim.observe()
-            .set_lane_name(dear_observe::Lane::Zone(zone.0), &zone.to_string());
-        let binding = Binding::new(net, sd, node, 0x0060_u16.wrapping_add(zone.0));
-        let instance = zone_instance(zone);
+        let (client, instance) = match zone {
+            None => (0x0052, COORD_INSTANCE),
+            Some(zone) => (0x0060_u16.wrapping_add(zone.0), zone_instance(zone)),
+        };
+        let binding = Binding::new(net, sd, node, client);
         binding.offer(
             sim,
             ServiceInstance::new(COORD_SERVICE, instance),
             Duration::from_secs(1 << 30),
         );
-        // Relayed floors from the root arrive on the zone's uplink
-        // eventgroup.
-        binding.subscribe(
-            ServiceInstance::new(COORD_SERVICE, COORD_ROOT_INSTANCE),
-            zone_uplink_eventgroup(zone),
-        );
-        let coordinator = ZoneCoordinator(Rc::new(RefCell::new(ZoneInner {
-            zone,
+        let shell = Coordinator(Rc::new(RefCell::new(ShellInner {
             binding: binding.clone(),
             table: GrantTable::new(),
             member_count: 0,
-            member_ids: Vec::new(),
-            by_global: BTreeMap::new(),
-            proxy_index: BTreeMap::new(),
-            alive: Vec::new(),
-            liveness_deadline: None,
-            last_rollup: None,
-            exported: false,
+            uplink: zone.map(|zone| Uplink {
+                zone,
+                member_ids: Vec::new(),
+                proxy_index: BTreeMap::new(),
+                last_rollup: None,
+                exported: false,
+            }),
         })));
-        let hook = coordinator.clone();
+        let hook = shell.clone();
         binding.register_method(COORD_SERVICE, COORD_METHOD, move |sim, req, _responder| {
             hook.on_member_frame(sim, &req.payload);
         });
-        let hook = coordinator.clone();
-        binding.on_event(COORD_SERVICE, COORD_EVENT, move |sim, msg| {
-            hook.on_root_frame(sim, &msg.payload);
-        });
-        coordinator
+        if let Some(zone) = zone {
+            // Relayed floors from the root arrive on the zone's uplink
+            // eventgroup.
+            binding.subscribe(
+                ServiceInstance::new(COORD_SERVICE, COORD_ROOT_INSTANCE),
+                zone_uplink_eventgroup(zone),
+            );
+            let hook = shell.clone();
+            binding.on_event(COORD_SERVICE, COORD_EVENT, move |sim, msg| {
+                hook.on_root_frame(sim, &msg.payload);
+            });
+        }
+        shell
     }
 
-    /// Registers a member (called by the hierarchy with the global
-    /// federate id it allocated). Returns the member's graph index.
+    /// Registers a member and returns its table index. A zone is handed
+    /// the `global` federate id the hierarchy allocated; a flat shell's
+    /// ids are its table indices.
     pub(crate) fn register_member(
         &self,
-        global: u16,
+        global: Option<u16>,
         name: &str,
-        node: NodeId,
         external: bool,
     ) -> Result<usize, FederationError> {
         let mut inner = self.0.borrow_mut();
-        if inner.member_count >= MAX_FEDERATES {
+        let ShellInner {
+            table,
+            member_count,
+            uplink,
+            ..
+        } = &mut *inner;
+        if *member_count >= MAX_FEDERATES {
             return Err(FederationError::Full {
                 limit: MAX_FEDERATES,
             });
         }
-        // Members precede proxies in the graph index space; inserting a
-        // member after proxies exist shifts every proxy index up by one.
-        let index = inner.member_count;
-        if index < inner.table.entries.len() {
-            for entry in &mut inner.table.entries {
-                for edge in &mut entry.upstream {
-                    if usize::from(edge.0) >= index {
-                        edge.0 += 1;
-                    }
+        // Members precede proxies in the table; inserting a member after
+        // proxies exist shifts every proxy index up by one.
+        let index = *member_count;
+        if index < table.entries.len() {
+            for edge in table.entries.iter_mut().flat_map(|e| &mut e.upstream) {
+                if usize::from(edge.0) >= index {
+                    edge.0 += 1;
                 }
             }
-            for proxy in inner.proxy_index.values_mut() {
+            for proxy in uplink.iter_mut().flat_map(|u| u.proxy_index.values_mut()) {
                 *proxy += 1;
             }
         }
-        let mut entry = FederateEntry::new(name, node, external);
-        // An exported zone's floor is consumed elsewhere: every member's
-        // reports move it, so none may be suppressed as a sink.
-        entry.remote_downstream = inner.exported;
-        inner.table.entries.insert(index, entry);
-        inner.table.solver.invalidate();
-        inner.member_count += 1;
-        inner.member_ids.insert(index, global);
-        inner.by_global.insert(global, index);
-        inner.table.stats.federates += 1;
+        let mut entry = FederateEntry::new(name, external);
+        if let (Some(uplink), Some(global)) = (uplink.as_mut(), global) {
+            // An exported zone's floor is consumed elsewhere: every
+            // member's reports move it, so none may be suppressed as a sink.
+            entry.remote_downstream = uplink.exported;
+            debug_assert!(uplink.member_ids.last().is_none_or(|&last| last < global));
+            uplink.member_ids.push(global);
+        }
+        table.entries.insert(index, entry);
+        table.solver.invalidate();
+        table.stats.federates += 1;
+        *member_count += 1;
         Ok(index)
-    }
-
-    /// Declares an intra-zone edge between member graph indices.
-    pub(crate) fn connect_local(&self, upstream: usize, downstream: usize, min_delay: Duration) {
-        self.0
-            .borrow_mut()
-            .table
-            .connect(upstream, downstream, min_delay);
     }
 
     /// Marks this zone as exported (another zone imports from it): every
@@ -221,18 +248,13 @@ impl ZoneCoordinator {
     /// floor, must keep reporting.
     pub(crate) fn mark_exported(&self) {
         let mut inner = self.0.borrow_mut();
-        inner.exported = true;
+        inner.uplink().exported = true;
         let members = inner.member_count;
         for entry in inner.table.entries.iter_mut().take(members) {
             entry.remote_downstream = true;
         }
         // Sink classification changed: every member's DNET state is due.
         inner.table.solver.invalidate();
-    }
-
-    /// Propagates the hierarchy-wide control-plane diet switch.
-    pub(crate) fn set_control_diet(&self, diet: bool) {
-        self.0.borrow_mut().table.set_control_diet(diet);
     }
 
     /// Declares an edge from a remote zone into local member `downstream`,
@@ -244,253 +266,132 @@ impl ZoneCoordinator {
         min_delay: Duration,
     ) {
         let mut inner = self.0.borrow_mut();
-        let proxy = match inner.proxy_index.get(&upstream_zone.0) {
+        let proxy = match inner.uplink().proxy_index.get(&upstream_zone.0) {
             Some(&p) => p,
             None => {
                 // A proxy's head is the floor the root most recently
                 // relayed for that zone; origin until the first relay
                 // ("unknown, assume anything"), exactly like a federate
                 // that has not reported yet.
-                let node = inner.binding.node();
                 let p = inner
                     .table
-                    .register(&format!("proxy:{upstream_zone}"), node, false);
-                inner.proxy_index.insert(upstream_zone.0, p);
+                    .register(&format!("proxy:{upstream_zone}"), false);
+                inner.uplink().proxy_index.insert(upstream_zone.0, p);
                 p
             }
         };
         inner.table.connect(proxy, downstream, min_delay);
     }
 
-    pub(crate) fn member_name(&self, index: usize) -> String {
-        self.0.borrow().table.entries[index].name.clone()
-    }
-
-    pub(crate) fn stats(&self) -> RtiStats {
-        self.0.borrow().table.stats
-    }
-
-    /// Enables the per-member liveness watchdog (see
-    /// [`Rti::enable_liveness`](crate::Rti::enable_liveness) — identical
-    /// semantics, scoped to this shard).
-    pub(crate) fn enable_member_liveness(&self, deadline: Duration) {
-        assert!(deadline > Duration::ZERO, "deadline must be positive");
-        self.0.borrow_mut().liveness_deadline = Some(deadline);
-    }
-
-    /// Starts the unconditional uplink heartbeat: every `interval` the
-    /// zone re-sends its current floor to the root, change or not. This
-    /// is what the root's zone watchdog listens for.
-    pub(crate) fn enable_uplink_heartbeat(&self, sim: &mut Simulation, interval: Duration) {
-        assert!(interval > Duration::ZERO, "interval must be positive");
+    /// Keeps the unconditional uplink heartbeat going: every `interval`
+    /// the zone re-sends its current floor to the root, change or not.
+    /// This is what the root's zone watchdog listens for. A zone that has
+    /// rolled nothing up yet is alive all the same: it repeats the floor
+    /// the root already assumes for it.
+    pub(crate) fn uplink_heartbeat(&self, sim: &mut Simulation, interval: Duration) {
         let zone = self.clone();
-        sim.schedule_in(interval, move |sim| zone.heartbeat_tick(sim, interval));
-    }
-
-    fn heartbeat_tick(&self, sim: &mut Simulation, interval: Duration) {
-        let floor = self.0.borrow().last_rollup;
-        if let Some(floor) = floor {
-            self.send_rollup(sim, floor, false);
-        }
-        let zone = self.clone();
-        sim.schedule_in(interval, move |sim| zone.heartbeat_tick(sim, interval));
+        sim.schedule_in(interval, move |sim| {
+            let floor = zone.0.borrow_mut().uplink().last_rollup;
+            zone.send_rollup(sim, floor.unwrap_or(Tag::ORIGIN), false);
+            zone.uplink_heartbeat(sim, interval);
+        });
     }
 
     /// Handles one control frame from a member: a single record or a
-    /// batch (LTC + NET packed by the platform). The zone recomputes
-    /// once per *frame*, which is exactly the batching win — N records
-    /// no longer trigger N fixpoints and N grant fan-outs.
+    /// batch (LTC + NET packed by the platform).
     fn on_member_frame(&self, sim: &mut Simulation, payload: &[u8]) {
         {
             let mut inner = self.0.borrow_mut();
-            let ZoneInner {
+            let ShellInner {
                 table,
-                by_global,
-                alive,
+                member_count,
+                uplink,
                 ..
             } = &mut *inner;
-            let apply = |msg: &CoordMsg| {
-                let Some(&index) = by_global.get(&msg.federate) else {
-                    return;
-                };
-                if table.control(index, msg) != Applied::Ignored && !alive.contains(&(index as u16))
-                {
-                    alive.push(index as u16);
-                }
-            };
-            if visit_control_records(payload, apply).is_err() {
+            let heard = receive_frame(self, sim, table, payload, |table, msg| {
+                let index = match uplink {
+                    None => Some(usize::from(msg.federate)).filter(|&i| i < *member_count),
+                    Some(uplink) => uplink.member_ids.binary_search(&msg.federate).ok(),
+                }?;
+                (table.control(index, msg) != Applied::Ignored).then_some(index)
+            });
+            if !heard {
                 return;
             }
-            if inner.alive.is_empty() {
-                return;
-            }
-            for &index in &inner.alive {
-                self.arm_liveness(sim, &inner, usize::from(index));
-            }
-            inner.alive.clear();
         }
         self.recompute(sim);
     }
 
-    /// Handles a relayed-floor frame from the root: each `Floor` record
-    /// names an upstream zone and raises its proxy's head, and each
-    /// `Rejoin` record carries the one legitimate *retreat* — an upstream
-    /// zone's floor fell back because a crashed member replayed its
-    /// durable log and rejoined below the bound its death had released.
+    /// Handles a relayed-floor frame from the root: each record names an
+    /// upstream zone and moves its proxy's head (see
+    /// [`FederateEntry::apply_floor`]).
     fn on_root_frame(&self, sim: &mut Simulation, payload: &[u8]) {
-        let changed = {
+        {
             let mut inner = self.0.borrow_mut();
-            let mut changed = false;
-            let apply = |inner: &mut ZoneInner, msg: &CoordMsg| {
-                let retreat = msg.kind == CoordKind::Rejoin;
-                if msg.kind != CoordKind::Floor && !retreat {
-                    return false;
+            let ShellInner { table, uplink, .. } = &mut *inner;
+            let proxies = uplink.as_ref().map(|uplink| &uplink.proxy_index);
+            let changed = receive_frame(self, sim, table, payload, |table, msg| {
+                let &proxy = proxies?.get(&msg.federate)?;
+                if table.relay(proxy, msg) != Applied::Moved {
+                    return None;
                 }
-                let Some(&proxy) = inner.proxy_index.get(&msg.federate) else {
-                    return false;
-                };
-                let relayed = dear_transactors::wire_to_tag(msg.tag);
-                let head = inner.table.entries[proxy].head;
-                if relayed > head || (retreat && relayed < head) {
-                    inner.table.entries[proxy].head = relayed;
-                    inner.table.mark_dirty(proxy);
-                    inner.table.stats.floor_records += 1;
-                    true
-                } else {
-                    false
-                }
-            };
-            // A malformed frame applies nothing, so `changed` stays false.
-            let _ = visit_control_records(payload, |msg| changed |= apply(&mut inner, msg));
-            changed
-        };
-        if changed {
-            self.recompute(sim);
-        }
-    }
-
-    /// Arms (or supersedes) the liveness check of member `index` (see
-    /// `Rti::arm_liveness`).
-    fn arm_liveness(&self, sim: &mut Simulation, inner: &ZoneInner, index: usize) {
-        let Some(deadline) = inner.liveness_deadline else {
-            return;
-        };
-        let entry = &inner.table.entries[index];
-        if !entry.connected || entry.released() {
-            return;
-        }
-        let (zone, generation) = (self.clone(), entry.liveness_gen);
-        sim.schedule_in(deadline, move |sim| {
-            zone.on_liveness_check(sim, index, generation);
-        });
-    }
-
-    fn on_liveness_check(&self, sim: &mut Simulation, index: usize, generation: u64) {
-        let traced = {
-            let mut inner = self.0.borrow_mut();
-            let Some(entry) = inner.table.entries.get_mut(index) else {
+                table.stats.floor_records += 1;
+                Some(proxy)
+            });
+            if !changed {
                 return;
-            };
-            if entry.liveness_gen != generation || entry.released() {
-                return; // superseded, or no longer eligible
             }
-            entry.dead = true;
-            let name = entry.name.clone();
-            inner.table.mark_dirty(index);
-            inner.table.stats.deaths += 1;
-            (inner.zone, inner.member_ids[index], name)
-        };
-        let (zone, global, name) = traced;
-        sim.trace_with("rti", || {
-            format!("{zone}: federate fed{global} ({name}) declared dead; releasing its LBTS bound")
-        });
+        }
         self.recompute(sim);
     }
 
-    /// Brings the zone-local LBTS up to date with the dirty entries, fans
-    /// grants out as one batched frame, and rolls the zone floor up to the
+    /// The members' round, at every level: brings the LBTS of everything
+    /// downstream of the dirty entries up to date, sends out the newly
+    /// justified grants, and — in a zone — rolls the zone floor up to the
     /// root when it changed.
     fn recompute(&self, sim: &mut Simulation) {
         let (grants, rollup, binding, zone) = {
             let mut inner = self.0.borrow_mut();
-            let ZoneInner {
-                zone,
+            let ShellInner {
                 binding,
                 table,
                 member_count,
-                member_ids,
-                last_rollup,
-                ..
+                uplink,
             } = &mut *inner;
-            let grantable = *member_count;
-            let mut grants = table.round(grantable);
-            // The zone floor: what this zone as a whole promises the rest
-            // of the federation. `min` over member floors; proxies are
-            // the other zones' business. No floor moves in a round that
-            // affected nothing.
-            let mut rollup = None;
-            if grantable > 0 && !table.solver.affected().is_empty() {
-                let lbts = table.solver.lbts();
-                let mut floor = TAG_MAX;
-                for (entry, &lbts) in table.entries.iter().zip(lbts).take(grantable) {
-                    floor = floor.min(node_floor(&entry.view(), lbts));
+            // Sent with the table unborrowed; the buffer goes back below.
+            let mut grants = table.round(*member_count);
+            let rollup = uplink.as_mut().and_then(|uplink| {
+                // Grants leave a zone addressed by global federate id.
+                for grant in &mut grants {
+                    grant.0 = uplink.member_ids[usize::from(grant.0)];
                 }
-                // Roll-ups are change-driven in *both* directions: a floor
-                // that fell back below the last roll-up means a dead member
-                // rejoined, and must travel as a `Rejoin`-kind record so the
-                // root applies the retreat its monotone `Floor` path rejects.
-                if *last_rollup != Some(floor) {
-                    let retreat = last_rollup.is_some_and(|prev| floor < prev);
-                    *last_rollup = Some(floor);
-                    rollup = Some((floor, retreat));
-                }
-            }
-            // Grants leave the zone addressed by global federate id. Sent
-            // with the table unborrowed; the buffer goes back below.
-            for grant in &mut grants {
-                grant.0 = member_ids[usize::from(grant.0)];
-            }
-            (grants, rollup, binding.clone(), *zone)
+                uplink.roll_up(table, *member_count)
+            });
+            let zone = uplink.as_ref().map(|uplink| uplink.zone);
+            (grants, rollup, binding.clone(), zone)
         };
         let observe = sim.observe();
         if observe.is_enabled() {
             let now = sim.now();
-            observe.count("coord/fixpoint/zone", 1);
+            let (fixpoint, lane) = match zone {
+                None => ("coord/fixpoint/flat", Lane::Root),
+                Some(zone) => ("coord/fixpoint/zone", Lane::Zone(zone.0)),
+            };
+            observe.count(fixpoint, 1);
             observe.record_value("coord/grants_per_round", grants.len() as u64);
-            observe.instant(dear_observe::Lane::Zone(zone.0), "fixpoint", now);
+            observe.instant(lane, "fixpoint", now);
             // The zone-level coordination lag: how far the floor this
             // round promised to the rest of the federation trails the
             // true time at which it was computed.
-            if let Some((floor, _)) = rollup {
-                if floor < TAG_MAX {
-                    observe.record_duration("coord/zone_floor_lag_ns", now - floor.time);
-                }
+            if let Some((floor, _)) = rollup.filter(|&(floor, _)| floor < TAG_MAX) {
+                observe.record_duration("coord/zone_floor_lag_ns", now - floor.time);
             }
         }
 
-        if !grants.is_empty() {
-            let mut batch = CoordBatch::pooled(&binding.pool());
-            for &(global, kind, tag, fence) in &grants {
-                batch.push(&CoordMsg {
-                    kind,
-                    federate: global,
-                    tag: tag_to_wire(tag),
-                    fence,
-                });
-            }
-            sim.observe()
-                .record_value("coord/batch_size", batch.len() as u64);
-            binding.notify(
-                sim,
-                ServiceInstance::new(COORD_SERVICE, zone_instance(zone)),
-                ZONE_MEMBER_EVENTGROUP,
-                COORD_EVENT,
-                batch.freeze(),
-            );
-        }
+        let batches = send_grants(sim, &binding, zone, &grants);
         {
             let mut inner = self.0.borrow_mut();
-            inner.table.stats.batches_sent += u64::from(!grants.is_empty());
+            inner.table.stats.batches_sent += batches;
             inner.table.recycle(grants);
         }
         if let Some((floor, retreat)) = rollup {
@@ -498,22 +399,14 @@ impl ZoneCoordinator {
         }
     }
 
-    /// Sends the zone floor to the root as a one-record batch frame. A
-    /// `retreat` roll-up (floor below the previous one — a member
-    /// rejoined) travels as a `Rejoin`-kind record, the only record the
-    /// root applies non-monotonically.
+    /// Sends the zone floor to the root as a one-record batch frame.
     fn send_rollup(&self, sim: &mut Simulation, floor: Tag, retreat: bool) {
         let (binding, zone) = {
-            let inner = self.0.borrow();
-            (inner.binding.clone(), inner.zone)
-        };
-        let kind = if retreat {
-            CoordKind::Rejoin
-        } else {
-            CoordKind::Floor
+            let mut inner = self.0.borrow_mut();
+            (inner.binding.clone(), inner.uplink().zone)
         };
         let mut batch = CoordBatch::pooled(&binding.pool());
-        batch.push(&CoordMsg::new(kind, zone.0, tag_to_wire(floor)));
+        batch.push(&floor_record(zone.0, floor, retreat));
         if binding
             .call_no_return(
                 sim,
@@ -529,4 +422,110 @@ impl ZoneCoordinator {
             inner.table.stats.batches_sent += 1;
         }
     }
+}
+
+impl Uplink {
+    /// The zone floor after a round, if it is due at the root: what this
+    /// zone as a whole promises the rest of the federation. `min` over
+    /// member floors; proxies are the other zones' business. No floor
+    /// moves in a round that affected nothing. Returns `(floor, retreat)`.
+    fn roll_up(&mut self, table: &GrantTable, members: usize) -> Option<(Tag, bool)> {
+        if members == 0 || table.solver.affected().is_empty() {
+            return None;
+        }
+        let lbts = table.solver.lbts();
+        let mut floor = TAG_MAX;
+        for (entry, &lbts) in table.entries.iter().zip(lbts).take(members) {
+            floor = floor.min(node_floor(&entry.view(), lbts));
+        }
+        // Roll-ups are change-driven in *both* directions: a floor that
+        // fell back below the last roll-up means a dead member rejoined.
+        if self.last_rollup == Some(floor) {
+            return None;
+        }
+        let retreat = self
+            .last_rollup
+            .replace(floor)
+            .is_some_and(|prev| floor < prev);
+        Some((floor, retreat))
+    }
+}
+
+impl Shell for Coordinator {
+    fn with_table<R>(&self, f: impl FnOnce(&mut GrantTable) -> R) -> R {
+        f(&mut self.0.borrow_mut().table)
+    }
+
+    fn declared_dead(&self, sim: &mut Simulation, index: usize) {
+        sim.trace_with("rti", || {
+            let inner = self.0.borrow();
+            let name = &inner.table.entries[index].name;
+            let (zone, fed) = match &inner.uplink {
+                None => (String::new(), index as u16),
+                Some(uplink) => (format!("{}: ", uplink.zone), uplink.member_ids[index]),
+            };
+            format!("{zone}federate fed{fed} ({name}) declared dead; releasing its LBTS bound")
+        });
+        self.recompute(sim);
+    }
+}
+
+/// One coordinator → coordinator floor record about zone `zone`. A
+/// `retreat` (a floor below the one last sent — a member rejoined)
+/// travels as a `Rejoin`-kind record, the only one
+/// [`FederateEntry::apply_floor`] applies non-monotonically.
+pub(crate) fn floor_record(zone: u16, floor: Tag, retreat: bool) -> CoordMsg {
+    let kind = if retreat {
+        CoordKind::Rejoin
+    } else {
+        CoordKind::Floor
+    };
+    CoordMsg::new(kind, zone, tag_to_wire(floor))
+}
+
+/// Sends one round's grants to the members — the one piece of protocol
+/// that still depends on the level. The flat RTI sends a single-record
+/// frame per grant on the federate's own eventgroup; a zone fans all of
+/// them out as one batched frame on its shared member eventgroup.
+/// Returns the number of batch frames sent.
+fn send_grants(
+    sim: &mut Simulation,
+    binding: &Binding,
+    zone: Option<ZoneId>,
+    grants: &[Grant],
+) -> u64 {
+    if grants.is_empty() {
+        return 0;
+    }
+    let pool = binding.pool();
+    let record = |&(federate, kind, tag, fence): &Grant| CoordMsg {
+        kind,
+        federate,
+        tag: tag_to_wire(tag),
+        fence,
+    };
+    let Some(zone) = zone else {
+        for grant in grants {
+            binding.notify(
+                sim,
+                ServiceInstance::new(COORD_SERVICE, COORD_INSTANCE),
+                coord_eventgroup(grant.0),
+                COORD_EVENT,
+                record(grant).encode_into(&pool),
+            );
+        }
+        return 0;
+    };
+    let mut batch = CoordBatch::pooled(&pool);
+    grants.iter().for_each(|grant| batch.push(&record(grant)));
+    sim.observe()
+        .record_value("coord/batch_size", batch.len() as u64);
+    binding.notify(
+        sim,
+        ServiceInstance::new(COORD_SERVICE, zone_instance(zone)),
+        ZONE_MEMBER_EVENTGROUP,
+        COORD_EVENT,
+        batch.freeze(),
+    );
+    1
 }

@@ -500,6 +500,126 @@ fn grant_echoes_do_not_disarm_the_liveness_watchdog() {
     );
 }
 
+/// Malformed control payloads — a truncated single record, a truncated
+/// batch, random bytes — at each of the four receivers (the flat RTI's
+/// method, a zone's member method, a zone's uplink event, the root's
+/// roll-up method): nothing panics, every drop is counted in
+/// `frames_rejected` and in nothing else, no grant, roll-up or relay goes
+/// out in response, and the watchdogs armed before still fire on schedule
+/// — a rejected frame is not a sign of life.
+#[test]
+fn garbage_control_frames_move_nothing() {
+    use dear_federation::{
+        zone_instance, zone_uplink_eventgroup, HierarchicalRti, RtiStats, COORD_ROOT_INSTANCE,
+    };
+    use dear_someip::{
+        CoordBatch, CoordKind, CoordMsg, FrameBuf, COORD_EVENT, COORD_INSTANCE, COORD_METHOD,
+        COORD_SERVICE, TAG_NEVER,
+    };
+
+    let deadline = Duration::from_millis(50);
+    let mut sim = Simulation::new(3);
+    sim.enable_tracing();
+    let net = NetworkHandle::new(
+        LinkConfig::ideal(Duration::from_micros(100)),
+        sim.fork_rng("net"),
+    );
+    let sd = SdRegistry::new();
+    // Nodes: 0 = flat RTI, 1 = root, 2 and 3 = zones 0 and 1, 9 = the
+    // probe that plays every sender.
+    let rti = Rti::new(&mut sim, &net, &sd, NodeId(0));
+    rti.enable_liveness(deadline);
+    let hier = HierarchicalRti::new(&mut sim, &net, &sd, NodeId(1));
+    let zone0 = hier.add_zone(&mut sim, &net, &sd, NodeId(2));
+    let zone1 = hier.add_zone(&mut sim, &net, &sd, NodeId(3));
+    hier.enable_liveness(&mut sim, deadline);
+    let fed = rti.register("fed", NodeId(9), false).unwrap();
+    let m0 = hier.register(zone0, "m0", NodeId(9), false).unwrap();
+    let m1 = hier.register(zone1, "m1", NodeId(9), false).unwrap();
+    // Zone 0 imports from zone 1, so it holds a proxy a relay could move.
+    hier.connect(m1, m0, Duration::from_millis(1));
+    // Zone 1 never reaches the root: the zone watchdog armed when
+    // liveness went on is due at exactly `deadline`.
+    let mut faults = dear_sim::FaultPlan::new();
+    faults.kill_link(Instant::EPOCH, NodeId(3), NodeId(1));
+    faults.apply(&mut sim, &net);
+
+    let probe = Binding::new(&net, &sd, NodeId(9), 0x19);
+    let call = |sim: &mut Simulation, instance: u16, payload: FrameBuf| {
+        probe
+            .call_no_return(sim, COORD_SERVICE, instance, COORD_METHOD, payload)
+            .unwrap();
+    };
+    // `fed` and `m0` join — arming their watchdogs when the Join lands,
+    // one link latency in — and are never heard from again.
+    for (instance, id) in [(COORD_INSTANCE, fed.0), (zone_instance(zone0), m0.0)] {
+        let join = CoordMsg::new(CoordKind::Join, id, TAG_NEVER);
+        call(&mut sim, instance, join.encode_into(&probe.pool()));
+    }
+    sim.run_until(Instant::from_millis(20));
+
+    let snapshot = |net: &NetworkHandle| {
+        let levels = [rti.stats(), hier.zone_stats(zone0), hier.root_stats()];
+        (levels, net.stats().sent)
+    };
+    let (before, sent_before) = snapshot(&net);
+
+    // Well-formed frames, each one byte short, and seven random bytes (no
+    // record and no batch is that short).
+    let next = tag_to_wire(Tag::at(Instant::from_millis(30)));
+    let mut record = CoordMsg::net(fed.0, next, next).encode();
+    record.pop();
+    let mut batch = CoordBatch::pooled(&probe.pool());
+    batch.push(&CoordMsg::new(CoordKind::Ltc, m0.0, next));
+    batch.push(&CoordMsg::new(CoordKind::Floor, zone1.0, next));
+    let mut batch = batch.freeze().to_vec();
+    batch.pop();
+    let mut rng = sim.fork_rng("garbage");
+    let random: Vec<u8> = (0..7).map(|_| rng.next_u64() as u8).collect();
+    for garbage in [record, batch, random] {
+        for instance in [COORD_INSTANCE, zone_instance(zone0), COORD_ROOT_INSTANCE] {
+            call(&mut sim, instance, garbage.clone().into());
+        }
+        probe.notify(
+            &mut sim,
+            dear_someip::ServiceInstance::new(COORD_SERVICE, COORD_ROOT_INSTANCE),
+            zone_uplink_eventgroup(zone0),
+            COORD_EVENT,
+            garbage,
+        );
+    }
+    sim.run_until(Instant::from_millis(21));
+
+    let (after, sent_after) = snapshot(&net);
+    // The zone has two receivers, the other levels one.
+    let rejected = [3, 6, 3];
+    for ((before, after), rejected) in before.into_iter().zip(after).zip(rejected) {
+        assert_eq!(after.frames_rejected, before.frames_rejected + rejected);
+        let elsewhere = RtiStats {
+            frames_rejected: before.frames_rejected,
+            ..after
+        };
+        assert_eq!(elsewhere, before, "no other counter may move");
+    }
+    assert_eq!(
+        sent_after - sent_before,
+        12,
+        "only the garbage itself crossed the network"
+    );
+
+    sim.run_until(Instant::from_secs(1));
+    let deaths: Vec<Instant> = sim.trace_log().events_in("rti").map(|e| e.at).collect();
+    let on_join = Instant::from_micros(100) + deadline;
+    assert_eq!(
+        deaths,
+        [Instant::EPOCH + deadline, on_join, on_join],
+        "zone 1 at the root, then the two silent members: {}",
+        rti.stats()
+    );
+    let levels = [rti.stats(), hier.zone_stats(zone0), hier.root_stats()];
+    assert_eq!(levels.map(|stats| stats.deaths), [1, 1, 1]);
+}
+
 /// Without an RTI grant the consumer must sit on its pending event
 /// forever — the runtime's bound gating is what enforces "never process
 /// beyond the last granted bound".

@@ -3,25 +3,33 @@
 //! buffer — allocates **nothing**, however many federates the table
 //! holds.
 //!
-//! Drives the table the flat RTI and the zones share (`GrantTable`)
+//! Drives the table every coordinator level runs (`GrantTable`)
 //! directly, without a simulation: frames, calendar events and the
 //! platforms' own work are other layers' budgets. The world is the
 //! benchmark's `fleet_flat` shape: 40 chains of 10, the tail of chain 0
 //! leading every other chain's head.
 //!
-//! One test function: the counter is process-global, and the test
-//! harness runs functions on parallel threads.
+//! The counter is per thread, so what the test harness allocates on its
+//! own threads meanwhile is not the coordinator's.
 
 use dear_core::Tag;
 use dear_federation::GrantTable;
-use dear_sim::NodeId;
 use dear_someip::{CoordKind, CoordMsg, WireTag, TAG_NEVER};
 use dear_time::{Duration, Instant};
 use dear_transactors::tag_to_wire;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread: the harness's own threads may
+    /// allocate while the test measures, and must not be counted.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 struct CountingAllocator;
 
@@ -29,7 +37,7 @@ struct CountingAllocator;
 // returned memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -38,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -81,7 +89,7 @@ fn steady_state_rounds_allocate_nothing() {
         let mut table = GrantTable::new();
         table.set_control_diet(diet);
         for f in 0..FEDERATES {
-            table.register(&format!("f{f}"), NodeId(1), false);
+            table.register(&format!("f{f}"), false);
         }
         let edge = Duration::from_millis(1);
         for chain in 0..CHAINS {
@@ -109,7 +117,7 @@ fn steady_state_rounds_allocate_nothing() {
             ms += PERIOD_MS;
         }
 
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = ALLOCATIONS.with(Cell::get);
         let mut rounds = 0;
         let mut issued = 0;
         while rounds < 10_000 {
@@ -117,7 +125,7 @@ fn steady_state_rounds_allocate_nothing() {
             ms += PERIOD_MS;
             rounds += 2 * FEDERATES;
         }
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let allocations = ALLOCATIONS.with(Cell::get) - before;
         // The rounds did real work: about one TAG per federate and period
         // (two rounds), or per eight periods under the diet's windows.
         assert!(

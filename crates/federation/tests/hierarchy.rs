@@ -340,6 +340,134 @@ proptest! {
     }
 }
 
+/// A cross-zone pipeline — a producer in zone 1 emitting five payloads on
+/// a 10 ms timer, a consumer in zone 0 — whose zone 1 → root uplink is
+/// severed at `cut_at`. Returns `(zone deaths at the root, member deaths
+/// in the zones, payloads the consumer saw, "rti" trace events)`.
+fn run_with_severed_uplink(enable_liveness: bool, cut_at: Instant) -> (u64, u64, usize, usize) {
+    let deadline = Duration::from_millis(2);
+    let cfg = DearConfig::new(Duration::from_millis(1), Duration::ZERO);
+    let edge_delay = deadline + cfg.stp_offset();
+
+    let mut sim = Simulation::new(13);
+    sim.enable_tracing();
+    let net = NetworkHandle::new(
+        LinkConfig::ideal(Duration::from_micros(100)),
+        sim.fork_rng("net"),
+    );
+    let sd = SdRegistry::new();
+    let hier = HierarchicalRti::new(&mut sim, &net, &sd, NodeId(0));
+    let zone0 = hier.add_zone(&mut sim, &net, &sd, NodeId(1));
+    let zone1 = hier.add_zone(&mut sim, &net, &sd, NodeId(2));
+    if enable_liveness {
+        hier.enable_liveness(&mut sim, Duration::from_millis(50));
+    }
+
+    // Producer in zone 1: emits 5 payloads on a 10ms timer.
+    let producer = {
+        let outbox = Outbox::new();
+        let mut b = ProgramBuilder::new();
+        let publish = ServerEventTransactor::declare(&mut b, &outbox, "ping", deadline);
+        {
+            let mut logic = b.reactor("producer", 0u8);
+            let out = logic.output::<dear_someip::FrameBuf>("out");
+            let t = logic.timer(
+                "emit",
+                Duration::from_millis(10),
+                Some(Duration::from_millis(10)),
+            );
+            logic
+                .reaction("emit")
+                .triggered_by(t)
+                .effects(out)
+                .body(move |n: &mut u8, ctx| {
+                    *n += 1;
+                    if *n <= 5 {
+                        ctx.set(out, vec![*n].into());
+                    }
+                });
+            logic.finish();
+            b.connect(out, publish.event).unwrap();
+        }
+        let binding = Binding::new(&net, &sd, NodeId(3), 0x13);
+        binding.offer(
+            &mut sim,
+            ServiceInstance::new(SERVICE_PING, INSTANCE),
+            Duration::from_secs(1 << 20),
+        );
+        let platform = CoordinatedPlatform::new_in_zone(
+            "producer",
+            Runtime::new(b.build().unwrap()),
+            VirtualClock::ideal(),
+            Outbox::clone(&outbox),
+            sim.fork_rng("producer-costs"),
+            &hier,
+            zone1,
+            &binding,
+            false,
+        )
+        .unwrap();
+        publish.bind(&platform, &binding, spec(SERVICE_PING));
+        platform
+    };
+
+    // Consumer in zone 0, fed across the zone boundary.
+    let seen: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+    let consumer = {
+        let outbox = Outbox::new();
+        let mut b = ProgramBuilder::new();
+        let input = ClientEventTransactor::declare(&mut b, "ping");
+        {
+            let mut logic = b.reactor("consumer", ());
+            let sink = seen.clone();
+            logic
+                .reaction("collect")
+                .triggered_by(input.event)
+                .body(move |_, ctx| {
+                    sink.lock().unwrap().push(ctx.get(input.event).unwrap()[0]);
+                });
+            logic.finish();
+        }
+        let binding = Binding::new(&net, &sd, NodeId(4), 0x14);
+        let platform = CoordinatedPlatform::new_in_zone(
+            "consumer",
+            Runtime::new(b.build().unwrap()),
+            VirtualClock::ideal(),
+            Outbox::clone(&outbox),
+            sim.fork_rng("consumer-costs"),
+            &hier,
+            zone0,
+            &binding,
+            false,
+        )
+        .unwrap();
+        input.bind(&platform, &binding, spec(SERVICE_PING), cfg);
+        platform
+    };
+    hier.connect(producer.federate_id(), consumer.federate_id(), edge_delay);
+
+    producer.start(&mut sim);
+    consumer.start(&mut sim);
+    producer.enable_heartbeat(&mut sim, Duration::from_millis(10));
+    consumer.enable_heartbeat(&mut sim, Duration::from_millis(10));
+
+    // Sever zone 1's uplink to the root. The zone itself stays healthy —
+    // its members keep heartbeating and being granted — but its floor
+    // stops reaching the root, so the consumer's proxy for zone 1
+    // freezes.
+    let mut faults = dear_sim::FaultPlan::new();
+    faults.kill_link(cut_at, NodeId(2), NodeId(0));
+    faults.apply(&mut sim, &net);
+
+    sim.run_until(Instant::from_secs(1));
+
+    let zone_deaths = hier.root_stats().deaths;
+    let member_deaths = hier.zone_stats(zone0).deaths + hier.zone_stats(zone1).deaths;
+    let seen = seen.lock().unwrap().len();
+    let traces = sim.trace_log().events_in("rti").count();
+    (zone_deaths, member_deaths, seen, traces)
+}
+
 /// Partition tolerance, scoped per shard: severing one zone's uplink
 /// kills only that zone's floor at the root. The root declares the zone
 /// dead after the liveness deadline, releases its bound, and consumers
@@ -348,129 +476,8 @@ proptest! {
 /// heartbeats throughout and declare nobody dead.
 #[test]
 fn dead_zone_releases_floor_for_sibling_zones() {
-    fn run(enable_liveness: bool) -> (u64, u64, usize, usize) {
-        let deadline = Duration::from_millis(2);
-        let cfg = DearConfig::new(Duration::from_millis(1), Duration::ZERO);
-        let edge_delay = deadline + cfg.stp_offset();
-
-        let mut sim = Simulation::new(13);
-        sim.enable_tracing();
-        let net = NetworkHandle::new(
-            LinkConfig::ideal(Duration::from_micros(100)),
-            sim.fork_rng("net"),
-        );
-        let sd = SdRegistry::new();
-        let hier = HierarchicalRti::new(&mut sim, &net, &sd, NodeId(0));
-        let zone0 = hier.add_zone(&mut sim, &net, &sd, NodeId(1));
-        let zone1 = hier.add_zone(&mut sim, &net, &sd, NodeId(2));
-        if enable_liveness {
-            hier.enable_liveness(&mut sim, Duration::from_millis(50));
-        }
-
-        // Producer in zone 1: emits 5 payloads on a 10ms timer.
-        let producer =
-            {
-                let outbox = Outbox::new();
-                let mut b = ProgramBuilder::new();
-                let publish = ServerEventTransactor::declare(&mut b, &outbox, "ping", deadline);
-                {
-                    let mut logic = b.reactor("producer", 0u8);
-                    let out = logic.output::<dear_someip::FrameBuf>("out");
-                    let t = logic.timer(
-                        "emit",
-                        Duration::from_millis(10),
-                        Some(Duration::from_millis(10)),
-                    );
-                    logic.reaction("emit").triggered_by(t).effects(out).body(
-                        move |n: &mut u8, ctx| {
-                            *n += 1;
-                            if *n <= 5 {
-                                ctx.set(out, vec![*n].into());
-                            }
-                        },
-                    );
-                    logic.finish();
-                    b.connect(out, publish.event).unwrap();
-                }
-                let binding = Binding::new(&net, &sd, NodeId(3), 0x13);
-                binding.offer(
-                    &mut sim,
-                    ServiceInstance::new(SERVICE_PING, INSTANCE),
-                    Duration::from_secs(1 << 20),
-                );
-                let platform = CoordinatedPlatform::new_in_zone(
-                    "producer",
-                    Runtime::new(b.build().unwrap()),
-                    VirtualClock::ideal(),
-                    Outbox::clone(&outbox),
-                    sim.fork_rng("producer-costs"),
-                    &hier,
-                    zone1,
-                    &binding,
-                    false,
-                )
-                .unwrap();
-                publish.bind(&platform, &binding, spec(SERVICE_PING));
-                platform
-            };
-
-        // Consumer in zone 0, fed across the zone boundary.
-        let seen: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        let consumer = {
-            let outbox = Outbox::new();
-            let mut b = ProgramBuilder::new();
-            let input = ClientEventTransactor::declare(&mut b, "ping");
-            {
-                let mut logic = b.reactor("consumer", ());
-                let sink = seen.clone();
-                logic
-                    .reaction("collect")
-                    .triggered_by(input.event)
-                    .body(move |_, ctx| {
-                        sink.lock().unwrap().push(ctx.get(input.event).unwrap()[0]);
-                    });
-                logic.finish();
-            }
-            let binding = Binding::new(&net, &sd, NodeId(4), 0x14);
-            let platform = CoordinatedPlatform::new_in_zone(
-                "consumer",
-                Runtime::new(b.build().unwrap()),
-                VirtualClock::ideal(),
-                Outbox::clone(&outbox),
-                sim.fork_rng("consumer-costs"),
-                &hier,
-                zone0,
-                &binding,
-                false,
-            )
-            .unwrap();
-            input.bind(&platform, &binding, spec(SERVICE_PING), cfg);
-            platform
-        };
-        hier.connect(producer.federate_id(), consumer.federate_id(), edge_delay);
-
-        producer.start(&mut sim);
-        consumer.start(&mut sim);
-        producer.enable_heartbeat(&mut sim, Duration::from_millis(10));
-        consumer.enable_heartbeat(&mut sim, Duration::from_millis(10));
-
-        // Sever zone 1's uplink to the root after the third event. The
-        // zone itself stays healthy — its members keep heartbeating and
-        // being granted — but its floor stops reaching the root, so the
-        // consumer's proxy for zone 1 freezes.
-        let mut faults = dear_sim::FaultPlan::new();
-        faults.kill_link(Instant::from_millis(35), NodeId(2), NodeId(0));
-        faults.apply(&mut sim, &net);
-
-        sim.run_until(Instant::from_secs(1));
-
-        let zone_deaths = hier.root_stats().deaths;
-        let member_deaths = hier.zone_stats(zone0).deaths + hier.zone_stats(zone1).deaths;
-        let seen = seen.lock().unwrap().len();
-        let traces = sim.trace_log().events_in("rti").count();
-        (zone_deaths, member_deaths, seen, traces)
-    }
-
+    // After the third event.
+    let run = |enable_liveness| run_with_severed_uplink(enable_liveness, Instant::from_millis(35));
     let (zone_deaths, member_deaths, seen, traces) = run(true);
     assert_eq!(
         zone_deaths, 1,
@@ -493,4 +500,27 @@ fn dead_zone_releases_floor_for_sibling_zones() {
         seen < 5,
         "without liveness the sibling stalls on the dead zone's frozen floor (saw {seen})"
     );
+}
+
+/// The same partition from t = 0: zone 1 never gets a single roll-up
+/// through, so nothing it *sends* can arm the root's watchdog. The root
+/// watches a zone from the moment liveness is on, declares it dead one
+/// deadline later and releases the consumer — which would otherwise wait
+/// on its proxy's origin head forever, liveness or not.
+#[test]
+fn zone_silent_from_the_start_is_declared_dead() {
+    let run = |enable_liveness| run_with_severed_uplink(enable_liveness, Instant::EPOCH);
+
+    let (zone_deaths, member_deaths, seen, traces) = run(true);
+    assert_eq!(
+        zone_deaths, 1,
+        "a zone that never rolled anything up is declared dead all the same"
+    );
+    assert_eq!(member_deaths, 0, "its members heartbeat throughout");
+    assert_eq!(traces, 1, "the zone death lands in the trace");
+    assert_eq!(seen, 5, "the importing zone drains the data plane");
+
+    let (zone_deaths, _, seen, _) = run(false);
+    assert_eq!(zone_deaths, 0);
+    assert_eq!(seen, 0, "without liveness the importer never gets a bound");
 }
