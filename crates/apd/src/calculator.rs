@@ -20,7 +20,7 @@
 //! [`run_trial`] executes one instance under a given seed;
 //! [`distribution`] reproduces the Figure 1 histogram.
 
-use dear_ara::{SoftwareComponent, SwcConfig};
+use crate::swc::{SoftwareComponent, SwcConfig};
 use dear_sim::{LatencyModel, LinkConfig, NetworkHandle, NodeId, Simulation};
 use dear_someip::{PayloadReader, PayloadWriter, SdRegistry};
 use dear_time::{Duration, Instant};
@@ -28,15 +28,15 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Service id of the calculator.
-pub const CALC_SERVICE: u16 = 0x0C01;
+pub(crate) const CALC_SERVICE: u16 = 0x0C01;
 /// Instance id used by the demo.
-pub const CALC_INSTANCE: u16 = 1;
+pub(crate) const CALC_INSTANCE: u16 = 1;
 /// `set_value(v)` method id.
-pub const METHOD_SET: u16 = 1;
+pub(crate) const METHOD_SET: u16 = 1;
 /// `add(v)` method id.
-pub const METHOD_ADD: u16 = 2;
+pub(crate) const METHOD_ADD: u16 = 2;
 /// `get_value()` method id.
-pub const METHOD_GET: u16 = 3;
+pub(crate) const METHOD_GET: u16 = 3;
 
 /// Configuration of one Figure 1 trial.
 #[derive(Debug, Clone)]

@@ -62,9 +62,9 @@ impl Default for StageDeadlines {
 
 /// How a redundant-provider failover scenario kills its primary.
 ///
-/// The Video Provider runs twice: the primary on
-/// [`nodes::PROVIDER`] offers `(VIDEO, INSTANCE)` at priority 0, a warm
-/// standby on [`nodes::PROVIDER_BACKUP`] offers
+/// The Video Provider runs twice: the primary on node
+/// `PROVIDER` offers `(VIDEO, INSTANCE)` at priority 0, a warm
+/// standby on node `PROVIDER_BACKUP` offers
 /// `(VIDEO, BACKUP_INSTANCE)` at priority 1 and replicates the primary's
 /// frame stream by subscribing to it. The primary crashes right after
 /// sending frame [`primary_dies_after`](Self::primary_dies_after); the
@@ -72,8 +72,6 @@ impl Default for StageDeadlines {
 /// [`FailoverBinding`] re-binds to it — via StopOffer (graceful), TTL
 /// lapse (crash), or heartbeat silence, whichever fires first.
 ///
-/// [`nodes::PROVIDER`]: crate::nondet::nodes::PROVIDER
-/// [`nodes::PROVIDER_BACKUP`]: crate::nondet::nodes::PROVIDER_BACKUP
 /// [`FailoverBinding`]: dear_transactors::FailoverBinding
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RedundancyParams {
@@ -115,11 +113,11 @@ impl Default for RedundancyParams {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FailoverReport {
     /// Tag of the primary's last frame (its death instant).
-    pub primary_died_at: Instant,
+    pub(crate) primary_died_at: Instant,
     /// Tag at which the adapter re-bound to the backup.
     pub rebound_at: Option<Instant>,
     /// Adapter tag of the first frame received from the backup.
-    pub first_backup_frame_at: Option<Instant>,
+    pub(crate) first_backup_frame_at: Option<Instant>,
     /// Primary death → first backup frame at the adapter (the failover
     /// latency the `failover_latency` bench measures).
     pub failover_latency: Option<Duration>,
@@ -175,10 +173,10 @@ impl Default for RecoveryParams {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
     /// True time at which the CV federate was killed.
-    pub crashed_at: Instant,
+    pub(crate) crashed_at: Instant,
     /// True time at which replay completed and the `Rejoin` frame went
     /// out.
-    pub rejoined_at: Instant,
+    pub(crate) rejoined_at: Instant,
     /// Outage duration (`rejoined_at - crashed_at`) — the replay/rejoin
     /// latency the `recovery_latency` bench measures.
     pub outage: Duration,

@@ -6,6 +6,9 @@
 //! composition of two methods and one event — and, on the DEAR side,
 //! "interaction with fields requires the use of one event and two method
 //! transactors" (§III.B).
+//!
+//! Test-only: nothing in the case studies offers a field. The tests show
+//! a stock field serving both a stock proxy and DEAR field transactors.
 
 use crate::future::SimFuture;
 use crate::proxy::{EventBuffer, MethodResult, ServiceProxy};
@@ -13,40 +16,14 @@ use crate::skeleton::ServiceSkeleton;
 use dear_sim::{LatencyModel, Simulation};
 use dear_someip::FrameBuf;
 use dear_time::Duration;
+use dear_transactors::FieldIds;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-/// The wire identifiers making up one field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FieldIds {
-    /// Method id of the getter.
-    pub get_method: u16,
-    /// Method id of the setter.
-    pub set_method: u16,
-    /// Event id of the change notifier.
-    pub notifier_event: u16,
-    /// Eventgroup carrying the notifier.
-    pub eventgroup: u16,
-}
-
-impl FieldIds {
-    /// Conventional layout: getter `base`, setter `base+1`, notifier event
-    /// `0x8000 | base`, eventgroup `base`.
-    #[must_use]
-    pub const fn conventional(base: u16) -> Self {
-        FieldIds {
-            get_method: base,
-            set_method: base + 1,
-            notifier_event: 0x8000 | base,
-            eventgroup: base,
-        }
-    }
-}
-
 /// Server-side field: owns the value, serves get/set, notifies changes.
 #[derive(Clone)]
-pub struct FieldSkeleton {
+struct FieldSkeleton {
     skeleton: ServiceSkeleton,
     ids: FieldIds,
     value: Rc<RefCell<FrameBuf>>,
@@ -66,7 +43,7 @@ impl FieldSkeleton {
     /// handling (dispatched through the component's worker pool like any
     /// other method — fields inherit nondeterminism source 1).
     #[must_use]
-    pub fn provide(
+    fn provide(
         skeleton: &ServiceSkeleton,
         ids: FieldIds,
         initial: impl Into<FrameBuf>,
@@ -96,12 +73,12 @@ impl FieldSkeleton {
 
     /// Reads the current value (server-local access; shares, no copy).
     #[must_use]
-    pub fn value(&self) -> FrameBuf {
+    fn value(&self) -> FrameBuf {
         self.value.borrow().clone()
     }
 
     /// Server-side update: stores and notifies subscribers.
-    pub fn update(&self, sim: &mut Simulation, new_value: impl Into<FrameBuf>) {
+    fn update(&self, sim: &mut Simulation, new_value: impl Into<FrameBuf>) {
         let new_value = new_value.into();
         *self.value.borrow_mut() = new_value.clone();
         self.skeleton
@@ -110,14 +87,14 @@ impl FieldSkeleton {
 
     /// The field's wire identifiers.
     #[must_use]
-    pub fn ids(&self) -> FieldIds {
+    fn ids(&self) -> FieldIds {
         self.ids
     }
 }
 
 /// Client-side field access.
 #[derive(Clone)]
-pub struct FieldProxy {
+struct FieldProxy {
     proxy: ServiceProxy,
     ids: FieldIds,
 }
@@ -131,43 +108,40 @@ impl fmt::Debug for FieldProxy {
 impl FieldProxy {
     /// Wraps a service proxy for field access.
     #[must_use]
-    pub fn new(proxy: ServiceProxy, ids: FieldIds) -> Self {
+    fn new(proxy: ServiceProxy, ids: FieldIds) -> Self {
         FieldProxy { proxy, ids }
     }
 
     /// Calls the field getter.
-    pub fn get(&self, sim: &mut Simulation) -> SimFuture<MethodResult> {
+    fn get(&self, sim: &mut Simulation) -> SimFuture<MethodResult> {
         self.proxy.call(sim, self.ids.get_method, FrameBuf::new())
     }
 
     /// Calls the field setter.
-    pub fn set(&self, sim: &mut Simulation, value: impl Into<FrameBuf>) -> SimFuture<MethodResult> {
+    fn set(&self, sim: &mut Simulation, value: impl Into<FrameBuf>) -> SimFuture<MethodResult> {
         self.proxy.call(sim, self.ids.set_method, value)
     }
 
     /// Subscribes to change notifications into a one-slot buffer.
     #[must_use]
-    pub fn subscribe_updates(&self) -> EventBuffer {
+    fn subscribe_updates(&self) -> EventBuffer {
         self.proxy
             .subscribe_buffered(self.ids.eventgroup, self.ids.notifier_event)
-    }
-
-    /// The field's wire identifiers.
-    #[must_use]
-    pub fn ids(&self) -> FieldIds {
-        self.ids
     }
 }
 
 /// Default TTL used by examples and tests when offering field services.
-pub const DEFAULT_FIELD_TTL: Duration = Duration::from_secs(3600);
+const DEFAULT_FIELD_TTL: Duration = Duration::from_secs(3600);
 
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::swc::{SoftwareComponent, SwcConfig};
-    use dear_sim::{LinkConfig, NetworkHandle, NodeId};
-    use dear_someip::SdRegistry;
+    use dear_core::{ProgramBuilder, Runtime};
+    use dear_sim::{LinkConfig, NetworkHandle, NodeId, VirtualClock};
+    use dear_someip::{Binding, SdRegistry};
+    use dear_time::Instant;
+    use dear_transactors::{DearConfig, FederatedPlatform, FieldClientTransactor, Outbox};
+    use std::sync::{Arc, Mutex};
 
     fn world() -> (Simulation, NetworkHandle, SdRegistry) {
         let sim = Simulation::new(0);
@@ -256,11 +230,121 @@ mod tests {
     }
 
     #[test]
-    fn conventional_ids_layout() {
-        let ids = FieldIds::conventional(0x30);
-        assert_eq!(ids.get_method, 0x30);
-        assert_eq!(ids.set_method, 0x31);
-        assert_eq!(ids.notifier_event, 0x8030);
-        assert_eq!(ids.eventgroup, 0x30);
+    fn ara_field_roundtrip_over_simulated_network() {
+        let mut sim = Simulation::new(5);
+        let net = NetworkHandle::new(
+            LinkConfig::ideal(Duration::from_micros(200)),
+            sim.fork_rng("net"),
+        );
+        let sd = SdRegistry::new();
+        let server = SoftwareComponent::launch(
+            &sim,
+            &net,
+            &sd,
+            SwcConfig::single_threaded("server", NodeId(1), 0x10),
+        );
+        let skel = server.skeleton(&sim, 0x99, 1);
+        let ids = FieldIds::conventional(0x10);
+        let field = FieldSkeleton::provide(
+            &skel,
+            ids,
+            vec![0],
+            LatencyModel::constant(Duration::from_micros(100)),
+        );
+        skel.offer(&mut sim, Duration::from_secs(100));
+
+        let client = SoftwareComponent::launch(
+            &sim,
+            &net,
+            &sd,
+            SwcConfig::single_threaded("client", NodeId(2), 0x20),
+        );
+        let fp = FieldProxy::new(client.proxy(0x99, 1), ids);
+        let updates = fp.subscribe_updates();
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let sink = got.clone();
+        fp.set(&mut sim, vec![42]).then(&mut sim, move |_sim, r| {
+            sink.borrow_mut().push(r.expect("set succeeds").to_vec());
+        });
+        sim.run_to_completion();
+        assert_eq!(*got.borrow(), vec![vec![42]]);
+        assert_eq!(field.value(), vec![42]);
+        assert_eq!(updates.take().map(|f| f.to_vec()), Some(vec![42]));
+    }
+
+    #[test]
+    fn dear_field_transactors_bridge_reactors_to_ara_fields() {
+        // A reactor-based client manipulates a field served by a plain ARA
+        // component — the paper's gradual-migration story.
+        let mut sim = Simulation::new(7);
+        let net = NetworkHandle::new(
+            LinkConfig::ideal(Duration::from_micros(200)),
+            sim.fork_rng("net"),
+        );
+        let sd = SdRegistry::new();
+        let cfg = DearConfig::new(Duration::from_millis(2), Duration::ZERO).accept_untagged();
+        let ids = FieldIds::conventional(0x20);
+        const SERVICE: u16 = 0x77;
+
+        // Plain ARA field server (no tags — legacy component).
+        let server = SoftwareComponent::launch(
+            &sim,
+            &net,
+            &sd,
+            SwcConfig::single_threaded("legacy-server", NodeId(1), 0x10),
+        );
+        let skel = server.skeleton(&sim, SERVICE, 1);
+        let _field = FieldSkeleton::provide(
+            &skel,
+            ids,
+            vec![1],
+            LatencyModel::constant(Duration::from_micros(50)),
+        );
+        skel.offer(&mut sim, Duration::from_secs(100));
+
+        // Reactor-based client through field transactors.
+        let got: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
+        let outbox = Outbox::new();
+        let mut b = ProgramBuilder::new();
+        let fct =
+            FieldClientTransactor::declare(&mut b, &outbox, "speed", Duration::from_millis(1));
+        {
+            let mut logic = b.reactor("client_logic", ());
+            let set_req = logic.output::<FrameBuf>("set");
+            let t = logic.timer("fire", Duration::from_millis(5), None);
+            logic
+                .reaction("write_field")
+                .triggered_by(t)
+                .effects(set_req)
+                .body(move |_, ctx| ctx.set(set_req, vec![99].into()));
+            let sink = got.clone();
+            logic
+                .reaction("on_set_reply")
+                .triggered_by(fct.set.response)
+                .body(move |_, ctx| {
+                    sink.lock()
+                        .unwrap()
+                        .push(ctx.get(fct.set.response).unwrap().to_vec());
+                });
+            logic.finish();
+            b.connect(set_req, fct.set.request).unwrap();
+        }
+        let platform = FederatedPlatform::new(
+            "client",
+            Runtime::new(b.build().expect("program builds")),
+            VirtualClock::ideal(),
+            outbox,
+            sim.fork_rng("costs"),
+        );
+        let binding = Binding::new(&net, &sd, NodeId(2), 0x20);
+        fct.bind(&platform, &binding, SERVICE, 1, ids, cfg);
+        platform.start(&mut sim);
+
+        sim.run_until(Instant::from_millis(100));
+        assert_eq!(
+            *got.lock().unwrap(),
+            vec![vec![99]],
+            "set reply must reach the reactor client"
+        );
     }
 }

@@ -21,28 +21,7 @@ enum State<T> {
 }
 
 /// The receiving end of a one-shot value.
-///
-/// # Examples
-///
-/// ```
-/// use dear_ara::future;
-/// use dear_sim::Simulation;
-/// use dear_time::Duration;
-/// use std::cell::RefCell;
-/// use std::rc::Rc;
-///
-/// let mut sim = Simulation::new(0);
-/// let (promise, fut) = future::promise::<u32>();
-///
-/// let got = Rc::new(RefCell::new(None));
-/// let sink = got.clone();
-/// fut.then(&mut sim, move |_sim, v| *sink.borrow_mut() = Some(v));
-///
-/// sim.schedule_in(Duration::from_millis(1), move |sim| promise.resolve(sim, 7));
-/// sim.run_to_completion();
-/// assert_eq!(*got.borrow(), Some(7));
-/// ```
-pub struct SimFuture<T>(Rc<RefCell<State<T>>>);
+pub(crate) struct SimFuture<T>(Rc<RefCell<State<T>>>);
 
 impl<T> fmt::Debug for SimFuture<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -56,7 +35,7 @@ impl<T> fmt::Debug for SimFuture<T> {
 }
 
 /// The resolving end of a one-shot value.
-pub struct SimPromise<T>(Rc<RefCell<State<T>>>);
+pub(crate) struct SimPromise<T>(Rc<RefCell<State<T>>>);
 
 impl<T> fmt::Debug for SimPromise<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -66,14 +45,14 @@ impl<T> fmt::Debug for SimPromise<T> {
 
 /// Creates a connected promise/future pair.
 #[must_use]
-pub fn promise<T>() -> (SimPromise<T>, SimFuture<T>) {
+pub(crate) fn promise<T>() -> (SimPromise<T>, SimFuture<T>) {
     let cell = Rc::new(RefCell::new(State::Pending(None)));
     (SimPromise(cell.clone()), SimFuture(cell))
 }
 
 /// Creates an already-resolved future.
 #[must_use]
-pub fn ready<T>(value: T) -> SimFuture<T> {
+pub(crate) fn ready<T>(value: T) -> SimFuture<T> {
     SimFuture(Rc::new(RefCell::new(State::Resolved(Some(value)))))
 }
 
@@ -85,7 +64,7 @@ impl<T: 'static> SimFuture<T> {
     ///
     /// Panics if a continuation was already registered or the value was
     /// already consumed — futures are one-shot.
-    pub fn then(self, sim: &mut Simulation, f: impl FnOnce(&mut Simulation, T) + 'static) {
+    pub(crate) fn then(self, sim: &mut Simulation, f: impl FnOnce(&mut Simulation, T) + 'static) {
         let mut f: Option<Callback<T>> = Some(Box::new(f));
         let immediate = {
             let mut state = self.0.borrow_mut();
@@ -111,7 +90,8 @@ impl<T: 'static> SimFuture<T> {
     /// Returns `true` once the promise has resolved (and the value has not
     /// yet been delivered to a continuation).
     #[must_use]
-    pub fn is_resolved(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_resolved(&self) -> bool {
         matches!(&*self.0.borrow(), State::Resolved(_))
     }
 
@@ -120,7 +100,8 @@ impl<T: 'static> SimFuture<T> {
     /// # Panics
     ///
     /// Panics if the value was already consumed.
-    pub fn try_take(&self) -> Option<T> {
+    #[cfg(test)]
+    pub(crate) fn try_take(&self) -> Option<T> {
         let mut state = self.0.borrow_mut();
         match &mut *state {
             State::Pending(_) => None,
@@ -140,7 +121,7 @@ impl<T: 'static> SimPromise<T> {
     /// # Panics
     ///
     /// Panics if the promise was already resolved.
-    pub fn resolve(self, sim: &mut Simulation, value: T) {
+    pub(crate) fn resolve(self, sim: &mut Simulation, value: T) {
         let cb = {
             let mut state = self.0.borrow_mut();
             match &mut *state {

@@ -13,7 +13,7 @@ use dear_sim::LatencyModel;
 use dear_time::Duration;
 
 /// Distance threshold below which the EBA commands an emergency brake.
-pub const BRAKE_DISTANCE_MM: u32 = 30_000;
+pub(crate) const BRAKE_DISTANCE_MM: u32 = 30_000;
 
 /// Computes the travel-lane bounding box for a frame (Preprocessing).
 #[must_use]

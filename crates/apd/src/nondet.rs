@@ -33,8 +33,10 @@
 
 use crate::det::RedundancyParams;
 use crate::logic::{detect_vehicles, eba_decide, preprocess, StageTimings};
+use crate::proxy::EventBuffer;
+use crate::skeleton::ServiceSkeleton;
+use crate::swc::{SoftwareComponent, SwcConfig};
 use crate::types::{BrakeDecision, Frame, LaneBox, VehicleList};
-use dear_ara::{EventBuffer, SoftwareComponent, SwcConfig};
 use dear_sim::{LatencyModel, LinkConfig, NetworkHandle, Simulation};
 use dear_someip::SdRegistry;
 use dear_time::{Duration, Instant};
@@ -43,46 +45,46 @@ use std::rc::Rc;
 
 /// Node ids of the five SWC processes (provider on platform 1, the rest
 /// are processes on platform 2).
-pub mod nodes {
+pub(crate) mod nodes {
     use dear_sim::NodeId;
     /// Video Provider (platform 1).
-    pub const PROVIDER: NodeId = NodeId(1);
+    pub(crate) const PROVIDER: NodeId = NodeId(1);
     /// Video Adapter (platform 2).
-    pub const ADAPTER: NodeId = NodeId(2);
+    pub(crate) const ADAPTER: NodeId = NodeId(2);
     /// Preprocessing (platform 2).
-    pub const PREPROCESSING: NodeId = NodeId(3);
+    pub(crate) const PREPROCESSING: NodeId = NodeId(3);
     /// Computer Vision (platform 2).
-    pub const COMPUTER_VISION: NodeId = NodeId(4);
+    pub(crate) const COMPUTER_VISION: NodeId = NodeId(4);
     /// EBA (platform 2).
-    pub const EBA: NodeId = NodeId(5);
+    pub(crate) const EBA: NodeId = NodeId(5);
     /// The RTI, when the deterministic build runs under centralized
     /// coordination (lives on the coordination network).
-    pub const RTI: NodeId = NodeId(6);
+    pub(crate) const RTI: NodeId = NodeId(6);
     /// The redundant (backup) Video Provider, in failover scenarios
     /// (platform 1, second board).
-    pub const PROVIDER_BACKUP: NodeId = NodeId(7);
+    pub(crate) const PROVIDER_BACKUP: NodeId = NodeId(7);
 }
 
 /// Service ids and event ids used along the pipeline.
-pub mod services {
+pub(crate) mod services {
     /// Raw camera frames (provider → adapter, "proprietary protocol").
-    pub const VIDEO: u16 = 0x0100;
+    pub(crate) const VIDEO: u16 = 0x0100;
     /// Adapted frames (adapter → preprocessing, and forwarded onwards).
-    pub const ADAPTER: u16 = 0x0200;
+    pub(crate) const ADAPTER: u16 = 0x0200;
     /// Preprocessing outputs (lane + forwarded frame → computer vision).
-    pub const PREPROCESSING: u16 = 0x0300;
+    pub(crate) const PREPROCESSING: u16 = 0x0300;
     /// Vehicle detections (computer vision → EBA).
-    pub const COMPUTER_VISION: u16 = 0x0400;
+    pub(crate) const COMPUTER_VISION: u16 = 0x0400;
     /// The single instance id used by every pipeline service.
-    pub const INSTANCE: u16 = 1;
+    pub(crate) const INSTANCE: u16 = 1;
     /// The backup provider's instance id, in failover scenarios.
-    pub const BACKUP_INSTANCE: u16 = 2;
+    pub(crate) const BACKUP_INSTANCE: u16 = 2;
     /// Eventgroup used by every pipeline service.
-    pub const EVENTGROUP: u16 = 1;
+    pub(crate) const EVENTGROUP: u16 = 1;
     /// Primary event id (frames / lane / vehicles).
-    pub const EVENT_MAIN: u16 = 0x8001;
+    pub(crate) const EVENT_MAIN: u16 = 0x8001;
     /// Secondary event id (forwarded frame from preprocessing).
-    pub const EVENT_AUX: u16 = 0x8002;
+    pub(crate) const EVENT_AUX: u16 = 0x8002;
 }
 
 /// Parameters of one experiment instance.
@@ -164,7 +166,7 @@ impl Default for NondetParams {
 #[derive(Debug, Clone, Default)]
 pub struct NondetReport {
     /// Frames the provider sent.
-    pub frames_sent: u64,
+    pub(crate) frames_sent: u64,
     /// Brake decisions that reached the output, in emission order.
     pub decisions: Vec<BrakeDecision>,
     /// Figure 5: "Dropped frames (Preprocessing)" — overwrites of the
@@ -179,9 +181,6 @@ pub struct NondetReport {
     /// Figure 5: "Dropped vehicles (EBA)" — overwrites of the EBA input
     /// buffer.
     pub dropped_eba: u64,
-    /// Overwrites at the adapter input buffer (not part of Figure 5 but
-    /// reported for completeness).
-    pub dropped_adapter: u64,
     /// Decisions whose value disagrees with the reference logic (should
     /// stay zero: the pipeline drops or misaligns, it does not corrupt).
     pub wrong_decisions: u64,
@@ -300,7 +299,7 @@ fn schedule_periodic_jittered(
 /// ids `start..total`.
 fn send_frames(
     sim: &mut Simulation,
-    skel: dear_ara::ServiceSkeleton,
+    skel: ServiceSkeleton,
     mut rng: dear_sim::SimRng,
     id: u64,
     total: u64,
@@ -659,7 +658,6 @@ pub fn run_nondet(seed: u64, params: &NondetParams) -> NondetReport {
         dropped_cv: cv_frame_buf.stats().overwrites,
         mismatches_cv,
         dropped_eba: eba_buf.stats().overwrites,
-        dropped_adapter: adapter_buf.stats().overwrites,
         wrong_decisions,
         backup_takeover_at,
     }

@@ -20,7 +20,7 @@ use std::rc::Rc;
 
 /// Errors surfaced by proxy method calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MethodError {
+pub(crate) enum MethodError {
     /// Service discovery found no provider.
     ServiceNotFound,
     /// The server answered with an error return code.
@@ -42,19 +42,19 @@ impl Error for MethodError {}
 ///
 /// A successful call yields the response payload as a [`FrameBuf`] view
 /// into the received frame (read in place, no copy).
-pub type MethodResult = Result<FrameBuf, MethodError>;
+pub(crate) type MethodResult = Result<FrameBuf, MethodError>;
 
 /// Statistics of a one-slot event buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BufferStats {
+pub(crate) struct BufferStats {
     /// Values written into the slot.
-    pub writes: u64,
+    pub(crate) writes: u64,
     /// Writes that overwrote an unread value (a *dropped* message).
-    pub overwrites: u64,
+    pub(crate) overwrites: u64,
     /// Successful takes.
-    pub reads: u64,
+    pub(crate) reads: u64,
     /// Takes that found the slot empty.
-    pub empty_reads: u64,
+    pub(crate) empty_reads: u64,
 }
 
 #[derive(Default)]
@@ -68,7 +68,7 @@ struct SlotInner {
 /// New arrivals overwrite unread data — the exact mechanism behind the
 /// frame drops of the paper's Figure 5.
 #[derive(Clone, Default)]
-pub struct EventBuffer(Rc<RefCell<SlotInner>>);
+pub(crate) struct EventBuffer(Rc<RefCell<SlotInner>>);
 
 impl fmt::Debug for EventBuffer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -83,13 +83,13 @@ impl fmt::Debug for EventBuffer {
 impl EventBuffer {
     /// Creates an empty buffer.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Stores a value, overwriting (and counting as dropped) any unread
     /// predecessor.
-    pub fn put(&self, value: impl Into<FrameBuf>) {
+    pub(crate) fn put(&self, value: impl Into<FrameBuf>) {
         let mut inner = self.0.borrow_mut();
         if inner.value.is_some() {
             inner.stats.overwrites += 1;
@@ -102,7 +102,7 @@ impl EventBuffer {
     ///
     /// An empty slot is counted (the APD components "silently stop
     /// computation" in that case).
-    pub fn take(&self) -> Option<FrameBuf> {
+    pub(crate) fn take(&self) -> Option<FrameBuf> {
         let mut inner = self.0.borrow_mut();
         match inner.value.take() {
             Some(v) => {
@@ -118,22 +118,23 @@ impl EventBuffer {
 
     /// Reads without consuming (shares, does not copy).
     #[must_use]
-    pub fn peek(&self) -> Option<FrameBuf> {
+    #[cfg(test)]
+    pub(crate) fn peek(&self) -> Option<FrameBuf> {
         self.0.borrow().value.clone()
     }
 
     /// Buffer statistics (drop instrumentation).
     #[must_use]
-    pub fn stats(&self) -> BufferStats {
+    pub(crate) fn stats(&self) -> BufferStats {
         self.0.borrow().stats
     }
 }
 
 /// A client-side proxy for one service instance.
 ///
-/// Created via [`SoftwareComponent::proxy`](crate::SoftwareComponent::proxy).
+/// Created via [`SoftwareComponent::proxy`](crate::swc::SoftwareComponent::proxy).
 #[derive(Clone)]
-pub struct ServiceProxy {
+pub(crate) struct ServiceProxy {
     binding: Binding,
     service: u16,
     instance: u16,
@@ -160,12 +161,6 @@ impl ServiceProxy {
         }
     }
 
-    /// The service id this proxy addresses.
-    #[must_use]
-    pub fn service(&self) -> u16 {
-        self.service
-    }
-
     /// Invokes a method, returning a future for the result.
     ///
     /// The call is non-blocking: it returns immediately, and the future
@@ -173,7 +168,7 @@ impl ServiceProxy {
     /// Figure 1 client pattern, where issuing several calls without
     /// awaiting their futures surrenders the execution order to the
     /// server's thread pool.
-    pub fn call(
+    pub(crate) fn call(
         &self,
         sim: &mut Simulation,
         method: u16,
@@ -207,28 +202,12 @@ impl ServiceProxy {
         }
     }
 
-    /// Invokes a fire-and-forget method.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MethodError::ServiceNotFound`] if discovery fails.
-    pub fn call_no_return(
-        &self,
-        sim: &mut Simulation,
-        method: u16,
-        payload: impl Into<FrameBuf>,
-    ) -> Result<(), MethodError> {
-        self.binding
-            .call_no_return(sim, self.service, self.instance, method, payload)
-            .map_err(|_| MethodError::ServiceNotFound)
-    }
-
     /// Subscribes to an event, delivering into a fresh one-slot buffer.
     ///
     /// Returns the buffer; the periodic SWC logic polls it with
     /// [`EventBuffer::take`].
     #[must_use]
-    pub fn subscribe_buffered(&self, eventgroup: u16, event: u16) -> EventBuffer {
+    pub(crate) fn subscribe_buffered(&self, eventgroup: u16, event: u16) -> EventBuffer {
         let buffer = EventBuffer::new();
         let sink = buffer.clone();
         self.binding.subscribe(
@@ -241,33 +220,17 @@ impl ServiceProxy {
             });
         buffer
     }
-
-    /// Subscribes to an event with a custom handler (no buffer).
-    pub fn subscribe(
-        &self,
-        eventgroup: u16,
-        event: u16,
-        handler: impl Fn(&mut Simulation, FrameBuf) + 'static,
-    ) {
-        self.binding.subscribe(
-            ServiceInstance::new(self.service, self.instance),
-            eventgroup,
-        );
-        self.binding.on_event(self.service, event, move |sim, msg| {
-            handler(sim, msg.payload)
-        });
-    }
-
-    /// The underlying binding (used by the DEAR transactors).
-    #[must_use]
-    pub fn binding(&self) -> &Binding {
-        &self.binding
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::swc::{SoftwareComponent, SwcConfig};
+    use dear_core::{ProgramBuilder, Runtime};
+    use dear_sim::{LinkConfig, NetworkHandle, NodeId, VirtualClock};
+    use dear_someip::SdRegistry;
+    use dear_time::{Duration, Instant};
+    use dear_transactors::{EventSpec, FederatedPlatform, Outbox, ServerEventTransactor};
 
     #[test]
     fn buffer_counts_overwrites_and_empty_reads() {
@@ -294,5 +257,75 @@ mod tests {
         buf.put(vec![5]);
         assert_eq!(other.take().map(|f| f.to_vec()), Some(vec![5]));
         assert_eq!(buf.stats().reads, 1);
+    }
+
+    #[test]
+    fn reactor_event_publisher_reaches_legacy_buffered_subscriber() {
+        // Reverse migration direction: a DEAR publisher, a plain ARA consumer.
+        let mut sim = Simulation::new(9);
+        let net = NetworkHandle::new(
+            LinkConfig::ideal(Duration::from_micros(200)),
+            sim.fork_rng("net"),
+        );
+        let sd = SdRegistry::new();
+        const SERVICE: u16 = 0x55;
+
+        let outbox = Outbox::new();
+        let mut b = ProgramBuilder::new();
+        let publish =
+            ServerEventTransactor::declare(&mut b, &outbox, "ticks", Duration::from_millis(1));
+        {
+            let mut logic = b.reactor("publisher", 0u8);
+            let out = logic.output::<FrameBuf>("tick");
+            let t = logic.timer("t", Duration::ZERO, Some(Duration::from_millis(10)));
+            logic
+                .reaction("emit")
+                .triggered_by(t)
+                .effects(out)
+                .body(move |n: &mut u8, ctx| {
+                    *n += 1;
+                    ctx.set(out, vec![*n].into());
+                });
+            logic.finish();
+            b.connect(out, publish.event).unwrap();
+        }
+        let platform = FederatedPlatform::new(
+            "publisher",
+            Runtime::new(b.build().expect("program builds")),
+            VirtualClock::ideal(),
+            outbox,
+            sim.fork_rng("costs"),
+        );
+        let binding = Binding::new(&net, &sd, NodeId(1), 0x10);
+        binding.offer(
+            &mut sim,
+            ServiceInstance::new(SERVICE, 1),
+            Duration::from_secs(100),
+        );
+        publish.bind(
+            &platform,
+            &binding,
+            EventSpec {
+                service: SERVICE,
+                instance: 1,
+                eventgroup: 1,
+                event: 0x8001,
+            },
+        );
+        platform.start(&mut sim);
+
+        let consumer = SoftwareComponent::launch(
+            &sim,
+            &net,
+            &sd,
+            SwcConfig::single_threaded("legacy-consumer", NodeId(2), 0x20),
+        );
+        let buf = consumer.proxy(SERVICE, 1).subscribe_buffered(1, 0x8001);
+
+        sim.run_until(Instant::from_millis(35));
+        // Ticks at 0/10/20/30 ms, all forwarded; reads see the latest value.
+        let stats = buf.stats();
+        assert_eq!(stats.writes, 4, "all tagged notifications delivered");
+        assert_eq!(buf.take().map(|f| f.to_vec()), Some(vec![4]));
     }
 }

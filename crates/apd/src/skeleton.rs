@@ -19,9 +19,9 @@ use std::rc::Rc;
 /// A server-side skeleton for one provided service instance.
 ///
 /// Created via
-/// [`SoftwareComponent::skeleton`](crate::SoftwareComponent::skeleton).
+/// [`SoftwareComponent::skeleton`](crate::swc::SoftwareComponent::skeleton).
 #[derive(Clone)]
-pub struct ServiceSkeleton {
+pub(crate) struct ServiceSkeleton {
     binding: Binding,
     pool: TaskPool,
     rng: Rc<RefCell<SimRng>>,
@@ -58,14 +58,8 @@ impl ServiceSkeleton {
         }
     }
 
-    /// The provided service instance.
-    #[must_use]
-    pub fn service_instance(&self) -> ServiceInstance {
-        ServiceInstance::new(self.service, self.instance)
-    }
-
     /// Starts offering the service via discovery.
-    pub fn offer(&self, sim: &mut Simulation, ttl: Duration) {
+    pub(crate) fn offer(&self, sim: &mut Simulation, ttl: Duration) {
         self.binding
             .offer(sim, ServiceInstance::new(self.service, self.instance), ttl);
     }
@@ -77,7 +71,7 @@ impl ServiceSkeleton {
     /// drawn from `exec_time`, and replies when that duration has elapsed.
     /// Handlers run mutually exclusive on the server state they capture —
     /// the *order* in which concurrent invocations run is what varies.
-    pub fn provide_method<R: Into<FrameBuf>>(
+    pub(crate) fn provide_method<R: Into<FrameBuf>>(
         &self,
         method: u16,
         exec_time: LatencyModel,
@@ -113,7 +107,8 @@ impl ServiceSkeleton {
 
     /// Registers a method whose handler replies through an explicit
     /// responder (for servers that resolve their promise later).
-    pub fn provide_method_deferred(
+    #[cfg(test)]
+    pub(crate) fn provide_method_deferred(
         &self,
         method: u16,
         handler: impl Fn(&mut Simulation, FrameBuf, dear_someip::Responder) + 'static,
@@ -125,7 +120,7 @@ impl ServiceSkeleton {
     }
 
     /// Sends an event notification to all subscribers.
-    pub fn notify(
+    pub(crate) fn notify(
         &self,
         sim: &mut Simulation,
         eventgroup: u16,
@@ -139,12 +134,6 @@ impl ServiceSkeleton {
             event,
             payload,
         );
-    }
-
-    /// The underlying binding (used by the DEAR transactors).
-    #[must_use]
-    pub fn binding(&self) -> &Binding {
-        &self.binding
     }
 }
 

@@ -1,47 +1,46 @@
-//! Software components and execution management.
+//! Software components.
 //!
 //! An AP application is organized in software components (SWCs); "each
 //! individual SWC can be considered a full program as it is mapped to a
 //! process on the target platform during deployment" (paper §II.A). A
 //! [`SoftwareComponent`] bundles the process's middleware binding and its
-//! worker-thread pool; [`ExecutionManager`] launches SWCs and provides the
-//! periodic OS callbacks the APD brake assistant is built on ("each SWC
-//! sets up a periodic callback so that the OS triggers the SWC logic every
-//! 50 ms", §IV.A).
+//! worker-thread pool. The periodic OS callbacks the APD brake assistant
+//! is built on ("each SWC sets up a periodic callback so that the OS
+//! triggers the SWC logic every 50 ms", §IV.A) are scheduled by
+//! `nondet`, with the jitter those experiments need.
 
 use crate::proxy::ServiceProxy;
 use crate::skeleton::ServiceSkeleton;
 use dear_sim::{LatencyModel, NetworkHandle, NodeId, Simulation, TaskPool};
 use dear_someip::{Binding, SdRegistry};
 use dear_time::Duration;
-use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
 
 /// Configuration for launching a software component.
 #[derive(Debug, Clone)]
-pub struct SwcConfig {
+pub(crate) struct SwcConfig {
     /// Component name (diagnostics and traces).
-    pub name: String,
+    pub(crate) name: String,
     /// The platform node the component's process runs on.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// SOME/IP client id used by the component's binding.
-    pub client_id: u16,
+    pub(crate) client_id: u16,
     /// Worker threads in the component's request-dispatch pool.
     ///
     /// AP maps each incoming method invocation to a thread by default
     /// (nondeterminism source 1); set to `1` with zero jitter for the
     /// "single thread" workaround the paper mentions.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Scheduling delay model for dispatched work items.
-    pub dispatch_jitter: LatencyModel,
+    pub(crate) dispatch_jitter: LatencyModel,
 }
 
 impl SwcConfig {
     /// A conventional multi-threaded component: 4 workers, up to 200 µs of
     /// dispatch jitter.
     #[must_use]
-    pub fn multi_threaded(name: &str, node: NodeId, client_id: u16) -> Self {
+    pub(crate) fn multi_threaded(name: &str, node: NodeId, client_id: u16) -> Self {
         SwcConfig {
             name: name.into(),
             node,
@@ -54,7 +53,7 @@ impl SwcConfig {
     /// A single-threaded component with deterministic (zero-jitter) FIFO
     /// dispatch.
     #[must_use]
-    pub fn single_threaded(name: &str, node: NodeId, client_id: u16) -> Self {
+    pub(crate) fn single_threaded(name: &str, node: NodeId, client_id: u16) -> Self {
         SwcConfig {
             name: name.into(),
             node,
@@ -69,7 +68,7 @@ impl SwcConfig {
 ///
 /// Cheap to clone; clones share the underlying process.
 #[derive(Clone)]
-pub struct SoftwareComponent {
+pub(crate) struct SoftwareComponent {
     name: Rc<str>,
     node: NodeId,
     binding: Binding,
@@ -88,7 +87,7 @@ impl fmt::Debug for SoftwareComponent {
 impl SoftwareComponent {
     /// Launches a component on the given network/discovery domain.
     #[must_use]
-    pub fn launch(
+    pub(crate) fn launch(
         sim: &Simulation,
         net: &NetworkHandle,
         sd: &SdRegistry,
@@ -108,40 +107,21 @@ impl SoftwareComponent {
         }
     }
 
-    /// The component's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The node the component runs on.
-    #[must_use]
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The component's middleware binding.
-    #[must_use]
-    pub fn binding(&self) -> &Binding {
-        &self.binding
-    }
-
-    /// The component's dispatch pool.
-    #[must_use]
-    pub fn pool(&self) -> &TaskPool {
-        &self.pool
-    }
-
     /// Creates a client-side proxy for a service.
     #[must_use]
-    pub fn proxy(&self, service: u16, instance: u16) -> ServiceProxy {
+    pub(crate) fn proxy(&self, service: u16, instance: u16) -> ServiceProxy {
         ServiceProxy::new(self.binding.clone(), service, instance)
     }
 
     /// Creates a server-side skeleton for a service this component
     /// provides.
     #[must_use]
-    pub fn skeleton(&self, sim: &Simulation, service: u16, instance: u16) -> ServiceSkeleton {
+    pub(crate) fn skeleton(
+        &self,
+        sim: &Simulation,
+        service: u16,
+        instance: u16,
+    ) -> ServiceSkeleton {
         ServiceSkeleton::new(
             self.binding.clone(),
             self.pool.clone(),
@@ -152,92 +132,92 @@ impl SoftwareComponent {
     }
 }
 
-/// Cancels a periodic task when dropped or explicitly.
-#[derive(Debug, Clone, Default)]
-pub struct PeriodicHandle(Rc<Cell<bool>>);
-
-impl PeriodicHandle {
-    /// Stops future activations.
-    pub fn cancel(&self) {
-        self.0.set(true);
-    }
-
-    /// Whether the task was cancelled.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.0.get()
-    }
-}
-
-/// Launches software components and schedules their periodic callbacks.
-#[derive(Debug, Default)]
-pub struct ExecutionManager {
-    swcs: Vec<SoftwareComponent>,
-}
-
-impl ExecutionManager {
-    /// Creates an empty execution manager.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Launches and registers a component.
-    pub fn launch(
-        &mut self,
-        sim: &Simulation,
-        net: &NetworkHandle,
-        sd: &SdRegistry,
-        config: SwcConfig,
-    ) -> SoftwareComponent {
-        let swc = SoftwareComponent::launch(sim, net, sd, config);
-        self.swcs.push(swc.clone());
-        swc
-    }
-
-    /// The launched components.
-    #[must_use]
-    pub fn components(&self) -> &[SoftwareComponent] {
-        &self.swcs
-    }
-
-    /// Schedules `callback` every `period`, first at `offset` from now.
-    ///
-    /// This is the OS-level periodic trigger of the APD design. The phase
-    /// `offset` "depends on when SWCs are started and is difficult to
-    /// control" (§IV.A) — experiment harnesses randomize it per instance.
-    pub fn schedule_periodic(
-        sim: &mut Simulation,
-        offset: Duration,
-        period: Duration,
-        callback: impl FnMut(&mut Simulation) + 'static,
-    ) -> PeriodicHandle {
-        assert!(period > Duration::ZERO, "period must be positive");
-        let handle = PeriodicHandle::default();
-        let h = handle.clone();
-        fn tick(
-            sim: &mut Simulation,
-            period: Duration,
-            mut callback: impl FnMut(&mut Simulation) + 'static,
-            h: PeriodicHandle,
-        ) {
-            if h.is_cancelled() {
-                return;
-            }
-            callback(sim);
-            sim.schedule_in(period, move |sim| tick(sim, period, callback, h));
-        }
-        sim.schedule_in(offset, move |sim| tick(sim, period, callback, h));
-        handle
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dear_sim::LinkConfig;
     use dear_time::Instant;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
+
+    /// Cancels a periodic task when dropped or explicitly.
+    #[derive(Debug, Clone, Default)]
+    struct PeriodicHandle(Rc<Cell<bool>>);
+
+    impl PeriodicHandle {
+        /// Stops future activations.
+        fn cancel(&self) {
+            self.0.set(true);
+        }
+
+        /// Whether the task was cancelled.
+        #[must_use]
+        fn is_cancelled(&self) -> bool {
+            self.0.get()
+        }
+    }
+
+    /// Launches software components and schedules their periodic callbacks.
+    #[derive(Debug, Default)]
+    struct ExecutionManager {
+        swcs: Vec<SoftwareComponent>,
+    }
+
+    impl ExecutionManager {
+        /// Creates an empty execution manager.
+        #[must_use]
+        fn new() -> Self {
+            Self::default()
+        }
+
+        /// Launches and registers a component.
+        fn launch(
+            &mut self,
+            sim: &Simulation,
+            net: &NetworkHandle,
+            sd: &SdRegistry,
+            config: SwcConfig,
+        ) -> SoftwareComponent {
+            let swc = SoftwareComponent::launch(sim, net, sd, config);
+            self.swcs.push(swc.clone());
+            swc
+        }
+
+        /// The launched components.
+        #[must_use]
+        fn components(&self) -> &[SoftwareComponent] {
+            &self.swcs
+        }
+
+        /// Schedules `callback` every `period`, first at `offset` from now.
+        ///
+        /// This is the OS-level periodic trigger of the APD design. The phase
+        /// `offset` "depends on when SWCs are started and is difficult to
+        /// control" (§IV.A) — experiment harnesses randomize it per instance.
+        fn schedule_periodic(
+            sim: &mut Simulation,
+            offset: Duration,
+            period: Duration,
+            callback: impl FnMut(&mut Simulation) + 'static,
+        ) -> PeriodicHandle {
+            assert!(period > Duration::ZERO, "period must be positive");
+            let handle = PeriodicHandle::default();
+            let h = handle.clone();
+            fn tick(
+                sim: &mut Simulation,
+                period: Duration,
+                mut callback: impl FnMut(&mut Simulation) + 'static,
+                h: PeriodicHandle,
+            ) {
+                if h.is_cancelled() {
+                    return;
+                }
+                callback(sim);
+                sim.schedule_in(period, move |sim| tick(sim, period, callback, h));
+            }
+            sim.schedule_in(offset, move |sim| tick(sim, period, callback, h));
+            handle
+        }
+    }
 
     fn setup() -> (Simulation, NetworkHandle, SdRegistry) {
         let sim = Simulation::new(0);
@@ -303,9 +283,9 @@ mod tests {
             SwcConfig::single_threaded("b", NodeId(2), 0x20),
         );
         assert_eq!(em.components().len(), 2);
-        assert_eq!(a.name(), "a");
-        assert_eq!(a.node(), NodeId(1));
-        assert_eq!(a.pool().worker_count(), 4);
-        assert_eq!(em.components()[1].pool().worker_count(), 1);
+        assert_eq!(&*a.name, "a");
+        assert_eq!(a.node, NodeId(1));
+        assert_eq!(a.pool.worker_count(), 4);
+        assert_eq!(em.components()[1].pool.worker_count(), 1);
     }
 }

@@ -13,7 +13,7 @@ use dear_someip::{FrameBuf, PayloadError, PayloadReader, PayloadWriter};
 /// Mixes a 64-bit value (SplitMix64 finalizer); used to derive
 /// deterministic pseudo-content from frame ids.
 #[must_use]
-pub fn mix(v: u64) -> u64 {
+pub(crate) fn mix(v: u64) -> u64 {
     let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -24,9 +24,9 @@ pub fn mix(v: u64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Frame {
     /// Monotone frame number assigned by the video provider.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Capture time in nanoseconds (provider clock).
-    pub capture_nanos: u64,
+    pub(crate) capture_nanos: u64,
     /// Tag time assigned by the video adapter when the frame entered the
     /// reactor network (0 in the nondeterministic build).
     pub adapter_nanos: u64,
@@ -74,15 +74,15 @@ impl Frame {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LaneBox {
     /// The frame this lane estimate belongs to.
-    pub frame_id: u64,
+    pub(crate) frame_id: u64,
     /// Left edge (pixels).
-    pub x0: u16,
+    pub(crate) x0: u16,
     /// Top edge (pixels).
-    pub y0: u16,
+    pub(crate) y0: u16,
     /// Right edge (pixels).
-    pub x1: u16,
+    pub(crate) x1: u16,
     /// Bottom edge (pixels).
-    pub y1: u16,
+    pub(crate) y1: u16,
 }
 
 impl LaneBox {
@@ -119,24 +119,24 @@ impl LaneBox {
 
 /// A detected vehicle with estimated distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Vehicle {
+pub(crate) struct Vehicle {
     /// Track id within the frame.
-    pub track: u32,
+    pub(crate) track: u32,
     /// Estimated distance in millimetres.
-    pub distance_mm: u32,
+    pub(crate) distance_mm: u32,
 }
 
 /// The vehicle list produced by Computer Vision for one frame.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct VehicleList {
     /// The frame these detections belong to.
-    pub frame_id: u64,
+    pub(crate) frame_id: u64,
     /// Frame capture time (carried through for latency accounting).
-    pub capture_nanos: u64,
+    pub(crate) capture_nanos: u64,
     /// Adapter tag time (carried through for latency accounting).
-    pub adapter_nanos: u64,
+    pub(crate) adapter_nanos: u64,
     /// Detected vehicles in the travel lane.
-    pub vehicles: Vec<Vehicle>,
+    pub(crate) vehicles: Vec<Vehicle>,
 }
 
 impl VehicleList {

@@ -16,11 +16,21 @@
 //! `tinymap::TinyMap` is the direct inspiration).
 //!
 //! ```
-//! use dear_arena::{Key, TypedArena, TypedKey};
+//! use dear_arena::{Key, TypedArena};
 //!
-//! // A lightweight key distinguished by a marker type.
-//! enum Widget {}
-//! let mut arena: TypedArena<TypedKey<Widget>, &str> = TypedArena::new();
+//! // A key is a thin newtype over a dense index.
+//! #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+//! struct WidgetId(u32);
+//! impl Key for WidgetId {
+//!     fn from_index(index: usize) -> Self {
+//!         WidgetId(u32::try_from(index).expect("too many widgets"))
+//!     }
+//!     fn index(self) -> usize {
+//!         self.0 as usize
+//!     }
+//! }
+//!
+//! let mut arena: TypedArena<WidgetId, &str> = TypedArena::new();
 //! let a = arena.push("alpha");
 //! let b = arena.push("beta");
 //! assert_eq!(arena[a], "alpha");
@@ -47,82 +57,6 @@ pub trait Key: Copy + Eq + Ord {
     fn from_index(index: usize) -> Self;
     /// The dense slot this key addresses.
     fn index(self) -> usize;
-}
-
-/// A ready-made [`Key`] distinguished by a phantom marker type.
-///
-/// Use this when a table needs its own key space but no hand-written
-/// newtype exists:
-///
-/// ```
-/// use dear_arena::{Key, TypedArena, TypedKey};
-///
-/// enum Sensor {}
-/// enum Actuator {}
-/// let mut sensors: TypedArena<TypedKey<Sensor>, u32> = TypedArena::new();
-/// let mut actuators: TypedArena<TypedKey<Actuator>, u32> = TypedArena::new();
-/// let s = sensors.push(7);
-/// let a = actuators.push(9);
-/// assert_eq!(sensors[s], 7);
-/// assert_eq!(actuators[a], 9);
-/// // `sensors[a]` would not compile: the key types differ.
-/// ```
-pub struct TypedKey<M> {
-    raw: u32,
-    _marker: PhantomData<fn(M) -> M>,
-}
-
-impl<M> TypedKey<M> {
-    /// The raw index of this key.
-    #[must_use]
-    pub fn raw(self) -> u32 {
-        self.raw
-    }
-}
-
-impl<M> Clone for TypedKey<M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M> Copy for TypedKey<M> {}
-impl<M> PartialEq for TypedKey<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.raw == other.raw
-    }
-}
-impl<M> Eq for TypedKey<M> {}
-impl<M> PartialOrd for TypedKey<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for TypedKey<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.raw.cmp(&other.raw)
-    }
-}
-impl<M> std::hash::Hash for TypedKey<M> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.raw.hash(state);
-    }
-}
-impl<M> fmt::Debug for TypedKey<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TypedKey({})", self.raw)
-    }
-}
-
-impl<M> Key for TypedKey<M> {
-    fn from_index(index: usize) -> Self {
-        TypedKey {
-            raw: u32::try_from(index).expect("arena index exceeds u32 key range"),
-            _marker: PhantomData,
-        }
-    }
-    fn index(self) -> usize {
-        self.raw as usize
-    }
 }
 
 /// A dense table addressed by a typed key.
@@ -176,15 +110,6 @@ impl<K: Key, V> TypedArena<K, V> {
         Self::default()
     }
 
-    /// Creates an empty arena with room for `capacity` values.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        TypedArena {
-            items: Vec::with_capacity(capacity),
-            _marker: PhantomData,
-        }
-    }
-
     /// Creates an arena of `len` slots, each initialised by `f(key)`.
     #[must_use]
     pub fn from_fn(len: usize, mut f: impl FnMut(K) -> V) -> Self {
@@ -208,7 +133,7 @@ impl<K: Key, V> TypedArena<K, V> {
 
     /// The key the *next* [`push`](TypedArena::push) will return.
     #[must_use]
-    pub fn next_key(&self) -> K {
+    pub(crate) fn next_key(&self) -> K {
         K::from_index(self.items.len())
     }
 
@@ -232,12 +157,6 @@ impl<K: Key, V> TypedArena<K, V> {
         self.items.get(key.index())
     }
 
-    /// Checked mutable lookup.
-    #[must_use]
-    pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
-        self.items.get_mut(key.index())
-    }
-
     /// Iterates over values in key order.
     pub fn iter(&self) -> std::slice::Iter<'_, V> {
         self.items.iter()
@@ -256,29 +175,17 @@ impl<K: Key, V> TypedArena<K, V> {
             .map(|(i, v)| (K::from_index(i), v))
     }
 
-    /// Iterates over `(key, &mut value)` pairs in key order.
-    pub fn iter_enumerated_mut(&mut self) -> impl ExactSizeIterator<Item = (K, &mut V)> {
-        self.items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, v)| (K::from_index(i), v))
-    }
-
     /// Iterates over the keys of all slots.
-    pub fn keys(&self) -> impl ExactSizeIterator<Item = K> {
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> impl ExactSizeIterator<Item = K> {
         (0..self.items.len()).map(K::from_index)
     }
 
     /// The backing slice, in key order.
     #[must_use]
-    pub fn as_slice(&self) -> &[V] {
+    #[cfg(test)]
+    pub(crate) fn as_slice(&self) -> &[V] {
         &self.items
-    }
-
-    /// Consumes the arena, returning the backing vector in key order.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<V> {
-        self.items
     }
 
     /// Maps every value, keeping keys stable.
@@ -356,8 +263,19 @@ impl<'a, K: Key, V> IntoIterator for &'a TypedArena<K, V> {
 mod tests {
     use super::*;
 
-    enum Marker {}
-    type TestKey = TypedKey<Marker>;
+    /// The fixture key: a thin newtype over a dense index, like the DEAR
+    /// id newtypes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct TestKey(u32);
+
+    impl Key for TestKey {
+        fn from_index(index: usize) -> Self {
+            TestKey(u32::try_from(index).expect("arena index exceeds u32 key range"))
+        }
+        fn index(self) -> usize {
+            self.0 as usize
+        }
+    }
 
     #[test]
     fn push_returns_dense_keys() {

@@ -14,8 +14,8 @@
 //!    as the bytes after the header — written once, read in place).
 //! 2. *Wire format*: encode/decode timings, reference (allocating)
 //!    encoder vs the pooled in-place assembler.
-//! 3. *End-to-end*: a full method-call round trip and an 8-subscriber
-//!    event fan-out through the simulated network.
+//! 3. *End-to-end*: an 8-subscriber event fan-out through the simulated
+//!    network, built per iteration and in steady state.
 //!
 //! Run with `cargo bench -p dear-bench --bench someip_path`
 //! (append `-- --test` for a single-pass smoke run).
@@ -27,8 +27,7 @@
 #![allow(unsafe_code)]
 
 use criterion::{criterion_group, Criterion};
-use dear_ara::{SoftwareComponent, SwcConfig};
-use dear_sim::{FramePool, LatencyModel, LinkConfig, NetworkHandle, NodeId, Simulation};
+use dear_sim::{FramePool, LinkConfig, NetworkHandle, NodeId, Simulation};
 use dear_someip::{
     Binding, MessageId, PayloadWriter, RequestId, SdRegistry, ServiceInstance, SomeIpMessage,
     WireTag, HEADER_LEN,
@@ -195,45 +194,6 @@ fn bench_wire_format(c: &mut Criterion) {
     });
 }
 
-/// One full proxy → SOME/IP → skeleton → response round trip in the
-/// simulation (includes discovery lookup, serialization, two simulated
-/// network hops, pool dispatch, and future resolution).
-fn bench_method_roundtrip(c: &mut Criterion) {
-    c.bench_function("someip/method_call_roundtrip", |b| {
-        b.iter(|| {
-            let mut sim = Simulation::new(1);
-            let net = NetworkHandle::new(
-                LinkConfig::ideal(Duration::from_micros(100)),
-                sim.fork_rng("net"),
-            );
-            let sd = SdRegistry::new();
-            let server = SoftwareComponent::launch(
-                &sim,
-                &net,
-                &sd,
-                SwcConfig::single_threaded("server", NodeId(1), 0x10),
-            );
-            let skel = server.skeleton(&sim, 0x42, 1);
-            skel.provide_method(
-                1,
-                LatencyModel::constant(Duration::from_micros(10)),
-                |_, p| p,
-            );
-            skel.offer(&mut sim, Duration::from_secs(10));
-            let client = SoftwareComponent::launch(
-                &sim,
-                &net,
-                &sd,
-                SwcConfig::single_threaded("client", NodeId(2), 0x20),
-            );
-            let proxy = client.proxy(0x42, 1);
-            let _ = proxy.call(&mut sim, 1, vec![1, 2, 3]);
-            sim.run_to_completion();
-            black_box(sim.stats().executed_events)
-        })
-    });
-}
-
 /// Event notification fan-out to 8 subscribers (one encode, shared
 /// frames).
 fn bench_event_fanout(c: &mut Criterion) {
@@ -303,7 +263,6 @@ fn bench_event_fanout_steady(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_wire_format,
-    bench_method_roundtrip,
     bench_event_fanout,
     bench_event_fanout_steady
 );

@@ -9,7 +9,7 @@
 use dear_time::{Duration, Instant};
 
 /// A source of physical time readings on the workspace time axis.
-pub trait PhysicalClock {
+pub(crate) trait PhysicalClock {
     /// The current physical time.
     fn now(&self) -> Instant;
 }
@@ -21,17 +21,36 @@ pub trait PhysicalClock {
 ///
 /// # Examples
 ///
-/// ```
-/// use dear_core::{PhysicalClock, RealClock};
-/// use dear_time::Instant;
+/// The clock is internal: its readings reach reactions as
+/// `ReactionCtx::physical_time` under a `RealTimeExecutor`, which anchors
+/// it at `Instant::EPOCH`. They never go backwards, and no tag is
+/// processed before they reach it.
 ///
-/// let clock = RealClock::starting_at(Instant::EPOCH);
-/// let a = clock.now();
-/// let b = clock.now();
-/// assert!(b >= a);
+/// ```
+/// use dear_core::{ProgramBuilder, RealTimeExecutor};
+/// use dear_time::{Duration, Instant};
+///
+/// let mut b = ProgramBuilder::new();
+/// let mut r = b.reactor("reader", (0u32, Instant::EPOCH));
+/// let t = r.timer("t", Duration::ZERO, Some(Duration::from_millis(1)));
+/// r.reaction("read").triggered_by(t).body(|s: &mut (u32, Instant), ctx| {
+///     let now = ctx.physical_time();
+///     assert!(now >= s.1);
+///     assert!(now >= ctx.logical_time());
+///     s.1 = now;
+///     s.0 += 1;
+///     if s.0 == 3 {
+///         ctx.request_shutdown();
+///     }
+/// });
+/// r.finish();
+///
+/// let stats = RealTimeExecutor::new(b.build()?).run();
+/// assert_eq!(stats.executed_reactions, 3);
+/// # Ok::<(), dear_core::AssemblyError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct RealClock {
+pub(crate) struct RealClock {
     anchor: std::time::Instant,
     origin: Instant,
 }
@@ -40,7 +59,7 @@ impl RealClock {
     /// Anchors a new clock: "now" (the OS time at this call) maps to
     /// `origin`.
     #[must_use]
-    pub fn starting_at(origin: Instant) -> Self {
+    pub(crate) fn starting_at(origin: Instant) -> Self {
         RealClock {
             anchor: std::time::Instant::now(),
             origin,
@@ -49,7 +68,8 @@ impl RealClock {
 
     /// The configured origin.
     #[must_use]
-    pub fn origin(&self) -> Instant {
+    #[cfg(test)]
+    pub(crate) fn origin(&self) -> Instant {
         self.origin
     }
 }
@@ -67,19 +87,19 @@ impl PhysicalClock for RealClock {
     }
 }
 
-/// A fixed clock for tests: always reads the same instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FixedClock(pub Instant);
-
-impl PhysicalClock for FixedClock {
-    fn now(&self) -> Instant {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A fixed clock for tests: always reads the same instant.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct FixedClock(Instant);
+
+    impl PhysicalClock for FixedClock {
+        fn now(&self) -> Instant {
+            self.0
+        }
+    }
 
     #[test]
     fn real_clock_is_monotone_and_advances() {

@@ -18,11 +18,11 @@ use dear_time::{Duration, Instant};
 #[derive(Default)]
 pub(crate) struct ReactionOutcome {
     /// Port writes `(port, value)` in write order (later wins per port).
-    pub writes: Vec<(PortId, Value)>,
+    pub(crate) writes: Vec<(PortId, Value)>,
     /// Scheduled action events `(action, tag, value)`.
-    pub schedules: Vec<(ActionId, Tag, Value)>,
+    pub(crate) schedules: Vec<(ActionId, Tag, Value)>,
     /// Whether the reaction requested shutdown.
-    pub shutdown: bool,
+    pub(crate) shutdown: bool,
 }
 
 /// Read access to an action's payload; implemented by both
@@ -135,22 +135,6 @@ impl<'a> ReactionCtx<'a> {
             .map(|v| v.downcast_ref::<T>().expect("port value type mismatch"))
     }
 
-    /// Reads and clones a port value.
-    #[must_use]
-    pub fn get_cloned<T: Clone + 'static>(&self, port: Port<T>) -> Option<T> {
-        self.get(port).cloned()
-    }
-
-    /// Returns `true` if the port carries a value at the current tag.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`ReactionCtx::get`].
-    #[must_use]
-    pub fn is_present<T: 'static>(&self, port: Port<T>) -> bool {
-        self.get(port).is_some()
-    }
-
     /// Writes a value to an output port.
     ///
     /// The value becomes visible to downstream reactions at the current
@@ -178,12 +162,6 @@ impl<'a> ReactionCtx<'a> {
         self.actions[action.action_id()]
             .as_ref()
             .map(|v| v.downcast_ref::<T>().expect("action value type mismatch"))
-    }
-
-    /// Returns `true` if the action is present at the current tag.
-    #[must_use]
-    pub fn is_action_present<T: 'static>(&self, action: &impl ActionSource<T>) -> bool {
-        self.actions[action.action_id()].is_some()
     }
 
     /// Schedules a logical action with an additional delay on top of the
@@ -223,11 +201,5 @@ impl<'a> ReactionCtx<'a> {
     /// microstep and the runtime stops afterwards.
     pub fn request_shutdown(&mut self) {
         self.outcome.shutdown = true;
-    }
-
-    /// The qualified name of the currently executing reaction.
-    #[must_use]
-    pub fn reaction_name(&self) -> &str {
-        &self.meta().name
     }
 }

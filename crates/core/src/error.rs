@@ -74,15 +74,6 @@ pub enum AssemblyError {
     },
 }
 
-/// Errors returned by [`ProgramBuilder::build`](crate::ProgramBuilder::build)
-/// and the connection methods.
-///
-/// Alias of [`AssemblyError`]; the builder reports *all* wiring mistakes —
-/// bad endpoints, duplicate names, foreign handles, zero-delay cycles —
-/// through this one type instead of panicking. The derive DSL
-/// (`#[derive(Reactor)]`) maps most of these to compile errors.
-pub type BuildError = AssemblyError;
-
 impl fmt::Display for AssemblyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -75,7 +75,7 @@ id_newtype!(
 
 /// Whether a port is an input or an output of its reactor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PortKind {
+pub(crate) enum PortKind {
     /// Receives values via a connection from an output port.
     Input,
     /// Written by reactions; may fan out to several input ports.

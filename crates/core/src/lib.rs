@@ -81,14 +81,13 @@ mod runtime;
 mod spec;
 mod tag;
 
-pub use clock::{FixedClock, PhysicalClock, RealClock};
 pub use context::{ActionSource, ReactionCtx};
-pub use error::{AssemblyError, BuildError, RuntimeError};
+pub use error::{AssemblyError, RuntimeError};
 pub use handles::{
-    ActionId, LogicalAction, PhysicalAction, Port, PortId, PortKind, ReactionId, ReactorId,
-    Shutdown, Startup, Timer, TimerId, TriggerId, TriggerSource,
+    ActionId, LogicalAction, PhysicalAction, Port, PortId, ReactionId, ReactorId, Shutdown,
+    Startup, Timer, TimerId, TriggerId, TriggerSource,
 };
-pub use program::{ActionKind, Program, ProgramBuilder, ReactionDeclaration, ReactorBuilder};
+pub use program::{Program, ProgramBuilder, ReactionDeclaration, ReactorBuilder};
 pub use realtime::{Injector, RealTimeExecutor, StopHandle};
 pub use runtime::{Runtime, RuntimeStats, StepOutcome, TagSummary};
 pub use spec::{Reaction, ReactorSpec};

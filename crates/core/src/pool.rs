@@ -44,7 +44,7 @@ impl WorkerPool {
     /// # Panics
     ///
     /// Panics if `threads == 0` or the OS refuses to spawn a thread.
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         assert!(threads > 0, "worker pool needs at least one thread");
         let (sender, receiver) = channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
@@ -77,12 +77,12 @@ impl WorkerPool {
     }
 
     /// Number of worker threads.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.handles.len()
     }
 
     /// Submits a job; some worker will run it.
-    pub fn submit(&self, job: Job) {
+    pub(crate) fn submit(&self, job: Job) {
         self.sender
             .as_ref()
             .expect("pool sender lives until drop")

@@ -13,7 +13,7 @@
 //! All program tables are [`TypedArena`]s keyed by the id newtypes from
 //! [`crate::handles`], so a `PortId` can never index the reaction table
 //! and a handle minted by a *different* builder is caught as a checked
-//! [`BuildError`](crate::BuildError) instead of silently aliasing an
+//! [`AssemblyError`](crate::AssemblyError) instead of silently aliasing an
 //! unrelated element.
 
 use crate::context::ReactionCtx;
@@ -24,7 +24,7 @@ use crate::handles::{
 };
 use dear_arena::TypedArena;
 use dear_time::Duration;
-use std::any::{Any, TypeId};
+use std::any::Any;
 use std::collections::{HashSet, VecDeque};
 use std::marker::PhantomData;
 use std::sync::Mutex;
@@ -36,7 +36,7 @@ pub(crate) type BodyFn = Box<dyn FnMut(&mut (dyn Any + Send), &mut ReactionCtx<'
 
 /// Whether an action is logical or physical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActionKind {
+pub(crate) enum ActionKind {
     /// Scheduled by reactions with a logical delay.
     Logical,
     /// Scheduled from outside the runtime, tagged with physical time.
@@ -44,56 +44,45 @@ pub enum ActionKind {
 }
 
 pub(crate) struct ReactorMeta {
-    pub name: String,
+    pub(crate) name: String,
 }
 
 pub(crate) struct PortMeta {
-    pub name: String,
-    #[allow(dead_code)]
-    pub reactor: ReactorId,
-    #[allow(dead_code)]
-    pub kind: PortKind,
-    #[allow(dead_code)]
-    pub type_id: TypeId,
+    pub(crate) name: String,
     /// The port whose value slot this port reads (itself for outputs and
     /// unconnected inputs; the source output for connected inputs).
-    pub root: PortId,
+    pub(crate) root: PortId,
     /// Reactions triggered when this (root) port becomes present.
-    pub sinks_trigger: Vec<ReactionId>,
+    pub(crate) sinks_trigger: Vec<ReactionId>,
 }
 
 pub(crate) struct ActionMeta {
-    pub name: String,
-    #[allow(dead_code)]
-    pub reactor: ReactorId,
-    pub kind: ActionKind,
-    pub min_delay: Duration,
-    pub triggered: Vec<ReactionId>,
+    pub(crate) name: String,
+    pub(crate) kind: ActionKind,
+    pub(crate) min_delay: Duration,
+    pub(crate) triggered: Vec<ReactionId>,
 }
 
 pub(crate) struct TimerMeta {
-    #[allow(dead_code)]
-    pub name: String,
-    #[allow(dead_code)]
-    pub reactor: ReactorId,
-    pub offset: Duration,
-    pub period: Option<Duration>,
-    pub triggered: Vec<ReactionId>,
+    pub(crate) name: String,
+    pub(crate) offset: Duration,
+    pub(crate) period: Option<Duration>,
+    pub(crate) triggered: Vec<ReactionId>,
 }
 
 pub(crate) struct ReactionMeta {
-    pub name: String,
-    pub reactor: ReactorId,
-    pub level: u32,
-    pub body: Mutex<BodyFn>,
-    pub deadline: Option<Duration>,
-    pub deadline_handler: Option<Mutex<BodyFn>>,
+    pub(crate) name: String,
+    pub(crate) reactor: ReactorId,
+    pub(crate) level: u32,
+    pub(crate) body: Mutex<BodyFn>,
+    pub(crate) deadline: Option<Duration>,
+    pub(crate) deadline_handler: Option<Mutex<BodyFn>>,
     /// Ports this reaction may read (triggers + uses + effects), sorted.
-    pub readable: Vec<PortId>,
+    pub(crate) readable: Vec<PortId>,
     /// Ports this reaction may write, sorted.
-    pub effects: Vec<PortId>,
+    pub(crate) effects: Vec<PortId>,
     /// Actions this reaction may schedule, sorted.
-    pub schedules: Vec<ActionId>,
+    pub(crate) schedules: Vec<ActionId>,
 }
 
 /// A fully assembled, validated reactor program.
@@ -149,7 +138,8 @@ impl Program {
 
     /// The qualified name of a reaction, e.g. `"Preprocessing.on_frame"`.
     #[must_use]
-    pub fn reaction_name(&self, id: ReactionId) -> &str {
+    #[cfg(test)]
+    pub(crate) fn reaction_name(&self, id: ReactionId) -> &str {
         &self.reactions[id].name
     }
 
@@ -227,9 +217,7 @@ struct ReactionBuild {
 
 struct PortBuild {
     name: String,
-    reactor: ReactorId,
     kind: PortKind,
-    type_id: TypeId,
     source: Option<PortId>,
 }
 
@@ -514,7 +502,7 @@ impl ProgramBuilder {
     ///
     /// # Errors
     ///
-    /// Returns a [`BuildError`](crate::BuildError) if the reaction graph
+    /// Returns a [`AssemblyError`](crate::AssemblyError) if the reaction graph
     /// has a zero-delay cycle ([`AssemblyError::DependencyCycle`]), two
     /// reactors or same-kind elements share a name, or a reaction captured
     /// a handle from a different builder.
@@ -639,9 +627,6 @@ impl ProgramBuilder {
 
         let ports: TypedArena<PortId, PortMeta> = self.ports.map_enumerated(|id, p| PortMeta {
             name: p.name,
-            reactor: p.reactor,
-            kind: p.kind,
-            type_id: p.type_id,
             root: roots[id],
             sinks_trigger: std::mem::take(&mut sinks_trigger[id]),
         });
@@ -729,9 +714,7 @@ impl<'b, S: Send + 'static> ReactorBuilder<'b, S> {
         let qualified = format!("{reactor_name}.{name}");
         let id = self.builder.ports.push(PortBuild {
             name: qualified,
-            reactor: self.id,
             kind,
-            type_id: TypeId::of::<T>(),
             source: None,
         });
         Port {
@@ -759,7 +742,6 @@ impl<'b, S: Send + 'static> ReactorBuilder<'b, S> {
         let qualified = format!("{reactor_name}.{name}");
         self.builder.actions.push(ActionMeta {
             name: qualified,
-            reactor: self.id,
             kind,
             min_delay,
             triggered: Vec::new(),
@@ -809,7 +791,6 @@ impl<'b, S: Send + 'static> ReactorBuilder<'b, S> {
         let qualified = format!("{reactor_name}.{name}");
         let id = self.builder.timers.push(TimerMeta {
             name: qualified,
-            reactor: self.id,
             offset,
             period,
             triggered: Vec::new(),

@@ -46,13 +46,13 @@ pub(crate) enum Event {
 pub(crate) struct TagEntry {
     /// Actions present at this tag (may contain duplicates; the runtime
     /// sorts and dedups before triggering).
-    pub actions: Vec<ActionId>,
+    pub(crate) actions: Vec<ActionId>,
     /// Timers elapsing at this tag.
-    pub timers: Vec<TimerId>,
+    pub(crate) timers: Vec<TimerId>,
     /// Whether startup reactions fire at this tag.
-    pub startup: bool,
+    pub(crate) startup: bool,
     /// Whether the runtime shuts down at this tag.
-    pub shutdown: bool,
+    pub(crate) shutdown: bool,
 }
 
 impl TagEntry {
@@ -82,18 +82,18 @@ pub(crate) struct EventQueue {
 
 impl EventQueue {
     /// Enqueues one event. Amortized allocation-free.
-    pub fn push(&mut self, tag: Tag, event: Event) {
+    pub(crate) fn push(&mut self, tag: Tag, event: Event) {
         self.heap.push(Reverse((tag, event)));
     }
 
     /// The earliest pending tag, if any.
-    pub fn peek_tag(&self) -> Option<Tag> {
+    pub(crate) fn peek_tag(&self) -> Option<Tag> {
         self.heap.peek().map(|Reverse((tag, _))| *tag)
     }
 
     /// Pops *all* events at the earliest pending tag, merged into one
     /// [`TagEntry`] drawn from the free list.
-    pub fn pop_tag(&mut self) -> Option<(Tag, TagEntry)> {
+    pub(crate) fn pop_tag(&mut self) -> Option<(Tag, TagEntry)> {
         let Reverse((tag, first)) = self.heap.pop()?;
         let mut entry = self.free.pop().unwrap_or_default();
         entry.absorb(first);
@@ -108,18 +108,18 @@ impl EventQueue {
     }
 
     /// Returns a spent entry's buffers to the free list.
-    pub fn recycle(&mut self, mut entry: TagEntry) {
+    pub(crate) fn recycle(&mut self, mut entry: TagEntry) {
         entry.reset();
         self.free.push(entry);
     }
 
     /// Discards all pending events (free list and capacities retained).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.heap.clear();
     }
 
     /// Number of pending events (not distinct tags).
-    pub fn pending_events(&self) -> usize {
+    pub(crate) fn pending_events(&self) -> usize {
         self.heap.len()
     }
 }

@@ -118,12 +118,6 @@ impl RealTimeExecutor {
         }
     }
 
-    /// Mutable access to the runtime (e.g. to enable tracing or workers)
-    /// before running.
-    pub fn runtime_mut(&mut self) -> &mut Runtime {
-        &mut self.runtime
-    }
-
     /// Creates an injector for a physical action, usable from any thread.
     ///
     /// # Panics
@@ -233,12 +227,5 @@ impl RealTimeExecutor {
                     .stop_at(self.clock.now() + Duration::from_nanos(1));
             }
         }
-    }
-
-    /// Consumes the executor, returning the runtime (e.g. for trace
-    /// inspection after `run`).
-    #[must_use]
-    pub fn into_runtime(self) -> Runtime {
-        self.runtime
     }
 }

@@ -82,9 +82,9 @@ pub struct TagSummary {
     /// The processed tag.
     pub tag: Tag,
     /// Reactions executed at this tag.
-    pub reactions: u32,
+    pub(crate) reactions: u32,
     /// Deadline misses at this tag.
-    pub deadline_misses: u32,
+    pub(crate) deadline_misses: u32,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -93,12 +93,6 @@ impl Tag {
         }
     }
 
-    /// Returns `true` if `self` is strictly before `other`.
-    #[must_use]
-    pub fn is_before(self, other: Tag) -> bool {
-        self < other
-    }
-
     /// The physical lag of this tag relative to a physical clock reading:
     /// `physical - tag.time` (positive when physical time has passed the
     /// tag; deadlines compare this lag against their bound).

@@ -14,9 +14,7 @@
 //!   Snapshot`] checkpoints.
 //! * [`EventLog`] — an append-only, CRC-framed, segmented log. Every
 //!   record is framed as `[len][crc32][payload]`, so torn tails and
-//!   bit rot are detected, not replayed. Snapshots rotate the segment,
-//!   so [`EventLog::seek`] can start replay at the newest checkpoint at
-//!   or below a tag instead of the beginning of time.
+//!   bit rot are detected, not replayed. Snapshots rotate the segment.
 //! * [`LogStorage`] — the byte-level backend behind a trait, so the
 //!   deterministic simulation twin stays entirely in memory
 //!   ([`MemStorage`]) while a real deployment can drop in an mmap'd or
@@ -46,7 +44,7 @@ use std::rc::Rc;
 /// the log's hot path appends tens of bytes per logical step, so a
 /// 1 KiB lookup table buys nothing worth its cache pressure here.
 #[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         crc ^= u32::from(b);
@@ -60,12 +58,12 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Bytes of framing before each record payload (`u32` length + `u32`
 /// CRC, both big-endian).
-pub const FRAME_HEADER_LEN: usize = 8;
+pub(crate) const FRAME_HEADER_LEN: usize = 8;
 
 /// Default segment-rotation threshold in bytes: a snapshot appended when
 /// the open segment is at least this full closes it and starts a new
 /// segment (see [`EventLog::set_max_segment_bytes`]).
-pub const DEFAULT_MAX_SEGMENT_BYTES: usize = 64 * 1024;
+pub(crate) const DEFAULT_MAX_SEGMENT_BYTES: usize = 64 * 1024;
 
 fn put_tag(out: &mut Vec<u8>, tag: Tag) {
     out.extend_from_slice(&tag.time.as_nanos().to_be_bytes());
@@ -323,15 +321,15 @@ impl LogStorage for MemStorage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LogStats {
     /// Records appended.
-    pub appended: u64,
+    pub(crate) appended: u64,
     /// Snapshot records appended.
-    pub snapshots: u64,
+    pub(crate) snapshots: u64,
     /// Segment rotations performed.
-    pub rotations: u64,
+    pub(crate) rotations: u64,
     /// Records rejected during replay (bad CRC, truncated frame, or
     /// malformed payload). A non-zero count on an in-memory log is a
     /// bug; on real storage it marks a torn tail.
-    pub corrupt: u64,
+    pub(crate) corrupt: u64,
 }
 
 impl fmt::Display for LogStats {
@@ -409,7 +407,7 @@ impl EventLog {
     /// the open segment holds at least this many bytes rotates first,
     /// so the snapshot starts the new segment. Rotation happens *only*
     /// at snapshots — every segment but the first therefore begins with
-    /// one, which is what makes [`EventLog::seek`] segment-granular.
+    /// one.
     pub fn set_max_segment_bytes(&self, max: usize) {
         self.inner.borrow_mut().max_segment_bytes = max.max(1);
     }
@@ -463,7 +461,7 @@ impl EventLog {
     /// segment's decode (torn tail) and is counted in
     /// [`LogStats::corrupt`]; later segments still decode.
     #[must_use]
-    pub fn replay_from(&self, from_segment: usize) -> Vec<Record> {
+    pub(crate) fn replay_from(&self, from_segment: usize) -> Vec<Record> {
         let mut inner = self.inner.borrow_mut();
         let mut records = Vec::new();
         for s in from_segment..inner.storage.segment_count() {
@@ -493,7 +491,8 @@ impl EventLog {
     /// snapshot exists). The first returned record of a non-zero seek is
     /// that snapshot.
     #[must_use]
-    pub fn seek(&self, tag: Tag) -> Vec<Record> {
+    #[cfg(test)]
+    pub(crate) fn seek(&self, tag: Tag) -> Vec<Record> {
         let from = {
             let inner = self.inner.borrow();
             inner
@@ -514,7 +513,8 @@ impl EventLog {
 
     /// Number of storage segments.
     #[must_use]
-    pub fn segment_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn segment_count(&self) -> usize {
         self.inner.borrow().storage.segment_count()
     }
 }

@@ -158,7 +158,8 @@ impl HierarchicalRti {
     ///
     /// # Panics
     ///
-    /// Panics if [`MAX_ZONES`] zones already exist.
+    /// Panics if the hierarchy already holds its maximum of `0x1000`
+    /// zones.
     pub fn add_zone(
         &self,
         sim: &mut Simulation,
@@ -187,7 +188,7 @@ impl HierarchicalRti {
         zone
     }
 
-    /// Registers a federate hosted on `node` with zone `zone`. The
+    /// Registers a federate with zone `zone`. The
     /// returned id is global to the federation (grants are addressed by
     /// it), while all of the federate's control traffic stays within its
     /// zone.
@@ -195,13 +196,11 @@ impl HierarchicalRti {
     /// # Errors
     ///
     /// [`FederationError::UnknownZone`] for a zone never added;
-    /// [`FederationError::Full`] once [`MAX_FEDERATES`] federates are
-    /// registered.
+    /// [`FederationError::Full`] once the federate id space is exhausted.
     pub fn register(
         &self,
         zone: ZoneId,
         name: &str,
-        _node: NodeId,
         external: bool,
     ) -> Result<FederateId, FederationError> {
         let mut inner = self.0.borrow_mut();
@@ -264,20 +263,6 @@ impl HierarchicalRti {
         self.0.borrow().fed_map.len()
     }
 
-    /// The zone a federate registered with.
-    #[must_use]
-    pub fn zone_of(&self, fed: FederateId) -> ZoneId {
-        ZoneId(self.0.borrow().fed_map[usize::from(fed.0)].0)
-    }
-
-    /// The federate's name (for reports).
-    #[must_use]
-    pub fn federate_name(&self, fed: FederateId) -> String {
-        let inner = self.0.borrow();
-        let (zone, index) = inner.fed_map[usize::from(fed.0)];
-        inner.zones[usize::from(zone)].with_table(|table| table.entries[index].name.clone())
-    }
-
     /// Root-level counters (floor records exchanged, zone deaths,
     /// relay batches).
     #[must_use]
@@ -321,7 +306,7 @@ impl HierarchicalRti {
 
     /// Whether [`HierarchicalRti::enable_control_diet`] has been called.
     #[must_use]
-    pub fn control_diet_enabled(&self) -> bool {
+    pub(crate) fn control_diet_enabled(&self) -> bool {
         self.0.borrow().table.diet
     }
 

@@ -112,14 +112,9 @@ pub use hierarchy::HierarchicalRti;
 pub use platform::{CoordinatedPlatform, PlatformRecovery};
 #[doc(hidden)]
 pub use rti::GrantTable;
-pub use rti::{FederateId, FederationError, Rti, RtiStats, MAX_FEDERATES};
-pub use solver::{
-    edge_add, lattice_next, node_floor, tag_succ, LbtsGraph, LbtsSolver, NodeView, TAG_MAX,
-};
-pub use zone::{
-    zone_instance, zone_uplink_eventgroup, ZoneId, COORD_ROOT_INSTANCE, MAX_ZONES,
-    ZONE_INSTANCE_BASE, ZONE_MEMBER_EVENTGROUP, ZONE_UPLINK_EVENTGROUP_BASE,
-};
+pub use rti::{FederateId, FederationError, Rti, RtiStats};
+pub use solver::{edge_add, node_floor, tag_succ, LbtsGraph, LbtsSolver, NodeView, TAG_MAX};
+pub use zone::{zone_instance, zone_uplink_eventgroup, ZoneId, COORD_ROOT_INSTANCE};
 
 // Re-exported so scenario code can pick a strategy without importing
 // dear-transactors separately.

@@ -92,7 +92,7 @@ pub struct PlatformRecovery {
     pub resent_sends: u64,
     /// Greatest tag the replay re-processed (`None`: crashed before
     /// completing any tag).
-    pub last_processed: Option<Tag>,
+    pub(crate) last_processed: Option<Tag>,
     /// Granted bound restored from the log's high-water mark.
     pub restored_bound: Option<Tag>,
     /// The new incarnation number carried by the `Rejoin` frame.
@@ -576,8 +576,7 @@ impl CoordinatedPlatform {
     ///
     /// # Panics
     ///
-    /// Panics if the RTI's federate table is full; use
-    /// [`CoordinatedPlatform::try_new`] to handle that as an error.
+    /// Panics if the RTI's federate table is full.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn new(
@@ -590,31 +589,10 @@ impl CoordinatedPlatform {
         binding: &Binding,
         external: bool,
     ) -> Self {
-        Self::try_new(
-            name, runtime, clock, outbox, cost_rng, rti, binding, external,
-        )
-        .expect("federate registration failed")
-    }
-
-    /// Fallible [`CoordinatedPlatform::new`]: registration reports
-    /// coordinator capacity exhaustion instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Rti::register`] errors.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_new(
-        name: &str,
-        runtime: Runtime,
-        clock: VirtualClock,
-        outbox: Outbox,
-        cost_rng: SimRng,
-        rti: &Rti,
-        binding: &Binding,
-        external: bool,
-    ) -> Result<Self, FederationError> {
-        let federate = rti.register(name, binding.node(), external)?;
-        Ok(Self::build(
+        let federate = rti
+            .register(name, external)
+            .expect("federate registration failed");
+        Self::build(
             name,
             runtime,
             clock,
@@ -627,7 +605,7 @@ impl CoordinatedPlatform {
             false,
             external,
             rti.control_diet_enabled(),
-        ))
+        )
     }
 
     /// Creates a platform registered with zone `zone` of a hierarchical
@@ -652,7 +630,7 @@ impl CoordinatedPlatform {
         binding: &Binding,
         external: bool,
     ) -> Result<Self, FederationError> {
-        let federate = hierarchy.register(zone, name, binding.node(), external)?;
+        let federate = hierarchy.register(zone, name, external)?;
         Ok(Self::build(
             name,
             runtime,
@@ -760,15 +738,6 @@ impl CoordinatedPlatform {
         self.0.core().runtime.tag_bound()
     }
 
-    /// Registers the interpreter for an outbox route.
-    pub fn register_route(
-        &self,
-        route: u32,
-        handler: impl Fn(&mut Simulation, OutboundMsg) + 'static,
-    ) {
-        self.0.register_route(route, handler);
-    }
-
     /// Attaches a modelled compute cost to a reaction.
     pub fn set_reaction_cost(&self, reaction: ReactionId, model: LatencyModel) {
         self.0.set_reaction_cost(reaction, model);
@@ -806,12 +775,6 @@ impl CoordinatedPlatform {
         core.policy.log = Some(log);
     }
 
-    /// The attached durable log, if any.
-    #[must_use]
-    pub fn durable_log(&self) -> Option<EventLog> {
-        self.0.core().policy.log.clone()
-    }
-
     /// Sets how many processed tags elapse between durable checkpoints
     /// (default 32).
     ///
@@ -824,8 +787,8 @@ impl CoordinatedPlatform {
     }
 
     /// Registers a serialization codec for a physical action, so
-    /// payloads injected through [`CoordinatedPlatform::inject_at`] /
-    /// [`CoordinatedPlatform::inject_now`] are durably logged and can be
+    /// payloads injected through [`PlatformDriver::inject_at`] /
+    /// [`PlatformDriver::inject_now`] are durably logged and can be
     /// rebuilt during recovery replay.
     pub fn register_durable_input<T: Send + Sync + 'static>(
         &self,
@@ -842,12 +805,6 @@ impl CoordinatedPlatform {
         });
         let codec = InputCodec { encode, replay };
         self.0.core().policy.codecs.insert(key, codec);
-    }
-
-    /// Whether the federate is currently down.
-    #[must_use]
-    pub fn is_crashed(&self) -> bool {
-        self.0.core().policy.crashed
     }
 
     /// Report of the most recent recovery, if any.
@@ -1073,44 +1030,11 @@ impl CoordinatedPlatform {
     pub fn stop_at_local(&self, sim: &mut Simulation, local: Instant) {
         self.0.stop_at_local(sim, local);
     }
-
-    /// Injects a payload into a physical action at an exact tag. With a
-    /// durable log attached the payload is logged first; while the
-    /// federate is down it is *only* logged (the durable inbox).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the runtime's safe-to-process or not-running errors.
-    pub fn inject_at<T: Send + Sync + 'static>(
-        &self,
-        sim: &mut Simulation,
-        action: &PhysicalAction<T>,
-        value: T,
-        tag: Tag,
-    ) -> Result<(), RuntimeError> {
-        self.0.inject_at(sim, action, value, tag)
-    }
-
-    /// Injects a payload tagged with the local physical arrival time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the runtime's not-running error (also while the
-    /// federate is down).
-    pub fn inject_now<T: Send + Sync + 'static>(
-        &self,
-        sim: &mut Simulation,
-        action: &PhysicalAction<T>,
-        value: T,
-    ) -> Result<Tag, RuntimeError> {
-        self.0.inject_now(sim, action, value)
-    }
 }
 
 /// The unconstrained sentinel a source federate receives as its first
 /// grant round-trips to [`TAG_MAX`].
-#[allow(dead_code)]
-const _ASSERT_SENTINEL: () = {
+const _: () = {
     // Compile-time reminder that TAG_NEVER and TAG_MAX are twins.
     assert!(TAG_NEVER.nanos == u64::MAX);
     assert!(TAG_MAX.microstep == u32::MAX);

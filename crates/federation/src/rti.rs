@@ -43,7 +43,7 @@ use std::fmt;
 /// space) can register: per-federate grant eventgroups start at
 /// `COORD_EVENTGROUP_BASE`, so ids beyond this would wrap the u16
 /// eventgroup space.
-pub const MAX_FEDERATES: usize = (u16::MAX - COORD_EVENTGROUP_BASE) as usize;
+pub(crate) const MAX_FEDERATES: usize = (u16::MAX - COORD_EVENTGROUP_BASE) as usize;
 
 /// How many declared periods a grant-ahead window runs past the strict
 /// fixpoint bound. Large enough to amortize the TAG round-trip over a
@@ -64,7 +64,7 @@ impl fmt::Display for FederateId {
 /// Errors reported by the federation layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FederationError {
-    /// The coordinator's federate table is full (see [`MAX_FEDERATES`]).
+    /// The coordinator's federate table is full.
     Full {
         /// The capacity that the registration would have exceeded.
         limit: usize,
@@ -202,7 +202,7 @@ pub enum Applied {
 }
 
 /// One grant record: `(federate, kind, tag, fence)`.
-pub type Grant = (u16, CoordKind, Tag, WireTag);
+pub(crate) type Grant = (u16, CoordKind, Tag, WireTag);
 
 pub(crate) struct FederateEntry {
     pub(crate) name: String,
@@ -518,6 +518,8 @@ pub struct GrantTable {
     /// death detection is opt-in so that fault-free scenarios schedule
     /// zero extra events).
     pub(crate) liveness: Option<Duration>,
+    /// Set once [`arm_unheard`] has run (on the first member frame).
+    unheard_armed: bool,
 }
 
 impl GrantTable {
@@ -714,9 +716,10 @@ pub(crate) trait Shell: Clone + 'static {
 /// The liveness watchdog, once for members and zones alike. Arms (or
 /// supersedes) the check of entry `index`: if no further sign of life
 /// bumps the entry's generation within the deadline, it is declared dead
-/// at exactly `now + deadline` — a well-defined tag. Unconnected and
-/// released entries are not watched; `table` is the shell's own table,
-/// which the caller holds borrowed.
+/// at exactly `now + deadline` — a well-defined tag. Released entries are
+/// not watched, nor unconnected ones once heard from (summary entries
+/// never connect); `table` is the shell's own table, which the caller
+/// holds borrowed.
 pub(crate) fn arm_watchdog<S: Shell>(
     shell: &S,
     sim: &mut Simulation,
@@ -727,7 +730,7 @@ pub(crate) fn arm_watchdog<S: Shell>(
         return;
     };
     let entry = &table.entries[index];
-    if !entry.connected || entry.released() {
+    if entry.released() || (!entry.connected && entry.liveness_gen > 0) {
         return;
     }
     let (shell, generation) = (shell.clone(), entry.liveness_gen);
@@ -736,6 +739,27 @@ pub(crate) fn arm_watchdog<S: Shell>(
             shell.declared_dead(sim, index);
         }
     });
+}
+
+/// On the first member frame a shell receives, arms every one of its
+/// first `members` entries not heard from yet: a member whose `Join`
+/// never arrives would otherwise never be watched, and its downstreams
+/// would wait on its origin head forever. Runs once, and not at all while
+/// liveness is off.
+pub(crate) fn arm_unheard<S: Shell>(
+    shell: &S,
+    sim: &mut Simulation,
+    table: &mut GrantTable,
+    members: usize,
+) {
+    if table.liveness.is_none() || std::mem::replace(&mut table.unheard_armed, true) {
+        return;
+    }
+    for index in 0..members {
+        if table.entries[index].liveness_gen == 0 {
+            arm_watchdog(shell, sim, table, index);
+        }
+    }
 }
 
 /// One control frame, at any level and from either direction — the single
@@ -803,8 +827,8 @@ impl Rti {
         Rti(Coordinator::new(sim, net, sd, node, None))
     }
 
-    /// Registers a federate (hosted on `node`, which the coordinator
-    /// does not need to know: it answers on the federate's eventgroup).
+    /// Registers a federate. The coordinator need not know where it is
+    /// hosted: it answers on the federate's eventgroup.
     ///
     /// `external` declares whether the federate receives physical inputs
     /// from outside the federation (see the module docs); when in doubt,
@@ -812,15 +836,10 @@ impl Rti {
     ///
     /// # Errors
     ///
-    /// [`FederationError::Full`] once [`MAX_FEDERATES`] federates are
-    /// registered — at fleet scale an over-subscribed coordinator is a
+    /// [`FederationError::Full`] once the federate id space is exhausted
+    /// — at fleet scale an over-subscribed coordinator is a
     /// reportable deployment error, not a crash.
-    pub fn register(
-        &self,
-        name: &str,
-        _node: NodeId,
-        external: bool,
-    ) -> Result<FederateId, FederationError> {
+    pub fn register(&self, name: &str, external: bool) -> Result<FederateId, FederationError> {
         // A flat shell's federate ids are its table indices.
         let index = self.0.register_member(None, name, external)?;
         Ok(FederateId(index as u16))
@@ -849,22 +868,8 @@ impl Rti {
 
     /// Whether [`Rti::enable_control_diet`] has been called.
     #[must_use]
-    pub fn control_diet_enabled(&self) -> bool {
+    pub(crate) fn control_diet_enabled(&self) -> bool {
         self.0.with_table(|table| table.diet)
-    }
-
-    /// The federate's name (for reports).
-    #[must_use]
-    pub fn federate_name(&self, fed: FederateId) -> String {
-        self.0
-            .with_table(|table| table.entries[usize::from(fed.0)].name.clone())
-    }
-
-    /// The exclusive bound most recently granted to `fed`, if any.
-    #[must_use]
-    pub fn last_granted(&self, fed: FederateId) -> Option<Tag> {
-        self.0
-            .with_table(|table| table.entries[usize::from(fed.0)].last_granted)
     }
 
     /// Activity counters.

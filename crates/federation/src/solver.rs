@@ -62,7 +62,7 @@ pub fn edge_add(tag: Tag, delay: Duration) -> Tag {
 /// lattice, so its stale head (≤ `completed`) may be leapt forward to it
 /// wholesale instead of one microstep at a time.
 #[must_use]
-pub fn lattice_next(completed: Tag, g: Duration) -> Tag {
+pub(crate) fn lattice_next(completed: Tag, g: Duration) -> Tag {
     let g_ns = g.as_nanos();
     if g_ns <= 0 || completed >= TAG_MAX {
         return tag_succ(completed);
@@ -101,7 +101,7 @@ pub struct NodeView {
     /// The node's declared **periodic event lattice**, if any: every
     /// locally originated event lands on a whole multiple of this
     /// duration at microstep zero. Lets [`node_floor`] leap a stale head
-    /// (≤ `completed`) to [`lattice_next`] instead of waiting for the
+    /// (≤ `completed`) to the next lattice point instead of waiting for the
     /// next NET — the periodic fast path of the control-plane diet.
     pub period: Option<Duration>,
 }
@@ -387,7 +387,8 @@ impl LbtsSolver {
     /// SCC that is reached is reset to [`TAG_MAX`] and iterated to its own
     /// fixpoint from its — already final — outside upstreams.
     ///
-    /// Returns [`LbtsSolver::affected`]. After [`LbtsSolver::invalidate`],
+    /// Returns the affected nodes, ascending: those whose LBTS changed plus
+    /// the dirty nodes themselves. After [`LbtsSolver::invalidate`],
     /// or on a solver that never solved, this *is* a full solve and every
     /// node is reported affected.
     pub fn update(&mut self, graph: &impl LbtsGraph, dirty: &[u16]) -> &[u16] {
@@ -470,22 +471,16 @@ impl LbtsSolver {
     /// nodes themselves. Anything a coordinator derives per node from the
     /// node's state and LBTS can only have changed for these.
     #[must_use]
-    pub fn affected(&self) -> &[u16] {
+    pub(crate) fn affected(&self) -> &[u16] {
         &self.affected
     }
 
     /// The nodes with an edge from `u` (one entry per edge), as of the
     /// latest solve.
     #[must_use]
-    pub fn downstream(&self, u: usize) -> &[u16] {
+    pub(crate) fn downstream(&self, u: usize) -> &[u16] {
         let t = &self.topology;
         &t.down[t.down_off[u] as usize..t.down_off[u + 1] as usize]
-    }
-
-    /// The floor of node `i` under the latest solve.
-    #[must_use]
-    pub fn floor(&self, graph: &impl LbtsGraph, i: usize) -> Tag {
-        node_floor(&graph.node(i), self.lbts[i])
     }
 
     /// Picks the provisional-grant candidate that breaks a zero-delay

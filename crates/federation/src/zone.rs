@@ -29,11 +29,13 @@
 //! fan-out; members filter by federate id — see `dear_someip::CoordBatch`).
 //!
 //! Liveness is scoped per shard: a coordinator watches its own members (a
-//! silent member is declared dead and the zone floor rises past it), and
-//! the root watches whole zones via the uplink heartbeat.
+//! silent member is declared dead and the zone floor rises past it — from
+//! the first member frame on, even one that never joined), and the root
+//! watches whole zones via the uplink heartbeat.
 
 use crate::rti::{
-    receive_frame, Applied, FederateEntry, FederationError, Grant, GrantTable, Shell, MAX_FEDERATES,
+    arm_unheard, receive_frame, Applied, FederateEntry, FederationError, Grant, GrantTable, Shell,
+    MAX_FEDERATES,
 };
 use crate::solver::{node_floor, TAG_MAX};
 use dear_core::Tag;
@@ -66,20 +68,20 @@ pub const COORD_ROOT_INSTANCE: u16 = 0x00FE;
 
 /// First SOME/IP instance used by zone coordinators: zone `z` offers the
 /// coordination service at `ZONE_INSTANCE_BASE + z`.
-pub const ZONE_INSTANCE_BASE: u16 = 0x0100;
+pub(crate) const ZONE_INSTANCE_BASE: u16 = 0x0100;
 
 /// Eventgroup (on the zone's instance) carrying batched member grants.
 /// Shared by all members of the zone: the batch fans out once and every
 /// member filters it by federate id.
-pub const ZONE_MEMBER_EVENTGROUP: u16 = 0x3F00;
+pub(crate) const ZONE_MEMBER_EVENTGROUP: u16 = 0x3F00;
 
 /// First eventgroup (on the root's instance) carrying relayed floors:
 /// zone `z` subscribes to `ZONE_UPLINK_EVENTGROUP_BASE + z`.
-pub const ZONE_UPLINK_EVENTGROUP_BASE: u16 = 0x2000;
+pub(crate) const ZONE_UPLINK_EVENTGROUP_BASE: u16 = 0x2000;
 
 /// The most zones one hierarchy can hold (bounded by the instance and
 /// eventgroup ranges carved out above).
-pub const MAX_ZONES: usize = 0x1000;
+pub(crate) const MAX_ZONES: usize = 0x1000;
 
 /// The SOME/IP instance on which zone `zone` offers the coordination
 /// service to its members.
@@ -315,6 +317,7 @@ impl Coordinator {
                 }?;
                 (table.control(index, msg) != Applied::Ignored).then_some(index)
             });
+            arm_unheard(self, sim, table, *member_count);
             if !heard {
                 return;
             }

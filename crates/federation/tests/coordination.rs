@@ -462,7 +462,7 @@ fn grant_echoes_do_not_disarm_the_liveness_watchdog() {
     rti.enable_liveness(Duration::from_millis(50));
 
     let fed_binding = Binding::new(&net, &sd, NodeId(1), 0x11);
-    let fed = rti.register("fed", NodeId(1), true).unwrap();
+    let fed = rti.register("fed", true).unwrap();
     let send = |sim: &mut Simulation, binding: &Binding, msg: CoordMsg| {
         binding
             .call_no_return(
@@ -533,9 +533,9 @@ fn garbage_control_frames_move_nothing() {
     let zone0 = hier.add_zone(&mut sim, &net, &sd, NodeId(2));
     let zone1 = hier.add_zone(&mut sim, &net, &sd, NodeId(3));
     hier.enable_liveness(&mut sim, deadline);
-    let fed = rti.register("fed", NodeId(9), false).unwrap();
-    let m0 = hier.register(zone0, "m0", NodeId(9), false).unwrap();
-    let m1 = hier.register(zone1, "m1", NodeId(9), false).unwrap();
+    let fed = rti.register("fed", false).unwrap();
+    let m0 = hier.register(zone0, "m0", false).unwrap();
+    let m1 = hier.register(zone1, "m1", false).unwrap();
     // Zone 0 imports from zone 1, so it holds a proxy a relay could move.
     hier.connect(m1, m0, Duration::from_millis(1));
     // Zone 1 never reaches the root: the zone watchdog armed when
@@ -650,7 +650,7 @@ fn unconnected_topology_blocks_consumer() {
     );
     // A phantom upstream that never joins: its floor stays at origin, so
     // no grant can ever cover the consumer's first tag.
-    let ghost = rti.register("ghost", NodeId(9), true).unwrap();
+    let ghost = rti.register("ghost", true).unwrap();
     rti.connect(ghost, platform.federate_id(), Duration::from_millis(1));
 
     platform.start(&mut sim);
@@ -666,6 +666,103 @@ fn unconnected_topology_blocks_consumer() {
         Some(Tag::at(Instant::from_millis(1)))
     );
     assert!(platform.stats().bound_deferrals > 0 || platform.stats().processed_tags == 1);
+}
+
+/// The same phantom upstream under liveness, flat and inside a zone: a
+/// registered member whose `Join` never arrives must be watched from the
+/// first member frame its coordinator receives, declared dead one
+/// deadline later, and release the consumer it would otherwise wedge on
+/// its origin head.
+#[test]
+fn member_that_never_joins_is_declared_dead() {
+    use dear_federation::HierarchicalRti;
+
+    fn run(zoned: bool) {
+        let deadline = Duration::from_millis(50);
+        let mut sim = Simulation::new(5);
+        sim.enable_tracing();
+        let net = NetworkHandle::new(
+            LinkConfig::ideal(Duration::from_micros(100)),
+            sim.fork_rng("net"),
+        );
+        let sd = SdRegistry::new();
+
+        let mut b = ProgramBuilder::new();
+        let mut r = b.reactor("lonely", 0u32);
+        let t = r.timer("t", Duration::ZERO, Some(Duration::from_millis(1)));
+        r.reaction("tick")
+            .triggered_by(t)
+            .body(|n: &mut u32, _| *n += 1);
+        r.finish();
+        let binding = Binding::new(&net, &sd, NodeId(1), 0x11);
+        let runtime = Runtime::new(b.build().unwrap());
+        let clock = VirtualClock::ideal();
+        let costs = sim.fork_rng("costs");
+        let (platform, ghost, deaths): (_, _, Box<dyn Fn() -> u64>) = if zoned {
+            let hier = HierarchicalRti::new(&mut sim, &net, &sd, NodeId(0));
+            let zone = hier.add_zone(&mut sim, &net, &sd, NodeId(2));
+            hier.enable_liveness(&mut sim, deadline);
+            let platform = CoordinatedPlatform::new_in_zone(
+                "lonely",
+                runtime,
+                clock,
+                Outbox::new(),
+                costs,
+                &hier,
+                zone,
+                &binding,
+                false,
+            )
+            .unwrap();
+            let ghost = hier.register(zone, "ghost", true).unwrap();
+            hier.connect(ghost, platform.federate_id(), Duration::from_millis(1));
+            (
+                platform,
+                ghost,
+                Box::new(move || hier.zone_stats(zone).deaths),
+            )
+        } else {
+            let rti = Rti::new(&mut sim, &net, &sd, NodeId(0));
+            rti.enable_liveness(deadline);
+            let platform = CoordinatedPlatform::new(
+                "lonely",
+                runtime,
+                clock,
+                Outbox::new(),
+                costs,
+                &rti,
+                &binding,
+                false,
+            );
+            let ghost = rti.register("ghost", true).unwrap();
+            rti.connect(ghost, platform.federate_id(), Duration::from_millis(1));
+            (platform, ghost, Box::new(move || rti.stats().deaths))
+        };
+
+        platform.start(&mut sim);
+        // The consumer's heartbeats keep it alive while it waits.
+        platform.enable_heartbeat(&mut sim, Duration::from_millis(10));
+        sim.run_until(Instant::from_secs(1));
+
+        let variant = if zoned { "zoned" } else { "flat" };
+        assert_eq!(deaths(), 1, "{variant}: the ghost {ghost} is declared dead");
+        let deaths: Vec<Instant> = sim.trace_log().events_in("rti").map(|e| e.at).collect();
+        assert_eq!(
+            deaths,
+            [Instant::from_micros(100) + deadline],
+            "{variant}: one deadline after the consumer's Join reached its coordinator"
+        );
+        // Released, the ghost no longer bounds the consumer, whose 1 ms
+        // timer runs on to the horizon.
+        assert!(
+            platform.stats().processed_tags > 900,
+            "{variant}: the consumer advances past the dead ghost ({} tags)",
+            platform.stats().processed_tags
+        );
+    }
+
+    run(false);
+    run(true);
 }
 
 fn us(micros: u64) -> Instant {

@@ -8,25 +8,25 @@ use dear_federation::{edge_add, node_floor, LbtsGraph, TAG_MAX};
 use dear_time::{Duration, Instant};
 
 /// SplitMix64: a case's whole history derives from one printed seed.
-pub struct Rng(pub u64);
+pub(super) struct Rng(pub u64);
 
 impl Rng {
-    pub fn next(&mut self) -> u64 {
+    pub(super) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
-    pub fn below(&mut self, n: usize) -> usize {
+    pub(super) fn below(&mut self, n: usize) -> usize {
         (self.next() % n as u64) as usize
     }
-    pub fn chance(&mut self, percent: u64) -> bool {
+    pub(super) fn chance(&mut self, percent: u64) -> bool {
         self.next() % 100 < percent
     }
     /// A tag from a domain small enough that heads, floors and LBTS
     /// values collide: cut-offs and PTAGs hinge on exact equality.
-    pub fn tag(&mut self) -> Tag {
+    pub(super) fn tag(&mut self) -> Tag {
         Tag::new(
             Instant::from_millis(self.below(12) as u64),
             self.below(2) as u32,
@@ -36,7 +36,7 @@ impl Rng {
 
 /// Which edges a generated graph may contain.
 #[derive(Clone, Copy, Debug)]
-pub enum Shape {
+pub(super) enum Shape {
     /// Edges from lower to higher index only.
     Dag,
     /// Any direction, every delay positive.
@@ -46,12 +46,16 @@ pub enum Shape {
 }
 
 impl Shape {
-    pub const ALL: [Shape; 3] = [Shape::Dag, Shape::PositiveCycles, Shape::ZeroDelayCycles];
+    pub(super) const ALL: [Shape; 3] = [Shape::Dag, Shape::PositiveCycles, Shape::ZeroDelayCycles];
 }
 
 /// An edge `(upstream, downstream, delay)` among `n` nodes; `None` where
 /// the shape forbids the one drawn.
-pub fn random_edge(rng: &mut Rng, n: usize, shape: Shape) -> Option<(usize, usize, Duration)> {
+pub(super) fn random_edge(
+    rng: &mut Rng,
+    n: usize,
+    shape: Shape,
+) -> Option<(usize, usize, Duration)> {
     let (a, b) = (rng.below(n), rng.below(n));
     let delay = match rng.below(3) {
         0 if !matches!(shape, Shape::PositiveCycles) => Duration::ZERO,
@@ -66,7 +70,7 @@ pub fn random_edge(rng: &mut Rng, n: usize, shape: Shape) -> Option<(usize, usiz
 
 /// The PTAG pass as it was before the zero-delay list: every node is
 /// looked at.
-pub fn ptag_scan(
+pub(super) fn ptag_scan(
     lbts: &[Tag],
     graph: &impl LbtsGraph,
     eligible: impl Fn(usize) -> bool,

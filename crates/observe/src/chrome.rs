@@ -74,7 +74,7 @@ fn push_json_str(out: &mut String, s: &str) {
 /// "federates" process, each zone coordinator (and the root) a thread in
 /// "coordination". Spans carry their logical tag as an argument.
 #[must_use]
-pub fn chrome_trace_json(timeline: &Timeline) -> String {
+pub(crate) fn chrome_trace_json(timeline: &Timeline) -> String {
     let mut out = String::with_capacity(256 + timeline.len() * 96);
     out.push_str("{\"traceEvents\":[");
     let mut first = true;

@@ -5,11 +5,11 @@
 //! runtime, SOME/IP middleware, federation) that collects
 //!
 //! * **metrics** — counters, gauges and fixed-bucket log-2 latency
-//!   histograms in a [`Registry`] whose [`snapshot`](Registry::snapshot)
-//!   is byte-deterministic (key-ordered, integer-only),
-//! * **spans** — logical-time [`Timeline`] records placed on per-federate
-//!   / per-zone [`Lane`]s, exportable as Chrome `trace_event` JSON via
-//!   [`chrome_trace_json`] (loadable in Perfetto), and
+//!   histograms whose [`snapshot`](Observe::snapshot) is
+//!   byte-deterministic (key-ordered, integer-only),
+//! * **spans** — logical-time records placed on per-federate / per-zone
+//!   [`Lane`]s, exportable as Chrome `trace_event` JSON via
+//!   [`chrome_trace`](Observe::chrome_trace) (loadable in Perfetto), and
 //! * **structured trace events** — the typed [`EventKind`] model the
 //!   `Trace` fingerprint path records instead of pre-formatted strings,
 //!   with a canonical rendering that keeps every fingerprint stable.
@@ -31,7 +31,7 @@
 //! # Examples
 //!
 //! ```
-//! use dear_observe::{chrome_trace_json, Lane, Observe};
+//! use dear_observe::{Lane, Observe};
 //! use dear_time::{Duration, Instant};
 //!
 //! let obs = Observe::enabled();
@@ -39,7 +39,7 @@
 //! obs.record_duration("coord/grant_wait_ns", Duration::from_micros(120));
 //! obs.span(Lane::Federate(0), "tag", Instant::EPOCH, Instant::from_micros(5));
 //! assert!(obs.snapshot().contains("coord/grant_wait_ns"));
-//! assert!(chrome_trace_json(&obs.timeline_clone()).contains("federate 0"));
+//! assert!(obs.chrome_trace().contains("federate 0"));
 //!
 //! let off = Observe::disabled();
 //! off.count("runtime/tags", 1); // one branch, nothing recorded
@@ -55,11 +55,15 @@ mod metrics;
 mod report;
 mod span;
 
-pub use chrome::{chrome_trace_json, is_valid_json};
+pub use chrome::is_valid_json;
 pub use event::{EventKind, LogicalTag};
-pub use metrics::{duration_nanos, Histogram, Registry, HISTOGRAM_BUCKETS};
+
 pub use report::ObservabilityReport;
-pub use span::{Lane, SpanId, SpanKind, SpanRecord, Timeline};
+pub use span::Lane;
+
+use chrome::chrome_trace_json;
+use metrics::{duration_nanos, Registry};
+use span::Timeline;
 
 use dear_time::{Duration, Instant};
 use std::borrow::Cow;
@@ -120,18 +124,6 @@ impl Observe {
                 .lock()
                 .expect("metrics lock")
                 .counter_add(key, by);
-        }
-    }
-
-    /// Sets a counter to an absolute value (absorbing an externally
-    /// accumulated stats counter).
-    pub fn counter_set(&self, key: &str, value: u64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .metrics
-                .lock()
-                .expect("metrics lock")
-                .counter_set(key, value);
         }
     }
 
@@ -209,23 +201,6 @@ impl Observe {
         }
     }
 
-    /// Records an instant marker carrying its logical tag.
-    pub fn instant_tagged(
-        &self,
-        lane: Lane,
-        name: impl Into<Cow<'static, str>>,
-        at: Instant,
-        tag: LogicalTag,
-    ) {
-        if let Some(inner) = &self.inner {
-            inner
-                .timeline
-                .lock()
-                .expect("timeline lock")
-                .instant(lane, name, at, Some(tag));
-        }
-    }
-
     /// Allocates the next unused federate lane and labels it — for
     /// drivers whose platforms carry no externally assigned federate id
     /// (the decentralized driver). Allocation order follows platform
@@ -284,7 +259,8 @@ impl Observe {
 
     /// Reads the current value of a counter.
     #[must_use]
-    pub fn counter_value(&self, key: &str) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn counter_value(&self, key: &str) -> Option<u64> {
         self.inner
             .as_ref()
             .and_then(|inner| inner.metrics.lock().expect("metrics lock").counter(key))
@@ -292,7 +268,8 @@ impl Observe {
 
     /// A clone of the histogram at `key`, if recorded.
     #[must_use]
-    pub fn histogram_of(&self, key: &str) -> Option<Histogram> {
+    #[cfg(test)]
+    pub(crate) fn histogram_of(&self, key: &str) -> Option<metrics::Histogram> {
         self.inner
             .as_ref()
             .and_then(|inner| inner.metrics.lock().expect("metrics lock").histogram(key))
@@ -303,15 +280,6 @@ impl Observe {
     pub fn span_count(&self) -> usize {
         self.inner.as_ref().map_or(0, |inner| {
             inner.timeline.lock().expect("timeline lock").len()
-        })
-    }
-
-    /// A clone of the span timeline (empty when disabled) — the input to
-    /// [`chrome_trace_json`].
-    #[must_use]
-    pub fn timeline_clone(&self) -> Timeline {
-        self.inner.as_ref().map_or_else(Timeline::default, |inner| {
-            inner.timeline.lock().expect("timeline lock").clone()
         })
     }
 

@@ -14,26 +14,27 @@ use std::fmt::Write as _;
 /// Number of log-2 buckets: bucket 0 holds the value 0, bucket `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i)`. 64 value buckets + the zero bucket
 /// cover the whole `u64` range.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A fixed-bucket log-2 histogram over `u64` samples (typically
 /// nanoseconds of latency).
 ///
-/// # Examples
+/// Fed by [`Observe::record_value`](crate::Observe::record_value) and
+/// rendered into the snapshot:
 ///
 /// ```
-/// use dear_observe::Histogram;
+/// use dear_observe::Observe;
 ///
-/// let mut h = Histogram::default();
+/// let obs = Observe::enabled();
 /// for v in [1u64, 2, 3, 1000] {
-///     h.record(v);
+///     obs.record_value("lat", v);
 /// }
-/// assert_eq!(h.count(), 4);
-/// assert_eq!(h.max(), 1000);
-/// assert!(h.percentile_bound(50) <= h.percentile_bound(99));
+/// let snapshot = obs.snapshot();
+/// assert!(snapshot.contains("hist lat: count=4 sum=1006"));
+/// assert!(snapshot.contains("max=1000"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     count: u64,
     sum: u64,
     max: u64,
@@ -69,7 +70,7 @@ fn bucket_bound(index: usize) -> u64 {
 
 impl Histogram {
     /// Records one sample.
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
@@ -78,25 +79,28 @@ impl Histogram {
 
     /// Number of recorded samples.
     #[must_use]
-    pub fn count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Sum of all samples (saturating).
     #[must_use]
-    pub fn sum(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
     /// Largest recorded sample.
     #[must_use]
-    pub fn max(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
     /// Mean sample value, rounded down (0 when empty).
     #[must_use]
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
@@ -104,7 +108,7 @@ impl Histogram {
     /// top of the first bucket at which the cumulative count reaches
     /// `q%` of all samples. Deterministic by construction.
     #[must_use]
-    pub fn percentile_bound(&self, q: u8) -> u64 {
+    pub(crate) fn percentile_bound(&self, q: u8) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -151,13 +155,13 @@ enum Metric {
 /// (`"coord/grant_wait_ns"`); [`Registry::snapshot_filtered`] selects a
 /// scope by prefix.
 #[derive(Debug, Clone, Default)]
-pub struct Registry {
+pub(crate) struct Registry {
     metrics: BTreeMap<String, Metric>,
 }
 
 impl Registry {
     /// Adds `by` to the counter `key` (creating it at zero).
-    pub fn counter_add(&mut self, key: &str, by: u64) {
+    pub(crate) fn counter_add(&mut self, key: &str, by: u64) {
         match self.metrics.get_mut(key) {
             Some(Metric::Counter(v)) => *v += by,
             Some(other) => *other = Metric::Counter(by),
@@ -169,17 +173,18 @@ impl Registry {
 
     /// Sets the counter `key` to an absolute value (for absorbing
     /// externally accumulated stats counters).
-    pub fn counter_set(&mut self, key: &str, value: u64) {
+    #[cfg(test)]
+    pub(crate) fn counter_set(&mut self, key: &str, value: u64) {
         self.insert(key, Metric::Counter(value));
     }
 
     /// Sets the gauge `key`.
-    pub fn gauge_set(&mut self, key: &str, value: i64) {
+    pub(crate) fn gauge_set(&mut self, key: &str, value: i64) {
         self.insert(key, Metric::Gauge(value));
     }
 
     /// Records a sample into the histogram `key` (creating it empty).
-    pub fn histogram_record(&mut self, key: &str, value: u64) {
+    pub(crate) fn histogram_record(&mut self, key: &str, value: u64) {
         match self.metrics.get_mut(key) {
             Some(Metric::Histogram(h)) => h.record(value),
             _ => {
@@ -202,7 +207,8 @@ impl Registry {
 
     /// The current value of a counter, if `key` names one.
     #[must_use]
-    pub fn counter(&self, key: &str) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn counter(&self, key: &str) -> Option<u64> {
         match self.metrics.get(key) {
             Some(Metric::Counter(v)) => Some(*v),
             _ => None,
@@ -211,7 +217,8 @@ impl Registry {
 
     /// The current value of a gauge, if `key` names one.
     #[must_use]
-    pub fn gauge(&self, key: &str) -> Option<i64> {
+    #[cfg(test)]
+    pub(crate) fn gauge(&self, key: &str) -> Option<i64> {
         match self.metrics.get(key) {
             Some(Metric::Gauge(v)) => Some(*v),
             _ => None,
@@ -220,7 +227,8 @@ impl Registry {
 
     /// A clone of the histogram at `key`, if one exists.
     #[must_use]
-    pub fn histogram(&self, key: &str) -> Option<Histogram> {
+    #[cfg(test)]
+    pub(crate) fn histogram(&self, key: &str) -> Option<Histogram> {
         match self.metrics.get(key) {
             Some(Metric::Histogram(h)) => Some((**h).clone()),
             _ => None,
@@ -229,13 +237,15 @@ impl Registry {
 
     /// Number of registered metrics.
     #[must_use]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.metrics.len()
     }
 
     /// `true` when no metric has been registered.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.metrics.is_empty()
     }
 
@@ -244,14 +254,14 @@ impl Registry {
     /// The output is a pure function of the recorded values — the
     /// deterministic serialized form the property tests compare.
     #[must_use]
-    pub fn snapshot(&self) -> String {
+    pub(crate) fn snapshot(&self) -> String {
         self.snapshot_filtered("")
     }
 
     /// Like [`Registry::snapshot`], restricted to keys starting with
     /// `prefix` (per-subsystem views, e.g. `"runtime/"`).
     #[must_use]
-    pub fn snapshot_filtered(&self, prefix: &str) -> String {
+    pub(crate) fn snapshot_filtered(&self, prefix: &str) -> String {
         let mut out = String::new();
         for (key, metric) in &self.metrics {
             if !key.starts_with(prefix) {
@@ -278,7 +288,7 @@ impl Registry {
 /// Converts a (possibly negative) duration to histogram nanoseconds,
 /// clamping below zero.
 #[must_use]
-pub fn duration_nanos(d: Duration) -> u64 {
+pub(crate) fn duration_nanos(d: Duration) -> u64 {
     d.as_nanos().max(0).unsigned_abs()
 }
 

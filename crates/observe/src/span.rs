@@ -28,11 +28,11 @@ pub enum Lane {
 
 /// Identifier of a recorded span within its timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SpanId(pub u64);
+pub(crate) struct SpanId(pub(crate) u64);
 
 /// How a record is drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanKind {
+pub(crate) enum SpanKind {
     /// A complete span with a duration.
     Complete,
     /// A zero-duration marker (Chrome "instant" event).
@@ -41,33 +41,33 @@ pub enum SpanKind {
 
 /// One recorded span or instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRecord {
+pub(crate) struct SpanRecord {
     /// Identifier (index order = recording order).
-    pub id: SpanId,
+    pub(crate) id: SpanId,
     /// The lane it belongs to.
-    pub lane: Lane,
+    pub(crate) lane: Lane,
     /// Short name, e.g. `"tag"`, `"grant-wait"`, `"fixpoint"`.
-    pub name: Cow<'static, str>,
+    pub(crate) name: Cow<'static, str>,
     /// Start instant (virtual time).
-    pub start: Instant,
+    pub(crate) start: Instant,
     /// End instant; equals `start` for instants.
-    pub end: Instant,
+    pub(crate) end: Instant,
     /// Complete span or instant marker.
-    pub kind: SpanKind,
+    pub(crate) kind: SpanKind,
     /// The logical tag the span is about, if any.
-    pub tag: Option<LogicalTag>,
+    pub(crate) tag: Option<LogicalTag>,
 }
 
 /// An append-only span log plus lane labels.
 #[derive(Debug, Clone, Default)]
-pub struct Timeline {
+pub(crate) struct Timeline {
     records: Vec<SpanRecord>,
     lane_names: BTreeMap<Lane, String>,
 }
 
 impl Timeline {
     /// Records a complete span; returns its id.
-    pub fn span(
+    pub(crate) fn span(
         &mut self,
         lane: Lane,
         name: impl Into<Cow<'static, str>>,
@@ -86,7 +86,7 @@ impl Timeline {
     }
 
     /// Records an instant marker; returns its id.
-    pub fn instant(
+    pub(crate) fn instant(
         &mut self,
         lane: Lane,
         name: impl Into<Cow<'static, str>>,
@@ -119,38 +119,32 @@ impl Timeline {
     }
 
     /// Labels a lane for exporters (e.g. the federate's platform name).
-    pub fn set_lane_name(&mut self, lane: Lane, name: impl Into<String>) {
+    pub(crate) fn set_lane_name(&mut self, lane: Lane, name: impl Into<String>) {
         self.lane_names.insert(lane, name.into());
     }
 
     /// The label of a lane, if one was set.
     #[must_use]
-    pub fn lane_name(&self, lane: Lane) -> Option<&str> {
+    pub(crate) fn lane_name(&self, lane: Lane) -> Option<&str> {
         self.lane_names.get(&lane).map(String::as_str)
     }
 
     /// All lane labels, in lane order.
     #[must_use]
-    pub fn lane_names(&self) -> &BTreeMap<Lane, String> {
+    pub(crate) fn lane_names(&self) -> &BTreeMap<Lane, String> {
         &self.lane_names
     }
 
     /// The recorded spans, in recording order.
     #[must_use]
-    pub fn records(&self) -> &[SpanRecord] {
+    pub(crate) fn records(&self) -> &[SpanRecord] {
         &self.records
     }
 
     /// Number of recorded spans.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.records.len()
-    }
-
-    /// `true` when nothing was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 }
 

@@ -88,7 +88,8 @@ impl VirtualClock {
 
     /// The configured drift in parts per billion.
     #[must_use]
-    pub fn drift_ppb(&self) -> i64 {
+    #[cfg(test)]
+    pub(crate) fn drift_ppb(&self) -> i64 {
         self.drift_ppb
     }
 
@@ -124,7 +125,8 @@ impl VirtualClock {
 
     /// An upper bound on `|local(t) - t|` for `t` in `[0, horizon]`.
     #[must_use]
-    pub fn max_error_within(&self, horizon: Instant) -> Duration {
+    #[cfg(test)]
+    pub(crate) fn max_error_within(&self, horizon: Instant) -> Duration {
         let drift_part =
             horizon.as_nanos() as i128 * self.drift_ppb.unsigned_abs() as i128 / 1_000_000_000;
         Duration::from_nanos(self.offset.as_nanos().unsigned_abs() as i64 + drift_part as i64)
@@ -157,7 +159,8 @@ pub struct ClockModel {
 impl ClockModel {
     /// A model in which clocks are perfect (`E = 0`).
     #[must_use]
-    pub const fn perfect() -> Self {
+    #[cfg(test)]
+    pub(crate) const fn perfect() -> Self {
         ClockModel {
             max_offset: Duration::ZERO,
             max_drift_ppb: 0,
@@ -179,12 +182,6 @@ impl ClockModel {
         }
     }
 
-    /// The bound on clock offset (the paper's `E` when drift is zero).
-    #[must_use]
-    pub fn max_offset(&self) -> Duration {
-        self.max_offset
-    }
-
     /// Draws a clock satisfying the model's bounds.
     pub fn sample(&self, rng: &mut SimRng) -> VirtualClock {
         let offset = if self.max_offset.is_zero() {
@@ -203,7 +200,8 @@ impl ClockModel {
     /// A bound on the worst-case clock error over a horizon, i.e. the `E`
     /// to plug into the safe-to-process offset `t + D + L + E`.
     #[must_use]
-    pub fn error_bound(&self, horizon: Instant) -> Duration {
+    #[cfg(test)]
+    pub(crate) fn error_bound(&self, horizon: Instant) -> Duration {
         let drift_part = horizon.as_nanos() as i128 * self.max_drift_ppb as i128 / 1_000_000_000;
         self.max_offset + Duration::from_nanos(drift_part as i64)
     }

@@ -46,7 +46,7 @@ use std::fmt;
 
 /// One kind of link degradation a [`FaultPlan`] can schedule.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FaultAction {
+pub(crate) enum FaultAction {
     /// Overrides the link's loss probability with `probability` for
     /// `duration`, then restores the configured value.
     LossBurst {
@@ -102,13 +102,13 @@ impl fmt::Display for FaultAction {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
     /// When the fault strikes (true simulation time).
-    pub at: Instant,
+    pub(crate) at: Instant,
     /// Sending side of the affected directed link.
-    pub src: NodeId,
+    pub(crate) src: NodeId,
     /// Receiving side of the affected directed link.
-    pub dst: NodeId,
+    pub(crate) dst: NodeId,
     /// What happens to the link.
-    pub action: FaultAction,
+    pub(crate) action: FaultAction,
 }
 
 /// A deterministic campaign of link faults.
@@ -163,7 +163,7 @@ impl FaultPlan {
     }
 
     /// Schedules a latency spike on the directed link `src -> dst`.
-    pub fn latency_spike(
+    pub(crate) fn latency_spike(
         &mut self,
         at: Instant,
         src: NodeId,
@@ -223,7 +223,8 @@ impl FaultPlan {
 
     /// Schedules a symmetric partition between `a` and `b`: both
     /// directions go down at `at` and heal after `duration`.
-    pub fn partition(
+    #[cfg(test)]
+    pub(crate) fn partition(
         &mut self,
         at: Instant,
         a: NodeId,
@@ -290,7 +291,8 @@ impl FaultPlan {
 
     /// The scheduled fault events, in insertion order.
     #[must_use]
-    pub fn events(&self) -> &[FaultEvent] {
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> &[FaultEvent] {
         &self.events
     }
 
@@ -447,7 +449,7 @@ mod tests {
         let faults = sim
             .trace_log()
             .events_in("fault")
-            .map(crate::TraceEvent::detail_text)
+            .map(crate::trace::TraceEvent::detail_text)
             .collect::<Vec<_>>();
         assert_eq!(
             faults,
@@ -488,7 +490,7 @@ mod tests {
         let faults = sim
             .trace_log()
             .events_in("fault")
-            .map(crate::TraceEvent::detail_text)
+            .map(crate::trace::TraceEvent::detail_text)
             .collect::<Vec<_>>();
         assert_eq!(
             faults,

@@ -44,7 +44,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 /// large enough that no steady-state workload in this workspace ever
 /// hits it, small enough that a transient fan-out burst cannot pin an
 /// unbounded peak working set forever.
-pub const DEFAULT_MAX_FREE: usize = 1024;
+pub(crate) const DEFAULT_MAX_FREE: usize = 1024;
 
 /// Locks a pool mutex, recovering from poisoning: a worker thread that
 /// panicked while holding the guard leaves the free list intact (it only
@@ -70,7 +70,7 @@ pub struct FramePoolStats {
     /// Buffers returned to the free list by a final drop.
     pub recycled: u64,
     /// Buffers deallocated instead of recycled because the free list was
-    /// at its [`FramePool::max_free`] cap.
+    /// at its cap (see [`FramePool::set_max_free`]).
     pub dropped: u64,
 }
 
@@ -228,14 +228,15 @@ impl FramePool {
     /// [`FramePoolStats::dropped`]). Without a cap, one fan-out burst
     /// would permanently pin its peak working set — every buffer the
     /// burst forced into existence stays on the free list for the life
-    /// of the pool. Defaults to [`DEFAULT_MAX_FREE`].
+    /// of the pool. Defaults to 1024 buffers.
     pub fn set_max_free(&self, max_free: usize) {
         self.inner.max_free.store(max_free, Ordering::Relaxed);
     }
 
     /// The current free-list cap.
     #[must_use]
-    pub fn max_free(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn max_free(&self) -> usize {
         self.inner.max_free.load(Ordering::Relaxed)
     }
 
@@ -366,7 +367,8 @@ impl FrameMut {
 
     /// The content written so far (excluding headroom).
     #[must_use]
-    pub fn as_slice(&self) -> &[u8] {
+    #[cfg(test)]
+    pub(crate) fn as_slice(&self) -> &[u8] {
         &self.buf_ref()[self.headroom..]
     }
 
@@ -475,12 +477,6 @@ impl FrameBuf {
             start: self.start + start,
             end: self.start + end,
         }
-    }
-
-    /// Copies the viewed bytes into an owned vector.
-    #[must_use]
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_slice().to_vec()
     }
 
     /// Zero-copy wire assembly: grows this view in place by writing

@@ -55,10 +55,10 @@ mod sim;
 mod trace;
 
 pub use clock::{ClockModel, VirtualClock};
-pub use fault::{FaultAction, FaultEvent, FaultPlan};
-pub use frame::{FrameBuf, FrameMut, FramePool, FramePoolStats, DEFAULT_MAX_FREE};
+pub use fault::{FaultEvent, FaultPlan};
+pub use frame::{FrameBuf, FrameMut, FramePool, FramePoolStats};
 pub use net::{Frame, LinkConfig, NetStats, NetworkHandle, NodeId};
 pub use pool::{PoolStats, TaskPool};
 pub use rng::{LatencyModel, SimRng};
 pub use sim::{SimStats, Simulation};
-pub use trace::{Trace, TraceDetail, TraceEvent};
+pub use trace::{Trace, TraceEvent};

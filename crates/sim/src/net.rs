@@ -49,14 +49,14 @@ pub struct Frame {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkConfig {
     /// Per-frame transport latency distribution.
-    pub latency: LatencyModel,
+    pub(crate) latency: LatencyModel,
     /// If `true`, frames on this link never overtake each other.
     ///
     /// AP does not formally require in-order delivery (nondeterminism
     /// source 3); set to `false` to model reordering transports.
-    pub fifo: bool,
+    pub(crate) fifo: bool,
     /// Probability that a frame is silently dropped.
-    pub drop_probability: f64,
+    pub(crate) drop_probability: f64,
 }
 
 impl LinkConfig {
@@ -168,7 +168,7 @@ impl LinkState {
 ///
 /// Usually accessed through the cheap-to-clone [`NetworkHandle`], which can
 /// be captured by simulation event closures.
-pub struct Network {
+pub(crate) struct Network {
     default_link: LinkConfig,
     // BTreeMap rather than HashMap so that no observable behaviour (and no
     // future iteration over links or receivers) can ever depend on hasher
@@ -206,7 +206,7 @@ impl Network {
     /// The RNG stream should be forked from the simulation master seed,
     /// e.g. `sim.fork_rng("network")`.
     #[must_use]
-    pub fn new(default_link: LinkConfig, rng: SimRng) -> Self {
+    pub(crate) fn new(default_link: LinkConfig, rng: SimRng) -> Self {
         Network {
             default_link,
             links: BTreeMap::new(),
@@ -273,23 +273,12 @@ impl NetworkHandle {
             .insert((src, dst), LinkState::new(config));
     }
 
-    /// Configures both directions between two nodes symmetrically.
-    pub fn configure_duplex(&self, a: NodeId, b: NodeId, config: LinkConfig) {
-        self.configure_link(a, b, config.clone());
-        self.configure_link(b, a, config);
-    }
-
     /// Registers the frame receiver for a node, replacing any previous one.
     pub fn set_receiver(&self, node: NodeId, receiver: impl Fn(&mut Simulation, Frame) + 'static) {
         self.0
             .borrow_mut()
             .receivers
             .insert(node, Rc::new(receiver));
-    }
-
-    /// Removes the receiver for a node (frames to it become unroutable).
-    pub fn clear_receiver(&self, node: NodeId) {
-        self.0.borrow_mut().receivers.remove(&node);
     }
 
     /// Submits a frame for transmission at the current simulation time.
@@ -371,7 +360,8 @@ impl NetworkHandle {
     /// engineering bound, and a fault plan that pushes real latencies
     /// beyond it is exactly how STP violations are provoked.
     #[must_use]
-    pub fn latency_bound(&self, src: NodeId, dst: NodeId) -> Duration {
+    #[cfg(test)]
+    pub(crate) fn latency_bound(&self, src: NodeId, dst: NodeId) -> Duration {
         let net = self.0.borrow();
         net.links
             .get(&(src, dst))
@@ -384,7 +374,7 @@ impl NetworkHandle {
     /// Takes the directed link `src -> dst` down (`up = false`) or brings
     /// it back (`up = true`). Frames sent on a downed link are dropped and
     /// counted in [`NetStats::faulted`].
-    pub fn set_link_up(&self, src: NodeId, dst: NodeId, up: bool) {
+    pub(crate) fn set_link_up(&self, src: NodeId, dst: NodeId, up: bool) {
         self.0.borrow_mut().link_state(src, dst).up = up;
     }
 
@@ -397,7 +387,7 @@ impl NetworkHandle {
     /// Installs (`Some`) or clears (`None`) a loss-probability override on
     /// the directed link `src -> dst`. While set, it replaces the
     /// configured drop probability.
-    pub fn set_drop_override(&self, src: NodeId, dst: NodeId, p: Option<f64>) {
+    pub(crate) fn set_drop_override(&self, src: NodeId, dst: NodeId, p: Option<f64>) {
         if let Some(p) = p {
             assert!((0.0..=1.0).contains(&p), "probability out of range");
         }
@@ -408,7 +398,12 @@ impl NetworkHandle {
     /// the directed link `src -> dst`. While set, it replaces the
     /// configured model for sampling; [`NetworkHandle::latency_bound`]
     /// keeps reporting the configured bound.
-    pub fn set_latency_override(&self, src: NodeId, dst: NodeId, model: Option<LatencyModel>) {
+    pub(crate) fn set_latency_override(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        model: Option<LatencyModel>,
+    ) {
         self.0.borrow_mut().link_state(src, dst).latency_override = model;
     }
 
@@ -419,7 +414,7 @@ impl NetworkHandle {
     /// *addressed to* it still deliver, because the receiving stack's
     /// durable inbox outlives its runtime — the registered receiver
     /// decides what a dead node does with an arrival.
-    pub fn set_node_up(&self, sim: &mut Simulation, node: NodeId, up: bool) {
+    pub(crate) fn set_node_up(&self, sim: &mut Simulation, node: NodeId, up: bool) {
         let observers = {
             let mut net = self.0.borrow_mut();
             let changed = if up {
@@ -439,7 +434,8 @@ impl NetworkHandle {
 
     /// Whether the node is currently up (nodes start up).
     #[must_use]
-    pub fn node_is_up(&self, node: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn node_is_up(&self, node: NodeId) -> bool {
         !self.0.borrow().downed_nodes.contains(&node)
     }
 

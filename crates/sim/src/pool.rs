@@ -23,9 +23,9 @@ use std::rc::Rc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Tasks submitted in total.
-    pub submitted: u64,
+    pub(crate) submitted: u64,
     /// Tasks that had to wait for a busy worker.
-    pub queued: u64,
+    pub(crate) queued: u64,
 }
 
 impl fmt::Display for PoolStats {

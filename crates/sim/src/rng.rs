@@ -115,7 +115,7 @@ impl SimRng {
 
     /// Returns a uniformly distributed `f64` in `[0, 1)`.
     #[inline]
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         // 53 high-quality bits -> [0, 1).
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -127,7 +127,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
-    pub fn next_u64_below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn next_u64_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         loop {
             let x = self.next_u64();
@@ -159,7 +159,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
-    pub fn next_usize_below(&mut self, bound: usize) -> usize {
+    pub(crate) fn next_usize_below(&mut self, bound: usize) -> usize {
         self.next_u64_below(bound as u64) as usize
     }
 
@@ -205,7 +205,7 @@ impl SimRng {
 
     /// Returns a normally distributed duration with the given mean and
     /// standard deviation, clamped below at `floor`.
-    pub fn normal_duration(
+    pub(crate) fn normal_duration(
         &mut self,
         mean: Duration,
         std_dev: Duration,
@@ -221,7 +221,8 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `mean` is not positive.
-    pub fn exponential_duration(&mut self, mean: Duration) -> Duration {
+    #[cfg(test)]
+    pub(crate) fn exponential_duration(&mut self, mean: Duration) -> Duration {
         assert!(mean > Duration::ZERO, "mean must be positive");
         let u = 1.0 - self.next_f64(); // (0, 1]
         let sample = -(u.ln()) * mean.as_nanos() as f64;
@@ -229,7 +230,8 @@ impl SimRng {
     }
 
     /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
+    #[cfg(test)]
+    pub(crate) fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
             let j = self.next_usize_below(i + 1);
             slice.swap(i, j);

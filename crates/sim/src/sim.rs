@@ -50,7 +50,7 @@ pub struct SimStats {
     /// Number of events executed so far.
     pub executed_events: u64,
     /// Number of events currently pending in the calendar.
-    pub pending_events: usize,
+    pub(crate) pending_events: usize,
 }
 
 impl fmt::Display for SimStats {
@@ -138,12 +138,6 @@ impl Simulation {
         self.now
     }
 
-    /// The master seed this simulation was created with.
-    #[must_use]
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// Derives a named, reproducible RNG stream from the master seed.
     ///
     /// Streams with different labels are statistically independent; the
@@ -151,12 +145,6 @@ impl Simulation {
     #[must_use]
     pub fn fork_rng(&self, label: &str) -> SimRng {
         self.rng_root.fork(label)
-    }
-
-    /// Derives an indexed RNG stream (e.g. one per component instance).
-    #[must_use]
-    pub fn fork_rng_indexed(&self, label: &str, index: u64) -> SimRng {
-        self.rng_root.fork_indexed(label, index)
     }
 
     /// Schedules `event` at the absolute virtual time `at`.
@@ -194,7 +182,7 @@ impl Simulation {
 
     /// The time of the earliest pending event, if any.
     #[must_use]
-    pub fn next_event_time(&self) -> Option<Instant> {
+    pub(crate) fn next_event_time(&self) -> Option<Instant> {
         self.calendar.peek().map(|e| e.at)
     }
 
@@ -246,7 +234,8 @@ impl Simulation {
     ///
     /// Returns the number of events executed (less than `max_events` if the
     /// calendar drained first).
-    pub fn run_events(&mut self, max_events: u64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn run_events(&mut self, max_events: u64) -> u64 {
         let mut n = 0;
         while n < max_events && !self.stop_requested && self.step() {
             n += 1;
@@ -256,7 +245,8 @@ impl Simulation {
     }
 
     /// Requests that the current `run_*` call return after the current event.
-    pub fn request_stop(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn request_stop(&mut self) {
         self.stop_requested = true;
     }
 
@@ -301,7 +291,8 @@ impl Simulation {
     /// The detail argument is built eagerly; in hot loops prefer
     /// [`Simulation::trace_with`], which skips detail construction entirely
     /// while tracing is disabled.
-    pub fn trace(&mut self, category: &'static str, detail: impl Into<String>) {
+    #[cfg(test)]
+    pub(crate) fn trace(&mut self, category: &'static str, detail: impl Into<String>) {
         let now = self.now;
         self.trace.record(now, category, detail);
     }

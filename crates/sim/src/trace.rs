@@ -21,7 +21,7 @@ use std::fmt;
 
 /// The payload of a [`TraceEvent`]: a free-form line or a typed record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceDetail {
+pub(crate) enum TraceDetail {
     /// A pre-formatted detail line.
     Text(String),
     /// A structured record; its canonical rendering is the detail line.
@@ -30,7 +30,7 @@ pub enum TraceDetail {
 
 impl TraceDetail {
     /// Appends the canonical detail line to `out`.
-    pub fn render(&self, out: &mut String) {
+    pub(crate) fn render(&self, out: &mut String) {
         match self {
             TraceDetail::Text(s) => out.push_str(s),
             TraceDetail::Typed(kind) => kind.render(out),
@@ -66,15 +66,16 @@ pub struct TraceEvent {
     /// Time at which the event was recorded (epoch depends on the recorder).
     pub at: Instant,
     /// Coarse category, e.g. `"net"`, `"reaction"`, `"error"`.
-    pub category: Cow<'static, str>,
+    pub(crate) category: Cow<'static, str>,
     /// Detail payload (free-form or typed).
-    pub detail: TraceDetail,
+    pub(crate) detail: TraceDetail,
 }
 
 impl TraceEvent {
     /// The canonical detail line as an owned string.
     #[must_use]
-    pub fn detail_text(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn detail_text(&self) -> String {
         let mut s = String::new();
         self.detail.render(&mut s);
         s
@@ -82,7 +83,8 @@ impl TraceEvent {
 
     /// The typed record, if this event carries one.
     #[must_use]
-    pub fn kind(&self) -> Option<&EventKind> {
+    #[cfg(test)]
+    pub(crate) fn kind(&self) -> Option<&EventKind> {
         match &self.detail {
             TraceDetail::Typed(kind) => Some(kind),
             TraceDetail::Text(_) => None,
@@ -267,20 +269,6 @@ impl Trace {
         self.events.iter().filter(move |e| e.category == category)
     }
 
-    /// Returns the events recorded under a given category, collected.
-    ///
-    /// Thin wrapper over [`Trace::events_in`] for callers that want a
-    /// `Vec`; prefer the iterator on hot paths.
-    #[must_use]
-    pub fn in_category(&self, category: &str) -> Vec<&TraceEvent> {
-        self.events_in(category).collect()
-    }
-
-    /// Removes all recorded events (the enabled flag is preserved).
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
     /// A deterministic 64-bit FNV-1a fingerprint over all records.
     ///
     /// Two traces have equal fingerprints iff (with overwhelming
@@ -373,9 +361,9 @@ mod tests {
         t.record(Instant::EPOCH, "err", "bad");
         t.record(Instant::EPOCH, "ok", "good");
         t.record(Instant::EPOCH, "err", "worse");
-        assert_eq!(t.in_category("err").len(), 2);
-        assert_eq!(t.in_category("ok").len(), 1);
-        assert_eq!(t.in_category("none").len(), 0);
+        assert_eq!(t.events_in("err").count(), 2);
+        assert_eq!(t.events_in("ok").count(), 1);
+        assert_eq!(t.events_in("none").count(), 0);
         // The iterator form sees the same events without collecting.
         assert_eq!(t.events_in("err").count(), 2);
         assert!(t.events_in("err").all(|e| e.category == "err"));

@@ -56,15 +56,15 @@ impl Error for BindingError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BindingStats {
     /// Requests sent.
-    pub requests_sent: u64,
+    pub(crate) requests_sent: u64,
     /// Responses (including errors) received.
-    pub responses_received: u64,
+    pub(crate) responses_received: u64,
     /// Notifications sent (one per subscriber).
-    pub notifications_sent: u64,
+    pub(crate) notifications_sent: u64,
     /// Notifications received and dispatched.
-    pub notifications_received: u64,
+    pub(crate) notifications_received: u64,
     /// Frames that failed to decode.
-    pub decode_errors: u64,
+    pub(crate) decode_errors: u64,
 }
 
 impl fmt::Display for BindingStats {

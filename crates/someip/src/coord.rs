@@ -45,7 +45,7 @@ pub const COORD_EVENT: u16 = 0x8001;
 pub const COORD_EVENTGROUP_BASE: u16 = 0x4000;
 
 /// Encoded size of every coordination payload in bytes.
-pub const COORD_PAYLOAD_LEN: usize = 27;
+pub(crate) const COORD_PAYLOAD_LEN: usize = 27;
 
 /// Leading byte of a batched coordination frame. Disjoint from every
 /// [`CoordKind`] discriminant so a receiver can tell a batch from a
@@ -144,37 +144,19 @@ impl CoordKind {
             other => Err(CoordError::UnknownKind(other)),
         }
     }
-
-    /// A stable lowercase label for telemetry keys (e.g.
-    /// `coord/sent/ltc`) and log lines.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            CoordKind::Join => "join",
-            CoordKind::Net => "net",
-            CoordKind::Ltc => "ltc",
-            CoordKind::Tag => "tag",
-            CoordKind::Ptag => "ptag",
-            CoordKind::Resign => "resign",
-            CoordKind::Floor => "floor",
-            CoordKind::Dnet => "dnet",
-            CoordKind::Period => "period",
-            CoordKind::Rejoin => "rejoin",
-        }
-    }
 }
 
 /// Errors produced while decoding coordination payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoordError {
-    /// The payload is not exactly [`COORD_PAYLOAD_LEN`] bytes.
+    /// The payload is not exactly one record (27 bytes) long.
     BadLength(usize),
     /// Unknown message kind byte.
     UnknownKind(u8),
     /// The payload does not start with [`COORD_BATCH_MARKER`].
     NotABatch(u8),
     /// A batch payload's length does not match its framing
-    /// (header + `count` × [`COORD_PAYLOAD_LEN`]).
+    /// (header + `count` 27-byte records).
     BadBatchLength {
         /// Record count declared in the batch header.
         declared: u16,

@@ -45,13 +45,11 @@ pub use binding::{Binding, BindingError, BindingStats, Responder};
 pub use coord::{
     coord_eventgroup, visit_control_records, CoordBatch, CoordBatchView, CoordError, CoordKind,
     CoordMsg, COORD_BATCH_HEADER_LEN, COORD_BATCH_MARKER, COORD_EVENT, COORD_EVENTGROUP_BASE,
-    COORD_INSTANCE, COORD_METHOD, COORD_PAYLOAD_LEN, COORD_SERVICE, DNET_NET_LATTICE, DNET_SINK,
-    TAG_NEVER,
+    COORD_INSTANCE, COORD_METHOD, COORD_SERVICE, DNET_NET_LATTICE, DNET_SINK, TAG_NEVER,
 };
 pub use dear_sim::{FrameBuf, FrameMut, FramePool, FramePoolStats};
 pub use payload::{PayloadError, PayloadReader, PayloadWriter};
 pub use sd::{Offer, SdRegistry, ServiceInstance, ANY_INSTANCE};
 pub use wire::{
     MessageId, MessageType, RequestId, ReturnCode, SomeIpMessage, WireError, WireTag, HEADER_LEN,
-    PROTOCOL_VERSION, PROTOCOL_VERSION_DEAR, TAG_MAGIC, TAG_TRAILER_LEN,
 };

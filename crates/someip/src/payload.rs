@@ -1,8 +1,8 @@
 //! Payload serialization helpers.
 //!
 //! SOME/IP serializes arguments in network byte order (big-endian).
-//! [`PayloadWriter`] and [`PayloadReader`] provide the primitive codec the
-//! generated proxies/skeletons in `dear-ara` build on.
+//! [`PayloadWriter`] and [`PayloadReader`] provide the primitive codec
+//! service payloads are built with.
 //!
 //! Writers fill [`FrameBuf`] buffers: a [pooled](PayloadWriter::pooled)
 //! writer recycles buffers from a [`FramePool`] and reserves wire-header
@@ -128,7 +128,8 @@ impl PayloadWriter {
     }
 
     /// Appends an `i32`.
-    pub fn write_i32(&mut self, v: i32) -> &mut Self {
+    #[cfg(test)]
+    pub(crate) fn write_i32(&mut self, v: i32) -> &mut Self {
         self.buf.extend_from_slice(&v.to_be_bytes());
         self
     }
@@ -140,7 +141,8 @@ impl PayloadWriter {
     }
 
     /// Appends an `f64`.
-    pub fn write_f64(&mut self, v: f64) -> &mut Self {
+    #[cfg(test)]
+    pub(crate) fn write_f64(&mut self, v: f64) -> &mut Self {
         self.buf.extend_from_slice(&v.to_be_bytes());
         self
     }
@@ -229,7 +231,7 @@ impl<'a> PayloadReader<'a> {
     /// # Errors
     ///
     /// Returns [`PayloadError::UnexpectedEnd`] if the payload is exhausted.
-    pub fn read_u8(&mut self) -> Result<u8, PayloadError> {
+    pub(crate) fn read_u8(&mut self) -> Result<u8, PayloadError> {
         Ok(self.take(1)?[0])
     }
 
@@ -237,7 +239,7 @@ impl<'a> PayloadReader<'a> {
     ///
     /// # Errors
     ///
-    /// See [`PayloadReader::read_u8`].
+    /// Returns [`PayloadError::UnexpectedEnd`] if the payload is exhausted.
     pub fn read_u16(&mut self) -> Result<u16, PayloadError> {
         Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("len")))
     }
@@ -246,7 +248,7 @@ impl<'a> PayloadReader<'a> {
     ///
     /// # Errors
     ///
-    /// See [`PayloadReader::read_u8`].
+    /// Returns [`PayloadError::UnexpectedEnd`] if the payload is exhausted.
     pub fn read_u32(&mut self) -> Result<u32, PayloadError> {
         Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("len")))
     }
@@ -255,7 +257,7 @@ impl<'a> PayloadReader<'a> {
     ///
     /// # Errors
     ///
-    /// See [`PayloadReader::read_u8`].
+    /// Returns [`PayloadError::UnexpectedEnd`] if the payload is exhausted.
     pub fn read_u64(&mut self) -> Result<u64, PayloadError> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("len")))
     }
@@ -264,8 +266,9 @@ impl<'a> PayloadReader<'a> {
     ///
     /// # Errors
     ///
-    /// See [`PayloadReader::read_u8`].
-    pub fn read_i32(&mut self) -> Result<i32, PayloadError> {
+    /// Returns [`PayloadError::UnexpectedEnd`] if the payload is exhausted.
+    #[cfg(test)]
+    pub(crate) fn read_i32(&mut self) -> Result<i32, PayloadError> {
         Ok(i32::from_be_bytes(self.take(4)?.try_into().expect("len")))
     }
 
@@ -273,7 +276,7 @@ impl<'a> PayloadReader<'a> {
     ///
     /// # Errors
     ///
-    /// See [`PayloadReader::read_u8`].
+    /// Returns [`PayloadError::UnexpectedEnd`] if the payload is exhausted.
     pub fn read_i64(&mut self) -> Result<i64, PayloadError> {
         Ok(i64::from_be_bytes(self.take(8)?.try_into().expect("len")))
     }
@@ -282,8 +285,9 @@ impl<'a> PayloadReader<'a> {
     ///
     /// # Errors
     ///
-    /// See [`PayloadReader::read_u8`].
-    pub fn read_f64(&mut self) -> Result<f64, PayloadError> {
+    /// Returns [`PayloadError::UnexpectedEnd`] if the payload is exhausted.
+    #[cfg(test)]
+    pub(crate) fn read_f64(&mut self) -> Result<f64, PayloadError> {
         Ok(f64::from_be_bytes(self.take(8)?.try_into().expect("len")))
     }
 
@@ -291,7 +295,7 @@ impl<'a> PayloadReader<'a> {
     ///
     /// # Errors
     ///
-    /// See [`PayloadReader::read_u8`].
+    /// Returns [`PayloadError::UnexpectedEnd`] if the payload is exhausted.
     pub fn read_bool(&mut self) -> Result<bool, PayloadError> {
         Ok(self.read_u8()? != 0)
     }
@@ -317,7 +321,8 @@ impl<'a> PayloadReader<'a> {
     /// # Errors
     ///
     /// Returns [`PayloadError::LengthOutOfBounds`] for oversized prefixes.
-    pub fn read_bytes(&mut self) -> Result<Vec<u8>, PayloadError> {
+    #[cfg(test)]
+    pub(crate) fn read_bytes(&mut self) -> Result<Vec<u8>, PayloadError> {
         let len = self.read_u32()?;
         let remaining = self.data.len() - self.pos;
         if len as usize > remaining {
@@ -328,7 +333,7 @@ impl<'a> PayloadReader<'a> {
 
     /// Bytes not yet consumed.
     #[must_use]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 

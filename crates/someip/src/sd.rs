@@ -69,11 +69,11 @@ pub struct Offer {
     /// Node hosting the server.
     pub node: NodeId,
     /// Offer expiry (true simulation time).
-    pub valid_until: Instant,
+    pub(crate) valid_until: Instant,
     /// Selection priority among redundant offers of the same service:
     /// lower values win, ties break on the lower instance id. Plain
     /// offers default to priority 0.
-    pub priority: u8,
+    pub(crate) priority: u8,
 }
 
 type FindCallback = Box<dyn FnOnce(&mut Simulation, Offer)>;
@@ -184,7 +184,7 @@ impl SdRegistry {
     }
 
     /// Offers a service instance with an explicit selection priority
-    /// (lower wins; see [`Offer::priority`]). Re-offering the same
+    /// (lower wins). Re-offering the same
     /// instance renews its TTL — the SOME/IP-SD heartbeat.
     pub fn offer_prioritized(
         &self,
@@ -247,7 +247,7 @@ impl SdRegistry {
     /// Finds a currently valid offer. `instance` may be [`ANY_INSTANCE`].
     ///
     /// The choice among redundant offers is deterministic: lowest
-    /// [`Offer::priority`] wins, ties break on the lowest instance id.
+    /// offered priority wins, ties break on the lowest instance id.
     #[must_use]
     pub fn find(&self, sim: &Simulation, service: u16, instance: u16) -> Option<Offer> {
         best_of(&self.0.borrow().offers, sim.now(), service, instance)
@@ -356,7 +356,8 @@ impl SdRegistry {
 
     /// Finds asynchronously: `callback` fires now if a matching offer
     /// exists, or as soon as one appears.
-    pub fn find_async(
+    #[cfg(test)]
+    pub(crate) fn find_async(
         &self,
         sim: &mut Simulation,
         service: u16,
@@ -424,13 +425,6 @@ impl SdRegistry {
             .collect();
         offers.sort_by_key(|o| (o.priority, o.instance.instance));
         offers
-    }
-
-    /// Number of currently stored offers (including possibly expired ones
-    /// that have not been purged).
-    #[must_use]
-    pub fn offer_count(&self) -> usize {
-        self.0.borrow().offers.len()
     }
 }
 

@@ -29,16 +29,16 @@ use std::error::Error;
 use std::fmt;
 
 /// Standard SOME/IP protocol version.
-pub const PROTOCOL_VERSION: u8 = 0x01;
+pub(crate) const PROTOCOL_VERSION: u8 = 0x01;
 /// Protocol version advertised by the DEAR-modified binding (tag trailer
 /// present).
-pub const PROTOCOL_VERSION_DEAR: u8 = 0x02;
+pub(crate) const PROTOCOL_VERSION_DEAR: u8 = 0x02;
 /// Magic bytes opening the tag trailer.
-pub const TAG_MAGIC: [u8; 4] = *b"DEAR";
+pub(crate) const TAG_MAGIC: [u8; 4] = *b"DEAR";
 /// Size of the fixed header in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Size of the tag trailer in bytes.
-pub const TAG_TRAILER_LEN: usize = 16;
+pub(crate) const TAG_TRAILER_LEN: usize = 16;
 
 /// Message ID: service + method/event identifier.
 ///
@@ -46,9 +46,9 @@ pub const TAG_TRAILER_LEN: usize = 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MessageId {
     /// The service this message addresses.
-    pub service: u16,
+    pub(crate) service: u16,
     /// Method or event within the service.
-    pub method: u16,
+    pub(crate) method: u16,
 }
 
 impl MessageId {
@@ -69,9 +69,9 @@ impl fmt::Display for MessageId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RequestId {
     /// The calling client.
-    pub client: u16,
+    pub(crate) client: u16,
     /// Session counter within the client.
-    pub session: u16,
+    pub(crate) session: u16,
 }
 
 impl RequestId {
@@ -280,7 +280,7 @@ impl SomeIpMessage {
 
     /// Creates the response to a request, reusing its addressing.
     #[must_use]
-    pub fn response_to(request: &SomeIpMessage, payload: impl Into<FrameBuf>) -> Self {
+    pub(crate) fn response_to(request: &SomeIpMessage, payload: impl Into<FrameBuf>) -> Self {
         SomeIpMessage {
             message_id: request.message_id,
             request_id: request.request_id,
@@ -294,7 +294,7 @@ impl SomeIpMessage {
 
     /// Creates an error response to a request.
     #[must_use]
-    pub fn error_to(request: &SomeIpMessage, code: ReturnCode) -> Self {
+    pub(crate) fn error_to(request: &SomeIpMessage, code: ReturnCode) -> Self {
         SomeIpMessage {
             message_id: request.message_id,
             request_id: request.request_id,

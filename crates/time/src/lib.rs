@@ -59,7 +59,8 @@ impl Duration {
     /// The largest representable duration.
     pub const MAX: Duration = Duration(i64::MAX);
     /// The smallest (most negative) representable duration.
-    pub const MIN: Duration = Duration(i64::MIN);
+    #[cfg(test)]
+    pub(crate) const MIN: Duration = Duration(i64::MIN);
 
     /// Creates a duration from a signed nanosecond count.
     #[must_use]
@@ -114,7 +115,8 @@ impl Duration {
     ///
     /// Panics if the value is not finite or overflows the representation.
     #[must_use]
-    pub fn from_secs_f64(secs: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite(), "duration must be finite");
         let nanos = secs * 1e9;
         assert!(
@@ -130,28 +132,10 @@ impl Duration {
         self.0
     }
 
-    /// Returns the number of whole microseconds (truncating).
-    #[must_use]
-    pub const fn as_micros(self) -> i64 {
-        self.0 / 1_000
-    }
-
     /// Returns the number of whole milliseconds (truncating).
     #[must_use]
     pub const fn as_millis(self) -> i64 {
         self.0 / 1_000_000
-    }
-
-    /// Returns the number of whole seconds (truncating).
-    #[must_use]
-    pub const fn as_secs(self) -> i64 {
-        self.0 / 1_000_000_000
-    }
-
-    /// Returns the duration as fractional seconds.
-    #[must_use]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
     }
 
     /// Returns the duration as fractional milliseconds.
@@ -180,7 +164,8 @@ impl Duration {
 
     /// Checked addition; `None` on overflow.
     #[must_use]
-    pub const fn checked_add(self, rhs: Duration) -> Option<Duration> {
+    #[cfg(test)]
+    pub(crate) const fn checked_add(self, rhs: Duration) -> Option<Duration> {
         match self.0.checked_add(rhs.0) {
             Some(n) => Some(Duration(n)),
             None => None,
@@ -189,7 +174,8 @@ impl Duration {
 
     /// Checked subtraction; `None` on overflow.
     #[must_use]
-    pub const fn checked_sub(self, rhs: Duration) -> Option<Duration> {
+    #[cfg(test)]
+    pub(crate) const fn checked_sub(self, rhs: Duration) -> Option<Duration> {
         match self.0.checked_sub(rhs.0) {
             Some(n) => Some(Duration(n)),
             None => None,
@@ -200,32 +186,6 @@ impl Duration {
     #[must_use]
     pub const fn saturating_add(self, rhs: Duration) -> Duration {
         Duration(self.0.saturating_add(rhs.0))
-    }
-
-    /// Saturating multiplication by an integer factor.
-    #[must_use]
-    pub const fn saturating_mul(self, factor: i64) -> Duration {
-        Duration(self.0.saturating_mul(factor))
-    }
-
-    /// Returns the larger of two durations.
-    #[must_use]
-    pub fn max(self, other: Duration) -> Duration {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the smaller of two durations.
-    #[must_use]
-    pub fn min(self, other: Duration) -> Duration {
-        if self <= other {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -373,17 +333,11 @@ impl Instant {
         self.0 as f64 / 1e6
     }
 
-    /// Returns the instant as fractional seconds since the epoch.
-    #[must_use]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Checked addition of a (possibly negative) duration.
     ///
     /// Returns `None` if the result would precede the epoch or overflow.
     #[must_use]
-    pub const fn checked_add(self, d: Duration) -> Option<Instant> {
+    pub(crate) const fn checked_add(self, d: Duration) -> Option<Instant> {
         let n = d.as_nanos();
         if n >= 0 {
             match self.0.checked_add(n as u64) {
@@ -421,26 +375,6 @@ impl Instant {
             Some(Duration::from_nanos(diff as i64))
         } else {
             None
-        }
-    }
-
-    /// Returns the larger of two instants.
-    #[must_use]
-    pub fn max(self, other: Instant) -> Instant {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the smaller of two instants.
-    #[must_use]
-    pub fn min(self, other: Instant) -> Instant {
-        if self <= other {
-            self
-        } else {
-            other
         }
     }
 }

@@ -24,9 +24,9 @@ pub enum UntaggedPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DearConfig {
     /// Worst-case network latency `L` between the communicating platforms.
-    pub latency_bound: Duration,
+    pub(crate) latency_bound: Duration,
     /// Worst-case clock synchronization error `E`.
-    pub clock_error: Duration,
+    pub(crate) clock_error: Duration,
     /// Policy for untagged messages.
     pub untagged: UntaggedPolicy,
 }

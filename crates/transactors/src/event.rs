@@ -42,8 +42,6 @@ pub struct ServerEventTransactor {
     /// Input port: event payloads from the publishing logic.
     pub event: Port<FrameBuf>,
     route: u32,
-    /// The sender-side deadline `D`.
-    pub deadline: Duration,
 }
 
 impl ServerEventTransactor {
@@ -66,11 +64,7 @@ impl ServerEventTransactor {
             )
             .body(forward_fn(outbox.sender(), route, deadline, event));
         r.finish();
-        ServerEventTransactor {
-            event,
-            route,
-            deadline,
-        }
+        ServerEventTransactor { event, route }
     }
 
     /// Binds the transactor to the publisher's middleware binding.

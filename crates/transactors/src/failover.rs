@@ -146,7 +146,7 @@ impl FailoverBinding {
 
     /// Records provider liveness: call on every received event of the
     /// watched service. Re-arms the heartbeat watchdog.
-    pub fn note_event(&self, sim: &mut Simulation) {
+    pub(crate) fn note_event(&self, sim: &mut Simulation) {
         let rearm = {
             let mut inner = self.0.borrow_mut();
             inner.last_live_at = Some(sim.now());
@@ -157,22 +157,18 @@ impl FailoverBinding {
         }
     }
 
-    /// The provider currently bound, if any.
-    #[must_use]
-    pub fn current(&self) -> Option<Offer> {
-        self.0.borrow().current
-    }
-
     /// The instance id currently bound, for building method specs.
     #[must_use]
-    pub fn instance(&self) -> Option<u16> {
+    #[cfg(test)]
+    pub(crate) fn instance(&self) -> Option<u16> {
         self.0.borrow().current.map(|o| o.instance.instance)
     }
 
     /// A [`MethodSpec`](crate::MethodSpec) for `method` on the currently
     /// bound provider instance, or `None` while unbound.
     #[must_use]
-    pub fn method_spec(&self, method: u16) -> Option<crate::MethodSpec> {
+    #[cfg(test)]
+    pub(crate) fn method_spec(&self, method: u16) -> Option<crate::MethodSpec> {
         let inner = self.0.borrow();
         inner.current.map(|o| crate::MethodSpec {
             service: inner.service,
@@ -192,7 +188,8 @@ impl FailoverBinding {
     /// switched and the provider it switched to (`None` = parked, no
     /// candidate left). The initial binding is entry 0.
     #[must_use]
-    pub fn history(&self) -> Vec<(Instant, Option<ServiceInstance>)> {
+    #[cfg(test)]
+    pub(crate) fn history(&self) -> Vec<(Instant, Option<ServiceInstance>)> {
         self.0.borrow().history.clone()
     }
 

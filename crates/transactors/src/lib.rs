@@ -2,7 +2,7 @@
 //!
 //! This crate is the heart of the paper's proposal (§III.B): it connects
 //! deterministic reactor programs (`dear-core`) to standard AUTOSAR AP
-//! service interfaces (`dear-ara` / `dear-someip`) without breaking the
+//! service interfaces (`dear-someip`) without breaking the
 //! standard, by interposing **transactors** — special reactors that
 //! "translate between the service-oriented interfaces of SWCs and the
 //! event-based input and output ports of reactors".
@@ -14,8 +14,8 @@
 //!   (`tc + Dc`, `+ L + E`, `ts + Ds`, `+ L + E`);
 //! * [`ClientEventTransactor`] / [`ServerEventTransactor`] — the one-way
 //!   event path (the brake-assistant pipeline);
-//! * [`FieldClientTransactor`] / [`FieldServerTransactor`] — fields as
-//!   one event plus two method transactors;
+//! * [`FieldClientTransactor`] — a field as one event plus two method
+//!   transactors, addressed by its [`FieldIds`];
 //! * [`FederatedPlatform`] — the one platform driver loop, enforcing the
 //!   PTIDES safe-to-process rule against the platform's local (skewed)
 //!   clock, with modelled per-reaction compute cost so that deadlines
@@ -57,7 +57,7 @@ pub use config::{
 pub use driver::{Coordination, PlatformDriver};
 pub use event::{ClientEventTransactor, ServerEventTransactor};
 pub use failover::FailoverBinding;
-pub use field::{FieldClientTransactor, FieldServerTransactor};
+pub use field::{FieldClientTransactor, FieldIds};
 pub use method::{ClientMethodTransactor, ServerMethodTransactor};
 pub use outbox::{OutboundMsg, Outbox, OutboxSender};
 pub use platform::{CoordinationPolicy, Decentralized, FederatedPlatform, PlatformCore};

@@ -59,8 +59,6 @@ pub struct ClientMethodTransactor {
     pub response: Port<FrameBuf>,
     resp_action: PhysicalAction<FrameBuf>,
     route: u32,
-    /// The request-side deadline `Dc`.
-    pub deadline: Duration,
 }
 
 impl ClientMethodTransactor {
@@ -100,7 +98,6 @@ impl ClientMethodTransactor {
             response,
             resp_action,
             route,
-            deadline,
         }
     }
 
@@ -160,8 +157,6 @@ pub struct ServerMethodTransactor {
     pub response: Port<FrameBuf>,
     req_action: PhysicalAction<FrameBuf>,
     route: u32,
-    /// The response-side deadline `Ds`.
-    pub deadline: Duration,
 }
 
 impl ServerMethodTransactor {
@@ -201,7 +196,6 @@ impl ServerMethodTransactor {
             response,
             req_action,
             route,
-            deadline,
         }
     }
 

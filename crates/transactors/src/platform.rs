@@ -295,7 +295,7 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
     }
 
     /// Registers the interpreter for an outbox route.
-    pub fn register_route(
+    pub(crate) fn register_route(
         &self,
         route: u32,
         handler: impl Fn(&mut Simulation, OutboundMsg) + 'static,
@@ -368,7 +368,7 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
     /// STP violations are counted in the runtime statistics and reported
     /// to the caller; the event is dropped (observable error, paper
     /// §IV.B). Also fails when the runtime is not running.
-    pub fn inject_at<T: Send + Sync + 'static>(
+    pub(crate) fn inject_at<T: Send + Sync + 'static>(
         &self,
         sim: &mut Simulation,
         action: &PhysicalAction<T>,
@@ -385,7 +385,7 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
     /// # Errors
     ///
     /// Propagates the runtime's not-running error.
-    pub fn inject_now<T: Send + Sync + 'static>(
+    pub(crate) fn inject_now<T: Send + Sync + 'static>(
         &self,
         sim: &mut Simulation,
         action: &PhysicalAction<T>,

@@ -115,7 +115,7 @@ impl TransactorStats {
 
     /// Outgoing operations that failed (e.g. service not discovered).
     #[must_use]
-    pub fn send_failures(&self) -> u64 {
+    pub(crate) fn send_failures(&self) -> u64 {
         self.0.send_failures.get()
     }
 
@@ -129,7 +129,7 @@ impl TransactorStats {
     }
 
     /// Records one provider re-binding.
-    pub fn record_failover(&self) {
+    pub(crate) fn record_failover(&self) {
         self.0.failovers.set(self.0.failovers.get() + 1);
     }
 

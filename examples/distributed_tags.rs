@@ -1,37 +1,103 @@
-//! Distributed deterministic coordination with skewed clocks.
+//! Distributed tagged method calls under both coordination strategies.
 //!
-//! Two platforms with different clock offsets (within the sync bound `E`)
-//! exchange tagged method calls. The demo shows that logical results are
-//! bit-identical across runs with different network jitter and clock
-//! skew — and that understating `L` turns silent reordering into an
-//! *observable* safe-to-process violation instead.
+//! A client platform calls a square service on a second platform five
+//! times, with skewed clocks and a jittery network, once per seed —
+//! decentralized (PTIDES safe-to-process against the local clock) and
+//! centralized (an RTI grants every tag advance). The example asserts the
+//! two claims it prints:
+//!
+//! 1. with a correct latency bound, every seed produces the same relative
+//!    logical schedule under both strategies — the logical schedule is a
+//!    function of tags, not of jitter or skew, and the coordination layer
+//!    is pluggable without observable effect;
+//! 2. with an **understated** bound (`L = 0.3 ms` against up to 3 ms of
+//!    actual latency) both strategies turn the broken assumption into
+//!    *observable* safe-to-process violations rather than silent
+//!    reordering. (The RTI bounds what federates may process, but — like
+//!    any coordinator that does not route the data plane through itself —
+//!    it cannot recall a message already in flight; DEAR's answer is the
+//!    same under both strategies: fail loudly.)
 //!
 //! ```sh
 //! cargo run --release --example distributed_tags
 //! ```
 
+use dear::federation::{CoordinatedPlatform, Rti};
 use dear::observe::ObservabilityReport;
 use dear::reactor::{ProgramBuilder, Runtime, Tag};
 use dear::sim::{ClockModel, LatencyModel, LinkConfig, NetworkHandle, NodeId, Simulation};
 use dear::someip::{Binding, SdRegistry, ServiceInstance};
 use dear::time::{Duration, Instant};
 use dear::transactors::{
-    ClientMethodTransactor, DearConfig, FederatedPlatform, MethodSpec, Outbox,
+    ClientMethodTransactor, DearConfig, FederatedPlatform, MethodSpec, Outbox, PlatformDriver,
     ServerMethodTransactor,
 };
 use std::sync::{Arc, Mutex};
 
 const SERVICE: u16 = 0x2001;
 
-/// Returns the response sequence as (delta from first release tag, value),
-/// the absolute first release tag, the observed STP violation count, and
-/// the run's observability footer. Absolute tags legitimately differ per
-/// seed (the start anchor is a physical input); the *relative* schedule
-/// and the values must not.
-fn run(
-    seed: u64,
-    latency_bound: Duration,
-) -> (Vec<(Duration, u8)>, Option<Tag>, u64, ObservabilityReport) {
+struct Outcome {
+    /// (delta from first release tag, value) — the logical schedule.
+    schedule: Vec<(Duration, u8)>,
+    stp_violations: u64,
+    grants: u64,
+    grant_wait: Duration,
+    report: ObservabilityReport,
+}
+
+/// Drives a prepared client/server pair to completion (shared tail of
+/// both coordination strategies).
+#[allow(clippy::too_many_arguments)]
+fn drive<D: PlatformDriver>(
+    mut sim: Simulation,
+    client: D,
+    server: D,
+    cmt: ClientMethodTransactor,
+    smt: ServerMethodTransactor,
+    client_binding: &Binding,
+    server_binding: &Binding,
+    spec: MethodSpec,
+    cfg: DearConfig,
+    results: Arc<Mutex<Vec<(Tag, u8)>>>,
+    grants: impl Fn() -> (u64, Duration),
+) -> Outcome {
+    let client_stats = cmt.bind(&client, client_binding, spec, cfg);
+    let server_stats = smt.bind(&server, server_binding, spec, cfg);
+
+    let c = client.clone();
+    sim.schedule_at(Instant::from_millis(1), move |sim| c.start(sim));
+    let s = server.clone();
+    sim.schedule_at(Instant::from_millis(1), move |sim| s.start(sim));
+    sim.run_until(Instant::from_secs(2));
+
+    let stp = client.runtime_stats().stp_violations
+        + server.runtime_stats().stp_violations
+        + client_stats.stp_violations()
+        + server_stats.stp_violations();
+    let mut report = ObservabilityReport::new("distributed_tags");
+    report.line("sim", sim.stats());
+    report.line("runtime[client]", client.runtime_stats());
+    report.line("runtime[server]", server.runtime_stats());
+    report.line("transactor[client]", &client_stats);
+    report.line("transactor[server]", &server_stats);
+    report.attach(sim.observe());
+    let raw = results.lock().unwrap().clone();
+    let first = raw.first().map(|(t, _)| *t);
+    let schedule = raw
+        .iter()
+        .map(|(t, v)| (t.time - first.expect("nonempty").time, *v))
+        .collect();
+    let (grants, grant_wait) = grants();
+    Outcome {
+        schedule,
+        stp_violations: stp,
+        grants,
+        grant_wait,
+        report,
+    }
+}
+
+fn run(seed: u64, latency_bound: Duration, centralized: bool) -> Outcome {
     let mut sim = Simulation::new(seed);
     sim.enable_observability();
     let net = NetworkHandle::new(
@@ -42,28 +108,24 @@ fn run(
         sim.fork_rng("net"),
     );
     let sd = SdRegistry::new();
-    // Clocks sampled within E = 1 ms of true time.
     let clock_model = ClockModel::new(Duration::from_micros(500), 0);
     let mut clock_rng = sim.fork_rng("clocks");
     let cfg = DearConfig::new(latency_bound, Duration::from_millis(1));
+    let deadline = Duration::from_millis(1);
     let spec = MethodSpec {
         service: SERVICE,
         instance: 1,
         method: 1,
     };
 
-    // Client: calls the remote square service every 20 ms, five times.
+    // Client program: calls square() five times off a 1 ms tick.
     let results: Arc<Mutex<Vec<(Tag, u8)>>> = Arc::new(Mutex::new(Vec::new()));
     let outbox_c = Outbox::new();
     let mut bc = ProgramBuilder::new();
-    let cmt =
-        ClientMethodTransactor::declare(&mut bc, &outbox_c, "square", Duration::from_millis(1));
+    let cmt = ClientMethodTransactor::declare(&mut bc, &outbox_c, "square", deadline);
     {
         let mut logic = bc.reactor("client", 0u8);
         let req = logic.output::<dear::someip::FrameBuf>("req");
-        // A 1 ms tick keeps the client's logical clock moving — that is
-        // what makes a late message's release tag land in the logical
-        // past when `L` is understated.
         let t = logic.timer(
             "fire",
             Duration::from_millis(10),
@@ -90,21 +152,14 @@ fn run(
         logic.finish();
         bc.connect(req, cmt.request).unwrap();
     }
-    let client = FederatedPlatform::new(
-        "client",
-        Runtime::new(bc.build().expect("client program")),
-        clock_model.sample(&mut clock_rng),
-        outbox_c,
-        sim.fork_rng("client-costs"),
-    );
+    let client_runtime = Runtime::new(bc.build().expect("client program"));
+    let client_clock = clock_model.sample(&mut clock_rng);
     let client_binding = Binding::new(&net, &sd, NodeId(1), 0x11);
-    let client_stats = cmt.bind(&client, &client_binding, spec, cfg);
 
-    // Server: squares the input.
+    // Server program: squares the input.
     let outbox_s = Outbox::new();
     let mut bs = ProgramBuilder::new();
-    let smt =
-        ServerMethodTransactor::declare(&mut bs, &outbox_s, "square", Duration::from_millis(1));
+    let smt = ServerMethodTransactor::declare(&mut bs, &outbox_s, "square", deadline);
     {
         let mut logic = bs.reactor("server", ());
         let resp = logic.output::<dear::someip::FrameBuf>("resp");
@@ -119,80 +174,159 @@ fn run(
         logic.finish();
         bs.connect(resp, smt.response).unwrap();
     }
-    let server = FederatedPlatform::new(
-        "server",
-        Runtime::new(bs.build().expect("server program")),
-        clock_model.sample(&mut clock_rng),
-        outbox_s,
-        sim.fork_rng("server-costs"),
-    );
+    let server_runtime = Runtime::new(bs.build().expect("server program"));
+    let server_clock = clock_model.sample(&mut clock_rng);
     let server_binding = Binding::new(&net, &sd, NodeId(2), 0x22);
     server_binding.offer(
         &mut sim,
         ServiceInstance::new(SERVICE, 1),
         Duration::from_secs(3600),
     );
-    let server_stats = smt.bind(&server, &server_binding, spec, cfg);
 
-    // Start after the worst-case clock offset so every local clock is
-    // past its epoch.
-    let c = client.clone();
-    sim.schedule_at(Instant::from_millis(1), move |sim| c.start(sim));
-    let s = server.clone();
-    sim.schedule_at(Instant::from_millis(1), move |sim| s.start(sim));
-    sim.run_until(Instant::from_secs(2));
-
-    let violations = client.stats().stp_violations
-        + server.stats().stp_violations
-        + client_stats.stp_violations()
-        + server_stats.stp_violations();
-    let mut report = ObservabilityReport::new("distributed_tags");
-    report.line("sim", sim.stats());
-    report.line("net", net.stats());
-    report.line("runtime[client]", client.stats());
-    report.line("runtime[server]", server.stats());
-    report.line("transactor[client]", &client_stats);
-    report.line("transactor[server]", &server_stats);
-    report.attach(sim.observe());
-    let raw = results.lock().unwrap().clone();
-    let first = raw.first().map(|(t, _)| *t);
-    let out = raw
-        .iter()
-        .map(|(t, v)| (t.time - first.expect("nonempty").time, *v))
-        .collect();
-    (out, first, violations, report)
+    if centralized {
+        let rti = Rti::new(&mut sim, &net, &sd, NodeId(0));
+        let client = CoordinatedPlatform::new(
+            "client",
+            client_runtime,
+            client_clock,
+            outbox_c,
+            sim.fork_rng("client-costs"),
+            &rti,
+            &client_binding,
+            false,
+        );
+        let server = CoordinatedPlatform::new(
+            "server",
+            server_runtime,
+            server_clock,
+            outbox_s,
+            sim.fork_rng("server-costs"),
+            &rti,
+            &server_binding,
+            false,
+        );
+        // Both directions of the method call carry tags at least
+        // D + L + E ahead of the sending tag.
+        let edge = deadline + cfg.stp_offset();
+        rti.connect(client.federate_id(), server.federate_id(), edge);
+        rti.connect(server.federate_id(), client.federate_id(), edge);
+        let (cs, ss) = (client.coordination_stats(), server.coordination_stats());
+        drive(
+            sim,
+            client,
+            server,
+            cmt,
+            smt,
+            &client_binding,
+            &server_binding,
+            spec,
+            cfg,
+            results,
+            move || {
+                (
+                    cs.grants_received() + ss.grants_received(),
+                    cs.grant_wait() + ss.grant_wait(),
+                )
+            },
+        )
+    } else {
+        let client = FederatedPlatform::new(
+            "client",
+            client_runtime,
+            client_clock,
+            outbox_c,
+            sim.fork_rng("client-costs"),
+        );
+        let server = FederatedPlatform::new(
+            "server",
+            server_runtime,
+            server_clock,
+            outbox_s,
+            sim.fork_rng("server-costs"),
+        );
+        drive(
+            sim,
+            client,
+            server,
+            cmt,
+            smt,
+            &client_binding,
+            &server_binding,
+            spec,
+            cfg,
+            results,
+            || (0, Duration::ZERO),
+        )
+    }
 }
 
 fn main() {
     println!("five tagged square() calls across two platforms with skewed clocks\n");
+
     println!("with a correct latency bound L = 5 ms:");
-    let baseline = run(0, Duration::from_millis(5));
-    println!(
-        "  first release at {} (anchor depends on the sampled clock skew)",
-        baseline.1.expect("responses")
-    );
-    for (delta, v) in &baseline.0 {
+    let l_ok = Duration::from_millis(5);
+    let baseline = run(0, l_ok, true);
+    for (delta, v) in &baseline.schedule {
         println!("  response {v:3} released at first + {delta}");
     }
     let mut identical = true;
-    for seed in 1..6 {
-        let r = run(seed, Duration::from_millis(5));
-        identical &= r.0 == baseline.0;
+    let mut matches_decentralized = true;
+    for seed in 0..6 {
+        let cen = run(seed, l_ok, true);
+        let dec = run(seed, l_ok, false);
+        identical &= cen.schedule == baseline.schedule;
+        matches_decentralized &= cen.schedule == dec.schedule;
+        assert_eq!(cen.stp_violations + dec.stp_violations, 0, "seed {seed}");
     }
     println!(
-        "  identical logical results across 6 seeds (different jitter + skew): {}",
-        if identical { "YES" } else { "NO" }
+        "  identical logical schedule across 6 seeds (different jitter + skew): {}",
+        yn(identical)
+    );
+    println!(
+        "  decentralized driver identical to the centralized one, every seed: {}",
+        yn(matches_decentralized)
+    );
+    println!(
+        "  RTI grants per run: {} (total grant wait {})",
+        baseline.grants, baseline.grant_wait
+    );
+    assert!(
+        identical,
+        "the relative schedule must not depend on the seed"
+    );
+    assert!(
+        matches_decentralized,
+        "both strategies must produce the same schedule"
     );
 
     println!();
     println!("with an understated bound L = 0.3 ms (actual latency up to 3 ms):");
-    let mut total_violations = 0;
+    let l_bad = Duration::from_micros(300);
+    let mut dec_violations = 0;
+    let mut cen_violations = 0;
     for seed in 0..6 {
-        let (_, _, v, _) = run(seed, Duration::from_micros(300));
-        total_violations += v;
+        dec_violations += run(seed, l_bad, false).stp_violations;
+        cen_violations += run(seed, l_bad, true).stp_violations;
     }
-    println!("  safe-to-process violations observed across 6 seeds: {total_violations}");
-    println!("  — the broken assumption is *detected*, not silently reordered.");
+    println!("  decentralized safe-to-process violations (6 seeds): {dec_violations}");
+    println!("  centralized safe-to-process violations (6 seeds):   {cen_violations}");
+    assert!(
+        dec_violations > 0 && cen_violations > 0,
+        "a broken bound must be observable under both strategies"
+    );
     println!();
-    print!("{}", baseline.3);
+    println!("under correct bounds the two strategies are observably identical; under");
+    println!("a broken bound both make the fault *observable* instead of silently");
+    println!("reordering events — the centralized ledger (NET/TAG/LTC counters) just");
+    println!("adds a second, per-grant audit trail.");
+    println!();
+    print!("{}", baseline.report);
+}
+
+fn yn(b: bool) -> &'static str {
+    if b {
+        "YES"
+    } else {
+        "NO"
+    }
 }

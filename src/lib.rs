@@ -12,10 +12,9 @@
 //! | [`sim`] | `dear-sim` | seeded discrete-event platform simulator |
 //! | [`reactor`] | `dear-core` | deterministic reactor runtime |
 //! | [`someip`] | `dear-someip` | SOME/IP middleware + tag extension |
-//! | [`ara`] | `dear-ara` | AP runtime: SWCs, proxies, skeletons |
 //! | [`transactors`] | `dear-transactors` | DEAR integration layer |
 //! | [`federation`] | `dear-federation` | centralized coordinator (RTI) |
-//! | [`apd`] | `dear-apd` | brake-assistant case study |
+//! | [`apd`] | `dear-apd` | case studies, incl. the stock-AP (`ara::com`) foil |
 //!
 //! See `README.md` for the quickstart and `EXPERIMENTS.md` for the
 //! paper-versus-measured record of every figure.
@@ -24,7 +23,6 @@
 #![forbid(unsafe_code)]
 
 pub use dear_apd as apd;
-pub use dear_ara as ara;
 pub use dear_core as reactor;
 pub use dear_federation as federation;
 pub use dear_observe as observe;

@@ -1,17 +1,8 @@
-//! Integration across the stack through the facade crate: reactors,
-//! transactors, SOME/IP, ARA services and the simulator working together.
+//! Integration across the stack through the facade crate: the module
+//! re-exports resolve and present one coherent API surface.
 
-use dear::ara::{FieldIds, FieldProxy, FieldSkeleton, SoftwareComponent, SwcConfig};
 use dear::reactor::{ProgramBuilder, Runtime, Startup, Tag};
-use dear::sim::{LatencyModel, LinkConfig, NetworkHandle, NodeId, Simulation, VirtualClock};
-use dear::someip::{Binding, SdRegistry, ServiceInstance};
-use dear::time::{Duration, Instant};
-use dear::transactors::{
-    DearConfig, EventSpec, FederatedPlatform, FieldClientTransactor, Outbox, ServerEventTransactor,
-};
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use dear::time::Instant;
 
 /// Workspace-wiring smoke test: the facade's module re-exports must resolve
 /// under their documented paths. This is a compile-time property; the body
@@ -38,196 +29,6 @@ fn facade_reexports_resolve() {
     // One symbol from each remaining facade module.
     let _ = dear::time::Instant::EPOCH;
     let _cfg: dear::transactors::DearConfig;
-    let _swc: Option<dear::ara::SwcConfig> = None;
-}
-
-#[test]
-fn ara_field_roundtrip_over_simulated_network() {
-    let mut sim = Simulation::new(5);
-    let net = NetworkHandle::new(
-        LinkConfig::ideal(Duration::from_micros(200)),
-        sim.fork_rng("net"),
-    );
-    let sd = SdRegistry::new();
-    let server = SoftwareComponent::launch(
-        &sim,
-        &net,
-        &sd,
-        SwcConfig::single_threaded("server", NodeId(1), 0x10),
-    );
-    let skel = server.skeleton(&sim, 0x99, 1);
-    let ids = FieldIds::conventional(0x10);
-    let field = FieldSkeleton::provide(
-        &skel,
-        ids,
-        vec![0],
-        LatencyModel::constant(Duration::from_micros(100)),
-    );
-    skel.offer(&mut sim, Duration::from_secs(100));
-
-    let client = SoftwareComponent::launch(
-        &sim,
-        &net,
-        &sd,
-        SwcConfig::single_threaded("client", NodeId(2), 0x20),
-    );
-    let fp = FieldProxy::new(client.proxy(0x99, 1), ids);
-    let updates = fp.subscribe_updates();
-    let got = Rc::new(RefCell::new(Vec::new()));
-    let sink = got.clone();
-    fp.set(&mut sim, vec![42]).then(&mut sim, move |sim, r| {
-        sink.borrow_mut().push(r.expect("set succeeds").to_vec());
-        let _ = sim;
-    });
-    sim.run_to_completion();
-    assert_eq!(*got.borrow(), vec![vec![42]]);
-    assert_eq!(field.value(), vec![42]);
-    assert_eq!(updates.take().map(|f| f.to_vec()), Some(vec![42]));
-}
-
-#[test]
-fn dear_field_transactors_bridge_reactors_to_ara_fields() {
-    // A reactor-based client manipulates a field served by a plain ARA
-    // component — the paper's gradual-migration story.
-    let mut sim = Simulation::new(7);
-    let net = NetworkHandle::new(
-        LinkConfig::ideal(Duration::from_micros(200)),
-        sim.fork_rng("net"),
-    );
-    let sd = SdRegistry::new();
-    let cfg = DearConfig::new(Duration::from_millis(2), Duration::ZERO).accept_untagged();
-    let ids = FieldIds::conventional(0x20);
-    const SERVICE: u16 = 0x77;
-
-    // Plain ARA field server (no tags — legacy component).
-    let server = SoftwareComponent::launch(
-        &sim,
-        &net,
-        &sd,
-        SwcConfig::single_threaded("legacy-server", NodeId(1), 0x10),
-    );
-    let skel = server.skeleton(&sim, SERVICE, 1);
-    let _field = FieldSkeleton::provide(
-        &skel,
-        ids,
-        vec![1],
-        LatencyModel::constant(Duration::from_micros(50)),
-    );
-    skel.offer(&mut sim, Duration::from_secs(100));
-
-    // Reactor-based client through field transactors.
-    let got: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
-    let outbox = Outbox::new();
-    let mut b = ProgramBuilder::new();
-    let fct = FieldClientTransactor::declare(&mut b, &outbox, "speed", Duration::from_millis(1));
-    {
-        let mut logic = b.reactor("client_logic", ());
-        let set_req = logic.output::<dear::someip::FrameBuf>("set");
-        let t = logic.timer("fire", Duration::from_millis(5), None);
-        logic
-            .reaction("write_field")
-            .triggered_by(t)
-            .effects(set_req)
-            .body(move |_, ctx| ctx.set(set_req, vec![99].into()));
-        let sink = got.clone();
-        logic
-            .reaction("on_set_reply")
-            .triggered_by(fct.set.response)
-            .body(move |_, ctx| {
-                sink.lock()
-                    .unwrap()
-                    .push(ctx.get(fct.set.response).unwrap().to_vec());
-            });
-        logic.finish();
-        b.connect(set_req, fct.set.request).unwrap();
-    }
-    let platform = FederatedPlatform::new(
-        "client",
-        Runtime::new(b.build().expect("program builds")),
-        VirtualClock::ideal(),
-        outbox,
-        sim.fork_rng("costs"),
-    );
-    let binding = Binding::new(&net, &sd, NodeId(2), 0x20);
-    fct.bind(&platform, &binding, SERVICE, 1, ids, cfg);
-    platform.start(&mut sim);
-
-    sim.run_until(Instant::from_millis(100));
-    assert_eq!(
-        *got.lock().unwrap(),
-        vec![vec![99]],
-        "set reply must reach the reactor client"
-    );
-}
-
-#[test]
-fn reactor_event_publisher_reaches_legacy_buffered_subscriber() {
-    // Reverse migration direction: a DEAR publisher, a plain ARA consumer.
-    let mut sim = Simulation::new(9);
-    let net = NetworkHandle::new(
-        LinkConfig::ideal(Duration::from_micros(200)),
-        sim.fork_rng("net"),
-    );
-    let sd = SdRegistry::new();
-    const SERVICE: u16 = 0x55;
-
-    let outbox = Outbox::new();
-    let mut b = ProgramBuilder::new();
-    let publish =
-        ServerEventTransactor::declare(&mut b, &outbox, "ticks", Duration::from_millis(1));
-    {
-        let mut logic = b.reactor("publisher", 0u8);
-        let out = logic.output::<dear::someip::FrameBuf>("tick");
-        let t = logic.timer("t", Duration::ZERO, Some(Duration::from_millis(10)));
-        logic
-            .reaction("emit")
-            .triggered_by(t)
-            .effects(out)
-            .body(move |n: &mut u8, ctx| {
-                *n += 1;
-                ctx.set(out, vec![*n].into());
-            });
-        logic.finish();
-        b.connect(out, publish.event).unwrap();
-    }
-    let platform = FederatedPlatform::new(
-        "publisher",
-        Runtime::new(b.build().expect("program builds")),
-        VirtualClock::ideal(),
-        outbox,
-        sim.fork_rng("costs"),
-    );
-    let binding = Binding::new(&net, &sd, NodeId(1), 0x10);
-    binding.offer(
-        &mut sim,
-        ServiceInstance::new(SERVICE, 1),
-        Duration::from_secs(100),
-    );
-    publish.bind(
-        &platform,
-        &binding,
-        EventSpec {
-            service: SERVICE,
-            instance: 1,
-            eventgroup: 1,
-            event: 0x8001,
-        },
-    );
-    platform.start(&mut sim);
-
-    let consumer = SoftwareComponent::launch(
-        &sim,
-        &net,
-        &sd,
-        SwcConfig::single_threaded("legacy-consumer", NodeId(2), 0x20),
-    );
-    let buf = consumer.proxy(SERVICE, 1).subscribe_buffered(1, 0x8001);
-
-    sim.run_until(Instant::from_millis(35));
-    // Ticks at 0/10/20/30 ms, all forwarded; reads see the latest value.
-    let stats = buf.stats();
-    assert_eq!(stats.writes, 4, "all tagged notifications delivered");
-    assert_eq!(buf.take().map(|f| f.to_vec()), Some(vec![4]));
 }
 
 #[test]
