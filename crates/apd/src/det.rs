@@ -119,7 +119,7 @@ pub struct FailoverReport {
     /// Adapter tag of the first frame received from the backup.
     pub(crate) first_backup_frame_at: Option<Instant>,
     /// Primary death → first backup frame at the adapter (the failover
-    /// latency the `failover_latency` bench measures).
+    /// latency the `brake_assistant_det failover` example prints).
     pub failover_latency: Option<Duration>,
     /// Re-bindings performed by the adapter's failover binding.
     pub failovers: u64,
@@ -178,7 +178,7 @@ pub struct RecoveryReport {
     /// out.
     pub(crate) rejoined_at: Instant,
     /// Outage duration (`rejoined_at - crashed_at`) — the replay/rejoin
-    /// latency the `recovery_latency` bench measures.
+    /// latency the `brake_assistant_det rejoin` example prints.
     pub outage: Duration,
     /// Logged tags re-processed from the durable log.
     pub replayed_tags: u64,
@@ -220,10 +220,6 @@ pub struct DetParams {
     /// Coordination strategy (the pipeline logic is identical under
     /// both; see `tests/federation_equivalence.rs`).
     pub coordination: Coordination,
-    /// Link model of the dedicated coordination network (RTI traffic
-    /// only, so control messages never perturb data-plane latencies).
-    /// Must deliver in order (the default; see [`Rti::new`]).
-    pub coord_link: LinkConfig,
     /// Enable the RTI's control-plane diet (DNET suppression, grant-ahead
     /// windows, periodic fast path) under centralized coordination. Off
     /// by default; ignored under decentralized coordination. Turning it
@@ -232,7 +228,7 @@ pub struct DetParams {
     pub control_diet: bool,
     /// Record per-stage runtime event traces and report their
     /// fingerprints in [`DetReport::stage_traces`]. Off by default: the
-    /// figure benches call `run_det` in measured loops and tracing costs
+    /// benchmark calls `run_det` in measured loops and tracing costs
     /// O(events) time and memory.
     pub record_traces: bool,
     /// Run the pipeline with a redundant Video Provider and kill the
@@ -267,7 +263,6 @@ impl Default for DetParams {
             ethernet: nd.ethernet,
             loopback: nd.loopback,
             coordination: Coordination::Decentralized,
-            coord_link: LinkConfig::ideal(Duration::from_micros(10)),
             control_diet: false,
             record_traces: false,
             redundancy: None,
@@ -555,7 +550,6 @@ impl DriverFactory for DecentralizedFactory {
 /// grants every stage its tag advances. The data plane is untouched, so
 /// traces stay bit-identical to the decentralized build.
 struct CentralizedFactory {
-    coord_link: LinkConfig,
     control_diet: bool,
     edges: [(&'static str, &'static str, Duration); 3],
     coord_net: Option<NetworkHandle>,
@@ -568,7 +562,6 @@ impl CentralizedFactory {
     fn new(params: &DetParams) -> Self {
         let stp = params.latency_bound + params.clock_error;
         CentralizedFactory {
-            coord_link: params.coord_link.clone(),
             control_diet: params.control_diet,
             edges: [
                 ("adapter", "preprocessing", params.deadlines.adapter + stp),
@@ -603,7 +596,11 @@ impl DriverFactory for CentralizedFactory {
     type Driver = CoordinatedPlatform;
 
     fn init(&mut self, sim: &mut Simulation) {
-        let coord_net = NetworkHandle::new(self.coord_link.clone(), sim.fork_rng("coord-net"));
+        // A dedicated coordination network (RTI traffic only, so control
+        // messages never perturb data-plane latencies); ideal links keep
+        // it in order, as `Rti::new` requires.
+        let coord_link = LinkConfig::ideal(Duration::from_micros(10));
+        let coord_net = NetworkHandle::new(coord_link, sim.fork_rng("coord-net"));
         let rti = Rti::new(sim, &coord_net, &self.coord_sd, nodes::RTI);
         // Before any platform is built: each platform samples the diet
         // mode once, at construction.

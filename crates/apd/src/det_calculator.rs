@@ -112,19 +112,18 @@ impl CalcClient {
 
 /// Outcome of one DEAR calculator trial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DetCalcOutcome {
+struct DetCalcOutcome {
     /// The value the client "prints".
-    pub printed: i64,
+    printed: i64,
     /// Observed safe-to-process violations (0 when bounds hold).
-    pub stp_violations: u64,
+    stp_violations: u64,
 }
 
 /// Runs one trial of the reactor-based calculator.
 ///
 /// `latency_bound` is the assumed `L`; the actual simulated latency is
 /// jittered up to 2 ms, so bounds of 5 ms and above are safe.
-#[must_use]
-pub fn run_det_trial(seed: u64, latency_bound: Duration) -> DetCalcOutcome {
+fn run_det_trial(seed: u64, latency_bound: Duration) -> DetCalcOutcome {
     let mut sim = Simulation::new(seed);
     let net = NetworkHandle::new(
         LinkConfig::with_latency(LatencyModel::uniform(
@@ -231,7 +230,7 @@ mod tests {
 
     #[test]
     fn dear_calculator_always_prints_three() {
-        for seed in 0..30 {
+        for seed in 0..1_000 {
             let outcome = run_det_trial(seed, Duration::from_millis(5));
             assert_eq!(outcome.printed, 3, "seed {seed}");
             assert_eq!(outcome.stp_violations, 0, "seed {seed}");

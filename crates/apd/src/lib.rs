@@ -10,8 +10,6 @@
 //! * [`run_det`] — the deterministic DEAR port of §IV.B (same logic,
 //!   reactor coordination, tagged SOME/IP, deadlines 5/25/25/5 ms,
 //!   L = 5 ms, E = 0);
-//! * [`det_calculator`] — the DEAR fix for Figure 1: concurrent calls,
-//!   deterministic result;
 //! * the shared pure stage logic ([`preprocess`], [`detect_vehicles`],
 //!   [`eba_decide`]) and payload types ([`Frame`], [`VehicleList`], ...),
 //!   so the two builds differ *only* in coordination.
@@ -28,7 +26,10 @@
 
 pub mod calculator;
 mod det;
-pub mod det_calculator;
+// The DEAR fix for Figure 1 (concurrent calls, deterministic result):
+// only its test runs it.
+#[cfg(test)]
+mod det_calculator;
 mod logic;
 mod nondet;
 mod types;

@@ -208,22 +208,6 @@ impl NondetReport {
         }
     }
 
-    /// Per-type prevalence `[preprocessing, cv, mismatch, eba]` in percent.
-    #[must_use]
-    pub fn prevalence_by_type_pct(&self) -> [f64; 4] {
-        let f = if self.frames_sent == 0 {
-            1.0
-        } else {
-            self.frames_sent as f64
-        };
-        [
-            self.dropped_preprocessing as f64 * 100.0 / f,
-            self.dropped_cv as f64 * 100.0 / f,
-            self.mismatches_cv as f64 * 100.0 / f,
-            self.dropped_eba as f64 * 100.0 / f,
-        ]
-    }
-
     /// FNV fingerprint of the decision sequence (for determinism checks).
     #[must_use]
     pub fn decision_fingerprint(&self) -> u64 {

@@ -253,8 +253,8 @@ impl Runtime {
     /// deadline misses into the `runtime/` metric scope, records the
     /// physical-vs-logical lag histogram under `coord/tag_lag_ns`, and
     /// draws one span per processed tag on `lane`. A disabled handle (the
-    /// default) keeps the hot path zero-alloc — asserted by the
-    /// `observe_overhead` bench.
+    /// default) keeps the hot path zero-alloc — asserted by the root
+    /// `hot_path_allocs` test.
     pub fn set_observe(&mut self, observe: Observe, lane: Lane) {
         self.observe = observe;
         self.lane = lane;

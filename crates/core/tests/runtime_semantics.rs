@@ -119,6 +119,40 @@ fn zero_delay_action_bumps_microstep() {
 }
 
 #[test]
+fn out_of_order_schedules_in_one_reaction_arrive_in_tag_order() {
+    // One reaction schedules the later event first: each value must
+    // still arrive at its own tag, the earlier one first.
+    let seen = Arc::new(Mutex::new(Vec::<(Tag, u32)>::new()));
+    let mut b = ProgramBuilder::new();
+    let mut r = b.reactor("r", ());
+    let act = r.logical_action::<u32>("a", Duration::ZERO);
+    r.reaction("kick")
+        .triggered_by(Startup)
+        .schedules(act)
+        .body(move |_, ctx| {
+            ctx.schedule(act, Duration::from_millis(3), 3);
+            ctx.schedule(act, Duration::from_millis(1), 1);
+        });
+    let s = seen.clone();
+    r.reaction("observe").triggered_by(act).body(move |_, ctx| {
+        s.lock()
+            .unwrap()
+            .push((ctx.tag(), *ctx.get_action(&act).unwrap()))
+    });
+    r.finish();
+    let mut rt = Runtime::new(b.build().unwrap());
+    rt.start(Instant::EPOCH);
+    rt.run_fast(u64::MAX);
+    assert_eq!(
+        *seen.lock().unwrap(),
+        vec![
+            (Tag::at(Instant::from_millis(1)), 1),
+            (Tag::at(Instant::from_millis(3)), 3),
+        ]
+    );
+}
+
+#[test]
 fn periodic_timer_fires_on_schedule() {
     let times = Arc::new(Mutex::new(Vec::new()));
     let mut b = ProgramBuilder::new();

@@ -37,7 +37,8 @@
 //! entries. Every hop is change-driven and monotone (floors only rise;
 //! the one retreat, a rejoined member, travels as a `Rejoin` record), so
 //! the two levels converge without any global barrier — convergence lag
-//! is what the `fleet_scale` bench measures against the flat RTI.
+//! is what `dear-benchmark`'s `federation.grant_wait_us_per_tag` shows on
+//! `fleet_zones_diet` against the flat fleets.
 //!
 //! Zero-delay cycles must stay zone-local: the root issues no
 //! provisional grants, so a zero-delay cycle crossing zones would stall

@@ -24,8 +24,8 @@
 //! All control traffic rides the SOME/IP coordination service defined in
 //! `dear-someip::coord`; a coordinator is itself just a node with a
 //! binding, so grant latency is governed by the simulated network like
-//! any other message — which is exactly what the `coordination_lag` bench
-//! measures.
+//! any other message — which is exactly what `dear-benchmark`'s
+//! `federation.grant_wait_us_per_tag` measures.
 
 use crate::solver::{tag_succ, LbtsGraph, LbtsSolver, NodeView, TAG_MAX};
 use crate::zone::Coordinator;

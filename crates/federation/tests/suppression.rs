@@ -403,7 +403,7 @@ const CHAIN_MEMBERS: usize = 4;
 /// Twelve timer-only federates in one global chain `m0 → … → m11`
 /// (crossing both zone boundaries when hierarchical), 10 ms timers, 1 ms
 /// edges. No data plane — coordination alone gates the tags, exactly the
-/// `fleet_scale` regime. The horizon deliberately avoids a lattice point
+/// regime of the benchmark's `fleet_*` workloads. The horizon deliberately avoids a lattice point
 /// so the last processable tag (90 ms) lands well inside it under both
 /// diets.
 fn run_chain(seed: u64, coordinator: Coordinator, diet: bool) -> ChainReport {

@@ -23,7 +23,7 @@
 //!
 //! A **disabled** handle (the default everywhere) is an `Option::None`
 //! behind the API: every recording call is one branch, no locks, no
-//! allocation — the `observe_overhead` bench asserts the instrumented
+//! allocation — the root `hot_path_allocs` test asserts the instrumented
 //! runtime hot path stays zero-alloc per reaction with observability
 //! off. An **enabled** handle takes a `Mutex` per call and may allocate
 //! for new keys; that is the explicitly opted-into tracing mode.

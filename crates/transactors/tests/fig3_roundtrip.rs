@@ -25,7 +25,8 @@ const E: Duration = Duration::from_millis(1); // worst-case clock error
 type TagLog = Arc<Mutex<Vec<(Tag, FrameBuf)>>>;
 
 /// Builds the two-platform Figure 3 deployment and runs one round trip.
-/// Returns (client log, server log, client platform, server platform).
+/// Returns (client log: request sent, then response received; server
+/// log: request served).
 fn run_roundtrip(seed: u64, net_latency: LatencyModel) -> (TagLog, TagLog) {
     let mut sim = Simulation::new(seed);
     let net = NetworkHandle::new(LinkConfig::with_latency(net_latency), sim.fork_rng("net"));
@@ -41,11 +42,15 @@ fn run_roundtrip(seed: u64, net_latency: LatencyModel) -> (TagLog, TagLog) {
         let mut logic = bc.reactor("client_logic", ());
         let req_out = logic.output::<FrameBuf>("request");
         let t = logic.timer("fire", Duration::from_millis(10), None);
+        let log = client_log.clone();
         logic
             .reaction("send")
             .triggered_by(t)
             .effects(req_out)
-            .body(move |_, ctx| ctx.set(req_out, vec![7].into()));
+            .body(move |_, ctx| {
+                log.lock().unwrap().push((ctx.tag(), vec![7].into()));
+                ctx.set(req_out, vec![7].into());
+            });
         let log = client_log.clone();
         logic
             .reaction("receive")
@@ -143,11 +148,14 @@ fn fig3_tag_algebra_exact() {
     assert_eq!(server[0].0, Tag::at(Instant::from_millis(17)));
     assert_eq!(server[0].1, vec![7]);
 
-    // ts = 17 ms; response released at the client at ts + Ds + L + E = 25 ms.
+    // The request leaves at tc = 10 ms; ts = 17 ms, so the response is
+    // released at the client at ts + Ds + L + E = 25 ms.
     let client = client_log.lock().unwrap();
-    assert_eq!(client.len(), 1, "exactly one response received");
-    assert_eq!(client[0].0, Tag::at(Instant::from_millis(25)));
-    assert_eq!(client[0].1, vec![8]);
+    assert_eq!(client.len(), 2, "one request sent, one response received");
+    assert_eq!(client[0].0, Tag::at(Instant::from_millis(10)));
+    assert_eq!(client[0].1, vec![7]);
+    assert_eq!(client[1].0, Tag::at(Instant::from_millis(25)));
+    assert_eq!(client[1].1, vec![8]);
 }
 
 #[test]
@@ -167,8 +175,8 @@ fn fig3_result_is_independent_of_network_jitter_seed() {
     for r in &results[1..] {
         assert_eq!(r, &results[0], "logical behaviour must not vary with seed");
     }
-    assert_eq!(results[0].len(), 1);
-    assert_eq!(results[0][0].0, Tag::at(Instant::from_millis(25)));
+    assert_eq!(results[0].len(), 2);
+    assert_eq!(results[0][1].0, Tag::at(Instant::from_millis(25)));
 }
 
 #[test]

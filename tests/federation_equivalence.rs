@@ -1,10 +1,11 @@
 //! The centralized-coordination acceptance test: the RTI-driven and the
 //! decentralized PTIDES-style drivers must be *observably identical* on
 //! the brake-assistant topology — byte-identical per-stage event traces
-//! across multiple seeds — and the centralized driver must provably never
-//! process a tag beyond its last granted bound.
+//! across multiple seeds, with the control-plane diet off and on — and
+//! the centralized driver must provably never process a tag beyond its
+//! last granted bound.
 
-use dear::apd::{run_det, DetParams};
+use dear::apd::{run_det, DetParams, DetReport};
 use dear::transactors::Coordination;
 
 fn params(coordination: Coordination) -> DetParams {
@@ -18,28 +19,47 @@ fn params(coordination: Coordination) -> DetParams {
 
 #[test]
 fn centralized_and_decentralized_traces_are_byte_identical() {
+    let reports = |r: &DetReport| r.coordination.nets_sent + r.coordination.ltcs_sent;
     for seed in [0u64, 1, 2, 42] {
         let dec = run_det(seed, &params(Coordination::Decentralized));
         let cen = run_det(seed, &params(Coordination::Centralized));
-
-        // Same decisions, same latency profile.
-        assert_eq!(
-            dec.decision_fingerprint(),
-            cen.decision_fingerprint(),
-            "seed {seed}: decision sequences diverged"
-        );
-        assert_eq!(dec.end_to_end, cen.end_to_end, "seed {seed}");
-
-        // The strong claim: every stage's runtime event trace (reactions,
-        // deadline misses, STP violations, with tags) is byte-identical.
-        assert_eq!(dec.stage_traces.len(), 4);
-        assert_eq!(
-            dec.stage_traces, cen.stage_traces,
-            "seed {seed}: stage event traces diverged"
+        let diet = run_det(
+            seed,
+            &DetParams {
+                control_diet: true,
+                ..params(Coordination::Centralized)
+            },
         );
 
-        // Both builds stay error-free.
-        for (label, r) in [("decentralized", &dec), ("centralized", &cen)] {
+        for (label, r) in [("centralized", &cen), ("diet", &diet)] {
+            // Same decisions, same latency profile.
+            assert_eq!(
+                dec.decision_fingerprint(),
+                r.decision_fingerprint(),
+                "seed {seed} {label}: decision sequences diverged"
+            );
+            assert_eq!(dec.end_to_end, r.end_to_end, "seed {seed} {label}");
+
+            // The strong claim: every stage's runtime event trace
+            // (reactions, deadline misses, STP violations, with tags) is
+            // byte-identical.
+            assert_eq!(dec.stage_traces.len(), 4);
+            assert_eq!(
+                dec.stage_traces, r.stage_traces,
+                "seed {seed} {label}: stage event traces diverged"
+            );
+        }
+
+        // The diet only trims the control plane.
+        assert!(diet.coordination.nets_suppressed > 0, "seed {seed}");
+        assert!(reports(&diet) < reports(&cen), "seed {seed}");
+
+        // Every build stays error-free.
+        for (label, r) in [
+            ("decentralized", &dec),
+            ("centralized", &cen),
+            ("diet", &diet),
+        ] {
             assert_eq!(r.decisions.len(), 200, "seed {seed} {label}");
             assert_eq!(r.mismatches_cv, 0, "seed {seed} {label}");
             assert_eq!(r.stp_violations, 0, "seed {seed} {label}");
