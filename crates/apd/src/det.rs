@@ -26,7 +26,7 @@ use crate::types::{BrakeDecision, Frame, LaneBox, VehicleList};
 use dear_core::{Port, ProgramBuilder, Reaction, ReactionCtx, ReactionId, Reactor, Runtime};
 use dear_federation::{CoordinatedPlatform, EventLog, PlatformRecovery, Rti};
 use dear_sim::{FaultPlan, LinkConfig, NetworkHandle, SimRng, Simulation, VirtualClock};
-use dear_someip::{Binding, FrameBuf, SdRegistry, ServiceInstance};
+use dear_someip::{Binding, FrameBuf, FramePool, PayloadWriter, SdRegistry, ServiceInstance};
 use dear_time::{Duration, Instant};
 use dear_transactors::{
     ClientEventTransactor, Coordination, DearConfig, EventSpec, FailoverEventSpec,
@@ -357,8 +357,10 @@ struct Stage<D> {
 
 /// Video Adapter logic: "a sensor that inserts frames into the reactor
 /// network with a tag equal to the physical time of message reception" —
-/// each forwarded frame is stamped with the reception tag.
+/// each forwarded frame is stamped with the reception tag. The state is
+/// the pool its payloads are encoded into.
 #[derive(Reactor)]
+#[reactor(state = FramePool)]
 struct AdapterLogic {
     #[output]
     frame: Port<FrameBuf>,
@@ -369,19 +371,22 @@ struct AdapterLogic {
 }
 
 impl AdapterLogic {
-    fn adapt(_: &mut (), this: &Self, ctx: &mut ReactionCtx<'_>) {
+    fn adapt(pool: &mut FramePool, this: &Self, ctx: &mut ReactionCtx<'_>) {
         let mut frame =
             Frame::from_payload(ctx.get(this.camera).unwrap()).expect("camera frame payload");
         // The sensor stamp: the tag equals the physical reception time
         // of the frame.
         frame.adapter_nanos = ctx.tag().time.as_nanos();
-        ctx.set(this.frame, frame.to_payload());
+        ctx.set(this.frame, frame.encode(PayloadWriter::pooled(pool)));
     }
 }
 
 /// Preprocessing logic: lane detection plus a same-tag forward of the
-/// raw frame for Computer Vision's alignment check.
+/// raw frame for Computer Vision's alignment check. The frame is
+/// forwarded as received; the lane is encoded into the pool the state
+/// holds.
 #[derive(Reactor)]
+#[reactor(state = FramePool)]
 struct PreprocessingLogic {
     #[output]
     lane: Port<FrameBuf>,
@@ -394,19 +399,21 @@ struct PreprocessingLogic {
 }
 
 impl PreprocessingLogic {
-    fn preprocess(_: &mut (), this: &Self, ctx: &mut ReactionCtx<'_>) {
-        let frame = Frame::from_payload(ctx.get(this.frames).unwrap()).expect("frame payload");
+    fn preprocess(pool: &mut FramePool, this: &Self, ctx: &mut ReactionCtx<'_>) {
+        let received = ctx.get(this.frames).unwrap().clone();
+        let frame = Frame::from_payload(&received).expect("frame payload");
         let lane = crate::logic::preprocess(&frame);
-        ctx.set(this.lane, lane.to_payload());
-        ctx.set(this.frame, frame.to_payload());
+        ctx.set(this.lane, lane.encode(PayloadWriter::pooled(pool)));
+        ctx.set(this.frame, received);
     }
 }
 
 /// Computer Vision logic: "expects to receive two events with the same
 /// tag at both inputs. If only one input is received, this is considered
-/// an error" — the state counts those tag-alignment errors.
+/// an error" — the state counts those tag-alignment errors, beside the
+/// pool the vehicle lists are encoded into.
 #[derive(Reactor)]
-#[reactor(state = Arc<Mutex<u64>>)]
+#[reactor(state = (Arc<Mutex<u64>>, FramePool))]
 struct ComputerVisionLogic {
     #[output]
     vehicles: Port<FrameBuf>,
@@ -419,7 +426,11 @@ struct ComputerVisionLogic {
 }
 
 impl ComputerVisionLogic {
-    fn detect(mismatches: &mut Arc<Mutex<u64>>, this: &Self, ctx: &mut ReactionCtx<'_>) {
+    fn detect(
+        (mismatches, pool): &mut (Arc<Mutex<u64>>, FramePool),
+        this: &Self,
+        ctx: &mut ReactionCtx<'_>,
+    ) {
         let lane = ctx
             .get(this.lane)
             .map(|p| LaneBox::from_payload(p).expect("lane payload"));
@@ -429,7 +440,7 @@ impl ComputerVisionLogic {
         match (lane, frame) {
             (Some(lane), Some(frame)) if lane.frame_id == frame.id => {
                 let vehicles = detect_vehicles(&frame, &lane);
-                ctx.set(this.vehicles, vehicles.to_payload());
+                ctx.set(this.vehicles, vehicles.encode(PayloadWriter::pooled(pool)));
             }
             // "If only one input is received, this is considered an
             // error."
@@ -734,7 +745,7 @@ fn run_det_with<F: DriverFactory>(seed: u64, params: &DetParams, mut factory: F)
             ServerEventTransactor::declare(&mut b, &outbox, "frames", params.deadlines.adapter);
         let logic: AdapterLogic = b.declare_ext(
             "adapter_logic",
-            (),
+            FramePool::new(),
             AdapterLogicExternals {
                 camera: camera.event,
             },
@@ -808,7 +819,7 @@ fn run_det_with<F: DriverFactory>(seed: u64, params: &DetParams, mut factory: F)
         );
         let logic: PreprocessingLogic = b.declare_ext(
             "preprocessing_logic",
-            (),
+            FramePool::new(),
             PreprocessingLogicExternals {
                 frames: input.event,
             },
@@ -1005,12 +1016,13 @@ fn run_det_with<F: DriverFactory>(seed: u64, params: &DetParams, mut factory: F)
                 return;
             }
             let frame = Frame::new(id, sim.now().as_nanos());
+            let payload = frame.encode(PayloadWriter::pooled(&binding.pool()));
             binding.notify(
                 sim,
                 ServiceInstance::new(services::VIDEO, services::INSTANCE),
                 services::EVENTGROUP,
                 services::EVENT_MAIN,
-                frame.to_payload(),
+                payload,
             );
             let next = if jitter.is_zero() {
                 period
@@ -1165,7 +1177,7 @@ fn build_cv_program(
     let publish = ServerEventTransactor::declare(&mut b, outbox, "vehicles", deadline);
     let logic: ComputerVisionLogic = b.declare_ext(
         "computer_vision_logic",
-        mismatches.clone(),
+        (mismatches.clone(), FramePool::new()),
         ComputerVisionLogicExternals {
             lane: lane_in.event,
             frame: frame_in.event,

@@ -46,7 +46,11 @@ impl Frame {
     /// Serializes to a SOME/IP payload.
     #[must_use]
     pub fn to_payload(&self) -> FrameBuf {
-        let mut w = PayloadWriter::new();
+        self.encode(PayloadWriter::new())
+    }
+
+    /// Serializes through `w` (e.g. a pooled writer).
+    pub(crate) fn encode(&self, mut w: PayloadWriter) -> FrameBuf {
         w.write_u64(self.id)
             .write_u64(self.capture_nanos)
             .write_u64(self.adapter_nanos);
@@ -89,7 +93,11 @@ impl LaneBox {
     /// Serializes to a SOME/IP payload.
     #[must_use]
     pub fn to_payload(&self) -> FrameBuf {
-        let mut w = PayloadWriter::new();
+        self.encode(PayloadWriter::new())
+    }
+
+    /// Serializes through `w` (e.g. a pooled writer).
+    pub(crate) fn encode(&self, mut w: PayloadWriter) -> FrameBuf {
         w.write_u64(self.frame_id)
             .write_u16(self.x0)
             .write_u16(self.y0)
@@ -143,7 +151,11 @@ impl VehicleList {
     /// Serializes to a SOME/IP payload.
     #[must_use]
     pub fn to_payload(&self) -> FrameBuf {
-        let mut w = PayloadWriter::new();
+        self.encode(PayloadWriter::new())
+    }
+
+    /// Serializes through `w` (e.g. a pooled writer).
+    pub(crate) fn encode(&self, mut w: PayloadWriter) -> FrameBuf {
         w.write_u64(self.frame_id)
             .write_u64(self.capture_nanos)
             .write_u64(self.adapter_nanos)

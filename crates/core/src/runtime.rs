@@ -145,6 +145,10 @@ pub struct Runtime {
     scratch_batch: Vec<ReactionId>,
     /// Scratch buffer for batch results (reused).
     scratch_results: Vec<(ReactionId, ReactionOutcome, bool)>,
+    /// Applied outcomes whose buffers allocated, emptied for the next
+    /// reactions to write into. Outcomes that never allocated are not
+    /// kept: a runtime whose reactions write nothing holds none.
+    spare_outcomes: Vec<ReactionOutcome>,
     /// Scratch list of ports written at the current tag (reused).
     written: Vec<PortId>,
 }
@@ -195,6 +199,7 @@ impl Runtime {
             ready_levels: (0..num_levels).map(|_| Vec::new()).collect(),
             scratch_batch: Vec::new(),
             scratch_results: Vec::new(),
+            spare_outcomes: Vec::new(),
             written: Vec::new(),
         }
     }
@@ -599,7 +604,7 @@ impl Runtime {
             batch.dedup();
             let mut outcomes = std::mem::take(&mut self.scratch_results);
             self.execute_batch(tag, physical_now, &batch, &mut outcomes);
-            for (rid, outcome, missed) in outcomes.drain(..) {
+            for (rid, mut outcome, missed) in outcomes.drain(..) {
                 reactions_run += 1;
                 self.stats.executed_reactions += 1;
                 self.executed_log.push(rid);
@@ -621,7 +626,7 @@ impl Runtime {
                         });
                 }
                 shutdown_requested |= outcome.shutdown;
-                for (port, value) in outcome.writes {
+                for (port, value) in outcome.writes.drain(..) {
                     if self.port_values[port].is_none() {
                         self.written.push(port);
                     }
@@ -632,9 +637,13 @@ impl Runtime {
                         self.ready_levels[sink_level].push(r);
                     }
                 }
-                for (action, atag, value) in outcome.schedules {
+                for (action, atag, value) in outcome.schedules.drain(..) {
                     debug_assert!(atag > tag);
                     self.insert_action_event(action, atag, value);
+                }
+                if outcome.writes.capacity() + outcome.schedules.capacity() > 0 {
+                    outcome.shutdown = false;
+                    self.spare_outcomes.push(outcome);
                 }
             }
             batch.clear();
@@ -752,14 +761,14 @@ impl Runtime {
                     // Two reactions of the same reactor can never share a
                     // level (they are ordered by priority), so every take
                     // succeeds.
-                    let chunk: Vec<(ReactionId, Box<dyn Any + Send>)> = chunk_ids
+                    let chunk: Vec<(ReactionId, Box<dyn Any + Send>, ReactionOutcome)> = chunk_ids
                         .iter()
                         .map(|&rid| {
                             let reactor = self.program.reactions[rid].reactor;
                             let state = self.states[reactor]
                                 .take()
                                 .expect("reactor state aliased within a level");
-                            (rid, state)
+                            (rid, state, self.spare_outcomes.pop().unwrap_or_default())
                         })
                         .collect();
                     let program = Arc::clone(&self.program);
@@ -769,7 +778,7 @@ impl Runtime {
                     pool.submit(Box::new(move || {
                         let results: Vec<_> = chunk
                             .into_iter()
-                            .map(|(rid, mut state)| {
+                            .map(|(rid, mut state, outcome)| {
                                 let (outcome, missed) = run_reaction(
                                     &program,
                                     rid,
@@ -778,6 +787,7 @@ impl Runtime {
                                     physical,
                                     &ports,
                                     &actions,
+                                    outcome,
                                 );
                                 (rid, state, outcome, missed)
                             })
@@ -830,6 +840,7 @@ impl Runtime {
                         physical,
                         &self.port_values,
                         &self.action_current,
+                        self.spare_outcomes.pop().unwrap_or_default(),
                     );
                     self.states[reactor] = Some(state);
                     out.push((rid, outcome, missed));
@@ -839,6 +850,9 @@ impl Runtime {
     }
 }
 
+/// Runs one reaction (or its deadline handler), buffering its effects
+/// in `outcome`, which arrives empty.
+#[allow(clippy::too_many_arguments)]
 fn run_reaction(
     program: &Program,
     rid: ReactionId,
@@ -847,6 +861,7 @@ fn run_reaction(
     physical: Instant,
     ports: &TypedArena<PortId, Option<Value>>,
     actions: &TypedArena<ActionId, Option<Value>>,
+    outcome: ReactionOutcome,
 ) -> (ReactionOutcome, bool) {
     let meta = &program.reactions[rid];
     let missed = meta.deadline.is_some_and(|d| physical > tag.time + d);
@@ -857,7 +872,7 @@ fn run_reaction(
         reaction: rid,
         ports,
         actions,
-        outcome: ReactionOutcome::default(),
+        outcome,
     };
     if missed {
         let handler = meta

@@ -10,7 +10,8 @@
 //!
 //! The pieces:
 //!
-//! * [`Simulation`] — the event calendar and virtual "true time".
+//! * [`Simulation`] — the event calendar and virtual "true time"; hot
+//!   events are `(key, token)` data fired on a registered [`Component`].
 //! * [`SimRng`] / [`LatencyModel`] — deterministic randomness and the delay
 //!   distributions used throughout.
 //! * [`VirtualClock`] / [`ClockModel`] — per-platform clocks with bounded
@@ -52,6 +53,7 @@ mod net;
 mod pool;
 mod rng;
 mod sim;
+mod slots;
 mod trace;
 
 pub use clock::{ClockModel, VirtualClock};
@@ -60,5 +62,5 @@ pub use frame::{FrameBuf, FrameMut, FramePool, FramePoolStats};
 pub use net::{Frame, LinkConfig, NetStats, NetworkHandle, NodeId};
 pub use pool::{PoolStats, TaskPool};
 pub use rng::{LatencyModel, SimRng};
-pub use sim::{SimStats, Simulation};
+pub use sim::{Component, SimStats, Simulation};
 pub use trace::{Trace, TraceEvent};

@@ -13,7 +13,8 @@
 
 use crate::frame::FrameBuf;
 use crate::rng::{LatencyModel, SimRng};
-use crate::sim::Simulation;
+use crate::sim::{Component, Simulation};
+use crate::slots::Slots;
 use dear_time::{Duration, Instant};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -186,6 +187,12 @@ pub(crate) struct Network {
     /// federation recovery harness) can react to a `FaultPlan`'s node
     /// crashes without the sim crate knowing about them.
     node_observers: Vec<NodeObserver>,
+    /// Frames between send and delivery; a delivery event's token is its
+    /// frame's slot.
+    in_flight: Slots<Frame>,
+    /// `(simulation id, component key)` once the network has registered
+    /// with a simulation (at its first send there).
+    key: Option<(u64, u32)>,
     rng: SimRng,
     stats: NetStats,
 }
@@ -213,6 +220,8 @@ impl Network {
             receivers: BTreeMap::new(),
             downed_nodes: BTreeSet::new(),
             node_observers: Vec::new(),
+            in_flight: Slots::default(),
+            key: None,
             rng,
             stats: NetStats::default(),
         }
@@ -223,6 +232,14 @@ impl Network {
         self.links
             .entry((src, dst))
             .or_insert_with(|| LinkState::new(default.clone()))
+    }
+}
+
+/// A delivery event: the token is the slot of the frame in flight.
+impl Component for RefCell<Network> {
+    fn fire(self: Rc<Self>, sim: &mut Simulation, slot: u32) {
+        let frame = self.borrow_mut().in_flight.remove(slot);
+        NetworkHandle(self).deliver(sim, frame);
     }
 }
 
@@ -328,8 +345,20 @@ impl NetworkHandle {
             }
         };
         let Some(at) = deliver_at else { return };
-        let handle = self.clone();
-        sim.schedule_at(at, move |sim| handle.deliver(sim, frame));
+        let key = self.key_in(sim);
+        let slot = self.0.borrow_mut().in_flight.insert(frame);
+        sim.schedule_fire(at, key, slot);
+    }
+
+    /// The network's component key in `sim`, registering on first use.
+    fn key_in(&self, sim: &mut Simulation) -> u32 {
+        match self.0.borrow().key {
+            Some((id, key)) if id == sim.id() => return key,
+            _ => {}
+        }
+        let key = sim.register_component(self.0.clone());
+        self.0.borrow_mut().key = Some((sim.id(), key));
+        key
     }
 
     fn deliver(&self, sim: &mut Simulation, frame: Frame) {
@@ -479,6 +508,28 @@ mod tests {
         assert_eq!(*at.borrow(), Some(Instant::from_millis(5)));
         let stats = net.stats();
         assert_eq!((stats.sent, stats.delivered), (1, 1));
+    }
+
+    #[test]
+    fn a_burst_leaves_at_most_one_chunk_in_flight() {
+        let mut sim = Simulation::new(0);
+        let net = NetworkHandle::new(
+            LinkConfig::ideal(Duration::from_micros(100)),
+            sim.fork_rng("net"),
+        );
+        let count = Rc::new(RefCell::new(0u32));
+        let sink = count.clone();
+        net.set_receiver(NodeId(2), move |_, _| *sink.borrow_mut() += 1);
+        for i in 0..10_000u32 {
+            net.send(&mut sim, frame(1, 2, i as u8));
+        }
+        assert_eq!(net.0.borrow().in_flight.len(), 10_000);
+        assert!(net.0.borrow().in_flight.chunks() > 100);
+        sim.run_to_completion();
+        assert_eq!(*count.borrow(), 10_000);
+        let net = net.0.borrow();
+        assert_eq!(net.in_flight.len(), 0);
+        assert!(net.in_flight.chunks() <= 1, "the burst's chunks were freed");
     }
 
     #[test]

@@ -10,21 +10,43 @@
 //! without the original two-board hardware setup.
 
 use crate::rng::SimRng;
+use crate::slots::Slots;
 use crate::trace::Trace;
 use dear_observe::Observe;
 use dear_time::{Duration, Instant};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
-/// A scheduled event: a boxed closure run at a simulated instant.
+/// A boxed event: the escape hatch for one-off and cold-path events.
 type EventFn = Box<dyn FnOnce(&mut Simulation)>;
 
+/// Something the calendar fires by key.
+///
+/// A component registers once ([`Simulation::register_component`]) and
+/// gets a key; from then on its events are plain data — `(time, key,
+/// token)` via [`Simulation::schedule_fire`] — and firing one hands the
+/// token back. What a token means (a wake generation, a slot in the
+/// component's own table) is the component's business.
+pub trait Component {
+    /// Runs the event scheduled with `token`.
+    fn fire(self: Rc<Self>, sim: &mut Simulation, token: u32);
+}
+
+/// The key of a boxed event: its token is the closure's slot.
+const BOXED: u32 = u32::MAX;
+
+/// One calendar entry: when, in which order, and what to fire.
 struct CalEntry {
     at: Instant,
     seq: u64,
-    event: EventFn,
+    key: u32,
+    token: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<CalEntry>() == 24);
 
 impl PartialEq for CalEntry {
     fn eq(&self, other: &Self) -> bool {
@@ -43,6 +65,10 @@ impl Ord for CalEntry {
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
+
+/// Distinguishes simulations, so a component that registers lazily can
+/// tell whether its key belongs to the simulation at hand.
+static NEXT_SIM_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Statistics about an executed simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,9 +91,20 @@ impl fmt::Display for SimStats {
 
 /// A seeded discrete-event simulation.
 ///
-/// Events are closures scheduled at absolute or relative virtual times and
-/// executed in deterministic order. Components typically live in
-/// `Rc<RefCell<...>>` cells captured by the event closures.
+/// The calendar holds plain data: each entry is a time, an insertion
+/// sequence number, a component key and a 32-bit token (24 bytes). Hot
+/// components — a network's frame deliveries, a platform's wake-ups and
+/// outbox drains — implement [`Component`], register once, and schedule
+/// `(key, token)` pairs with [`schedule_fire`](Self::schedule_fire); the
+/// token names what to do (a slot of frames in flight, a wake
+/// generation), so scheduling one allocates nothing.
+///
+/// [`schedule_at`](Self::schedule_at) and
+/// [`schedule_in`](Self::schedule_in) take a closure instead: the escape
+/// hatch for one-off and cold-path events. The closure waits in a
+/// chunked slot table and its entry carries a reserved key plus the
+/// slot. Both kinds share one sequence counter, so events at equal times
+/// run in insertion order whichever kind they are.
 ///
 /// # Examples
 ///
@@ -96,6 +133,11 @@ pub struct Simulation {
     now: Instant,
     calendar: BinaryHeap<CalEntry>,
     seq: u64,
+    /// Registered components, indexed by key.
+    components: Vec<Rc<dyn Component>>,
+    /// Closures of pending boxed events, indexed by token.
+    boxed: Slots<EventFn>,
+    id: u64,
     master_seed: u64,
     rng_root: SimRng,
     trace: Trace,
@@ -123,6 +165,9 @@ impl Simulation {
             now: Instant::EPOCH,
             calendar: BinaryHeap::new(),
             seq: 0,
+            components: Vec::new(),
+            boxed: Slots::default(),
+            id: NEXT_SIM_ID.fetch_add(1, AtomicOrdering::Relaxed),
             master_seed,
             rng_root: SimRng::seed_from_u64(master_seed),
             trace: Trace::disabled(),
@@ -147,15 +192,28 @@ impl Simulation {
         self.rng_root.fork(label)
     }
 
-    /// Schedules `event` at the absolute virtual time `at`.
+    /// Registers a component and returns its key for
+    /// [`schedule_fire`](Self::schedule_fire).
+    pub fn register_component(&mut self, component: Rc<dyn Component>) -> u32 {
+        let key = u32::try_from(self.components.len())
+            .ok()
+            .filter(|&k| k != BOXED)
+            .expect("too many components");
+        self.components.push(component);
+        key
+    }
+
+    /// Schedules the component registered as `key` to fire with `token`
+    /// at the absolute virtual time `at`. Allocates nothing.
     ///
     /// Events scheduled for the current instant run after the currently
-    /// executing event returns (FIFO among equal times).
+    /// executing event returns (FIFO among equal times, boxed events
+    /// included).
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past.
-    pub fn schedule_at(&mut self, at: Instant, event: impl FnOnce(&mut Simulation) + 'static) {
+    pub fn schedule_fire(&mut self, at: Instant, key: u32, token: u32) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={at} now={}",
@@ -166,8 +224,22 @@ impl Simulation {
         self.calendar.push(CalEntry {
             at,
             seq,
-            event: Box::new(event),
+            key,
+            token,
         });
+    }
+
+    /// Schedules `event` at the absolute virtual time `at`.
+    ///
+    /// Events scheduled for the current instant run after the currently
+    /// executing event returns (FIFO among equal times).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past.
+    pub fn schedule_at(&mut self, at: Instant, event: impl FnOnce(&mut Simulation) + 'static) {
+        let slot = self.boxed.insert(Box::new(event));
+        self.schedule_fire(at, BOXED, slot);
     }
 
     /// Schedules `event` after the given non-negative delay.
@@ -193,7 +265,12 @@ impl Simulation {
                 debug_assert!(entry.at >= self.now, "calendar went backwards");
                 self.now = entry.at;
                 self.executed += 1;
-                (entry.event)(self);
+                if entry.key == BOXED {
+                    (self.boxed.remove(entry.token))(self);
+                } else {
+                    let component = Rc::clone(&self.components[entry.key as usize]);
+                    component.fire(self, entry.token);
+                }
                 true
             }
             None => false,
@@ -248,6 +325,11 @@ impl Simulation {
     #[cfg(test)]
     pub(crate) fn request_stop(&mut self) {
         self.stop_requested = true;
+    }
+
+    /// This simulation's identity, unique within the process.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// Execution statistics.
@@ -343,18 +425,36 @@ mod tests {
         assert_eq!(sim.now(), Instant::from_millis(30));
     }
 
+    /// Records every token it fires with, in firing order.
+    struct Recorder(RefCell<Vec<u32>>);
+
+    impl Component for Recorder {
+        fn fire(self: Rc<Self>, _sim: &mut Simulation, token: u32) {
+            self.0.borrow_mut().push(token);
+        }
+    }
+
     #[test]
     fn equal_times_execute_fifo() {
+        // Boxed and keyed events interleaved at one instant run in
+        // insertion order, whichever kind they are.
         let mut sim = Simulation::new(0);
-        let order = Rc::new(RefCell::new(Vec::new()));
-        for label in ["first", "second", "third"] {
-            let order = order.clone();
-            sim.schedule_at(Instant::from_millis(5), move |_| {
-                order.borrow_mut().push(label);
-            });
+        let recorder = Rc::new(Recorder(RefCell::new(Vec::new())));
+        let key = sim.register_component(recorder.clone());
+        let at = Instant::from_millis(5);
+        for token in 0..6u32 {
+            if token % 2 == 0 {
+                let recorder = recorder.clone();
+                sim.schedule_at(at, move |_| recorder.0.borrow_mut().push(token));
+            } else {
+                sim.schedule_fire(at, key, token);
+            }
         }
+        // An earlier keyed event still runs first.
+        sim.schedule_fire(Instant::from_millis(4), key, 99);
         sim.run_to_completion();
-        assert_eq!(*order.borrow(), vec!["first", "second", "third"]);
+        assert_eq!(*recorder.0.borrow(), vec![99, 0, 1, 2, 3, 4, 5]);
+        assert_eq!(sim.boxed.len(), 0, "every boxed closure was consumed");
     }
 
     #[test]

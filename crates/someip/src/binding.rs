@@ -368,9 +368,8 @@ impl Binding {
         event: u16,
         payload: impl Into<FrameBuf>,
     ) {
-        let frames = {
+        let (bytes, src, net, sd) = {
             let mut inner = self.0.borrow_mut();
-            let subscribers = inner.sd.subscribers(instance, eventgroup);
             let tag = inner.outgoing_tags.pop_front();
             let mut msg =
                 SomeIpMessage::notification(MessageId::new(instance.service, event), payload);
@@ -380,21 +379,15 @@ impl Binding {
             // One encode for the whole fan-out; every subscriber's frame
             // is a view of the same buffer.
             let bytes = msg.into_frame(&inner.pool);
-            let frames: Vec<Frame> = subscribers
-                .iter()
-                .map(|&dst| Frame {
-                    src: inner.node,
-                    dst,
-                    payload: bytes.clone(),
-                })
-                .collect();
-            inner.stats.notifications_sent += frames.len() as u64;
-            frames
+            (bytes, inner.node, inner.net.clone(), inner.sd.clone())
         };
-        let net = self.0.borrow().net.clone();
-        for frame in frames {
-            net.send(sim, frame);
-        }
+        let mut sent = 0;
+        sd.for_each_subscriber(instance, eventgroup, |dst| {
+            let payload = bytes.clone();
+            net.send(sim, Frame { src, dst, payload });
+            sent += 1;
+        });
+        self.0.borrow_mut().stats.notifications_sent += sent;
     }
 
     fn resolve(

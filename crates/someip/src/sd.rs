@@ -400,9 +400,28 @@ impl SdRegistry {
         }
     }
 
+    /// Calls `f` on every current subscriber of an eventgroup, in
+    /// ascending node order, without copying the list. The registry
+    /// stays borrowed meanwhile, so `f` must not call back into it.
+    pub(crate) fn for_each_subscriber(
+        &self,
+        instance: ServiceInstance,
+        eventgroup: u16,
+        f: impl FnMut(NodeId),
+    ) {
+        if let Some(subs) =
+            self.0
+                .borrow()
+                .subscriptions
+                .get(&(instance.service, instance.instance, eventgroup))
+        {
+            subs.iter().copied().for_each(f);
+        }
+    }
+
     /// Current subscribers of an eventgroup (sorted, deterministic).
-    #[must_use]
-    pub fn subscribers(&self, instance: ServiceInstance, eventgroup: u16) -> Vec<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn subscribers(&self, instance: ServiceInstance, eventgroup: u16) -> Vec<NodeId> {
         self.0
             .borrow()
             .subscriptions

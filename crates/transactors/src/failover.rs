@@ -322,7 +322,7 @@ mod tests {
     use super::*;
     use dear_sim::{LinkConfig, NetworkHandle};
 
-    fn setup(seed: u64) -> (Simulation, Binding) {
+    fn setup(seed: u64) -> (Simulation, Binding, NetworkHandle) {
         let sim = Simulation::new(seed);
         let net = NetworkHandle::new(
             LinkConfig::ideal(Duration::from_micros(100)),
@@ -330,12 +330,30 @@ mod tests {
         );
         let sd = SdRegistry::new();
         let binding = Binding::new(&net, &sd, NodeId(9), 0x99);
-        (sim, binding)
+        (sim, binding, net)
+    }
+
+    /// Whether `binding`'s node is subscribed to eventgroup 1 of
+    /// `instance`: a notification published there reaches it within the
+    /// link latency.
+    fn receives(
+        sim: &mut Simulation,
+        net: &NetworkHandle,
+        binding: &Binding,
+        instance: ServiceInstance,
+    ) -> bool {
+        let got = Rc::new(std::cell::Cell::new(false));
+        let sink = got.clone();
+        binding.on_event(instance.service, 0x8001, move |_, _| sink.set(true));
+        let publisher = Binding::new(net, &binding.sd(), NodeId(50), 0x50);
+        publisher.notify(sim, instance, 1, 0x8001, vec![0]);
+        sim.run_until(sim.now() + Duration::from_millis(1));
+        got.get()
     }
 
     #[test]
     fn binds_best_offer_and_fails_over_on_stop_offer() {
-        let (mut sim, binding) = setup(0);
+        let (mut sim, binding, net) = setup(0);
         let sd = binding.sd();
         let primary = ServiceInstance::new(0x40, 1);
         let backup = ServiceInstance::new(0x40, 2);
@@ -344,27 +362,27 @@ mod tests {
         let stats = TransactorStats::new();
         let fb = FailoverBinding::attach(&mut sim, &binding, 0x40, 1, stats.clone());
         assert_eq!(fb.instance(), Some(1));
-        assert_eq!(sd.subscribers(primary, 1), vec![NodeId(9)]);
+        assert!(receives(&mut sim, &net, &binding, primary));
         assert_eq!(stats.failovers(), 0, "initial bind is not a failover");
 
         sd.stop_offer(&mut sim, primary);
         assert_eq!(fb.instance(), Some(2));
-        assert!(sd.subscribers(primary, 1).is_empty());
-        assert_eq!(sd.subscribers(backup, 1), vec![NodeId(9)]);
         assert_eq!(stats.failovers(), 1);
         assert_eq!(fb.last_failover_at(), Some(sim.now()));
         assert_eq!(fb.method_spec(7).unwrap().instance, 2);
+        assert!(!receives(&mut sim, &net, &binding, primary));
+        assert!(receives(&mut sim, &net, &binding, backup));
 
         // The primary returning outranks the backup: fail back.
         sd.offer_prioritized(&mut sim, primary, NodeId(1), Duration::from_secs(60), 0);
         assert_eq!(fb.instance(), Some(1));
         assert_eq!(stats.failovers(), 2);
-        assert!(sd.subscribers(backup, 1).is_empty());
+        assert!(!receives(&mut sim, &net, &binding, backup));
     }
 
     #[test]
     fn ttl_expiry_fails_over_at_the_expiry_tag() {
-        let (mut sim, binding) = setup(1);
+        let (mut sim, binding, _) = setup(1);
         let sd = binding.sd();
         let primary = ServiceInstance::new(0x40, 1);
         let backup = ServiceInstance::new(0x40, 2);
@@ -388,7 +406,7 @@ mod tests {
 
     #[test]
     fn heartbeat_silence_suspects_provider_before_sd_notices() {
-        let (mut sim, binding) = setup(2);
+        let (mut sim, binding, _) = setup(2);
         let sd = binding.sd();
         let primary = ServiceInstance::new(0x40, 1);
         let backup = ServiceInstance::new(0x40, 2);
@@ -434,7 +452,7 @@ mod tests {
 
     #[test]
     fn parking_and_recovery_are_not_failovers() {
-        let (mut sim, binding) = setup(3);
+        let (mut sim, binding, _) = setup(3);
         let sd = binding.sd();
         let only = ServiceInstance::new(0x40, 1);
         let stats = TransactorStats::new();

@@ -78,6 +78,12 @@ impl Outbox {
         std::mem::take(&mut *self.queue.lock().expect("outbox poisoned"))
     }
 
+    /// Moves all pending messages, in push order, to the end of `out`;
+    /// the queue keeps its capacity for the next tag's pushes.
+    pub(crate) fn drain_into(&self, out: &mut Vec<OutboundMsg>) {
+        out.append(&mut self.queue.lock().expect("outbox poisoned"));
+    }
+
     /// Number of queued messages.
     #[must_use]
     pub fn len(&self) -> usize {

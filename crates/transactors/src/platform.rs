@@ -42,11 +42,12 @@ use crate::outbox::{OutboundMsg, Outbox};
 use dear_core::{
     PhysicalAction, ReactionId, Runtime, RuntimeError, RuntimeStats, StepOutcome, Tag,
 };
-use dear_sim::{LatencyModel, SimRng, Simulation, VirtualClock};
+use dear_sim::{Component, LatencyModel, SimRng, Simulation, VirtualClock};
 use dear_time::{Duration, Instant};
 use std::cell::{RefCell, RefMut};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
 use std::rc::Rc;
 
 type RouteHandler = Rc<dyn Fn(&mut Simulation, OutboundMsg)>;
@@ -148,7 +149,11 @@ pub struct PlatformCore<P> {
     cost_rng: SimRng,
     /// True time until which the platform's processor is busy.
     pub busy_until: Instant,
-    generation: u64,
+    /// The platform's calendar key, from [`FederatedPlatform::start`].
+    key: Option<u32>,
+    /// Token of the newest wake-up (31 bits, wrapping); an older one
+    /// firing is stale and does nothing.
+    generation: u32,
     /// True time of the pending wake-up, if one is armed.
     ///
     /// Re-arms that would not change the wake time are suppressed, so a
@@ -157,8 +162,21 @@ pub struct PlatformCore<P> {
     /// trace bit-identical to the decentralized one.
     armed_wake: Option<Instant>,
     started: bool,
+    /// The outbox batch being dispatched; kept between drains so a drain
+    /// reuses its capacity.
+    drained: Vec<OutboundMsg>,
     /// The coordination strategy's state.
     pub policy: P,
+}
+
+/// Token bit marking an outbox drain, whose other 31 bits are the low
+/// bits of the epoch that scheduled it. A wake-up's token is its
+/// generation, which never has this bit set.
+const DRAIN: u32 = 1 << 31;
+
+/// The low 31 bits of an epoch or generation: what a token carries.
+fn narrow(n: u64) -> u32 {
+    n as u32 & !DRAIN
 }
 
 impl<P> PlatformCore<P> {
@@ -171,9 +189,14 @@ impl<P> PlatformCore<P> {
     /// The process died: strands every armed wake-up and discards the
     /// outputs that had not left the platform yet.
     pub fn halt(&mut self) {
-        self.generation += 1;
+        self.bump_generation();
         self.armed_wake = None;
         let _ = self.outbox.drain();
+    }
+
+    /// Supersedes every wake-up armed so far.
+    fn bump_generation(&mut self) {
+        self.generation = (self.generation + 1) & !DRAIN;
     }
 
     /// A fresh process takes over after [`halt`](Self::halt): `runtime`
@@ -217,7 +240,37 @@ impl<P> PlatformCore<P> {
 /// it (decentralized unless stated otherwise).
 ///
 /// Cheap to clone; clones share the platform.
-pub struct FederatedPlatform<P: CoordinationPolicy = Decentralized>(Rc<RefCell<PlatformCore<P>>>);
+pub struct FederatedPlatform<P: CoordinationPolicy = Decentralized>(Rc<PlatformCell<P>>);
+
+/// The shared platform state; the calendar fires it by key. A newtype,
+/// so that this crate may implement [`Component`] for it.
+struct PlatformCell<P>(RefCell<PlatformCore<P>>);
+
+impl<P> Deref for PlatformCell<P> {
+    type Target = RefCell<PlatformCore<P>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+/// A wake-up (token = generation) or an outbox drain (token = `DRAIN` |
+/// epoch).
+impl<P: CoordinationPolicy> Component for PlatformCell<P> {
+    fn fire(self: Rc<Self>, sim: &mut Simulation, token: u32) {
+        let platform = FederatedPlatform(self);
+        if token & DRAIN == 0 {
+            platform.on_wake(sim, token);
+            return;
+        }
+        // A drain scheduled by a process that has died since is
+        // stranded: its outputs died with it.
+        let live = platform.0.borrow().policy.live_epoch();
+        if live.is_some_and(|epoch| narrow(epoch) == token & !DRAIN) {
+            platform.drain_outbox(sim);
+        }
+    }
+}
 
 impl<P: CoordinationPolicy> Clone for FederatedPlatform<P> {
     fn clone(&self) -> Self {
@@ -264,7 +317,7 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
         cost_rng: SimRng,
         policy: P,
     ) -> Self {
-        FederatedPlatform(Rc::new(RefCell::new(PlatformCore {
+        FederatedPlatform(Rc::new(PlatformCell(RefCell::new(PlatformCore {
             name: name.into(),
             runtime,
             clock,
@@ -273,11 +326,13 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
             costs: BTreeMap::new(),
             cost_rng,
             busy_until: Instant::EPOCH,
+            key: None,
             generation: 0,
             armed_wake: None,
             started: false,
+            drained: Vec::new(),
             policy,
-        })))
+        }))))
     }
 
     /// Mutable access to the platform's state, for the policy's own entry
@@ -336,8 +391,9 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
         self.0.borrow().runtime.stats()
     }
 
-    /// Starts the runtime (anchored at the platform's local clock) and
-    /// arms the first wake-up.
+    /// Registers the platform with the simulation's calendar, starts the
+    /// runtime (anchored at the platform's local clock) and arms the
+    /// first wake-up.
     ///
     /// # Panics
     ///
@@ -347,6 +403,7 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
             let core = &mut *self.0.borrow_mut();
             assert!(!core.started, "platform already started");
             core.started = true;
+            core.key = Some(sim.register_component(self.0.clone()));
             let local_now = core.clock.local_time(sim.now());
             P::starting(core, sim, local_now);
             core.runtime.start(local_now);
@@ -443,19 +500,21 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
             return;
         }
         core.armed_wake = Some(wake);
-        core.generation += 1;
-        let (platform, generation) = (self.clone(), core.generation);
-        sim.schedule_at(wake, move |sim| platform.on_wake(sim, generation));
+        core.bump_generation();
+        let key = core.key.expect("a started platform is registered");
+        sim.schedule_fire(wake, key, core.generation);
     }
 
-    fn on_wake(&self, sim: &mut Simulation, generation: u64) {
+    fn on_wake(&self, sim: &mut Simulation, generation: u32) {
         // Process one tag, attribute its compute cost, drain the outbox,
         // then re-arm. Superseded wake-ups (a newer arm happened) no-op.
         let now = sim.now();
-        let (outcome, epoch, drain_at) = {
+        let (outcome, drain) = {
             let core = &mut *self.0.borrow_mut();
-            let epoch = core.policy.live_epoch();
-            if generation != core.generation || !core.started || epoch.is_none() {
+            let Some(epoch) = core.policy.live_epoch() else {
+                return;
+            };
+            if generation != core.generation || !core.started {
                 return;
             }
             core.armed_wake = None;
@@ -473,21 +532,16 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
                 core.busy_until = busy_from + total;
                 P::tag_processed(core, sim, summary.tag, local_now, busy_from);
             }
-            (outcome, epoch, core.busy_until)
+            let key = core.key.expect("a started platform is registered");
+            (outcome, (core.busy_until, key, DRAIN | narrow(epoch)))
         };
         if let StepOutcome::Processed(_) = outcome {
             // Outputs leave the platform when the modelled compute
             // finishes (the skeleton promise resolves then), not when the
             // tag starts.
+            let (drain_at, key, token) = drain;
             if drain_at > now {
-                let platform = self.clone();
-                // A drain scheduled by a process that has died since is
-                // stranded: its outputs died with it.
-                sim.schedule_at(drain_at, move |sim| {
-                    if platform.0.borrow().policy.live_epoch() == epoch {
-                        platform.drain_outbox(sim);
-                    }
-                });
+                sim.schedule_fire(drain_at, key, token);
             } else {
                 self.drain_outbox(sim);
             }
@@ -496,13 +550,15 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
     }
 
     fn drain_outbox(&self, sim: &mut Simulation) {
-        let batch = {
+        let mut batch = {
             let core = &mut *self.0.borrow_mut();
-            let batch = core.outbox.drain();
+            let mut batch = std::mem::take(&mut core.drained);
+            core.outbox.drain_into(&mut batch);
             P::batch_drained(core, &batch);
             batch
         };
-        self.dispatch(sim, batch);
+        self.dispatch(sim, batch.drain(..));
+        self.0.borrow_mut().drained = batch;
     }
 
     /// Hands each message to the handler registered for its route, in
@@ -511,7 +567,7 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
     /// # Panics
     ///
     /// Panics on a message for a route nobody registered.
-    pub fn dispatch(&self, sim: &mut Simulation, batch: Vec<OutboundMsg>) {
+    pub fn dispatch(&self, sim: &mut Simulation, batch: impl IntoIterator<Item = OutboundMsg>) {
         for msg in batch {
             let handler = self.0.borrow().routes.get(&msg.route).cloned();
             match handler {
@@ -523,5 +579,69 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
                 ),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dear_core::ProgramBuilder;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::Arc;
+
+    /// A platform whose one reaction fires at 10 ms, counting into the
+    /// returned cell.
+    fn counting_platform(sim: &Simulation) -> (FederatedPlatform, Arc<AtomicU64>) {
+        let fired = Arc::new(AtomicU64::new(0));
+        let mut b = ProgramBuilder::new();
+        let mut r = b.reactor("counter", fired.clone());
+        let t = r.timer("t", Duration::from_millis(10), None);
+        r.reaction("count")
+            .triggered_by(t)
+            .body(|n: &mut Arc<AtomicU64>, _| {
+                n.fetch_add(1, Relaxed);
+            });
+        r.finish();
+        let platform = FederatedPlatform::new(
+            "p",
+            Runtime::new(b.build().expect("counter builds")),
+            VirtualClock::ideal(),
+            Outbox::new(),
+            sim.fork_rng("costs"),
+        );
+        (platform, fired)
+    }
+
+    #[test]
+    fn a_wake_armed_before_halt_does_nothing() {
+        let mut sim = Simulation::new(0);
+        let (platform, fired) = counting_platform(&sim);
+        platform.start(&mut sim); // arms the 10 ms wake
+        platform.core().halt();
+        sim.run_until(Instant::from_millis(20));
+        assert_eq!(fired.load(Relaxed), 0, "the stale wake stepped the runtime");
+        platform.arm(&mut sim);
+        sim.run_until(Instant::from_millis(30));
+        assert_eq!(fired.load(Relaxed), 1, "a fresh arm still works");
+    }
+
+    #[test]
+    fn a_wake_armed_before_the_generation_wraps_does_nothing() {
+        let mut sim = Simulation::new(0);
+        let (platform, fired) = counting_platform(&sim);
+        platform.core().generation = !DRAIN - 1;
+        platform.start(&mut sim); // arms with the last generation before the wrap
+        assert_eq!(platform.core().generation, !DRAIN);
+        platform.core().halt();
+        assert_eq!(platform.core().generation, 0, "the generation wrapped");
+        sim.run_until(Instant::from_millis(20));
+        assert_eq!(fired.load(Relaxed), 0, "the stale wake stepped the runtime");
+        platform.arm(&mut sim);
+        sim.run_until(Instant::from_millis(30));
+        assert_eq!(
+            fired.load(Relaxed),
+            1,
+            "a fresh arm after the wrap still works"
+        );
     }
 }

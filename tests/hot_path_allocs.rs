@@ -1,18 +1,25 @@
 //! The hot paths' stated bound, as exact counts: in steady state a
 //! reaction of the untraced runtime — with or without a disabled
-//! telemetry handle attached — and a pooled SOME/IP encode + decode
-//! allocate **nothing**.
+//! telemetry handle attached — a pooled SOME/IP encode + decode, a
+//! network send plus its delivery, and a decentralized platform's wake,
+//! outbox drain and two-subscriber notify fan-out allocate **nothing**.
 //!
 //! The counter is per thread, so what the test harness allocates on its
 //! own threads meanwhile is not counted.
 
 use dear::observe::{Lane, Observe};
 use dear::reactor::{ProgramBuilder, Runtime};
-use dear::someip::{FramePool, MessageId, PayloadWriter, SomeIpMessage, WireTag};
+use dear::sim::{Frame, LatencyModel, LinkConfig, NetworkHandle, NodeId, Simulation, VirtualClock};
+use dear::someip::{
+    Binding, FrameBuf, FramePool, MessageId, PayloadWriter, SdRegistry, ServiceInstance,
+    SomeIpMessage, WireTag,
+};
 use dear::time::{Duration, Instant};
+use dear::transactors::{tag_to_wire, FederatedPlatform, OutboundMsg, Outbox, PlatformDriver};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::rc::Rc;
 
 thread_local! {
     /// Allocations made by *this* thread: the harness's own threads may
@@ -124,4 +131,112 @@ fn pooled_someip_roundtrip_allocates_nothing() {
     }
     assert_eq!(allocations() - before, 0, "allocations per message");
     assert_eq!(pool.stats().created, created, "steady state grew the pool");
+}
+
+/// `NetworkHandle::send` of a pooled 64 B frame plus its delivery to a
+/// registered receiver: the frame waits in the network's in-flight table
+/// and the calendar entry is `(network key, slot)`.
+#[test]
+fn network_send_and_delivery_allocate_nothing() {
+    let mut sim = Simulation::new(1);
+    let net = NetworkHandle::new(
+        LinkConfig::ideal(Duration::from_micros(50)),
+        sim.fork_rng("net"),
+    );
+    let received = Rc::new(Cell::new(0usize));
+    let sink = received.clone();
+    net.set_receiver(NodeId(1), move |_, frame| {
+        sink.set(sink.get() + frame.payload.len());
+    });
+    let pool = FramePool::new();
+    let send = |sim: &mut Simulation| {
+        let mut payload = pool.acquire();
+        payload.extend_from_slice(&[0xAB; 64]);
+        let frame = Frame {
+            src: NodeId(0),
+            dst: NodeId(1),
+            payload: payload.freeze(),
+        };
+        net.send(sim, frame);
+        sim.run_to_completion();
+    };
+    for _ in 0..64 {
+        send(&mut sim);
+    }
+    let before = allocations();
+    for _ in 0..65_536 {
+        send(&mut sim);
+    }
+    assert_eq!(allocations() - before, 0, "allocations per frame");
+    assert_eq!(received.get(), 64 * (64 + 65_536));
+}
+
+/// A decentralized platform publishing on a 10 ms timer to two
+/// subscribers, with 1 ms of modelled compute: every period is a keyed
+/// platform wake, a step, a keyed outbox drain when the compute ends, and
+/// a `Binding::notify` fan-out of two frames to two event handlers.
+///
+/// The publishing reaction pushes to the outbox itself rather than
+/// through a port: port and action values are still boxed, one
+/// allocation per write.
+#[test]
+fn decentralized_wake_drain_and_fan_out_allocate_nothing() {
+    const PERIOD: Duration = Duration::from_millis(10);
+    const PERIODS: i64 = 4096;
+    let mut sim = Simulation::new(1);
+    let net = NetworkHandle::new(
+        LinkConfig::ideal(Duration::from_micros(100)),
+        sim.fork_rng("net"),
+    );
+    let sd = SdRegistry::new();
+    let instance = ServiceInstance::new(0x60, 1);
+
+    let outbox = Outbox::new();
+    let (route, sender) = (outbox.allocate_route(), outbox.sender());
+    let mut b = ProgramBuilder::new();
+    let mut r = b.reactor("source", FrameBuf::from(vec![0xAB; 40]));
+    let tick = r.timer("tick", PERIOD, Some(PERIOD));
+    r.reaction("emit")
+        .triggered_by(tick)
+        .body(move |payload: &mut FrameBuf, ctx| {
+            sender.push(OutboundMsg {
+                route,
+                payload: payload.clone(),
+                tag: tag_to_wire(ctx.tag()),
+            });
+        });
+    r.finish();
+    let program = b.build().expect("source builds");
+    let emit = program.find_reaction("source.emit").expect("emit reaction");
+    let platform = FederatedPlatform::new(
+        "source",
+        Runtime::new(program),
+        VirtualClock::ideal(),
+        outbox,
+        sim.fork_rng("costs"),
+    );
+    platform.set_reaction_cost(emit, LatencyModel::constant(Duration::from_millis(1)));
+    let server = Binding::new(&net, &sd, NodeId(1), 0x11);
+    server.offer(&mut sim, instance, Duration::from_secs(1 << 30));
+    let publisher = server.clone();
+    platform.register_route(route, move |sim, msg| {
+        publisher.set_outgoing_tag(msg.tag);
+        publisher.notify(sim, instance, 1, 0x8001, msg.payload);
+    });
+    let received = Rc::new(Cell::new(0i64));
+    for node in [2u16, 3] {
+        let client = Binding::new(&net, &sd, NodeId(node), 0x20 + node);
+        client.subscribe(instance, 1);
+        let (sink, tags) = (received.clone(), client.clone());
+        client.on_event(0x60, 0x8001, move |_, _| {
+            black_box(tags.take_incoming_tag());
+            sink.set(sink.get() + 1);
+        });
+    }
+    platform.start(&mut sim);
+    sim.run_until(Instant::EPOCH + PERIOD * 64);
+    let (before, received_before) = (allocations(), received.get());
+    sim.run_until(Instant::EPOCH + PERIOD * (64 + PERIODS));
+    assert_eq!(allocations() - before, 0, "allocations per period");
+    assert_eq!(received.get() - received_before, 2 * PERIODS);
 }
