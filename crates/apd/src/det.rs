@@ -21,7 +21,7 @@
 //! [`UntaggedPolicy::PhysicalTime`]: dear_transactors::UntaggedPolicy::PhysicalTime
 
 use crate::logic::{detect_vehicles, eba_decide, StageTimings};
-use crate::nondet::{nodes, services};
+use crate::nondet::{nodes, services, Camera};
 use crate::types::{BrakeDecision, Frame, LaneBox, VehicleList};
 use dear_core::{Port, ProgramBuilder, Reaction, ReactionCtx, ReactionId, Reactor, Runtime};
 use dear_federation::{CoordinatedPlatform, EventLog, PlatformRecovery, Rti};
@@ -911,12 +911,12 @@ fn run_det_with<F: DriverFactory>(seed: u64, params: &DetParams, mut factory: F)
         // incarnation replays into the same inboxes.
         platform.register_durable_input(
             cv_lane_in.action(),
-            |frame: &FrameBuf| frame.to_vec(),
+            |frame: &FrameBuf, out| out.extend_from_slice(frame),
             |bytes| Some(bytes.to_vec().into()),
         );
         platform.register_durable_input(
             cv_frame_in.action(),
-            |frame: &FrameBuf| frame.to_vec(),
+            |frame: &FrameBuf, out| out.extend_from_slice(frame),
             |bytes| Some(bytes.to_vec().into()),
         );
 
@@ -996,46 +996,14 @@ fn run_det_with<F: DriverFactory>(seed: u64, params: &DetParams, mut factory: F)
     if let Some(red) = params.redundancy {
         build_redundant_providers(&mut sim, &net, &sd, params, red, primary_death_at.clone());
     } else {
-        let provider_binding = Binding::new(&net, &sd, nodes::PROVIDER, 0x10);
-        provider_binding.offer(&mut sim, ServiceInstance::new(VIDEO, INSTANCE), offer_ttl);
+        let binding = Binding::new(&net, &sd, nodes::PROVIDER, 0x10);
+        let instance = ServiceInstance::new(VIDEO, INSTANCE);
+        binding.offer(&mut sim, instance, offer_ttl);
         let rng = sim.fork_rng("provider");
-        let jitter = params.provider_jitter;
-        let period = params.period;
-        let frames_total = params.frames;
-        let binding = provider_binding.clone();
-        fn send_frame(
-            sim: &mut Simulation,
-            binding: Binding,
-            mut rng: dear_sim::SimRng,
-            id: u64,
-            total: u64,
-            period: Duration,
-            jitter: Duration,
-        ) {
-            if id >= total {
-                return;
-            }
-            let frame = Frame::new(id, sim.now().as_nanos());
-            let payload = frame.encode(PayloadWriter::pooled(&binding.pool()));
-            binding.notify(
-                sim,
-                ServiceInstance::new(services::VIDEO, services::INSTANCE),
-                services::EVENTGROUP,
-                services::EVENT_MAIN,
-                payload,
-            );
-            let next = if jitter.is_zero() {
-                period
-            } else {
-                period + rng.uniform_duration(-jitter, jitter)
-            };
-            sim.schedule_in(next, move |sim| {
-                send_frame(sim, binding, rng, id + 1, total, period, jitter)
-            });
-        }
-        sim.schedule_at(Instant::EPOCH, move |sim| {
-            send_frame(sim, binding, rng, 0, frames_total, period, jitter)
-        });
+        let (period, jitter) = (params.period, params.provider_jitter);
+        Camera::new(binding, instance, params.frames, period, jitter, rng)
+            .register(&mut sim)
+            .arm(&mut sim, Duration::ZERO);
     }
 
     // --- Run ---------------------------------------------------------------
@@ -1260,18 +1228,13 @@ fn build_redundant_providers(
     // The standby replicates the primary's frame stream by subscribing
     // to it, and takes over when SD drops the primary or (with a
     // heartbeat watchdog) when the stream goes silent.
+    let (frames, period, jitter) = (params.frames, params.period, params.provider_jitter);
+    let (binding, rng) = (backup_binding.clone(), sim.fork_rng("provider-backup"));
+    let camera = Camera::new(binding, backup_inst, frames, period, jitter, rng);
     let backup = Rc::new(BackupProvider {
-        binding: backup_binding.clone(),
-        instance: backup_inst,
-        eventgroup: EVENTGROUP,
-        event: EVENT_MAIN,
+        camera: camera.register(sim),
         active: Cell::new(false),
         last_seen: Cell::new(None),
-        next_id: Cell::new(0),
-        rng: RefCell::new(sim.fork_rng("provider-backup")),
-        period: params.period,
-        jitter: params.provider_jitter,
-        total: params.frames,
         watchdog_gen: Cell::new(0),
         timeout: red.heartbeat_timeout,
     });
@@ -1294,24 +1257,28 @@ fn build_redundant_providers(
     }
     backup.arm_watchdog(sim);
 
-    // The primary: the plain provider loop, crashing right after frame
+    // The primary: the plain provider's camera, crashing right after frame
     // `primary_dies_after`.
-    let looper = PrimaryLoop {
-        binding: primary_binding,
-        sd: sd.clone(),
-        rng: sim.fork_rng("provider"),
-        instance: primary_inst,
-        eventgroup: EVENTGROUP,
-        event: EVENT_MAIN,
-        total: params.frames,
-        dies_after: red.primary_dies_after,
-        period: params.period,
-        jitter: params.provider_jitter,
-        graceful: red.graceful,
-        alive: primary_alive,
-        death_at,
-    };
-    sim.schedule_at(Instant::EPOCH, move |sim| looper.tick(sim, 0));
+    let rng = sim.fork_rng("provider");
+    let mut primary = Camera::new(primary_binding, primary_inst, frames, period, jitter, rng);
+    let sd = sd.clone();
+    primary.dies = Some(Box::new(move |sim, id| {
+        if id < red.primary_dies_after {
+            return false;
+        }
+        // The crash: no further frames, no further renewals; a graceful
+        // death also withdraws the offer at this very tag.
+        primary_alive.set(false);
+        death_at.set(Some(sim.now()));
+        sim.trace_with("failover", || {
+            format!("primary provider dies after frame {id}")
+        });
+        if red.graceful {
+            sd.stop_offer(sim, primary_inst);
+        }
+        true
+    }));
+    primary.register(sim).arm(sim, Duration::ZERO);
 }
 
 /// A provider's periodic offer renewal (the SOME/IP-SD heartbeat); stops
@@ -1342,77 +1309,16 @@ impl OfferRenewal {
     }
 }
 
-/// The primary Video Provider of a redundancy scenario: the plain frame
-/// loop, dying right after `dies_after` (StopOffer when graceful, silent
-/// crash otherwise).
-struct PrimaryLoop {
-    binding: Binding,
-    sd: SdRegistry,
-    rng: dear_sim::SimRng,
-    instance: ServiceInstance,
-    eventgroup: u16,
-    event: u16,
-    total: u64,
-    dies_after: u64,
-    period: Duration,
-    jitter: Duration,
-    graceful: bool,
-    alive: Rc<Cell<bool>>,
-    death_at: Rc<Cell<Option<Instant>>>,
-}
-
-impl PrimaryLoop {
-    fn tick(mut self, sim: &mut Simulation, id: u64) {
-        if id >= self.total {
-            return;
-        }
-        let frame = Frame::new(id, sim.now().as_nanos());
-        self.binding.notify(
-            sim,
-            self.instance,
-            self.eventgroup,
-            self.event,
-            frame.to_payload(),
-        );
-        if id >= self.dies_after {
-            // The crash: no further frames, no further renewals; a
-            // graceful death also withdraws the offer at this very tag.
-            self.alive.set(false);
-            self.death_at.set(Some(sim.now()));
-            sim.trace_with("failover", || {
-                format!("primary provider dies after frame {id}")
-            });
-            if self.graceful {
-                self.sd.stop_offer(sim, self.instance);
-            }
-            return;
-        }
-        let next = if self.jitter.is_zero() {
-            self.period
-        } else {
-            let jitter = self.jitter;
-            self.period + self.rng.uniform_duration(-jitter, jitter)
-        };
-        sim.schedule_in(next, move |sim| self.tick(sim, id + 1));
-    }
-}
-
 /// The warm-standby Video Provider: replicates the primary's stream by
 /// subscription, resumes it at the next frame id once activated.
 struct BackupProvider {
-    binding: Binding,
-    instance: ServiceInstance,
-    eventgroup: u16,
-    event: u16,
+    /// Its own camera, armed at takeover. Every replicated frame raises
+    /// the camera's next id past it, so the standby resumes strictly
+    /// after everything replicated and everything it sent itself.
+    camera: Rc<Camera>,
     active: Cell<bool>,
     /// Highest frame id observed from the primary.
     last_seen: Cell<Option<u64>>,
-    /// Next frame id this standby itself would send.
-    next_id: Cell<u64>,
-    rng: RefCell<dear_sim::SimRng>,
-    period: Duration,
-    jitter: Duration,
-    total: u64,
     watchdog_gen: Cell<u64>,
     timeout: Option<Duration>,
 }
@@ -1421,6 +1327,8 @@ impl BackupProvider {
     fn on_replicated(self: &Rc<Self>, sim: &mut Simulation, id: u64) {
         let seen = self.last_seen.get().map_or(id, |s| s.max(id));
         self.last_seen.set(Some(seen));
+        let next_id = &self.camera.next_id;
+        next_id.set(next_id.get().max(id + 1));
         self.arm_watchdog(sim);
     }
 
@@ -1452,37 +1360,7 @@ impl BackupProvider {
         // The first frame goes out one period after takeover; the id is
         // decided *then*, so replicated frames still in flight at this
         // tag are never re-sent.
-        let this = self.clone();
-        sim.schedule_in(self.period, move |sim| this.send(sim));
-    }
-
-    fn send(self: &Rc<Self>, sim: &mut Simulation) {
-        // Resume strictly after everything replicated so far and
-        // everything this standby already sent itself.
-        let id = self
-            .next_id
-            .get()
-            .max(self.last_seen.get().map_or(0, |s| s + 1));
-        if id >= self.total {
-            return;
-        }
-        let frame = Frame::new(id, sim.now().as_nanos());
-        self.binding.notify(
-            sim,
-            self.instance,
-            self.eventgroup,
-            self.event,
-            frame.to_payload(),
-        );
-        self.next_id.set(id + 1);
-        let next = if self.jitter.is_zero() {
-            self.period
-        } else {
-            let jitter = self.jitter;
-            self.period + self.rng.borrow_mut().uniform_duration(-jitter, jitter)
-        };
-        let this = self.clone();
-        sim.schedule_in(next, move |sim| this.send(sim));
+        self.camera.arm(sim, self.camera.period);
     }
 }
 

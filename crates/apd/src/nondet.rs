@@ -34,13 +34,12 @@
 use crate::det::RedundancyParams;
 use crate::logic::{detect_vehicles, eba_decide, preprocess, StageTimings};
 use crate::proxy::EventBuffer;
-use crate::skeleton::ServiceSkeleton;
 use crate::swc::{SoftwareComponent, SwcConfig};
 use crate::types::{BrakeDecision, Frame, LaneBox, VehicleList};
-use dear_sim::{LatencyModel, LinkConfig, NetworkHandle, Simulation};
-use dear_someip::SdRegistry;
+use dear_sim::{Component, LatencyModel, LinkConfig, NetworkHandle, SimRng, Simulation};
+use dear_someip::{Binding, PayloadWriter, SdRegistry, ServiceInstance};
 use dear_time::{Duration, Instant};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// Node ids of the five SWC processes (provider on platform 1, the rest
@@ -279,35 +278,86 @@ fn schedule_periodic_jittered(
     sim.schedule_at(start, move |sim| tick(sim, st));
 }
 
-/// The provider's frame loop: one frame approximately every `period`,
-/// ids `start..total`.
-fn send_frames(
-    sim: &mut Simulation,
-    skel: ServiceSkeleton,
-    mut rng: dear_sim::SimRng,
-    id: u64,
+/// Runs right after a camera sent frame `id`; `true` stops the camera
+/// there (a redundancy scenario's primary dying).
+type DiesFn = Box<dyn Fn(&mut Simulation, u64) -> bool>;
+
+/// A Video Provider's camera: each firing sends frame `next_id` (while
+/// below `total`) and re-arms one period, plus uniform jitter when set,
+/// later as a keyed calendar event.
+pub(crate) struct Camera {
+    binding: Binding,
+    instance: ServiceInstance,
     total: u64,
-    period: Duration,
+    pub(crate) period: Duration,
     jitter: Duration,
-) {
-    if id >= total {
-        return;
+    rng: RefCell<SimRng>,
+    /// The next frame id to send; a warm standby raises it past every
+    /// frame it sees replicated.
+    pub(crate) next_id: Cell<u64>,
+    pub(crate) dies: Option<DiesFn>,
+    /// The calendar key, set by [`Camera::register`].
+    key: Cell<u32>,
+}
+
+impl Camera {
+    pub(crate) fn new(
+        binding: Binding,
+        instance: ServiceInstance,
+        total: u64,
+        period: Duration,
+        jitter: Duration,
+        rng: SimRng,
+    ) -> Self {
+        Camera {
+            binding,
+            instance,
+            total,
+            period,
+            jitter,
+            rng: RefCell::new(rng),
+            next_id: Cell::new(0),
+            dies: None,
+            key: Cell::new(0),
+        }
     }
-    let frame = Frame::new(id, sim.now().as_nanos());
-    skel.notify(
-        sim,
-        services::EVENTGROUP,
-        services::EVENT_MAIN,
-        frame.to_payload(),
-    );
-    let next = if jitter.is_zero() {
-        period
-    } else {
-        period + rng.uniform_duration(-jitter, jitter)
-    };
-    sim.schedule_in(next, move |sim| {
-        send_frames(sim, skel, rng, id + 1, total, period, jitter)
-    });
+
+    /// Registers the camera with `sim`; it first fires when armed.
+    pub(crate) fn register(self, sim: &mut Simulation) -> Rc<Self> {
+        let camera = Rc::new(self);
+        camera.key.set(sim.register_component(camera.clone()));
+        camera
+    }
+
+    /// Schedules the next firing `delay` from now.
+    pub(crate) fn arm(&self, sim: &mut Simulation, delay: Duration) {
+        sim.schedule_fire(sim.now() + delay, self.key.get(), 0);
+    }
+}
+
+impl Component for Camera {
+    fn fire(self: Rc<Self>, sim: &mut Simulation, _token: u32) {
+        let id = self.next_id.get();
+        if id >= self.total {
+            return;
+        }
+        self.next_id.set(id + 1);
+        let frame = Frame::new(id, sim.now().as_nanos());
+        let payload = frame.encode(PayloadWriter::pooled(&self.binding.pool()));
+        let (group, event) = (services::EVENTGROUP, services::EVENT_MAIN);
+        self.binding
+            .notify(sim, self.instance, group, event, payload);
+        if self.dies.as_ref().is_some_and(|dies| dies(sim, id)) {
+            return;
+        }
+        let next = if self.jitter.is_zero() {
+            self.period
+        } else {
+            let jitter = self.jitter;
+            self.period + self.rng.borrow_mut().uniform_duration(-jitter, jitter)
+        };
+        self.arm(sim, next);
+    }
 }
 
 /// Runs one seeded instance of the nondeterministic brake assistant.
@@ -404,10 +454,11 @@ pub fn run_nondet(seed: u64, params: &NondetParams) -> NondetReport {
         } else {
             params.period
         };
-        let skel = provider_skel.clone();
-        sim.schedule_at(Instant::EPOCH, move |sim| {
-            send_frames(sim, skel, rng, 0, primary_frames, period, jitter)
-        });
+        let binding = provider_skel.binding.clone();
+        let instance = ServiceInstance::new(VIDEO, INSTANCE);
+        Camera::new(binding, instance, primary_frames, period, jitter, rng)
+            .register(&mut sim)
+            .arm(&mut sim, Duration::ZERO);
     }
 
     // --- Periodic SWC logic ------------------------------------------------
@@ -615,10 +666,14 @@ pub fn run_nondet(seed: u64, params: &NondetParams) -> NondetReport {
                         active = true;
                         *takeover.borrow_mut() = Some(sim.now());
                         backup_skel.offer(sim, Duration::from_secs(1 << 30));
-                        let resume = last_seen.map_or(0, |s| s + 1);
-                        let skel = backup_skel.clone();
+                        let binding = backup_skel.binding.clone();
+                        let instance = ServiceInstance::new(VIDEO, INSTANCE);
                         let rng = rng_send.clone();
-                        send_frames(sim, skel, rng, resume, frames_total, send_period, jitter);
+                        let camera =
+                            Camera::new(binding, instance, frames_total, send_period, jitter, rng);
+                        // Resume after the last frame seen, right now.
+                        camera.next_id.set(last_seen.map_or(0, |s| s + 1));
+                        camera.register(sim).fire(sim, 0);
                     }
                 }
             },

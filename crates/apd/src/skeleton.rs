@@ -22,7 +22,7 @@ use std::rc::Rc;
 /// [`SoftwareComponent::skeleton`](crate::swc::SoftwareComponent::skeleton).
 #[derive(Clone)]
 pub(crate) struct ServiceSkeleton {
-    binding: Binding,
+    pub(crate) binding: Binding,
     pool: TaskPool,
     rng: Rc<RefCell<SimRng>>,
     service: u16,

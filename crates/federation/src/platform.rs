@@ -54,15 +54,26 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
-type EncodeFn = Rc<dyn Fn(&dyn Any) -> Option<Vec<u8>>>;
+type EncodeFn = Rc<dyn Fn(&dyn Any, &mut Vec<u8>) -> bool>;
 type ReplayFn = Rc<dyn Fn(&mut Runtime, Tag, &[u8]) -> bool>;
 
 /// Per-action serialization pair for durable input logging: `encode`
-/// turns a live payload into log bytes at injection time, `replay`
-/// rebuilds and re-schedules it from those bytes during recovery.
+/// appends a live payload's log bytes to a buffer at injection time
+/// (false when the payload is not the action's type), `replay` rebuilds
+/// and re-schedules it from those bytes during recovery.
 struct InputCodec {
     encode: EncodeFn,
     replay: ReplayFn,
+}
+
+/// A durable federate's event log — every granted bound, processed tag,
+/// injected input and drained outbox batch is appended, so a fresh
+/// incarnation can replay to the exact crash point — plus the `Input`
+/// record every injection is encoded into and logged from, so its byte
+/// buffer is reused.
+struct Durable {
+    log: EventLog,
+    input: Record,
 }
 
 /// How many processed tags elapse between durable-log checkpoints by
@@ -158,11 +169,9 @@ struct Coordinated {
     /// coordinator (zero until the first push): which of this federate's
     /// reports provably cannot move any downstream LBTS.
     dnet_flags: u32,
-    /// Durable event log, when crash recovery is enabled. Every granted
-    /// bound, processed tag, injected input and drained outbox batch is
-    /// appended so a fresh incarnation can replay to the exact crash
-    /// point.
-    log: Option<EventLog>,
+    /// The durable log, when crash recovery is enabled. Boxed: most
+    /// federates have none, and pay one pointer for it.
+    durable: Option<Box<Durable>>,
     /// Input codecs keyed by physical-action id, for durable input
     /// logging and replay.
     codecs: BTreeMap<u32, InputCodec>,
@@ -216,6 +225,35 @@ impl Coordinated {
     /// allocations.
     fn send(&self, sim: &mut Simulation, msg: CoordMsg) {
         self.call(sim, msg.encode_into(&self.binding.pool()));
+    }
+
+    fn log(&self) -> Option<&EventLog> {
+        self.durable.as_deref().map(|d| &d.log)
+    }
+
+    /// Encodes an injected `value` for action `key` into the reused
+    /// `Input` record. False when no log is attached or no codec takes
+    /// the value: the injection is then not logged.
+    fn encode_input(&mut self, key: u32, value: &dyn Any) -> bool {
+        let input = self.durable.as_deref_mut().map(|d| &mut d.input);
+        let (Some(Record::Input { key: k, bytes, .. }), Some(codec)) =
+            (input, self.codecs.get(&key))
+        else {
+            return false;
+        };
+        *k = key;
+        bytes.clear();
+        (codec.encode)(value, bytes)
+    }
+
+    /// Logs the record [`Self::encode_input`] filled, at `tag`.
+    fn log_input(&mut self, tag: Tag) {
+        if let Some(Durable { log, input }) = self.durable.as_deref_mut() {
+            if let Record::Input { tag: t, .. } = input {
+                *t = tag;
+            }
+            log.append(input);
+        }
     }
 
     fn call(&self, sim: &mut Simulation, payload: dear_someip::FrameBuf) {
@@ -306,7 +344,7 @@ fn apply_grant(core: &mut Core, msg: &CoordMsg, now: Instant) -> bool {
         }
         return false;
     };
-    if let Some(log) = &c.log {
+    if let Some(log) = c.log() {
         log.append(&Record::Granted { bound });
     }
     if c.crashed {
@@ -377,7 +415,7 @@ impl CoordinationPolicy for Coordinated {
         c.observe = sim.observe().clone();
         c.observe.set_lane_name(c.lane(), &core.name);
         core.runtime.set_observe(c.observe.clone(), c.lane());
-        if let Some(log) = &c.log {
+        if let Some(log) = c.log() {
             // Anchor record: replay restarts the fresh runtime at the
             // same local clock reading.
             log.append(&Record::Started {
@@ -431,7 +469,7 @@ impl CoordinationPolicy for Coordinated {
             c.stats.record_bound_breach();
         }
         c.max_processed = Some(c.max_processed.map_or(tag, |m| m.max(tag)));
-        if let Some(log) = &c.log {
+        if let Some(Durable { log, .. }) = c.durable.as_deref() {
             // The logged clock reading is what replay feeds back into
             // `step` — deadline classification depends on it.
             log.append(&Record::Processed {
@@ -484,7 +522,7 @@ impl CoordinationPolicy for Coordinated {
         // the wire, so recovery replay must not send it again. Tags only
         // grow between drains, which makes the batch maximum a prefix
         // watermark.
-        if let Some(log) = &core.policy.log {
+        if let Some(log) = core.policy.log() {
             if let Some(max) = batch.iter().map(|m| wire_to_tag(m.tag)).max() {
                 log.append(&Record::Drained { tag: max });
             }
@@ -498,7 +536,7 @@ impl CoordinationPolicy for Coordinated {
         at: Option<Tag>,
         now: Instant,
     ) -> Result<Tag, RuntimeError> {
-        let c = &core.policy;
+        let c = &mut core.policy;
         if c.crashed && at.is_none() {
             // Arrival-time tagging needs a live local clock; there is no
             // exact tag to log, so the injection is refused rather than
@@ -507,23 +545,17 @@ impl CoordinationPolicy for Coordinated {
         }
         let key = action.id().index() as u32;
         // Encode before scheduling: the payload moves into the queue.
-        let record = c.log.clone().and_then(|log| {
-            let bytes = (c.codecs.get(&key)?.encode)(&value)?;
-            Some((log, bytes))
-        });
-        if c.crashed {
+        let logged = c.encode_input(key, &value);
+        let tag = match (c.crashed, at) {
             // Durable inbox: the frame reached a downed federate. It
             // cannot be processed now, but logging it lets recovery
             // replay rebuild the event at this exact tag.
-            let (Some(tag), Some((log, bytes))) = (at, record) else {
-                return Err(RuntimeError::NotRunning);
-            };
-            log.append(&Record::Input { key, tag, bytes });
-            return Ok(tag);
-        }
-        let tag = core.schedule_input(action, value, at, now)?;
-        if let Some((log, bytes)) = record {
-            log.append(&Record::Input { key, tag, bytes });
+            (true, Some(tag)) if logged => tag,
+            (true, _) => return Err(RuntimeError::NotRunning),
+            (false, _) => core.schedule_input(action, value, at, now)?,
+        };
+        if logged {
+            core.policy.log_input(tag);
         }
         Ok(tag)
     }
@@ -685,7 +717,7 @@ impl CoordinatedPlatform {
             external,
             lattice,
             dnet_flags: 0,
-            log: None,
+            durable: None,
             codecs: BTreeMap::new(),
             snapshot_every: DEFAULT_SNAPSHOT_EVERY,
             processed_since_snapshot: 0,
@@ -772,7 +804,14 @@ impl CoordinatedPlatform {
     pub fn attach_durable(&self, log: EventLog) {
         let mut core = self.0.core();
         assert!(!core.is_started(), "attach the durable log before start");
-        core.policy.log = Some(log);
+        core.policy.durable = Some(Box::new(Durable {
+            log,
+            input: Record::Input {
+                key: 0,
+                tag: Tag::ORIGIN,
+                bytes: Vec::new(),
+            },
+        }));
     }
 
     /// Sets how many processed tags elapse between durable checkpoints
@@ -789,15 +828,17 @@ impl CoordinatedPlatform {
     /// Registers a serialization codec for a physical action, so
     /// payloads injected through [`PlatformDriver::inject_at`] /
     /// [`PlatformDriver::inject_now`] are durably logged and can be
-    /// rebuilt during recovery replay.
+    /// rebuilt during recovery replay. `encode` appends a value's bytes
+    /// to the buffer it is given (one buffer, reused for every input).
     pub fn register_durable_input<T: Send + Sync + 'static>(
         &self,
         action: PhysicalAction<T>,
-        encode: impl Fn(&T) -> Vec<u8> + 'static,
+        encode: impl Fn(&T, &mut Vec<u8>) + 'static,
         decode: impl Fn(&[u8]) -> Option<T> + 'static,
     ) {
         let key = action.id().index() as u32;
-        let encode: EncodeFn = Rc::new(move |value| value.downcast_ref::<T>().map(&encode));
+        let encode: EncodeFn =
+            Rc::new(move |value, out| value.downcast_ref().map(|v| encode(v, out)).is_some());
         let replay: ReplayFn = Rc::new(move |runtime, tag, bytes| {
             decode(bytes)
                 .map(|value| runtime.schedule_physical_at(&action, value, tag).is_ok())
@@ -861,12 +902,11 @@ impl CoordinatedPlatform {
         let (report, resend) = {
             let core = &mut *self.0.core();
             assert!(core.policy.crashed, "recover on a live platform");
-            let log = core
+            let records = core
                 .policy
-                .log
-                .clone()
-                .expect("recover requires an attached durable log");
-            let records = log.replay();
+                .log()
+                .expect("recover requires an attached durable log")
+                .replay();
             // Outbound watermark: everything at or below this tag was on
             // the wire before the crash and must not be sent twice.
             let watermark = records

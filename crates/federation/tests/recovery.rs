@@ -595,7 +595,7 @@ fn consumer_crash_rebuilds_inputs_from_the_log() {
         consumer.set_snapshot_every(3);
         consumer.register_durable_input(
             input.action(),
-            |frame| frame.to_vec(),
+            |frame, out| out.extend_from_slice(frame),
             |bytes| Some(bytes.to_vec().into()),
         );
         rti.connect(producer.federate_id(), consumer.federate_id(), edge_delay);

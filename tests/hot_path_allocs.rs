@@ -3,12 +3,14 @@
 //! telemetry handle attached — a pooled SOME/IP encode + decode, a
 //! network send plus its delivery, and a decentralized platform's wake,
 //! outbox drain and two-subscriber notify fan-out allocate **nothing**.
+//! A durable-log append allocates only when the segment's `Vec` grows.
 //!
 //! The counter is per thread, so what the test harness allocates on its
 //! own threads meanwhile is not counted.
 
+use dear::federation::{EventLog, LogRecord};
 use dear::observe::{Lane, Observe};
-use dear::reactor::{ProgramBuilder, Runtime};
+use dear::reactor::{ProgramBuilder, Runtime, Tag};
 use dear::sim::{Frame, LatencyModel, LinkConfig, NetworkHandle, NodeId, Simulation, VirtualClock};
 use dear::someip::{
     Binding, FrameBuf, FramePool, MessageId, PayloadWriter, SdRegistry, ServiceInstance,
@@ -239,4 +241,45 @@ fn decentralized_wake_drain_and_fan_out_allocate_nothing() {
     sim.run_until(Instant::EPOCH + PERIOD * (64 + PERIODS));
     assert_eq!(allocations() - before, 0, "allocations per period");
     assert_eq!(received.get() - received_before, 2 * PERIODS);
+}
+
+/// `EventLog::append` of prebuilt `Input`, `Granted`, `Processed` and
+/// `Drained` records, the steady-state mix of a durable federate. Each
+/// frame is assembled in the log's reused buffer, so what allocates is
+/// the in-memory segment doubling its `Vec`: 12 times for these 10 000
+/// records.
+#[test]
+fn durable_append_allocates_only_for_segment_growth() {
+    const RECORDS: u64 = 10_000;
+    let record = |i: u64| {
+        let tag = Tag::at(Instant::from_nanos(1_000_000 * i));
+        match i % 4 {
+            0 => LogRecord::Input {
+                key: 3,
+                tag,
+                bytes: vec![0xAB; 64],
+            },
+            1 => LogRecord::Granted { bound: tag },
+            2 => LogRecord::Processed {
+                tag,
+                local: 1_000_000 * i + 17,
+            },
+            _ => LogRecord::Drained { tag },
+        }
+    };
+    let records: Vec<LogRecord> = (0..RECORDS).map(record).collect();
+    let log = EventLog::in_memory();
+    for record in &records[..4] {
+        log.append(record);
+    }
+    let before = allocations();
+    for record in &records {
+        log.append(record);
+    }
+    let allocated = allocations() - before;
+    assert!(
+        allocated <= 24,
+        "{allocated} allocations for {RECORDS} appends"
+    );
+    assert_eq!(log.replay()[4..], records[..]);
 }
