@@ -18,19 +18,44 @@
 //!   25 ms (computer vision), 5 ms (EBA); maximum communication latency
 //!   L = 5 ms; clock error E = 0 (single platform).
 //!
+//! ## One assembly path
+//!
+//! [`run_det`] builds every configuration the same way. The shared world
+//! (simulation, data network, service discovery, the DEAR bounds and the
+//! logic's result sinks) is built once. The four stages come from one
+//! table of name, node, binding, deadline and cost model; one function
+//! builds each of them around its program declaration, the only code
+//! that differs per stage. Consecutive rows are connected: a stage
+//! publishes the service the next row subscribes to.
+//!
+//! The coordination strategy is nothing but the constructor that
+//! function calls for each stage's driver: a plain [`FederatedPlatform`],
+//! or a [`CoordinatedPlatform`] registered with the RTI of the optional
+//! centralized coordinator, which derives its `D + L + E` edges from
+//! consecutive rows and reports the control traffic. Redundancy (the
+//! provider pair), recovery (a durable log on Computer Vision plus the
+//! crash/restart hook) and observability attach as optional parts, then
+//! one collect step reads the report.
+//!
 //! [`UntaggedPolicy::PhysicalTime`]: dear_transactors::UntaggedPolicy::PhysicalTime
 
 use crate::logic::{detect_vehicles, eba_decide, StageTimings};
 use crate::nondet::{nodes, services, Camera};
+use crate::redundancy::build_redundant_providers;
 use crate::types::{BrakeDecision, Frame, LaneBox, VehicleList};
-use dear_core::{Port, ProgramBuilder, Reaction, ReactionCtx, ReactionId, Reactor, Runtime};
+use dear_core::{Port, ProgramBuilder, Reaction, ReactionCtx, Reactor, Runtime};
 use dear_federation::{CoordinatedPlatform, EventLog, PlatformRecovery, Rti};
-use dear_sim::{FaultPlan, LinkConfig, NetworkHandle, SimRng, Simulation, VirtualClock};
+use dear_sim::{
+    FaultPlan, LatencyModel, LinkConfig, NetworkHandle, NodeId, SimRng, Simulation, VirtualClock,
+};
 use dear_someip::{Binding, FrameBuf, FramePool, PayloadWriter, SdRegistry, ServiceInstance};
 use dear_time::{Duration, Instant};
 use dear_transactors::{
-    ClientEventTransactor, Coordination, DearConfig, EventSpec, FailoverEventSpec,
+    ClientEventTransactor, Coordination, DearConfig, EventSpec, FailoverBinding, FailoverEventSpec,
     FederatedPlatform, Outbox, PlatformDriver, ServerEventTransactor, TransactorStats,
+};
+use services::{
+    ADAPTER, COMPUTER_VISION, EVENTGROUP, EVENT_AUX, EVENT_MAIN, INSTANCE, PREPROCESSING, VIDEO,
 };
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -129,8 +154,8 @@ pub struct FailoverReport {
 ///
 /// The Computer Vision federate runs with a durable event log attached
 /// ([`dear_federation::EventLog`]): every started tag, granted bound and
-/// injected input is appended before it takes effect, with periodic
-/// snapshot records. Mid-run the CV node is killed
+/// injected input is appended before it takes effect. Mid-run the CV
+/// node is killed
 /// ([`dear_sim::FaultPlan::crash_node`]); while it is down, inbound
 /// frames and grants keep landing in the log. After
 /// [`dead_for`](Self::dead_for) the recovery driver rebuilds the
@@ -151,49 +176,17 @@ pub struct RecoveryParams {
     /// default), or catch-up resends arrive after their release tags
     /// and trip the safe-to-process check downstream.
     pub dead_for: Duration,
-    /// Snapshot cadence of the durable log (processed tags between
-    /// snapshot records).
-    pub snapshot_every: u64,
 }
 
 impl Default for RecoveryParams {
     /// Kill after frame 250 (mirroring [`RedundancyParams`]'s mid-run
-    /// primary death), 10 ms outage, snapshot every 32 tags.
+    /// primary death), 10 ms outage.
     fn default() -> Self {
         RecoveryParams {
             crash_after_frame: 250,
             dead_for: Duration::from_millis(10),
-            snapshot_every: 32,
         }
     }
-}
-
-/// What one crash-recovery scenario observed (tags and counters, so
-/// byte-comparable across replays).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RecoveryReport {
-    /// True time at which the CV federate was killed.
-    pub(crate) crashed_at: Instant,
-    /// True time at which replay completed and the `Rejoin` frame went
-    /// out.
-    pub(crate) rejoined_at: Instant,
-    /// Outage duration (`rejoined_at - crashed_at`) — the replay/rejoin
-    /// latency the `brake_assistant_det rejoin` example prints.
-    pub outage: Duration,
-    /// Logged tags re-processed from the durable log.
-    pub replayed_tags: u64,
-    /// Logged input payloads re-scheduled from the durable log.
-    pub replayed_inputs: u64,
-    /// Outbound messages swallowed during replay (already on the wire
-    /// before the crash).
-    pub suppressed_sends: u64,
-    /// Outbound messages the dead incarnation produced but never
-    /// drained, re-sent after replay.
-    pub resent_sends: u64,
-    /// Replay steps disagreeing with the log (must be zero).
-    pub replay_mismatches: u64,
-    /// Incarnation number carried by the `Rejoin` frame.
-    pub incarnation: u32,
 }
 
 /// Parameters of one deterministic-build instance.
@@ -301,9 +294,9 @@ pub struct DetReport {
     /// Failover observations (`Some` iff [`DetParams::redundancy`] was
     /// set).
     pub failover: Option<FailoverReport>,
-    /// Crash-recovery observations (`Some` iff [`DetParams::recovery`]
-    /// was set).
-    pub recovery: Option<RecoveryReport>,
+    /// The CV federate's recovery (`Some` iff [`DetParams::recovery`]
+    /// was set): tags and counters, so byte-comparable across replays.
+    pub recovery: Option<PlatformRecovery>,
     /// The run's deterministic metrics snapshot (empty unless
     /// [`DetParams::observability`] was set).
     pub metrics_snapshot: String,
@@ -339,20 +332,8 @@ impl DetReport {
     /// FNV fingerprint of the decision sequence.
     #[must_use]
     pub fn decision_fingerprint(&self) -> u64 {
-        let mut hash = 0xCBF2_9CE4_8422_2325u64;
-        for d in &self.decisions {
-            for b in d.frame_id.to_le_bytes().iter().chain(&[u8::from(d.brake)]) {
-                hash ^= u64::from(*b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        hash
+        crate::types::decision_fingerprint(&self.decisions)
     }
-}
-
-struct Stage<D> {
-    platform: D,
-    stats: Vec<TransactorStats>,
 }
 
 /// Video Adapter logic: "a sensor that inserts frames into the reactor
@@ -490,191 +471,251 @@ impl EbaLogic {
     }
 }
 
-/// One coordination strategy's way of constructing stage drivers.
-trait DriverFactory {
-    type Driver: PlatformDriver;
+/// Where the stage logic reports: CV's tag-alignment errors and EBA's
+/// decisions. A rebuilt CV incarnation counts into the same sink.
+#[derive(Clone, Default)]
+struct Sinks {
+    mismatches: Arc<Mutex<u64>>,
+    decisions: DecisionSink,
+}
 
-    /// Called once the simulation exists, before any stage is built.
-    fn init(&mut self, sim: &mut Simulation);
+/// Offer TTL of every plain service: effectively forever.
+const OFFER_TTL: Duration = Duration::from_secs(1 << 30);
 
-    /// Builds the driver for one pipeline stage.
-    #[allow(clippy::too_many_arguments)]
-    fn make(
-        &mut self,
-        sim: &mut Simulation,
-        name: &'static str,
-        runtime: Runtime,
-        clock: VirtualClock,
-        outbox: Outbox,
-        cost_rng: SimRng,
-        data_binding: &Binding,
-    ) -> Self::Driver;
+/// A stage's event ids, by position among its inputs or its outputs.
+const EVENTS: [u16; 2] = [EVENT_MAIN, EVENT_AUX];
 
-    /// Called after every stage exists (topology declarations).
-    fn finish(&mut self, sim: &mut Simulation);
+/// Index of Computer Vision in the stage table: the stage a recovery
+/// scenario kills.
+const CV: usize = 2;
 
-    /// Coordination-layer report at the end of the run.
-    fn report(&self) -> CoordReport;
-
-    /// The coordinated platform built for stage `name`, when the
-    /// strategy builds [`CoordinatedPlatform`]s (crash-recovery needs
-    /// the concrete driver; decentralized platforms have no grant state
-    /// to rejoin).
-    fn coordinated(&self, _name: &str) -> Option<CoordinatedPlatform> {
-        None
+/// A pipeline event: every service runs one instance and one eventgroup.
+fn spec(service: u16, event: u16) -> EventSpec {
+    EventSpec {
+        service,
+        instance: INSTANCE,
+        eventgroup: EVENTGROUP,
+        event,
     }
 }
 
-/// Decentralized coordination: plain `FederatedPlatform`s, no control
-/// traffic.
-struct DecentralizedFactory;
+/// One row of the stage table: where a stage runs and what it costs.
+#[derive(Clone, Copy)]
+struct StageRow<'p> {
+    name: &'static str,
+    node: NodeId,
+    /// SOME/IP client id of the stage's data-plane binding.
+    binding: u16,
+    /// Sender deadline of what the stage publishes (EBA: the deadline of
+    /// its decision).
+    deadline: Duration,
+    cost: &'p LatencyModel,
+    /// Label of the stage's compute-cost RNG stream.
+    cost_rng: &'static str,
+    /// The service the stage's inputs subscribe to.
+    subscribes: u16,
+}
 
-impl DriverFactory for DecentralizedFactory {
-    type Driver = FederatedPlatform;
-
-    fn init(&mut self, _sim: &mut Simulation) {}
-
-    fn make(
-        &mut self,
-        _sim: &mut Simulation,
-        name: &'static str,
-        runtime: Runtime,
-        clock: VirtualClock,
-        outbox: Outbox,
-        cost_rng: SimRng,
-        _data_binding: &Binding,
-    ) -> FederatedPlatform {
-        FederatedPlatform::new(name, runtime, clock, outbox, cost_rng)
-    }
-
-    fn finish(&mut self, _sim: &mut Simulation) {}
-
-    fn report(&self) -> CoordReport {
-        CoordReport {
-            within_bound: true,
-            ..CoordReport::default()
-        }
+impl StageRow<'_> {
+    /// The Video Adapter: the one stage fed by the untagged camera, from
+    /// outside the federation.
+    fn is_sensor(&self) -> bool {
+        self.subscribes == VIDEO
     }
 }
 
-/// Centralized coordination: an RTI on a dedicated coordination network
-/// grants every stage its tag advances. The data plane is untouched, so
-/// traces stay bit-identical to the decentralized build.
-struct CentralizedFactory {
-    control_diet: bool,
-    edges: [(&'static str, &'static str, Duration); 3],
-    coord_net: Option<NetworkHandle>,
-    coord_sd: SdRegistry,
-    rti: Option<Rti>,
-    platforms: Vec<(&'static str, CoordinatedPlatform)>,
+/// The pipeline, upstream first: each stage publishes the service the
+/// next row subscribes to.
+#[rustfmt::skip]
+fn stage_table(params: &DetParams) -> [StageRow<'_>; 4] {
+    let (d, t) = (&params.deadlines, &params.timings);
+    let row = |name, node, binding, deadline, cost, cost_rng, subscribes| StageRow {
+        name, node, binding, deadline, cost, cost_rng, subscribes,
+    };
+    [
+        row("adapter",         nodes::ADAPTER,         0x20, d.adapter,         &t.adapter,         "adapter-costs", VIDEO),
+        row("preprocessing",   nodes::PREPROCESSING,   0x30, d.preprocessing,   &t.preprocessing,   "preproc-costs", ADAPTER),
+        row("computer_vision", nodes::COMPUTER_VISION, 0x40, d.computer_vision, &t.computer_vision, "cv-costs",      PREPROCESSING),
+        row("eba",             nodes::EBA,             0x50, d.eba,             &t.eba,             "eba-costs",     COMPUTER_VISION),
+    ]
 }
 
-impl CentralizedFactory {
-    fn new(params: &DetParams) -> Self {
-        let stp = params.latency_bound + params.clock_error;
-        CentralizedFactory {
-            control_diet: params.control_diet,
-            edges: [
-                ("adapter", "preprocessing", params.deadlines.adapter + stp),
-                (
-                    "preprocessing",
-                    "computer_vision",
-                    params.deadlines.preprocessing + stp,
-                ),
-                (
-                    "computer_vision",
-                    "eba",
-                    params.deadlines.computer_vision + stp,
-                ),
-            ],
-            coord_net: None,
-            coord_sd: SdRegistry::new(),
-            rti: None,
-            platforms: Vec::new(),
-        }
+/// A stage program under declaration: the builder, plus what the
+/// stage's transactors and logic share.
+struct Decl<'a> {
+    b: ProgramBuilder,
+    outbox: &'a Outbox,
+    deadline: Duration,
+    sinks: &'a Sinks,
+}
+
+impl Decl<'_> {
+    /// A transactor subscribing to one upstream event.
+    fn input(&mut self, name: &str) -> ClientEventTransactor {
+        ClientEventTransactor::declare(&mut self.b, name)
     }
 
-    fn federate(&self, name: &str) -> dear_federation::FederateId {
-        self.platforms
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, p)| p.federate_id())
-            .expect("stage registered")
+    /// A transactor publishing one of the stage's events under its
+    /// deadline, through its outbox.
+    fn output(&mut self, name: &str) -> ServerEventTransactor {
+        ServerEventTransactor::declare(&mut self.b, self.outbox, name, self.deadline)
     }
 }
 
-impl DriverFactory for CentralizedFactory {
-    type Driver = CoordinatedPlatform;
+/// What a stage program declares around its logic: the name of the
+/// reaction the stage's cost model applies to, the transactors
+/// subscribing to the upstream service's events and those publishing the
+/// stage's own, each in [`EVENTS`] order.
+type Ports<const I: usize, const O: usize> = (
+    &'static str,
+    [ClientEventTransactor; I],
+    [ServerEventTransactor; O],
+);
 
-    fn init(&mut self, sim: &mut Simulation) {
-        // A dedicated coordination network (RTI traffic only, so control
-        // messages never perturb data-plane latencies); ideal links keep
-        // it in order, as `Rti::new` requires.
-        let coord_link = LinkConfig::ideal(Duration::from_micros(10));
-        let coord_net = NetworkHandle::new(coord_link, sim.fork_rng("coord-net"));
-        let rti = Rti::new(sim, &coord_net, &self.coord_sd, nodes::RTI);
-        // Before any platform is built: each platform samples the diet
-        // mode once, at construction.
-        if self.control_diet {
+/// A stage program declaration: the only code that differs per stage.
+type Declare<const I: usize, const O: usize> = fn(&mut Decl<'_>) -> Ports<I, O>;
+
+fn adapter_program(d: &mut Decl<'_>) -> Ports<1, 1> {
+    let camera = d.input("camera");
+    let publish = d.output("frames");
+    let externals = AdapterLogicExternals {
+        camera: camera.event,
+    };
+    let logic: AdapterLogic =
+        d.b.declare_ext("adapter_logic", FramePool::new(), externals);
+    d.b.connect(logic.frame, publish.event).unwrap();
+    ("adapter_logic.adapt", [camera], [publish])
+}
+
+fn preprocessing_program(d: &mut Decl<'_>) -> Ports<1, 2> {
+    let frames = d.input("frames");
+    let (lane, frame) = (d.output("lane"), d.output("frame_fwd"));
+    let externals = PreprocessingLogicExternals {
+        frames: frames.event,
+    };
+    let pool = FramePool::new();
+    let logic: PreprocessingLogic = d.b.declare_ext("preprocessing_logic", pool, externals);
+    d.b.connect(logic.lane, lane.event).unwrap();
+    d.b.connect(logic.frame, frame.event).unwrap();
+    ("preprocessing_logic.preprocess", [frames], [lane, frame])
+}
+
+/// A recovered incarnation rebuilds exactly this program: action and
+/// reaction ids are structural, so the input codecs, route handlers and
+/// cost model registered for the dead incarnation apply to the new one.
+fn cv_program(d: &mut Decl<'_>) -> Ports<2, 1> {
+    let (lane, frame) = (d.input("lane"), d.input("frame_fwd"));
+    let publish = d.output("vehicles");
+    let externals = ComputerVisionLogicExternals {
+        lane: lane.event,
+        frame: frame.event,
+    };
+    let state = (d.sinks.mismatches.clone(), FramePool::new());
+    let logic: ComputerVisionLogic = d.b.declare_ext("computer_vision_logic", state, externals);
+    d.b.connect(logic.vehicles, publish.event).unwrap();
+    ("computer_vision_logic.detect", [lane, frame], [publish])
+}
+
+fn eba_program(d: &mut Decl<'_>) -> Ports<1, 0> {
+    let vehicles = d.input("vehicles");
+    let externals = EbaLogicExternals {
+        vehicles: vehicles.event,
+        deadline: d.deadline,
+    };
+    let _: EbaLogic =
+        d.b.declare_ext("eba_logic", d.sinks.decisions.clone(), externals);
+    ("eba_logic.decide", [vehicles], [])
+}
+
+/// Declares a stage program on a fresh builder and builds its runtime.
+fn build<const I: usize, const O: usize>(
+    declare: Declare<I, O>,
+    outbox: &Outbox,
+    deadline: Duration,
+    sinks: &Sinks,
+) -> (Runtime, Ports<I, O>) {
+    let mut d = Decl {
+        b: ProgramBuilder::new(),
+        outbox,
+        deadline,
+        sinks,
+    };
+    let ports = declare(&mut d);
+    (Runtime::new(d.b.build().expect("stage program")), ports)
+}
+
+/// Centralized coordination: an RTI grants every stage its tag advances.
+/// It sits on a coordination network of its own (RTI traffic only, so
+/// control messages never perturb data-plane latencies) whose ideal
+/// links keep it in order, as `Rti::new` requires. The data plane is
+/// untouched, so traces stay bit-identical to the decentralized build.
+struct Coordinator {
+    net: NetworkHandle,
+    sd: SdRegistry,
+    rti: Rti,
+    /// The stage platforms, in table order.
+    stages: RefCell<Vec<CoordinatedPlatform>>,
+}
+
+impl Coordinator {
+    /// Built before any stage: each platform samples the diet mode once,
+    /// at construction.
+    fn new(sim: &mut Simulation, control_diet: bool) -> Self {
+        let link = LinkConfig::ideal(Duration::from_micros(10));
+        let net = NetworkHandle::new(link, sim.fork_rng("coord-net"));
+        let sd = SdRegistry::new();
+        let rti = Rti::new(sim, &net, &sd, nodes::RTI);
+        if control_diet {
             rti.enable_control_diet();
         }
-        self.rti = Some(rti);
-        self.coord_net = Some(coord_net);
+        Coordinator {
+            net,
+            sd,
+            rti,
+            stages: RefCell::default(),
+        }
     }
 
-    fn make(
-        &mut self,
-        _sim: &mut Simulation,
-        name: &'static str,
+    /// The next stage's driver: a platform registered with the RTI. Only
+    /// the sensor takes physical inputs from outside the federation.
+    fn platform(
+        &self,
+        row: &StageRow<'_>,
         runtime: Runtime,
-        clock: VirtualClock,
         outbox: Outbox,
-        cost_rng: SimRng,
-        data_binding: &Binding,
+        costs: SimRng,
     ) -> CoordinatedPlatform {
-        let coord_binding = Binding::new(
-            self.coord_net.as_ref().expect("init first"),
-            &self.coord_sd,
-            data_binding.node(),
-            0x70 + u16::try_from(self.platforms.len()).expect("stage count"),
-        );
-        // Only the adapter takes physical inputs from outside the
-        // federation (the legacy video provider).
-        let external = name == "adapter";
+        let mut stages = self.stages.borrow_mut();
+        let id = 0x70 + u16::try_from(stages.len()).expect("stage count");
+        let binding = Binding::new(&self.net, &self.sd, row.node, id);
+        let clock = VirtualClock::ideal();
+        let (rti, external) = (&self.rti, row.is_sensor());
         let platform = CoordinatedPlatform::new(
-            name,
-            runtime,
-            clock,
-            outbox,
-            cost_rng,
-            self.rti.as_ref().expect("init first"),
-            &coord_binding,
-            external,
+            row.name, runtime, clock, outbox, costs, rti, &binding, external,
         );
-        self.platforms.push((name, platform.clone()));
+        stages.push(platform.clone());
         platform
     }
 
-    fn finish(&mut self, _sim: &mut Simulation) {
-        let rti = self.rti.as_ref().expect("init first");
-        for (up, down, delay) in self.edges {
-            rti.connect(self.federate(up), self.federate(down), delay);
+    /// Declares the `D + L + E` edge from each stage to the next.
+    fn connect(&self, rows: &[StageRow<'_>], stp: Duration) {
+        let stages = self.stages.borrow();
+        for ((up, down), row) in stages.iter().zip(&stages[1..]).zip(rows) {
+            self.rti
+                .connect(up.federate_id(), down.federate_id(), row.deadline + stp);
         }
     }
 
-    fn coordinated(&self, name: &str) -> Option<CoordinatedPlatform> {
-        self.platforms
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, p)| p.clone())
-    }
-
-    fn report(&self) -> CoordReport {
+    /// The stages' control traffic: none without a coordinator.
+    fn report(coordinator: Option<&Self>) -> CoordReport {
         let mut report = CoordReport {
             within_bound: true,
             ..CoordReport::default()
         };
-        for (_, p) in &self.platforms {
+        let Some(coordinator) = coordinator else {
+            return report;
+        };
+        for p in coordinator.stages.borrow().iter() {
             let cs = p.coordination_stats();
             report.nets_sent += cs.nets_sent();
             report.ltcs_sent += cs.ltcs_sent();
@@ -705,236 +746,201 @@ impl DriverFactory for CentralizedFactory {
 /// bounds, a property only the centralized driver has).
 #[must_use]
 pub fn run_det(seed: u64, params: &DetParams) -> DetReport {
+    let mut world = World::new(seed, params);
     match params.coordination {
-        Coordination::Decentralized => run_det_with(seed, params, DecentralizedFactory),
-        Coordination::Centralized => run_det_with(seed, params, CentralizedFactory::new(params)),
+        Coordination::Decentralized => world.assemble(None, |row, runtime, outbox, costs| {
+            FederatedPlatform::new(row.name, runtime, VirtualClock::ideal(), outbox, costs)
+        }),
+        Coordination::Centralized => {
+            let coordinator = Coordinator::new(&mut world.sim, params.control_diet);
+            world.assemble(Some(&coordinator), |row, runtime, outbox, costs| {
+                coordinator.platform(row, runtime, outbox, costs)
+            })
+        }
     }
 }
 
-#[allow(clippy::too_many_lines)]
-fn run_det_with<F: DriverFactory>(seed: u64, params: &DetParams, mut factory: F) -> DetReport {
-    use services::{
-        ADAPTER, COMPUTER_VISION, EVENTGROUP, EVENT_AUX, EVENT_MAIN, INSTANCE, PREPROCESSING, VIDEO,
-    };
+/// The world every configuration shares, and what its optional parts
+/// leave behind for the report.
+struct World<'p> {
+    params: &'p DetParams,
+    rows: [StageRow<'p>; 4],
+    sim: Simulation,
+    net: NetworkHandle,
+    sd: SdRegistry,
+    cfg: DearConfig,
+    sinks: Sinks,
+    /// Every input transactor's counters, in stage order.
+    inputs: Vec<TransactorStats>,
+    /// Redundancy: the camera's failover binding.
+    failover: Option<FailoverBinding>,
+    /// Redundancy: where the primary's death instant lands.
+    primary_death: Option<Rc<Cell<Option<Instant>>>>,
+    /// Recovery: the CV platform restarted from its durable log.
+    recovered: Option<CoordinatedPlatform>,
+}
 
-    let mut sim = Simulation::new(seed);
-    if params.observability {
-        sim.enable_observability();
-    }
-    let net = NetworkHandle::new(params.loopback.clone(), sim.fork_rng("net"));
-    net.configure_link(nodes::PROVIDER, nodes::ADAPTER, params.ethernet.clone());
-    let sd = SdRegistry::new();
-    factory.init(&mut sim);
-    let offer_ttl = Duration::from_secs(1 << 30);
-    let cfg = DearConfig::new(params.latency_bound, params.clock_error);
-    let sensor_cfg = cfg.accept_untagged();
-
-    let spec = |service: u16, event: u16| EventSpec {
-        service,
-        instance: INSTANCE,
-        eventgroup: EVENTGROUP,
-        event,
-    };
-
-    // --- Video Adapter (sensor) -------------------------------------------
-    let (adapter, adapter_failover) = {
-        let outbox = Outbox::new();
-        let mut b = ProgramBuilder::new();
-        let camera = ClientEventTransactor::declare(&mut b, "camera");
-        let publish =
-            ServerEventTransactor::declare(&mut b, &outbox, "frames", params.deadlines.adapter);
-        let logic: AdapterLogic = b.declare_ext(
-            "adapter_logic",
-            FramePool::new(),
-            AdapterLogicExternals {
-                camera: camera.event,
-            },
-        );
-        b.connect(logic.frame, publish.event).unwrap();
-        let program = b.build().expect("adapter program");
-        let logic_rid = program
-            .find_reaction("adapter_logic.adapt")
-            .expect("adapt reaction");
-        let binding = Binding::new(&net, &sd, nodes::ADAPTER, 0x20);
-        let cost_rng = sim.fork_rng("adapter-costs");
-        let platform = factory.make(
-            &mut sim,
-            "adapter",
-            Runtime::new(program),
-            VirtualClock::ideal(),
-            outbox,
-            cost_rng,
-            &binding,
-        );
-        platform.set_reaction_cost(logic_rid, params.timings.adapter.clone());
-        binding.offer(&mut sim, ServiceInstance::new(ADAPTER, INSTANCE), offer_ttl);
-        // With a redundant provider group the camera binds through a
-        // FailoverBinding (tracking the best VIDEO offer); the plain
-        // scenario keeps the fixed-instance bind, bit-identical to the
-        // pre-failover builds.
-        let (s1, failover) = if let Some(red) = &params.redundancy {
-            let (s1, failover) = camera.bind_failover(
-                &mut sim,
-                &platform,
-                &binding,
-                FailoverEventSpec {
-                    service: VIDEO,
-                    eventgroup: EVENTGROUP,
-                    event: EVENT_MAIN,
-                },
-                sensor_cfg,
-            );
-            if let Some(timeout) = red.heartbeat_timeout {
-                failover.enable_heartbeat(&mut sim, timeout);
-            }
-            (s1, Some(failover))
-        } else {
-            (
-                camera.bind(&platform, &binding, spec(VIDEO, EVENT_MAIN), sensor_cfg),
-                None,
-            )
-        };
-        publish.bind(&platform, &binding, spec(ADAPTER, EVENT_MAIN));
-        (
-            Stage {
-                platform,
-                stats: vec![s1],
-            },
-            failover,
-        )
-    };
-
-    // Preprocessing.
-    let preprocessing = {
-        let outbox = Outbox::new();
-        let mut b = ProgramBuilder::new();
-        let input = ClientEventTransactor::declare(&mut b, "frames");
-        let publish_lane =
-            ServerEventTransactor::declare(&mut b, &outbox, "lane", params.deadlines.preprocessing);
-        let publish_frame = ServerEventTransactor::declare(
-            &mut b,
-            &outbox,
-            "frame_fwd",
-            params.deadlines.preprocessing,
-        );
-        let logic: PreprocessingLogic = b.declare_ext(
-            "preprocessing_logic",
-            FramePool::new(),
-            PreprocessingLogicExternals {
-                frames: input.event,
-            },
-        );
-        b.connect(logic.lane, publish_lane.event).unwrap();
-        b.connect(logic.frame, publish_frame.event).unwrap();
-        let program = b.build().expect("preprocessing program");
-        let logic_rid = program
-            .find_reaction("preprocessing_logic.preprocess")
-            .expect("preprocess reaction");
-        let binding = Binding::new(&net, &sd, nodes::PREPROCESSING, 0x30);
-        let cost_rng = sim.fork_rng("preproc-costs");
-        let platform = factory.make(
-            &mut sim,
-            "preprocessing",
-            Runtime::new(program),
-            VirtualClock::ideal(),
-            outbox,
-            cost_rng,
-            &binding,
-        );
-        platform.set_reaction_cost(logic_rid, params.timings.preprocessing.clone());
-        binding.offer(
-            &mut sim,
-            ServiceInstance::new(PREPROCESSING, INSTANCE),
-            offer_ttl,
-        );
-        let s1 = input.bind(&platform, &binding, spec(ADAPTER, EVENT_MAIN), cfg);
-        publish_lane.bind(&platform, &binding, spec(PREPROCESSING, EVENT_MAIN));
-        publish_frame.bind(&platform, &binding, spec(PREPROCESSING, EVENT_AUX));
-        Stage {
-            platform,
-            stats: vec![s1],
+impl<'p> World<'p> {
+    fn new(seed: u64, params: &'p DetParams) -> Self {
+        let mut sim = Simulation::new(seed);
+        if params.observability {
+            sim.enable_observability();
         }
-    };
+        let net = NetworkHandle::new(params.loopback.clone(), sim.fork_rng("net"));
+        net.configure_link(nodes::PROVIDER, nodes::ADAPTER, params.ethernet.clone());
+        World {
+            params,
+            rows: stage_table(params),
+            sim,
+            net,
+            sd: SdRegistry::new(),
+            cfg: DearConfig::new(params.latency_bound, params.clock_error),
+            sinks: Sinks::default(),
+            inputs: Vec::with_capacity(5),
+            failover: None,
+            primary_death: None,
+            recovered: None,
+        }
+    }
 
-    // Computer Vision. The program construction is factored out
-    // ([`build_cv_program`]) so a crash-recovery scenario can rebuild
-    // the byte-identical program for the replacement incarnation.
-    let mismatches = Arc::new(Mutex::new(0u64));
-    let cv_outbox = Outbox::new();
-    let (cv, cv_lane_in, cv_frame_in) = {
-        let (runtime, lane_in, frame_in, publish, logic_rid) =
-            build_cv_program(&cv_outbox, params.deadlines.computer_vision, &mismatches);
-        let binding = Binding::new(&net, &sd, nodes::COMPUTER_VISION, 0x40);
-        let cost_rng = sim.fork_rng("cv-costs");
-        let platform = factory.make(
-            &mut sim,
-            "computer_vision",
-            runtime,
-            VirtualClock::ideal(),
-            cv_outbox.clone(),
-            cost_rng,
-            &binding,
-        );
-        platform.set_reaction_cost(logic_rid, params.timings.computer_vision.clone());
-        binding.offer(
-            &mut sim,
-            ServiceInstance::new(COMPUTER_VISION, INSTANCE),
-            offer_ttl,
-        );
-        let s1 = lane_in.bind(&platform, &binding, spec(PREPROCESSING, EVENT_MAIN), cfg);
-        let s2 = frame_in.bind(&platform, &binding, spec(PREPROCESSING, EVENT_AUX), cfg);
-        publish.bind(&platform, &binding, spec(COMPUTER_VISION, EVENT_MAIN));
-        (
-            Stage {
-                platform,
-                stats: vec![s1, s2],
-            },
-            lane_in,
-            frame_in,
-        )
-    };
+    /// Builds the four stages with `make` constructing each driver,
+    /// attaches the optional parts, and runs. Recovery attaches between
+    /// the CV and EBA stages, the provider after EBA: the calendar orders
+    /// same-instant events by when they were scheduled.
+    fn assemble<D: PlatformDriver>(
+        mut self,
+        coordinator: Option<&Coordinator>,
+        mut make: impl FnMut(&StageRow<'_>, Runtime, Outbox, SimRng) -> D,
+    ) -> DetReport {
+        let (adapter, ..) = self.stage(0, adapter_program, &mut make);
+        let (preprocessing, ..) = self.stage(1, preprocessing_program, &mut make);
+        let (cv, cv_outbox, cv_inputs) = self.stage(CV, cv_program, &mut make);
+        if let Some(rec) = self.params.recovery {
+            let coordinator =
+                coordinator.expect("DetParams::recovery requires Coordination::Centralized");
+            let platform = coordinator.stages.borrow()[CV].clone();
+            self.attach_recovery(rec, platform, cv_outbox, cv_inputs);
+        }
+        let (eba, ..) = self.stage(3, eba_program, &mut make);
+        self.attach_provider();
+        if let Some(coordinator) = coordinator {
+            let stp = self.params.latency_bound + self.params.clock_error;
+            coordinator.connect(&self.rows, stp);
+        }
+        self.run([adapter, preprocessing, cv, eba], coordinator)
+    }
 
-    // --- Crash-recovery scenario (durable log + rejoin) --------------------
-    let recovered: Rc<RefCell<Option<PlatformRecovery>>> = Rc::new(RefCell::new(None));
-    if let Some(rec) = params.recovery {
+    /// Builds stage `i` of the table around its program declaration:
+    /// outbox, program, binding, cost RNG, driver, cost model, the offer
+    /// of the service it publishes (the next row's subscription) and the
+    /// transactor binds. Returns the driver, the outbox and the inputs.
+    fn stage<D: PlatformDriver, const I: usize, const O: usize>(
+        &mut self,
+        i: usize,
+        declare: Declare<I, O>,
+        make: &mut impl FnMut(&StageRow<'_>, Runtime, Outbox, SimRng) -> D,
+    ) -> (D, Outbox, [ClientEventTransactor; I]) {
+        let row = self.rows[i];
+        let outbox = Outbox::new();
+        let (runtime, (logic, inputs, outputs)) =
+            build(declare, &outbox, row.deadline, &self.sinks);
+        let logic = runtime
+            .program()
+            .find_reaction(logic)
+            .expect("logic reaction");
+        let binding = Binding::new(&self.net, &self.sd, row.node, row.binding);
+        let costs = self.sim.fork_rng(row.cost_rng);
+        let driver = make(&row, runtime, outbox.clone(), costs);
+        driver.set_reaction_cost(logic, row.cost.clone());
+        if let Some(service) = self.rows.get(i + 1).map(|next| next.subscribes) {
+            let instance = ServiceInstance::new(service, INSTANCE);
+            binding.offer(&mut self.sim, instance, OFFER_TTL);
+            for (output, event) in outputs.iter().zip(EVENTS) {
+                output.bind(&driver, &binding, spec(service, event));
+            }
+        }
+        for (input, event) in inputs.iter().zip(EVENTS) {
+            let spec = spec(row.subscribes, event);
+            let stats = if row.is_sensor() {
+                self.bind_camera(input, &driver, &binding, spec)
+            } else {
+                input.bind(&driver, &binding, spec, self.cfg)
+            };
+            self.inputs.push(stats);
+        }
+        (driver, outbox, inputs)
+    }
+
+    /// Binds the sensor's camera input: untagged frames enter at their
+    /// physical reception time. With a redundant provider group it binds
+    /// through a [`FailoverBinding`] tracking the best offer; the plain
+    /// scenario keeps the fixed-instance bind, bit-identical to the
+    /// pre-failover builds.
+    fn bind_camera(
+        &mut self,
+        camera: &ClientEventTransactor,
+        driver: &impl PlatformDriver,
+        binding: &Binding,
+        spec: EventSpec,
+    ) -> TransactorStats {
+        let cfg = self.cfg.accept_untagged();
+        let Some(red) = self.params.redundancy else {
+            return camera.bind(driver, binding, spec, cfg);
+        };
+        let group = FailoverEventSpec {
+            service: spec.service,
+            eventgroup: spec.eventgroup,
+            event: spec.event,
+        };
+        let (stats, failover) = camera.bind_failover(&mut self.sim, driver, binding, group, cfg);
+        if let Some(timeout) = red.heartbeat_timeout {
+            failover.enable_heartbeat(&mut self.sim, timeout);
+        }
+        self.failover = Some(failover);
+        stats
+    }
+
+    /// Recovery: a durable log on the CV platform, and the fault plan
+    /// that kills its node mid-cycle after frame `crash_after_frame` and
+    /// restarts it `dead_for` later, replaying the log into a rebuilt
+    /// program.
+    fn attach_recovery(
+        &mut self,
+        rec: RecoveryParams,
+        platform: CoordinatedPlatform,
+        outbox: Outbox,
+        inputs: [ClientEventTransactor; 2],
+    ) {
+        let params = self.params;
         assert!(
             rec.crash_after_frame < params.frames,
             "a recovery scenario must kill the CV federate within the run"
         );
-        let platform = factory
-            .coordinated("computer_vision")
-            .expect("DetParams::recovery requires Coordination::Centralized");
         platform.attach_durable(EventLog::in_memory());
-        platform.set_snapshot_every(rec.snapshot_every);
         // Both CV inboxes carry raw SOME/IP payloads; the codec is the
         // identity. The action ids are structural, so the rebuilt
         // incarnation replays into the same inboxes.
-        platform.register_durable_input(
-            cv_lane_in.action(),
-            |frame: &FrameBuf, out| out.extend_from_slice(frame),
-            |bytes| Some(bytes.to_vec().into()),
-        );
-        platform.register_durable_input(
-            cv_frame_in.action(),
-            |frame: &FrameBuf, out| out.extend_from_slice(frame),
-            |bytes| Some(bytes.to_vec().into()),
-        );
+        for input in inputs {
+            platform.register_durable_input(
+                input.action(),
+                |frame: &FrameBuf, out| out.extend_from_slice(frame),
+                |bytes| Some(bytes.to_vec().into()),
+            );
+        }
 
+        let (node, deadline) = (self.rows[CV].node, self.rows[CV].deadline);
         let crash_at = Instant::EPOCH
             + params.period * i64::try_from(rec.crash_after_frame).expect("frame id")
             + Duration::from_nanos(params.period.as_nanos() / 4);
         let mut plan = FaultPlan::new();
-        plan.crash_node(crash_at, nodes::COMPUTER_VISION)
-            .restore_node(crash_at + rec.dead_for, nodes::COMPUTER_VISION);
-        plan.apply(&mut sim, &net);
+        plan.crash_node(crash_at, node)
+            .restore_node(crash_at + rec.dead_for, node);
+        plan.apply(&mut self.sim, &self.net);
 
-        let slot = recovered.clone();
-        let outbox = cv_outbox.clone();
-        let mismatches = mismatches.clone();
-        let cv_deadline = params.deadlines.computer_vision;
-        let record_traces = params.record_traces;
-        net.on_node_event(move |sim, node, up| {
-            if node != nodes::COMPUTER_VISION {
+        self.recovered = Some(platform.clone());
+        let (sinks, record_traces) = (self.sinks.clone(), params.record_traces);
+        self.net.on_node_event(move |sim, changed, up| {
+            if changed != node {
                 return;
             }
             if up {
@@ -942,425 +948,112 @@ fn run_det_with<F: DriverFactory>(seed: u64, params: &DetParams, mut factory: F)
                 // rebuilt transactors re-claim the same route ids,
                 // rebuild the identical program, and replay the log.
                 outbox.reset();
-                let (mut runtime, _, _, _, _) = build_cv_program(&outbox, cv_deadline, &mismatches);
+                let (mut runtime, _) = build(cv_program, &outbox, deadline, &sinks);
                 if record_traces {
                     runtime.enable_tracing();
                 }
-                *slot.borrow_mut() = Some(platform.recover(sim, runtime));
+                platform.recover(sim, runtime);
             } else {
                 platform.crash(sim);
             }
         });
     }
 
-    // EBA.
-    let decisions: Arc<Mutex<Vec<(BrakeDecision, u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let eba = {
-        let outbox = Outbox::new();
-        let mut b = ProgramBuilder::new();
-        let input = ClientEventTransactor::declare(&mut b, "vehicles");
-        let _logic: EbaLogic = b.declare_ext(
-            "eba_logic",
-            decisions.clone(),
-            EbaLogicExternals {
-                vehicles: input.event,
-                deadline: params.deadlines.eba,
-            },
-        );
-        let program = b.build().expect("eba program");
-        let logic_rid = program
-            .find_reaction("eba_logic.decide")
-            .expect("decide reaction");
-        let binding = Binding::new(&net, &sd, nodes::EBA, 0x50);
-        let cost_rng = sim.fork_rng("eba-costs");
-        let platform = factory.make(
-            &mut sim,
-            "eba",
-            Runtime::new(program),
-            VirtualClock::ideal(),
-            outbox,
-            cost_rng,
-            &binding,
-        );
-        platform.set_reaction_cost(logic_rid, params.timings.eba.clone());
-        let s1 = input.bind(&platform, &binding, spec(COMPUTER_VISION, EVENT_MAIN), cfg);
-        Stage {
-            platform,
-            stats: vec![s1],
+    /// The Video Provider: a plain, untagged AP component, or with
+    /// redundancy a primary/standby pair.
+    fn attach_provider(&mut self) {
+        let params = self.params;
+        if let Some(red) = params.redundancy {
+            let death = build_redundant_providers(&mut self.sim, &self.net, &self.sd, params, red);
+            self.primary_death = Some(death);
+            return;
         }
-    };
-
-    // --- Video Provider (plain, untagged AP component; redundancy runs
-    // a primary/standby pair instead) --------------------------------------
-    let primary_death_at: Rc<Cell<Option<Instant>>> = Rc::new(Cell::new(None));
-    if let Some(red) = params.redundancy {
-        build_redundant_providers(&mut sim, &net, &sd, params, red, primary_death_at.clone());
-    } else {
-        let binding = Binding::new(&net, &sd, nodes::PROVIDER, 0x10);
+        let binding = Binding::new(&self.net, &self.sd, nodes::PROVIDER, 0x10);
         let instance = ServiceInstance::new(VIDEO, INSTANCE);
-        binding.offer(&mut sim, instance, offer_ttl);
-        let rng = sim.fork_rng("provider");
-        let (period, jitter) = (params.period, params.provider_jitter);
-        Camera::new(binding, instance, params.frames, period, jitter, rng)
-            .register(&mut sim)
-            .arm(&mut sim, Duration::ZERO);
+        binding.offer(&mut self.sim, instance, OFFER_TTL);
+        let rng = self.sim.fork_rng("provider");
+        let (frames, period, jitter) = (params.frames, params.period, params.provider_jitter);
+        Camera::new(binding, instance, frames, period, jitter, rng)
+            .register(&mut self.sim)
+            .arm(&mut self.sim, Duration::ZERO);
     }
 
-    // --- Run ---------------------------------------------------------------
-    factory.finish(&mut sim);
-    let all_stages = [adapter, preprocessing, cv, eba];
-    for stage in &all_stages {
-        if params.record_traces {
-            stage.platform.with_runtime(|rt| rt.enable_tracing());
+    /// Starts every stage, runs past the last frame and collects the
+    /// report.
+    fn run<D: PlatformDriver>(
+        mut self,
+        stages: [D; 4],
+        coordinator: Option<&Coordinator>,
+    ) -> DetReport {
+        let params = self.params;
+        for stage in &stages {
+            if params.record_traces {
+                stage.with_runtime(|rt| rt.enable_tracing());
+            }
+            stage.start(&mut self.sim);
         }
-        stage.platform.start(&mut sim);
-    }
-    let horizon = Instant::EPOCH
-        + params.period * i64::try_from(params.frames).expect("frame count")
-        + Duration::from_secs(1);
-    sim.run_until(horizon);
+        let horizon = Instant::EPOCH
+            + params.period * i64::try_from(params.frames).expect("frame count")
+            + Duration::from_secs(1);
+        self.sim.run_until(horizon);
 
-    // --- Collect -----------------------------------------------------------
-    let mut stp = 0;
-    let mut misses = 0;
-    let mut untagged = 0;
-    for stage in &all_stages {
-        let rt = stage.platform.runtime_stats();
-        stp += rt.stp_violations;
-        misses += rt.deadline_misses;
-        for s in &stage.stats {
-            stp += s.stp_violations();
-            untagged += s.untagged_dropped();
+        let mut report = DetReport {
+            frames_sent: params.frames,
+            coordination: Coordinator::report(coordinator),
+            mismatches_cv: *self.sinks.mismatches.lock().expect("mismatch counter"),
+            ..DetReport::default()
+        };
+        for stage in &stages {
+            let rt = stage.runtime_stats();
+            report.stp_violations += rt.stp_violations;
+            report.deadline_misses += rt.deadline_misses;
+            if params.record_traces {
+                let trace = stage.with_runtime(|rt| rt.take_trace()).fingerprint();
+                report.stage_traces.push((stage.driver_name(), trace));
+            }
         }
-    }
+        for s in &self.inputs {
+            report.stp_violations += s.stp_violations();
+            report.untagged_dropped += s.untagged_dropped();
+        }
 
-    let stage_traces: Vec<(String, u64)> = if params.record_traces {
-        all_stages
+        let collected = std::mem::take(&mut *self.sinks.decisions.lock().expect("decisions"));
+        report.failover = params.redundancy.map(|red| {
+            let failover = self
+                .failover
+                .expect("the camera binds through a FailoverBinding");
+            let primary_died_at = self.primary_death.and_then(|at| at.get());
+            let primary_died_at =
+                primary_died_at.expect("redundancy scenarios kill the primary within the horizon");
+            let first_backup_frame_at = collected
+                .iter()
+                .find(|(d, _, _)| d.frame_id > red.primary_dies_after)
+                .map(|&(_, _, adapter_nanos)| Instant::from_nanos(adapter_nanos));
+            FailoverReport {
+                primary_died_at,
+                rebound_at: failover.last_failover_at(),
+                first_backup_frame_at,
+                failover_latency: first_backup_frame_at.map(|at| at - primary_died_at),
+                failovers: failover.failovers(),
+            }
+        });
+        report.recovery = self.recovered.map(|cv| {
+            cv.last_recovery()
+                .expect("recovery scenarios restart the CV federate within the horizon")
+        });
+
+        let latency = |&(_, eba, adapter): &(_, u64, u64)| {
+            Duration::from_nanos(i64::try_from(eba - adapter).expect("latency fits"))
+        };
+        report.end_to_end = collected.iter().map(latency).collect();
+        report.decisions = collected.into_iter().map(|(d, ..)| d).collect();
+        report.wrong_decisions = report
+            .decisions
             .iter()
-            .map(|stage| {
-                let fingerprint = stage
-                    .platform
-                    .with_runtime(|rt| rt.take_trace())
-                    .fingerprint();
-                (stage.platform.driver_name(), fingerprint)
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let coordination = factory.report();
-
-    let mismatches_cv = *mismatches.lock().expect("mismatch counter");
-    let collected = std::mem::take(&mut *decisions.lock().expect("decisions"));
-
-    let failover = params.redundancy.map(|red| {
-        let primary_died_at = primary_death_at
-            .get()
-            .expect("redundancy scenarios kill the primary within the horizon");
-        let failover_binding = adapter_failover
-            .as_ref()
-            .expect("redundancy scenarios bind the camera through a FailoverBinding");
-        let first_backup_frame_at = collected
-            .iter()
-            .find(|(d, _, _)| d.frame_id > red.primary_dies_after)
-            .map(|&(_, _, adapter_nanos)| Instant::from_nanos(adapter_nanos));
-        FailoverReport {
-            primary_died_at,
-            rebound_at: failover_binding.last_failover_at(),
-            first_backup_frame_at,
-            failover_latency: first_backup_frame_at.map(|at| at - primary_died_at),
-            failovers: failover_binding.failovers(),
-        }
-    });
-
-    let recovery = params.recovery.map(|_| {
-        let r = recovered
-            .borrow_mut()
-            .take()
-            .expect("recovery scenarios restart the CV federate within the horizon");
-        RecoveryReport {
-            crashed_at: r.crashed_at,
-            rejoined_at: r.rejoined_at,
-            outage: r.rejoined_at - r.crashed_at,
-            replayed_tags: r.replayed_tags,
-            replayed_inputs: r.replayed_inputs,
-            suppressed_sends: r.suppressed_sends,
-            resent_sends: r.resent_sends,
-            replay_mismatches: r.replay_mismatches,
-            incarnation: r.incarnation,
-        }
-    });
-
-    let mut wrong = 0;
-    let mut out_decisions = Vec::with_capacity(collected.len());
-    let mut end_to_end = Vec::with_capacity(collected.len());
-    for (d, eba_nanos, adapter_nanos) in collected {
-        if d.brake != crate::logic::reference_decision(d.frame_id) {
-            wrong += 1;
-        }
-        end_to_end.push(Duration::from_nanos(
-            i64::try_from(eba_nanos - adapter_nanos).expect("latency fits"),
-        ));
-        out_decisions.push(d);
-    }
-
-    DetReport {
-        frames_sent: params.frames,
-        decisions: out_decisions,
-        end_to_end,
-        mismatches_cv,
-        stp_violations: stp,
-        deadline_misses: misses,
-        untagged_dropped: untagged,
-        wrong_decisions: wrong,
-        stage_traces,
-        coordination,
-        failover,
-        recovery,
-        metrics_snapshot: sim.observe().snapshot(),
-    }
-}
-
-/// Builds the Computer Vision stage program.
-///
-/// Factored out of [`run_det_with`] so a crash-recovery scenario can
-/// rebuild the exact same program — declaration order and all — for the
-/// replacement incarnation: action and reaction ids are structural, so
-/// the registered input codecs, route handlers and reaction-cost models
-/// of the dead incarnation apply unchanged to the rebuilt one.
-fn build_cv_program(
-    outbox: &Outbox,
-    deadline: Duration,
-    mismatches: &Arc<Mutex<u64>>,
-) -> (
-    Runtime,
-    ClientEventTransactor,
-    ClientEventTransactor,
-    ServerEventTransactor,
-    ReactionId,
-) {
-    let mut b = ProgramBuilder::new();
-    let lane_in = ClientEventTransactor::declare(&mut b, "lane");
-    let frame_in = ClientEventTransactor::declare(&mut b, "frame_fwd");
-    let publish = ServerEventTransactor::declare(&mut b, outbox, "vehicles", deadline);
-    let logic: ComputerVisionLogic = b.declare_ext(
-        "computer_vision_logic",
-        (mismatches.clone(), FramePool::new()),
-        ComputerVisionLogicExternals {
-            lane: lane_in.event,
-            frame: frame_in.event,
-        },
-    );
-    b.connect(logic.vehicles, publish.event).unwrap();
-    let program = b.build().expect("cv program");
-    let logic_rid = program
-        .find_reaction("computer_vision_logic.detect")
-        .expect("detect reaction");
-    (Runtime::new(program), lane_in, frame_in, publish, logic_rid)
-}
-
-/// Builds the primary/standby Video Provider pair of a redundancy
-/// scenario (see [`RedundancyParams`]).
-fn build_redundant_providers(
-    sim: &mut Simulation,
-    net: &NetworkHandle,
-    sd: &SdRegistry,
-    params: &DetParams,
-    red: RedundancyParams,
-    death_at: Rc<Cell<Option<Instant>>>,
-) {
-    use crate::nondet::services::{BACKUP_INSTANCE, EVENTGROUP, EVENT_MAIN, VIDEO};
-    use services::INSTANCE;
-
-    assert!(
-        red.primary_dies_after < params.frames,
-        "redundancy requires the primary to die within the run: \
-         primary_dies_after = {} but frames = {}",
-        red.primary_dies_after,
-        params.frames
-    );
-
-    let primary_inst = ServiceInstance::new(VIDEO, INSTANCE);
-    let backup_inst = ServiceInstance::new(VIDEO, BACKUP_INSTANCE);
-    // The standby sits next to the primary on platform 1: both reach the
-    // adapter over the Ethernet link, and the replication feed (primary →
-    // standby) crosses the same switch.
-    net.configure_link(
-        nodes::PROVIDER_BACKUP,
-        nodes::ADAPTER,
-        params.ethernet.clone(),
-    );
-    net.configure_link(
-        nodes::PROVIDER,
-        nodes::PROVIDER_BACKUP,
-        params.ethernet.clone(),
-    );
-
-    let primary_binding = Binding::new(net, sd, nodes::PROVIDER, 0x10);
-    let backup_binding = Binding::new(net, sd, nodes::PROVIDER_BACKUP, 0x11);
-
-    // Offer order matters for the adapter's very first bind: the primary
-    // first, so the failover binding never transits through the standby.
-    let primary_alive = Rc::new(Cell::new(true));
-    sd.offer_prioritized(sim, primary_inst, nodes::PROVIDER, red.offer_ttl, 0);
-    sd.offer_prioritized(sim, backup_inst, nodes::PROVIDER_BACKUP, red.offer_ttl, 1);
-    OfferRenewal {
-        sd: sd.clone(),
-        instance: primary_inst,
-        node: nodes::PROVIDER,
-        ttl: red.offer_ttl,
-        period: red.reoffer_period,
-        priority: 0,
-        alive: primary_alive.clone(),
-    }
-    .arm(sim);
-    OfferRenewal {
-        sd: sd.clone(),
-        instance: backup_inst,
-        node: nodes::PROVIDER_BACKUP,
-        ttl: red.offer_ttl,
-        period: red.reoffer_period,
-        priority: 1,
-        alive: Rc::new(Cell::new(true)), // the standby never dies
-    }
-    .arm(sim);
-
-    // The standby replicates the primary's frame stream by subscribing
-    // to it, and takes over when SD drops the primary or (with a
-    // heartbeat watchdog) when the stream goes silent.
-    let (frames, period, jitter) = (params.frames, params.period, params.provider_jitter);
-    let (binding, rng) = (backup_binding.clone(), sim.fork_rng("provider-backup"));
-    let camera = Camera::new(binding, backup_inst, frames, period, jitter, rng);
-    let backup = Rc::new(BackupProvider {
-        camera: camera.register(sim),
-        active: Cell::new(false),
-        last_seen: Cell::new(None),
-        watchdog_gen: Cell::new(0),
-        timeout: red.heartbeat_timeout,
-    });
-    sd.subscribe(primary_inst, EVENTGROUP, nodes::PROVIDER_BACKUP);
-    {
-        let backup = backup.clone();
-        backup_binding.on_event(VIDEO, EVENT_MAIN, move |sim, msg| {
-            if let Ok(frame) = Frame::from_payload(&msg.payload) {
-                backup.on_replicated(sim, frame.id);
-            }
-        });
-    }
-    {
-        let backup = backup.clone();
-        sd.watch(sim, VIDEO, dear_someip::ANY_INSTANCE, move |sim, best| {
-            if best.map(|o| o.instance) == Some(backup_inst) {
-                backup.activate(sim);
-            }
-        });
-    }
-    backup.arm_watchdog(sim);
-
-    // The primary: the plain provider's camera, crashing right after frame
-    // `primary_dies_after`.
-    let rng = sim.fork_rng("provider");
-    let mut primary = Camera::new(primary_binding, primary_inst, frames, period, jitter, rng);
-    let sd = sd.clone();
-    primary.dies = Some(Box::new(move |sim, id| {
-        if id < red.primary_dies_after {
-            return false;
-        }
-        // The crash: no further frames, no further renewals; a graceful
-        // death also withdraws the offer at this very tag.
-        primary_alive.set(false);
-        death_at.set(Some(sim.now()));
-        sim.trace_with("failover", || {
-            format!("primary provider dies after frame {id}")
-        });
-        if red.graceful {
-            sd.stop_offer(sim, primary_inst);
-        }
-        true
-    }));
-    primary.register(sim).arm(sim, Duration::ZERO);
-}
-
-/// A provider's periodic offer renewal (the SOME/IP-SD heartbeat); stops
-/// when the provider dies.
-struct OfferRenewal {
-    sd: SdRegistry,
-    instance: ServiceInstance,
-    node: dear_sim::NodeId,
-    ttl: Duration,
-    period: Duration,
-    priority: u8,
-    alive: Rc<Cell<bool>>,
-}
-
-impl OfferRenewal {
-    fn arm(self, sim: &mut Simulation) {
-        let period = self.period;
-        sim.schedule_in(period, move |sim| self.tick(sim));
-    }
-
-    fn tick(self, sim: &mut Simulation) {
-        if !self.alive.get() {
-            return;
-        }
-        self.sd
-            .offer_prioritized(sim, self.instance, self.node, self.ttl, self.priority);
-        self.arm(sim);
-    }
-}
-
-/// The warm-standby Video Provider: replicates the primary's stream by
-/// subscription, resumes it at the next frame id once activated.
-struct BackupProvider {
-    /// Its own camera, armed at takeover. Every replicated frame raises
-    /// the camera's next id past it, so the standby resumes strictly
-    /// after everything replicated and everything it sent itself.
-    camera: Rc<Camera>,
-    active: Cell<bool>,
-    /// Highest frame id observed from the primary.
-    last_seen: Cell<Option<u64>>,
-    watchdog_gen: Cell<u64>,
-    timeout: Option<Duration>,
-}
-
-impl BackupProvider {
-    fn on_replicated(self: &Rc<Self>, sim: &mut Simulation, id: u64) {
-        let seen = self.last_seen.get().map_or(id, |s| s.max(id));
-        self.last_seen.set(Some(seen));
-        let next_id = &self.camera.next_id;
-        next_id.set(next_id.get().max(id + 1));
-        self.arm_watchdog(sim);
-    }
-
-    /// (Re-)arms the stream-silence watchdog; superseded by later frames.
-    fn arm_watchdog(self: &Rc<Self>, sim: &mut Simulation) {
-        let Some(timeout) = self.timeout else { return };
-        if self.active.get() {
-            return;
-        }
-        self.watchdog_gen.set(self.watchdog_gen.get() + 1);
-        let generation = self.watchdog_gen.get();
-        let this = self.clone();
-        sim.schedule_in(timeout, move |sim| {
-            if this.watchdog_gen.get() == generation && !this.active.get() {
-                this.activate(sim);
-            }
-        });
-    }
-
-    fn activate(self: &Rc<Self>, sim: &mut Simulation) {
-        if self.active.get() {
-            return;
-        }
-        self.active.set(true);
-        sim.trace_with("failover", || {
-            let seen = self.last_seen.get();
-            format!("standby provider takes over (last replicated frame: {seen:?})")
-        });
-        // The first frame goes out one period after takeover; the id is
-        // decided *then*, so replicated frames still in flight at this
-        // tag are never re-sent.
-        self.camera.arm(sim, self.camera.period);
+            .filter(|d| d.brake != crate::logic::reference_decision(d.frame_id))
+            .count() as u64;
+        report.metrics_snapshot = self.sim.observe().snapshot();
+        report
     }
 }
 

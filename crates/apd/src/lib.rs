@@ -32,6 +32,7 @@ mod det;
 mod det_calculator;
 mod logic;
 mod nondet;
+mod redundancy;
 mod types;
 
 // The stock `ara::com` runtime.
@@ -46,8 +47,8 @@ mod detclient;
 mod field;
 
 pub use det::{
-    run_det, CoordReport, DetParams, DetReport, FailoverReport, RecoveryParams, RecoveryReport,
-    RedundancyParams, StageDeadlines,
+    run_det, CoordReport, DetParams, DetReport, FailoverReport, RecoveryParams, RedundancyParams,
+    StageDeadlines,
 };
 pub use logic::{detect_vehicles, eba_decide, preprocess, reference_decision, StageTimings};
 pub use nondet::{run_nondet, NondetParams, NondetReport};

@@ -210,29 +210,19 @@ impl NondetReport {
     /// FNV fingerprint of the decision sequence (for determinism checks).
     #[must_use]
     pub fn decision_fingerprint(&self) -> u64 {
-        let mut hash = 0xCBF2_9CE4_8422_2325u64;
-        for d in &self.decisions {
-            for b in d.frame_id.to_le_bytes().iter().chain(&[u8::from(d.brake)]) {
-                hash ^= u64::from(*b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        hash
+        crate::types::decision_fingerprint(&self.decisions)
     }
 }
 
 /// Schedules a periodic callback anchored at `offset + k * period`, with
-/// each activation displaced by gaussian OS dispatch jitter. The jitter is
+/// each activation displaced by gaussian OS dispatch jitter and, rarely,
+/// a delay spike (the `callback_*` fields of `params`). The jitter is
 /// non-cumulative (anchors stay on the nominal grid, as an OS periodic
 /// timer does).
-#[allow(clippy::too_many_arguments)]
 fn schedule_periodic_jittered(
     sim: &mut Simulation,
+    params: &NondetParams,
     offset: Duration,
-    period: Duration,
-    jitter_std: Duration,
-    spike_prob: f64,
-    spike_max: Duration,
     rng: dear_sim::SimRng,
     callback: impl FnMut(&mut Simulation) + 'static,
 ) {
@@ -266,10 +256,10 @@ fn schedule_periodic_jittered(
     }
     let start = sim.now() + offset;
     let st = State {
-        period,
-        jitter_std,
-        spike_prob,
-        spike_max,
+        period: params.period,
+        jitter_std: params.callback_jitter_std,
+        spike_prob: params.callback_spike_prob,
+        spike_max: params.callback_spike_max,
         rng,
         callback,
         k: 0,
@@ -468,7 +458,6 @@ pub fn run_nondet(seed: u64, params: &NondetParams) -> NondetReport {
     // difficult to control."
     let mut offset_rng = sim.fork_rng("offsets");
     let mut random_offset = || offset_rng.uniform_duration(Duration::ZERO, params.period);
-    let period = params.period;
 
     // Video Adapter: republish the latest raw frame.
     {
@@ -478,24 +467,15 @@ pub fn run_nondet(seed: u64, params: &NondetParams) -> NondetReport {
         let rng = Rc::new(RefCell::new(sim.fork_rng("adapter-compute")));
         let offset = random_offset();
         let cb_rng = sim.fork_rng("adapter-callback");
-        schedule_periodic_jittered(
-            &mut sim,
-            offset,
-            period,
-            params.callback_jitter_std,
-            params.callback_spike_prob,
-            params.callback_spike_max,
-            cb_rng,
-            move |sim| {
-                if let Some(payload) = buf.take() {
-                    let d = timing.sample(&mut rng.borrow_mut());
-                    let skel = skel.clone();
-                    sim.schedule_in(d, move |sim| {
-                        skel.notify(sim, EVENTGROUP, EVENT_MAIN, payload);
-                    });
-                }
-            },
-        );
+        schedule_periodic_jittered(&mut sim, params, offset, cb_rng, move |sim| {
+            if let Some(payload) = buf.take() {
+                let d = timing.sample(&mut rng.borrow_mut());
+                let skel = skel.clone();
+                sim.schedule_in(d, move |sim| {
+                    skel.notify(sim, EVENTGROUP, EVENT_MAIN, payload);
+                });
+            }
+        });
     }
 
     // Preprocessing: compute the lane box, publish lane + forwarded frame.
@@ -506,27 +486,18 @@ pub fn run_nondet(seed: u64, params: &NondetParams) -> NondetReport {
         let rng = Rc::new(RefCell::new(sim.fork_rng("preproc-compute")));
         let offset = random_offset();
         let cb_rng = sim.fork_rng("preproc-callback");
-        schedule_periodic_jittered(
-            &mut sim,
-            offset,
-            period,
-            params.callback_jitter_std,
-            params.callback_spike_prob,
-            params.callback_spike_max,
-            cb_rng,
-            move |sim| {
-                if let Some(payload) = buf.take() {
-                    let frame = Frame::from_payload(&payload).expect("frame payload");
-                    let d = timing.sample(&mut rng.borrow_mut());
-                    let skel = skel.clone();
-                    sim.schedule_in(d, move |sim| {
-                        let lane = preprocess(&frame);
-                        skel.notify(sim, EVENTGROUP, EVENT_MAIN, lane.to_payload());
-                        skel.notify(sim, EVENTGROUP, EVENT_AUX, frame.to_payload());
-                    });
-                }
-            },
-        );
+        schedule_periodic_jittered(&mut sim, params, offset, cb_rng, move |sim| {
+            if let Some(payload) = buf.take() {
+                let frame = Frame::from_payload(&payload).expect("frame payload");
+                let d = timing.sample(&mut rng.borrow_mut());
+                let skel = skel.clone();
+                sim.schedule_in(d, move |sim| {
+                    let lane = preprocess(&frame);
+                    skel.notify(sim, EVENTGROUP, EVENT_MAIN, lane.to_payload());
+                    skel.notify(sim, EVENTGROUP, EVENT_AUX, frame.to_payload());
+                });
+            }
+        });
     }
 
     // Computer Vision: join lane + frame, detect vehicles.
@@ -540,39 +511,30 @@ pub fn run_nondet(seed: u64, params: &NondetParams) -> NondetReport {
         let mismatches = mismatches.clone();
         let offset = random_offset();
         let cb_rng = sim.fork_rng("cv-callback");
-        schedule_periodic_jittered(
-            &mut sim,
-            offset,
-            period,
-            params.callback_jitter_std,
-            params.callback_spike_prob,
-            params.callback_spike_max,
-            cb_rng,
-            move |sim| {
-                let lane = lane_buf
-                    .take()
-                    .map(|p| LaneBox::from_payload(&p).expect("lane"));
-                let frame = frame_buf
-                    .take()
-                    .map(|p| Frame::from_payload(&p).expect("frame"));
-                match (lane, frame) {
-                    (Some(lane), Some(frame)) if lane.frame_id == frame.id => {
-                        let d = timing.sample(&mut rng.borrow_mut());
-                        let skel = skel.clone();
-                        sim.schedule_in(d, move |sim| {
-                            let vehicles = detect_vehicles(&frame, &lane);
-                            skel.notify(sim, EVENTGROUP, EVENT_MAIN, vehicles.to_payload());
-                        });
-                    }
-                    (Some(_), Some(_)) | (Some(_), None) | (None, Some(_)) => {
-                        // Misaligned inputs: either the pair disagrees or only
-                        // one half arrived in time.
-                        *mismatches.borrow_mut() += 1;
-                    }
-                    (None, None) => {} // silently wait for the next trigger
+        schedule_periodic_jittered(&mut sim, params, offset, cb_rng, move |sim| {
+            let lane = lane_buf
+                .take()
+                .map(|p| LaneBox::from_payload(&p).expect("lane"));
+            let frame = frame_buf
+                .take()
+                .map(|p| Frame::from_payload(&p).expect("frame"));
+            match (lane, frame) {
+                (Some(lane), Some(frame)) if lane.frame_id == frame.id => {
+                    let d = timing.sample(&mut rng.borrow_mut());
+                    let skel = skel.clone();
+                    sim.schedule_in(d, move |sim| {
+                        let vehicles = detect_vehicles(&frame, &lane);
+                        skel.notify(sim, EVENTGROUP, EVENT_MAIN, vehicles.to_payload());
+                    });
                 }
-            },
-        );
+                (Some(_), Some(_)) | (Some(_), None) | (None, Some(_)) => {
+                    // Misaligned inputs: either the pair disagrees or only
+                    // one half arrived in time.
+                    *mismatches.borrow_mut() += 1;
+                }
+                (None, None) => {} // silently wait for the next trigger
+            }
+        });
     }
 
     // EBA: decide on the latest vehicle list.
@@ -586,33 +548,24 @@ pub fn run_nondet(seed: u64, params: &NondetParams) -> NondetReport {
         let wrong = wrong.clone();
         let offset = random_offset();
         let cb_rng = sim.fork_rng("eba-callback");
-        schedule_periodic_jittered(
-            &mut sim,
-            offset,
-            period,
-            params.callback_jitter_std,
-            params.callback_spike_prob,
-            params.callback_spike_max,
-            cb_rng,
-            move |sim| {
-                if let Some(payload) = buf.take() {
-                    let vehicles = VehicleList::from_payload(&payload).expect("vehicles");
-                    let d = timing.sample(&mut rng.borrow_mut());
-                    let decisions = decisions.clone();
-                    let wrong = wrong.clone();
-                    sim.schedule_in(d, move |_sim| {
-                        let brake = eba_decide(&vehicles);
-                        if brake != crate::logic::reference_decision(vehicles.frame_id) {
-                            *wrong.borrow_mut() += 1;
-                        }
-                        decisions.borrow_mut().push(BrakeDecision {
-                            frame_id: vehicles.frame_id,
-                            brake,
-                        });
+        schedule_periodic_jittered(&mut sim, params, offset, cb_rng, move |sim| {
+            if let Some(payload) = buf.take() {
+                let vehicles = VehicleList::from_payload(&payload).expect("vehicles");
+                let d = timing.sample(&mut rng.borrow_mut());
+                let decisions = decisions.clone();
+                let wrong = wrong.clone();
+                sim.schedule_in(d, move |_sim| {
+                    let brake = eba_decide(&vehicles);
+                    if brake != crate::logic::reference_decision(vehicles.frame_id) {
+                        *wrong.borrow_mut() += 1;
+                    }
+                    decisions.borrow_mut().push(BrakeDecision {
+                        frame_id: vehicles.frame_id,
+                        brake,
                     });
-                }
-            },
-        );
+                });
+            }
+        });
     }
 
     // --- Redundant Video Provider (stock-AP failover) ----------------------
@@ -644,40 +597,31 @@ pub fn run_nondet(seed: u64, params: &NondetParams) -> NondetReport {
         let mut silent = 0u32;
         let mut active = false;
         let offset = random_offset();
-        schedule_periodic_jittered(
-            &mut sim,
-            offset,
-            period,
-            params.callback_jitter_std,
-            params.callback_spike_prob,
-            params.callback_spike_max,
-            cb_rng,
-            move |sim| {
-                if active {
-                    return;
+        schedule_periodic_jittered(&mut sim, params, offset, cb_rng, move |sim| {
+            if active {
+                return;
+            }
+            if let Some(payload) = watch_buf.take() {
+                let frame = Frame::from_payload(&payload).expect("frame payload");
+                last_seen = Some(last_seen.map_or(frame.id, |s| s.max(frame.id)));
+                silent = 0;
+            } else if last_seen.is_some() {
+                silent += 1;
+                if silent >= 2 {
+                    active = true;
+                    *takeover.borrow_mut() = Some(sim.now());
+                    backup_skel.offer(sim, Duration::from_secs(1 << 30));
+                    let binding = backup_skel.binding.clone();
+                    let instance = ServiceInstance::new(VIDEO, INSTANCE);
+                    let rng = rng_send.clone();
+                    let camera =
+                        Camera::new(binding, instance, frames_total, send_period, jitter, rng);
+                    // Resume after the last frame seen, right now.
+                    camera.next_id.set(last_seen.map_or(0, |s| s + 1));
+                    camera.register(sim).fire(sim, 0);
                 }
-                if let Some(payload) = watch_buf.take() {
-                    let frame = Frame::from_payload(&payload).expect("frame payload");
-                    last_seen = Some(last_seen.map_or(frame.id, |s| s.max(frame.id)));
-                    silent = 0;
-                } else if last_seen.is_some() {
-                    silent += 1;
-                    if silent >= 2 {
-                        active = true;
-                        *takeover.borrow_mut() = Some(sim.now());
-                        backup_skel.offer(sim, Duration::from_secs(1 << 30));
-                        let binding = backup_skel.binding.clone();
-                        let instance = ServiceInstance::new(VIDEO, INSTANCE);
-                        let rng = rng_send.clone();
-                        let camera =
-                            Camera::new(binding, instance, frames_total, send_period, jitter, rng);
-                        // Resume after the last frame seen, right now.
-                        camera.next_id.set(last_seen.map_or(0, |s| s + 1));
-                        camera.register(sim).fire(sim, 0);
-                    }
-                }
-            },
-        );
+            }
+        });
     }
 
     // Run long enough for the last frame to drain through the pipeline.

@@ -203,6 +203,19 @@ pub struct BrakeDecision {
     pub brake: bool,
 }
 
+/// FNV-1a fingerprint of a decision sequence (for determinism checks):
+/// what both builds' `decision_fingerprint` report.
+pub(crate) fn decision_fingerprint(decisions: &[BrakeDecision]) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for d in decisions {
+        for b in d.frame_id.to_le_bytes().iter().chain(&[u8::from(d.brake)]) {
+            hash ^= u64::from(*b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    hash
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

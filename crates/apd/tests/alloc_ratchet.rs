@@ -9,18 +9,21 @@
 //!
 //! The decentralized count is pinned **exactly**: that build runs the
 //! bare driver loop and no coordinator, so it moves only when the loop
-//! itself changes. It was 534 while `FederatedPlatform` had its own copy
+//! or the pipeline's assembly changes. It was 534 while `FederatedPlatform` had its own copy
 //! of the loop; the shared loop samples compute costs in place instead of
 //! copying the executed-reaction list (5 processed tags per frame), hence
 //! 529. Keyed calendar events, in-place SOME/IP fan-out, pooled logic
 //! payloads and recycled reaction outcomes took it to 504, and the camera
-//! as a keyed component (no boxed closure per frame) to 501. A change to
-//! `dear-federation` that moves it has leaked out of its layer. The four
-//! coordinated counts are ceilings, each the exact count at the commit
-//! that made those changes (centralized was 720 before the incremental
-//! solver, 699 with it, 620 with events as data; durable was 783 before
-//! its frames were assembled in place). Debug and release builds count
-//! the same.
+//! as a keyed component (no boxed closure per frame) to 501. Assembling
+//! every configuration along one path (one `Vec` of input counters for
+//! all stages instead of one per stage, no result cells for failover or
+//! recovery unless the scenario has them, decisions collected in place)
+//! took every count down by 6, to 495. A change to `dear-federation` that moves it has leaked out of
+//! its layer. The four coordinated counts are ceilings, each the exact
+//! count at the commit that made those changes (centralized was 720
+//! before the incremental solver, 699 with it, 620 with events as data,
+//! 611 with the one assembly path; durable was 783 before its frames were
+//! assembled in place). Debug and release builds count the same.
 //!
 //! One test function: the counter is process-global, and the test
 //! harness runs functions on parallel threads.
@@ -87,7 +90,6 @@ fn configurations() -> [(&'static str, DetParams); 5] {
                 recovery: Some(RecoveryParams {
                     crash_after_frame: 0,
                     dead_for: Duration::from_millis(10),
-                    ..RecoveryParams::default()
                 }),
                 ..centralized.clone()
             },
@@ -123,7 +125,7 @@ fn one_frame_allocations(name: &str, params: &DetParams) -> u64 {
 
 #[test]
 fn one_frame_run_det_allocation_ratchet() {
-    let ceilings = [501, 620, 623, 741, 657];
+    let ceilings = [495, 611, 614, 735, 648];
     for ((name, params), ceiling) in configurations().into_iter().zip(ceilings) {
         let count = one_frame_allocations(name, &params);
         assert!(

@@ -26,11 +26,10 @@ fn params(diet: bool, recovery: Option<RecoveryParams>) -> DetParams {
     }
 }
 
-fn recovery(dead_for: Duration, snapshot_every: u64) -> RecoveryParams {
+fn recovery(dead_for: Duration) -> RecoveryParams {
     RecoveryParams {
         crash_after_frame: KILL_AFTER,
         dead_for,
-        snapshot_every,
     }
 }
 
@@ -41,7 +40,7 @@ fn recovered_run_is_byte_identical_across_seeds_and_diet() {
             let baseline = run_det(seed, &params(diet, None));
             let r = run_det(
                 seed,
-                &params(diet, Some(recovery(Duration::from_millis(10), 16))),
+                &params(diet, Some(recovery(Duration::from_millis(10)))),
             );
             let rec = r.recovery.expect("recovery report");
             assert_eq!(
@@ -66,28 +65,13 @@ fn recovered_run_is_byte_identical_across_seeds_and_diet() {
 }
 
 #[test]
-fn snapshot_cadence_is_invisible_in_the_outcome() {
-    let dense = run_det(
-        7,
-        &params(false, Some(recovery(Duration::from_millis(10), 1))),
-    );
-    let sparse = run_det(
-        7,
-        &params(false, Some(recovery(Duration::from_millis(10), 64))),
-    );
-    assert_eq!(dense.decision_fingerprint(), sparse.decision_fingerprint());
-    assert_eq!(dense.stage_traces, sparse.stage_traces);
-    assert_eq!(dense.recovery, sparse.recovery);
-}
-
-#[test]
 fn longer_outages_replay_identically_within_the_stp_budget() {
     let baseline = run_det(11, &params(false, None));
     // dead_for must stay inside D_cv + L = 30 ms; sweep up to 25 ms.
     for dead_ms in [5i64, 15, 25] {
         let r = run_det(
             11,
-            &params(false, Some(recovery(Duration::from_millis(dead_ms), 16))),
+            &params(false, Some(recovery(Duration::from_millis(dead_ms)))),
         );
         let rec = r.recovery.expect("recovery report");
         assert_eq!(

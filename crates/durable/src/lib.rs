@@ -9,30 +9,20 @@
 //!
 //! * [`Record`] — one logically-timestamped log entry: the runtime's
 //!   start anchor, a physical input (the federate's *only* source of
-//!   nondeterminism), the coordination high-water marks (granted bound,
-//!   processed tag, drained-outbox watermark) and periodic [`Record::
-//!   Snapshot`] checkpoints.
+//!   nondeterminism) and the coordination high-water marks (granted
+//!   bound, processed tag, drained-outbox watermark).
 //! * [`EventLog`] — an append-only, CRC-framed, segmented log. Every
 //!   record is framed as `[len][crc32][payload]`, so torn tails and
-//!   bit rot are detected, not replayed. Snapshots rotate the segment.
+//!   bit rot are detected, not replayed. A segment closes before the
+//!   frame that would take it past a size threshold.
 //! * [`LogStorage`] — the byte-level backend behind a trait, so the
 //!   deterministic simulation twin stays entirely in memory
 //!   ([`MemStorage`]) while a real deployment can drop in an mmap'd or
 //!   file-backed segment store without touching the log logic.
 //!
-//! The design follows the durable-topic/raft-log shape: an append-only
-//! record stream, periodic snapshots bounding replay work, and CRC
-//! framing making partial writes self-delimiting.
-//!
-//! ## What is — and is not — in a snapshot
-//!
-//! Reactor state is opaque (`Box<dyn Any>`), so snapshots do **not**
-//! serialize user state. A [`Record::Snapshot`] is a *coordination*
-//! checkpoint: the tags reached and the log sequence number. Recovery
-//! therefore replays inputs from the runtime's start anchor — which is
-//! exactly what determinism makes sufficient — while `seek` uses
-//! snapshots to bound how much log a *reader* (offline trace tooling,
-//! time-travel debugging) must scan to reach a tag.
+//! Reactor state is opaque (`Box<dyn Any>`), so the log holds no state
+//! checkpoints: recovery replays inputs from the runtime's start anchor,
+//! which is exactly what determinism makes sufficient.
 
 #![forbid(unsafe_code)]
 
@@ -90,24 +80,14 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 /// CRC, both big-endian).
 pub(crate) const FRAME_HEADER_LEN: usize = 8;
 
-/// Default segment-rotation threshold in bytes: a snapshot appended when
-/// the open segment is at least this full closes it and starts a new
-/// segment (see [`EventLog::set_max_segment_bytes`]).
+/// Default segment-rotation threshold in bytes: a segment closes before
+/// the frame that would take it past this size (see
+/// [`EventLog::set_max_segment_bytes`]).
 pub(crate) const DEFAULT_MAX_SEGMENT_BYTES: usize = 64 * 1024;
 
 fn put_tag(out: &mut Vec<u8>, tag: Tag) {
     out.extend_from_slice(&tag.time.as_nanos().to_be_bytes());
     out.extend_from_slice(&tag.microstep.to_be_bytes());
-}
-
-fn put_opt_tag(out: &mut Vec<u8>, tag: Option<Tag>) {
-    match tag {
-        Some(tag) => {
-            out.push(1);
-            put_tag(out, tag);
-        }
-        None => out.push(0),
-    }
 }
 
 struct Reader<'a> {
@@ -134,13 +114,6 @@ impl<'a> Reader<'a> {
         let nanos = self.u64()?;
         let microstep = self.u32()?;
         Some(Tag::new(Instant::from_nanos(nanos), microstep))
-    }
-    fn opt_tag(&mut self) -> Option<Option<Tag>> {
-        match self.u8()? {
-            0 => Some(None),
-            1 => Some(Some(self.tag()?)),
-            _ => None,
-        }
     }
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let (head, rest) = self.bytes.split_at_checked(n)?;
@@ -199,16 +172,6 @@ pub enum Record {
         /// The drain watermark.
         tag: Tag,
     },
-    /// A coordination checkpoint (and segment-rotation point): where the
-    /// federate stood when the snapshot was cut.
-    Snapshot {
-        /// Monotone snapshot sequence number.
-        seq: u64,
-        /// LTC high-water mark at the checkpoint.
-        last_processed: Option<Tag>,
-        /// Granted-bound high-water mark at the checkpoint.
-        granted: Option<Tag>,
-    },
 }
 
 impl Record {
@@ -219,7 +182,6 @@ impl Record {
             Record::Granted { .. } => 3,
             Record::Processed { .. } => 4,
             Record::Drained { .. } => 5,
-            Record::Snapshot { .. } => 6,
         }
     }
 
@@ -241,15 +203,6 @@ impl Record {
                 out.extend_from_slice(&local.to_be_bytes());
             }
             Record::Drained { tag } => put_tag(out, *tag),
-            Record::Snapshot {
-                seq,
-                last_processed,
-                granted,
-            } => {
-                out.extend_from_slice(&seq.to_be_bytes());
-                put_opt_tag(out, *last_processed);
-                put_opt_tag(out, *granted);
-            }
         }
     }
 
@@ -282,11 +235,6 @@ impl Record {
                 local: r.u64()?,
             },
             5 => Record::Drained { tag: r.tag()? },
-            6 => Record::Snapshot {
-                seq: r.u64()?,
-                last_processed: r.opt_tag()?,
-                granted: r.opt_tag()?,
-            },
             _ => return None,
         };
         r.bytes.is_empty().then_some(record)
@@ -339,8 +287,12 @@ impl LogStorage for MemStorage {
             .expect("at least one segment")
             .extend_from_slice(bytes);
     }
+    /// The new segment starts at the capacity the closed one grew to (a
+    /// segment's worth under a size threshold), so it does not regrow by
+    /// doubling from empty.
     fn rotate(&mut self) {
-        self.segments.push(Vec::new());
+        let capacity = self.segments.last().map_or(0, Vec::capacity);
+        self.segments.push(Vec::with_capacity(capacity));
     }
     fn segment_count(&self) -> usize {
         self.segments.len().max(1)
@@ -355,8 +307,6 @@ impl LogStorage for MemStorage {
 pub struct LogStats {
     /// Records appended.
     pub(crate) appended: u64,
-    /// Snapshot records appended.
-    pub(crate) snapshots: u64,
     /// Segment rotations performed.
     pub(crate) rotations: u64,
     /// Records rejected during replay (bad CRC, truncated frame, or
@@ -369,8 +319,8 @@ impl fmt::Display for LogStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "appended={} snapshots={} rotations={} corrupt={}",
-            self.appended, self.snapshots, self.rotations, self.corrupt
+            "appended={} rotations={} corrupt={}",
+            self.appended, self.rotations, self.corrupt
         )
     }
 }
@@ -380,11 +330,6 @@ struct LogInner {
     /// Bytes appended to the currently open segment.
     open_bytes: usize,
     max_segment_bytes: usize,
-    /// Snapshot index: `(segment holding the snapshot, last_processed)`
-    /// in append order, so `seek` can binary-pick the newest checkpoint
-    /// at or below a tag without scanning storage.
-    snapshots: Vec<(usize, Option<Tag>)>,
-    next_seq: u64,
     stats: LogStats,
     /// Scratch for the frame being appended, reused across appends.
     frame: Vec<u8>,
@@ -431,62 +376,28 @@ impl EventLog {
                 storage,
                 open_bytes: 0,
                 max_segment_bytes: DEFAULT_MAX_SEGMENT_BYTES,
-                snapshots: Vec::new(),
-                next_seq: 0,
                 stats: LogStats::default(),
                 frame: Vec::new(),
             })),
         }
     }
 
-    /// Sets the segment-rotation threshold: a snapshot appended while
-    /// the open segment holds at least this many bytes rotates first,
-    /// so the snapshot starts the new segment. Rotation happens *only*
-    /// at snapshots — every segment but the first therefore begins with
-    /// one.
+    /// Sets the segment-rotation threshold: an append whose frame would
+    /// take the open segment past this many bytes closes the segment
+    /// first. A frame larger than the threshold still gets a segment of
+    /// its own, so no segment is ever empty.
     pub fn set_max_segment_bytes(&self, max: usize) {
         self.inner.borrow_mut().max_segment_bytes = max.max(1);
     }
 
-    /// Appends one record (CRC-framed). Returns the snapshot sequence
-    /// number when the record was a snapshot.
+    /// Appends one record (CRC-framed), rotating the segment first when
+    /// the frame would not fit under the size threshold.
     ///
     /// The frame is assembled in place in a reused buffer — header
     /// reserved, payload encoded behind it, then length and CRC patched
     /// in — and handed to the storage in one `append`.
-    pub fn append(&self, record: &Record) -> Option<u64> {
-        let mut inner = self.inner.borrow_mut();
-        let mut seq_out = None;
-        let stamped;
-        let record = match record {
-            Record::Snapshot {
-                last_processed,
-                granted,
-                ..
-            } => {
-                // Snapshots own their sequence numbers: callers pass any
-                // seq, the log stamps the real one.
-                if inner.open_bytes >= inner.max_segment_bytes {
-                    inner.storage.rotate();
-                    inner.open_bytes = 0;
-                    inner.stats.rotations += 1;
-                }
-                let seq = inner.next_seq;
-                inner.next_seq += 1;
-                let segment = inner.storage.segment_count() - 1;
-                inner.snapshots.push((segment, *last_processed));
-                inner.stats.snapshots += 1;
-                seq_out = Some(seq);
-                stamped = Record::Snapshot {
-                    seq,
-                    last_processed: *last_processed,
-                    granted: *granted,
-                };
-                &stamped
-            }
-            other => other,
-        };
-        let inner = &mut *inner;
+    pub fn append(&self, record: &Record) {
+        let inner = &mut *self.inner.borrow_mut();
         let frame = &mut inner.frame;
         frame.clear();
         frame.resize(FRAME_HEADER_LEN, 0);
@@ -495,21 +406,25 @@ impl EventLog {
         let len = u32::try_from(payload.len()).expect("record fits u32");
         header[..4].copy_from_slice(&len.to_be_bytes());
         header[4..].copy_from_slice(&crc32(payload).to_be_bytes());
+        if inner.open_bytes > 0 && inner.open_bytes + frame.len() > inner.max_segment_bytes {
+            inner.storage.rotate();
+            inner.open_bytes = 0;
+            inner.stats.rotations += 1;
+        }
         inner.storage.append(frame);
         inner.open_bytes += frame.len();
         inner.stats.appended += 1;
-        seq_out
     }
 
-    /// Decodes every record from segment `from_segment` on, in append
-    /// order. A frame that fails its length or CRC check ends that
-    /// segment's decode (torn tail) and is counted in
-    /// [`LogStats::corrupt`]; later segments still decode.
+    /// Decodes the whole log, in append order. A frame that fails its
+    /// length or CRC check ends that segment's decode (torn tail) and is
+    /// counted as corrupt in [`EventLog::stats`]; later segments still
+    /// decode.
     #[must_use]
-    pub(crate) fn replay_from(&self, from_segment: usize) -> Vec<Record> {
+    pub fn replay(&self) -> Vec<Record> {
         let mut inner = self.inner.borrow_mut();
         let mut records = Vec::new();
-        for s in from_segment..inner.storage.segment_count() {
+        for s in 0..inner.storage.segment_count() {
             let bytes = inner.storage.segment(s);
             let mut at = 0usize;
             while at < bytes.len() {
@@ -522,32 +437,6 @@ impl EventLog {
             }
         }
         records
-    }
-
-    /// Decodes the whole log, in append order.
-    #[must_use]
-    pub fn replay(&self) -> Vec<Record> {
-        self.replay_from(0)
-    }
-
-    /// The records needed to reconstruct state *at or beyond* `tag`:
-    /// replay starting at the segment of the newest snapshot whose
-    /// `last_processed` is at or below `tag` (the whole log when no such
-    /// snapshot exists). The first returned record of a non-zero seek is
-    /// that snapshot.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn seek(&self, tag: Tag) -> Vec<Record> {
-        let from = {
-            let inner = self.inner.borrow();
-            inner
-                .snapshots
-                .iter()
-                .rev()
-                .find(|(_, processed)| processed.is_none_or(|p| p <= tag))
-                .map_or(0, |&(segment, _)| segment)
-        };
-        self.replay_from(from)
     }
 
     /// Activity counters.
@@ -601,16 +490,6 @@ mod tests {
                 local: 5_000_123,
             },
             Record::Drained { tag: tag_ms(5) },
-            Record::Snapshot {
-                seq: 0,
-                last_processed: Some(tag_ms(5)),
-                granted: Some(tag_ms(10)),
-            },
-            Record::Snapshot {
-                seq: 1,
-                last_processed: None,
-                granted: None,
-            },
         ]
     }
 
@@ -640,9 +519,7 @@ mod tests {
         "00000009748e39640100000000000003e800000018f970263002000000070000",
         "00000000000500000002000000030102030000000d144057db03000000000098",
         "968000000000000000155941c6700400000000004c4b40000000000000000000",
-        "4c4bbb0000000dac9c487a0500000000004c4b400000000000000023e2e6b558",
-        "0600000000000000000100000000004c4b400000000001000000000098968000",
-        "0000000000000b82f011980600000000000000010000",
+        "4c4bbb0000000dac9c487a0500000000004c4b4000000000",
     );
 
     #[test]
@@ -686,61 +563,47 @@ mod tests {
             log.append(&record);
         }
         let replayed = log.replay();
-        assert_eq!(replayed.len(), 7);
+        assert_eq!(replayed.len(), 5);
         assert_eq!(replayed[0], Record::Started { anchor: 1_000 });
-        assert_eq!(log.stats().appended, 7);
+        assert_eq!(log.stats().appended, 5);
         assert_eq!(log.stats().corrupt, 0);
     }
 
     #[test]
-    fn log_stamps_snapshot_sequence_numbers() {
+    fn segments_rotate_before_the_frame_that_would_overflow_them() {
+        const MAX: usize = 100;
         let log = EventLog::in_memory();
-        let snap = Record::Snapshot {
-            seq: 999, // caller's seq is ignored
-            last_processed: None,
-            granted: None,
-        };
-        assert_eq!(log.append(&snap), Some(0));
-        assert_eq!(log.append(&snap), Some(1));
-        assert_eq!(log.append(&Record::Started { anchor: 0 }), None);
-        let replayed = log.replay();
-        assert!(matches!(replayed[0], Record::Snapshot { seq: 0, .. }));
-        assert!(matches!(replayed[1], Record::Snapshot { seq: 1, .. }));
+        log.set_max_segment_bytes(MAX);
+        let records: Vec<Record> = (0..40u64)
+            .map(|ms| Record::Processed {
+                tag: tag_ms(ms),
+                local: ms,
+            })
+            .collect();
+        for record in &records {
+            log.append(record);
+        }
+        // A `Processed` frame is 29 bytes: three fit under 100, so the
+        // 40 records take 14 segments.
+        assert_eq!(log.stats().rotations, 13);
+        let sizes: Vec<usize> = (0..log.segment_count())
+            .map(|s| log.inner.borrow().storage.segment(s).len())
+            .collect();
+        assert_eq!(sizes.len(), 14);
+        assert!(sizes.iter().all(|&n| 0 < n && n <= MAX), "{sizes:?}");
+        assert_eq!(log.replay(), records);
     }
 
     #[test]
-    fn snapshots_rotate_full_segments_and_seek_uses_them() {
+    fn a_frame_larger_than_the_threshold_gets_a_segment_of_its_own() {
         let log = EventLog::in_memory();
-        log.set_max_segment_bytes(1); // every snapshot rotates
-        for ms in [10u64, 20, 30] {
-            log.append(&Record::Processed {
-                tag: tag_ms(ms),
-                local: ms,
-            });
-            log.append(&Record::Snapshot {
-                seq: 0,
-                last_processed: Some(tag_ms(ms)),
-                granted: None,
-            });
+        log.set_max_segment_bytes(1);
+        let records = sample_records();
+        for record in &records {
+            log.append(record);
         }
-        assert_eq!(log.segment_count(), 4, "three rotations after the first");
-        assert_eq!(log.stats().rotations, 3);
-
-        // Seeking to 25ms starts at the snapshot that processed 20ms.
-        let records = log.seek(tag_ms(25));
-        assert_eq!(
-            records[0],
-            Record::Snapshot {
-                seq: 1,
-                last_processed: Some(tag_ms(20)),
-                granted: None,
-            }
-        );
-        // A tag before every snapshot replays from the start.
-        assert_eq!(log.seek(tag_ms(1)).len(), log.replay().len());
-        // A tag beyond the newest snapshot starts there.
-        let newest = log.seek(tag_ms(99));
-        assert!(matches!(newest[0], Record::Snapshot { seq: 2, .. }));
+        assert_eq!(log.stats().rotations, records.len() as u64 - 1);
+        assert_eq!(log.replay(), records);
     }
 
     /// Canned byte segments, for feeding the decoder corrupted storage.
@@ -820,7 +683,7 @@ mod tests {
     #[test]
     fn every_truncation_and_bit_flip_costs_exactly_the_damaged_tail() {
         // One frame of each kind; `ends[i]` is where frame `i` ends.
-        let records: Vec<Record> = sample_records().into_iter().take(6).collect();
+        let records = sample_records();
         let mut segment = Vec::new();
         let mut ends = Vec::new();
         for record in &records {
@@ -860,10 +723,9 @@ mod tests {
 
         #[test]
         fn record_roundtrip(
-            kind in 0u8..6,
+            kind in 0u8..5,
             a in any::<u64>(), b in any::<u32>(), c in any::<u64>(), d in any::<u32>(),
             payload in proptest::collection::vec(any::<u8>(), 0..64),
-            has_a in any::<bool>(), has_b in any::<bool>(),
         ) {
             let t1 = Tag::new(Instant::from_nanos(a), b);
             let t2 = Tag::new(Instant::from_nanos(c), d);
@@ -872,12 +734,7 @@ mod tests {
                 1 => Record::Input { key: b, tag: t1, bytes: payload },
                 2 => Record::Granted { bound: t1 },
                 3 => Record::Processed { tag: t2, local: c },
-                4 => Record::Drained { tag: t2 },
-                _ => Record::Snapshot {
-                    seq: c,
-                    last_processed: has_a.then_some(t1),
-                    granted: has_b.then_some(t2),
-                },
+                _ => Record::Drained { tag: t2 },
             };
             prop_assert_eq!(Record::decode(&record.encode()), Some(record));
         }

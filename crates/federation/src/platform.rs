@@ -76,14 +76,9 @@ struct Durable {
     input: Record,
 }
 
-/// How many processed tags elapse between durable-log checkpoints by
-/// default. Each checkpoint rotates the log segment, so this bounds both
-/// replay length and segment size.
-const DEFAULT_SNAPSHOT_EVERY: u64 = 32;
-
 /// The outcome of one [`CoordinatedPlatform::recover`] call: where the
 /// incarnation died, what replay rebuilt, and what went back on the wire.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlatformRecovery {
     /// True time at which [`CoordinatedPlatform::crash`] took the
     /// federate down.
@@ -91,6 +86,8 @@ pub struct PlatformRecovery {
     /// True time at which the `Rejoin` frame went out and the platform
     /// resumed live operation.
     pub rejoined_at: Instant,
+    /// `rejoined_at - crashed_at`: the replay/rejoin latency.
+    pub outage: Duration,
     /// Logged tags re-processed from the log.
     pub replayed_tags: u64,
     /// Logged physical-action payloads re-scheduled from the log.
@@ -123,7 +120,7 @@ impl fmt::Display for PlatformRecovery {
             self.replayed_inputs,
             self.suppressed_sends,
             self.resent_sends,
-            (self.rejoined_at - self.crashed_at).as_nanos(),
+            self.outage.as_nanos(),
         )
     }
 }
@@ -175,10 +172,6 @@ struct Coordinated {
     /// Input codecs keyed by physical-action id, for durable input
     /// logging and replay.
     codecs: BTreeMap<u32, InputCodec>,
-    /// Processed tags between durable checkpoints.
-    snapshot_every: u64,
-    /// Processed tags since the last checkpoint.
-    processed_since_snapshot: u64,
     /// Whether the federate is currently down ([`CoordinatedPlatform::crash`]).
     crashed: bool,
     /// True time of the crash, reported by the next recovery.
@@ -476,15 +469,6 @@ impl CoordinationPolicy for Coordinated {
                 tag,
                 local: local_now.as_nanos(),
             });
-            c.processed_since_snapshot += 1;
-            if c.processed_since_snapshot >= c.snapshot_every {
-                log.append(&Record::Snapshot {
-                    seq: 0,
-                    last_processed: c.max_processed,
-                    granted: bound,
-                });
-                c.processed_since_snapshot = 0;
-            }
         }
         if busy_until > busy_from {
             c.observe
@@ -719,8 +703,6 @@ impl CoordinatedPlatform {
             dnet_flags: 0,
             durable: None,
             codecs: BTreeMap::new(),
-            snapshot_every: DEFAULT_SNAPSHOT_EVERY,
-            processed_since_snapshot: 0,
             crashed: false,
             crashed_at: None,
             incarnation: 0,
@@ -814,17 +796,6 @@ impl CoordinatedPlatform {
         }));
     }
 
-    /// Sets how many processed tags elapse between durable checkpoints
-    /// (default 32).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn set_snapshot_every(&self, every: u64) {
-        assert!(every > 0, "snapshot interval must be positive");
-        self.0.core().policy.snapshot_every = every;
-    }
-
     /// Registers a serialization codec for a physical action, so
     /// payloads injected through [`PlatformDriver::inject_at`] /
     /// [`PlatformDriver::inject_now`] are durably logged and can be
@@ -851,7 +822,7 @@ impl CoordinatedPlatform {
     /// Report of the most recent recovery, if any.
     #[must_use]
     pub fn last_recovery(&self) -> Option<PlatformRecovery> {
-        self.0.core().policy.last_recovery.clone()
+        self.0.core().policy.last_recovery
     }
 
     /// Kills the federate process: all armed wake-ups and scheduled
@@ -922,11 +893,11 @@ impl CoordinatedPlatform {
             c.incarnation += 1;
             c.dnet_flags = 0;
             c.max_processed = None;
-            c.processed_since_snapshot = 0;
             let crashed_at = c.crashed_at.take().unwrap_or(now);
             let mut report = PlatformRecovery {
                 crashed_at,
                 rejoined_at: now,
+                outage: now - crashed_at,
                 replayed_tags: 0,
                 replayed_inputs: 0,
                 suppressed_sends: 0,
@@ -977,7 +948,7 @@ impl CoordinatedPlatform {
                             }
                         }
                     }
-                    Record::Drained { .. } | Record::Snapshot { .. } => {}
+                    Record::Drained { .. } => {}
                 }
             }
             if let Some(bound) = report.restored_bound {
@@ -1015,7 +986,7 @@ impl CoordinatedPlatform {
                 fence: WireTag::new(0, c.incarnation),
             };
             c.send(sim, rejoin);
-            c.last_recovery = Some(report.clone());
+            c.last_recovery = Some(report);
             report_status(core, sim);
         }
         self.0.arm(sim);

@@ -176,8 +176,9 @@ fn run_chain(
             .unwrap(),
             _ => unreachable!(),
         };
-        p.attach_durable(EventLog::in_memory());
-        p.set_snapshot_every(4); // exercise checkpoint + segment rotation
+        let log = EventLog::in_memory();
+        log.set_max_segment_bytes(256); // replay across segments
+        p.attach_durable(log);
         platforms.push(p);
     }
     for w in platforms.windows(2) {
@@ -403,7 +404,6 @@ fn producer_crash_suppresses_and_resends_exactly_once() {
         );
         publish.bind(&producer, &binding, spec());
         producer.attach_durable(EventLog::in_memory());
-        producer.set_snapshot_every(3);
         // The cost defers each drain by 3 ms past the processed tag —
         // the window the crash lands in.
         producer.set_reaction_cost(emit_rid, LatencyModel::constant(Duration::from_millis(3)));
@@ -592,7 +592,6 @@ fn consumer_crash_rebuilds_inputs_from_the_log() {
         );
         let stats = input.bind(&consumer, &binding, spec(), cfg);
         consumer.attach_durable(EventLog::in_memory());
-        consumer.set_snapshot_every(3);
         consumer.register_durable_input(
             input.action(),
             |frame, out| out.extend_from_slice(frame),

@@ -410,12 +410,11 @@ fn rejoin() {
         recovery: dead_for.map(|dead_for| RecoveryParams {
             crash_after_frame: KILL_AFTER,
             dead_for,
-            snapshot_every: 16,
         }),
         ..DetParams::default()
     };
     println!("brake assistant with the CV federate killed after frame {KILL_AFTER},");
-    println!("restarted from snapshot + durable log, rejoining the RTI");
+    println!("restarted from the durable log, rejoining the RTI");
     println!("({FRAMES} frames; crashed run vs never-crashed baseline)\n");
 
     println!("diet | seed | decisions | outage  | replayed tags/inputs | suppressed | resent | fingerprint      | == baseline");

@@ -11,9 +11,10 @@
 # A code line is a non-blank line that is not a `//` comment (doc comments
 # included). In src/ it counts as `code` unless it lies inside a
 # `#[cfg(test)]` item (attribute line included) or in a file declared by a
-# `#[cfg(test)] mod name;` line: those count as `cfg-test`. Public types
-# are `code` lines declaring `pub struct|enum|trait|type`. Needs only bash
-# and awk.
+# `#[cfg(test)] mod name;` line: those count as `cfg-test` (per-file rows
+# resolve such declarations across all the given files, so they sum to
+# the crate's row). Public types are `code` lines declaring
+# `pub struct|enum|trait|type`. Needs only bash and awk.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,9 +43,9 @@ test_modules() { # FILE... -> the files that `#[cfg(test)] mod name;` declares
     ' "$@" /dev/null
 }
 
-count() { # FILE... -> "<code lines> <public types> <cfg-test lines>"
-    local tests
-    tests=$(test_modules "$@" | tr '\n' ' ')
+count() { # TEST_FILES FILE... -> "<code lines> <public types> <cfg-test lines>"
+    local tests=$1
+    shift
     awk -v test_files="$tests" '
         BEGIN { n = split(test_files, t, " "); for (i = 1; i <= n; i++) is_test[t[i]] = 1 }
         FNR == 1 { skipping = 0; pending = 0; depth = 0 }
@@ -88,10 +89,10 @@ format='%-40s %10s %9s %9s %8s %8s %9s\n'
 # shellcheck disable=SC2059
 printf "$format" unit code-lines pub-types cfg-test tests/ benches/ examples/
 declare -A total=()
-row() { # LABEL DIR FILE...
-    local label=$1 dir=$2 code types test t b e
-    shift 2
-    read -r code types test < <(count "$@")
+row() { # LABEL DIR TEST_FILES FILE...
+    local label=$1 dir=$2 tests=$3 code types test t b e
+    shift 3
+    read -r code types test < <(count "$tests" "$@")
     if [ -n "$dir" ]; then
         t=$(lines "$dir/tests") b=$(lines "$dir/benches") e=$(lines "$dir/examples")
     else
@@ -117,13 +118,14 @@ units() { # DIR... -> one row per DIR that has a src/
     for dir in "$@"; do
         [ -d "$dir/src" ] || continue
         mapfile -t files < <(find "$dir/src" -name '*.rs' | sort)
-        row "${dir%/}" "${dir%/}" "${files[@]}"
+        row "${dir%/}" "${dir%/}" "$(test_modules "${files[@]}" | tr '\n' ' ')" "${files[@]}"
     done
 }
 
 if [ "$#" -gt 0 ]; then
+    tests=$(test_modules "$@" | tr '\n' ' ')
     for file in "$@"; do
-        row "$file" "" "$file"
+        row "$file" "" "$tests" "$file"
     done
     totals total
 else
