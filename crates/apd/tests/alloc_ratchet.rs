@@ -18,12 +18,19 @@
 //! every configuration along one path (one `Vec` of input counters for
 //! all stages instead of one per stage, no result cells for failover or
 //! recovery unless the scenario has them, decisions collected in place)
-//! took every count down by 6, to 495. A change to `dear-federation` that moves it has leaked out of
-//! its layer. The four coordinated counts are ceilings, each the exact
-//! count at the commit that made those changes (centralized was 720
-//! before the incremental solver, 699 with it, 620 with events as data,
-//! 611 with the one assembly path; durable was 783 before its frames were
-//! assembled in place). Debug and release builds count the same.
+//! took every count down by 6, to 495. Recycled port and action slots
+//! took every count up by 4, to 499: a one-frame run writes each port
+//! about once, so it pays the first box of every slot as before, plus one
+//! staging-slot `Vec` per writing reaction and one free list per injected
+//! physical action, less the per-runtime arena and outcome buffers they
+//! replaced; from the third write on, a slot allocates nothing. A change
+//! to `dear-federation` that moves it has leaked out of its layer. The
+//! four coordinated counts are ceilings, each the exact count at the
+//! commit that made those changes (centralized was 720 before the
+//! incremental solver, 699 with it, 620 with events as data, 611 with the
+//! one assembly path, 615 with recycled slots; durable was 783 before its
+//! frames were assembled in place). Debug and release builds count the
+//! same.
 //!
 //! One test function: the counter is process-global, and the test
 //! harness runs functions on parallel threads.
@@ -125,7 +132,7 @@ fn one_frame_allocations(name: &str, params: &DetParams) -> u64 {
 
 #[test]
 fn one_frame_run_det_allocation_ratchet() {
-    let ceilings = [495, 611, 614, 735, 648];
+    let ceilings = [499, 615, 618, 739, 652];
     for ((name, params), ceiling) in configurations().into_iter().zip(ceilings) {
         let count = one_frame_allocations(name, &params);
         assert!(

@@ -3,26 +3,55 @@
 //! A [`ReactionCtx`] is the only way a reaction interacts with the rest of
 //! the program: reading input ports, writing output ports, reading action
 //! payloads, scheduling logical actions, and requesting shutdown. All
-//! writes and schedules are *buffered* in a [`ReactionOutcome`] and applied
-//! by the runtime in deterministic (reaction-id) order after the reaction
-//! returns, which is what allows same-level reactions to execute on
-//! parallel workers without changing observable behaviour.
+//! writes and schedules are *buffered* in the reaction's own
+//! [`ReactionOutcome`] and applied by the runtime in deterministic
+//! (reaction-id) order after the reaction returns, which is what allows
+//! same-level reactions to execute on parallel workers without changing
+//! observable behaviour.
+//!
+//! A write lands in the reaction's staging slot for that port: a box
+//! holding an `Option<T>` that is allocated on the first write and reused
+//! after. The runtime commits it by swapping it with the port's slot, so
+//! the staging slot gets back the port's emptied box and a steady-state
+//! write allocates nothing.
 
 use crate::handles::{ActionId, LogicalAction, PhysicalAction, Port, PortId};
 use crate::program::{Program, Value};
 use crate::tag::Tag;
 use dear_arena::TypedArena;
 use dear_time::{Duration, Instant};
+use std::collections::BTreeMap;
 
-/// The buffered effects of one reaction execution.
+/// A port's value slot, or a reaction's staging slot for one of its
+/// effects.
+#[derive(Default)]
+pub(crate) struct PortSlot {
+    /// The box, once the first value was written through this slot.
+    pub(crate) value: Option<Value>,
+    /// Whether `value` holds a value written at the current tag (for a
+    /// staging slot: by the current execution).
+    pub(crate) written: bool,
+}
+
+/// An action's value at the current tag, its values pending at later
+/// tags and, for a physical action, its emptied slots.
+#[derive(Default)]
+pub(crate) struct ActionSlots {
+    pub(crate) current: Option<Value>,
+    pub(crate) pending: BTreeMap<Tag, Value>,
+    pub(crate) free: Vec<Value>,
+}
+
+/// The buffered effects of one reaction, kept per reaction and reused by
+/// each of its executions.
 #[derive(Default)]
 pub(crate) struct ReactionOutcome {
-    /// Port writes `(port, value)` in write order (later wins per port).
-    pub(crate) writes: Vec<(PortId, Value)>,
+    /// One staging slot per entry of the reaction's `effects`: the `Vec`
+    /// is sized by the reaction's first write, each box made by the
+    /// first write to its port.
+    pub(crate) slots: Vec<PortSlot>,
     /// Scheduled action events `(action, tag, value)`.
     pub(crate) schedules: Vec<(ActionId, Tag, Value)>,
-    /// Whether the reaction requested shutdown.
-    pub(crate) shutdown: bool,
 }
 
 /// Read access to an action's payload; implemented by both
@@ -60,9 +89,11 @@ pub struct ReactionCtx<'a> {
     pub(crate) physical: Instant,
     pub(crate) program: &'a Program,
     pub(crate) reaction: crate::handles::ReactionId,
-    pub(crate) ports: &'a TypedArena<PortId, Option<Value>>,
-    pub(crate) actions: &'a TypedArena<ActionId, Option<Value>>,
-    pub(crate) outcome: ReactionOutcome,
+    pub(crate) ports: &'a TypedArena<PortId, PortSlot>,
+    pub(crate) actions: &'a TypedArena<ActionId, ActionSlots>,
+    pub(crate) outcome: &'a mut ReactionOutcome,
+    /// Whether the reaction requested shutdown.
+    pub(crate) shutdown: bool,
 }
 
 impl std::fmt::Debug for ReactionCtx<'_> {
@@ -127,12 +158,16 @@ impl<'a> ReactionCtx<'a> {
         self.assert_readable(port.id, "get");
         let root = self.program.ports[port.id].root;
         // A reaction may read back what it wrote itself this tag.
-        if let Some((_, v)) = self.outcome.writes.iter().rev().find(|(p, _)| *p == root) {
-            return Some(v.downcast_ref::<T>().expect("port value type mismatch"));
-        }
-        self.ports[root]
-            .as_ref()
-            .map(|v| v.downcast_ref::<T>().expect("port value type mismatch"))
+        let staged = match self.meta().effects.binary_search(&root) {
+            Ok(i) => self.outcome.slots.get(i).filter(|s| s.written),
+            Err(_) => None,
+        };
+        let slot = staged.unwrap_or(&self.ports[root]);
+        slot.value.as_ref().filter(|_| slot.written).and_then(|v| {
+            v.downcast_ref::<Option<T>>()
+                .expect("port value type mismatch")
+                .as_ref()
+        })
     }
 
     /// Writes a value to an output port.
@@ -145,13 +180,27 @@ impl<'a> ReactionCtx<'a> {
     ///
     /// Panics if the port was not declared as an effect of this reaction.
     pub fn set<T: Send + Sync + 'static>(&mut self, port: Port<T>, value: T) {
-        assert!(
-            self.meta().effects.binary_search(&port.id).is_ok(),
-            "reaction `{}` writes port `{}` without declaring it as an effect",
-            self.meta().name,
-            self.program.ports[port.id].name,
-        );
-        self.outcome.writes.push((port.id, Box::new(value)));
+        let effects = &self.program.reactions[self.reaction].effects;
+        let Ok(i) = effects.binary_search(&port.id) else {
+            panic!(
+                "reaction `{}` writes port `{}` without declaring it as an effect",
+                self.meta().name,
+                self.program.ports[port.id].name,
+            );
+        };
+        let slots = &mut self.outcome.slots;
+        if slots.is_empty() {
+            slots.resize_with(effects.len(), PortSlot::default);
+        }
+        let slot = &mut slots[i];
+        match &mut slot.value {
+            Some(v) => {
+                *v.downcast_mut::<Option<T>>()
+                    .expect("port value type mismatch") = Some(value);
+            }
+            empty => *empty = Some(Box::new(Some(value))),
+        }
+        slot.written = true;
     }
 
     /// Reads the payload of an action that triggered at the current tag.
@@ -160,8 +209,13 @@ impl<'a> ReactionCtx<'a> {
     #[must_use]
     pub fn get_action<T: 'static>(&self, action: &impl ActionSource<T>) -> Option<&T> {
         self.actions[action.action_id()]
+            .current
             .as_ref()
-            .map(|v| v.downcast_ref::<T>().expect("action value type mismatch"))
+            .and_then(|v| {
+                v.downcast_ref::<Option<T>>()
+                    .expect("action value type mismatch")
+                    .as_ref()
+            })
     }
 
     /// Schedules a logical action with an additional delay on top of the
@@ -194,12 +248,12 @@ impl<'a> ReactionCtx<'a> {
         let tag = self.tag.delay(min_delay + delay);
         self.outcome
             .schedules
-            .push((action.id, tag, Box::new(value)));
+            .push((action.id, tag, Box::new(Some(value))));
     }
 
     /// Requests a graceful shutdown: shutdown reactions run at the next
     /// microstep and the runtime stops afterwards.
     pub fn request_shutdown(&mut self) {
-        self.outcome.shutdown = true;
+        self.shutdown = true;
     }
 }

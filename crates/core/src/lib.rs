@@ -69,14 +69,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod clock;
 mod context;
 mod error;
 mod handles;
 mod pool;
 mod program;
 mod queue;
-mod realtime;
 mod runtime;
 mod spec;
 mod tag;
@@ -88,7 +86,6 @@ pub use handles::{
     Startup, Timer, TimerId, TriggerId, TriggerSource,
 };
 pub use program::{Program, ProgramBuilder, ReactionDeclaration, ReactorBuilder};
-pub use realtime::{Injector, RealTimeExecutor, StopHandle};
 pub use runtime::{Runtime, RuntimeStats, StepOutcome, TagSummary};
 pub use spec::{Reaction, ReactorSpec};
 pub use tag::Tag;

@@ -29,10 +29,22 @@ use std::collections::{HashSet, VecDeque};
 use std::marker::PhantomData;
 use std::sync::Mutex;
 
-/// A boxed value travelling through ports and actions.
+/// A value slot of a port or action: a box holding an `Option<T>`,
+/// allocated once and then recycled — emptied in place by the port's or
+/// action's [`clear`](PortMeta::clear) instead of being freed. (A
+/// logical action's slot, made by `ReactionCtx::schedule`, is freed at
+/// the end of its tag.)
 pub(crate) type Value = Box<dyn Any + Send + Sync>;
 /// A type-erased reaction body.
 pub(crate) type BodyFn = Box<dyn FnMut(&mut (dyn Any + Send), &mut ReactionCtx<'_>) + Send>;
+
+/// Empties a slot holding an `Option<T>`, dropping the value and keeping
+/// the allocation.
+fn clear_slot<T: 'static>(slot: &mut Value) {
+    *slot
+        .downcast_mut::<Option<T>>()
+        .expect("slot value type mismatch") = None;
+}
 
 /// Whether an action is logical or physical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +66,8 @@ pub(crate) struct PortMeta {
     pub(crate) root: PortId,
     /// Reactions triggered when this (root) port becomes present.
     pub(crate) sinks_trigger: Vec<ReactionId>,
+    /// Empties this port's value slot (monomorphised for its type).
+    pub(crate) clear: fn(&mut Value),
 }
 
 pub(crate) struct ActionMeta {
@@ -61,6 +75,8 @@ pub(crate) struct ActionMeta {
     pub(crate) kind: ActionKind,
     pub(crate) min_delay: Duration,
     pub(crate) triggered: Vec<ReactionId>,
+    /// Empties this action's value slot (monomorphised for its type).
+    pub(crate) clear: fn(&mut Value),
 }
 
 pub(crate) struct TimerMeta {
@@ -219,6 +235,7 @@ struct PortBuild {
     name: String,
     kind: PortKind,
     source: Option<PortId>,
+    clear: fn(&mut Value),
 }
 
 /// Builder for a reactor program.
@@ -629,6 +646,7 @@ impl ProgramBuilder {
             name: p.name,
             root: roots[id],
             sinks_trigger: std::mem::take(&mut sinks_trigger[id]),
+            clear: p.clear,
         });
 
         let reactions: TypedArena<ReactionId, ReactionMeta> =
@@ -716,6 +734,7 @@ impl<'b, S: Send + 'static> ReactorBuilder<'b, S> {
             name: qualified,
             kind,
             source: None,
+            clear: clear_slot::<T>,
         });
         Port {
             id,
@@ -733,7 +752,12 @@ impl<'b, S: Send + 'static> ReactorBuilder<'b, S> {
         self.add_port(name, PortKind::Output)
     }
 
-    fn add_action(&mut self, name: &str, kind: ActionKind, min_delay: Duration) -> ActionId {
+    fn add_action<T: Send + Sync + 'static>(
+        &mut self,
+        name: &str,
+        kind: ActionKind,
+        min_delay: Duration,
+    ) -> ActionId {
         assert!(
             !min_delay.is_negative(),
             "action min_delay must be non-negative"
@@ -745,6 +769,7 @@ impl<'b, S: Send + 'static> ReactorBuilder<'b, S> {
             kind,
             min_delay,
             triggered: Vec::new(),
+            clear: clear_slot::<T>,
         })
     }
 
@@ -755,7 +780,7 @@ impl<'b, S: Send + 'static> ReactorBuilder<'b, S> {
         min_delay: Duration,
     ) -> LogicalAction<T> {
         LogicalAction {
-            id: self.add_action(name, ActionKind::Logical, min_delay),
+            id: self.add_action::<T>(name, ActionKind::Logical, min_delay),
             _marker: PhantomData,
         }
     }
@@ -771,7 +796,7 @@ impl<'b, S: Send + 'static> ReactorBuilder<'b, S> {
         min_delay: Duration,
     ) -> PhysicalAction<T> {
         PhysicalAction {
-            id: self.add_action(name, ActionKind::Physical, min_delay),
+            id: self.add_action::<T>(name, ActionKind::Physical, min_delay),
             _marker: PhantomData,
         }
     }

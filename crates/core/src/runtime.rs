@@ -12,14 +12,18 @@
 //! [`Runtime::step`], passing the physical clock reading it observed. This
 //! one design choice lets the identical runtime run under
 //!
-//! * a real-time executor (wait until the wall clock passes the next tag —
-//!   see [`RealTimeExecutor`](crate::RealTimeExecutor)),
 //! * the discrete-event platform simulator (the federated driver in
 //!   `dear-transactors` schedules `step` calls at the simulated instant at
 //!   which the platform's local clock passes the tag), and
 //! * "fast mode" for tests ([`Runtime::step_fast`], no waiting at all).
+//!
+//! Port and action values live in typed slots that are allocated once and
+//! recycled: a commit swaps a reaction's staging slot with the port's, the
+//! end of a tag empties each written port's slot in place, and a physical
+//! action keeps its emptied slots on a free list for the next injection.
+//! Values are still dropped when overwritten or at the end of their tag.
 
-use crate::context::{ReactionCtx, ReactionOutcome};
+use crate::context::{ActionSlots, PortSlot, ReactionCtx, ReactionOutcome};
 use crate::error::RuntimeError;
 use crate::handles::{ActionId, PhysicalAction, PortId, ReactionId, ReactorId};
 use crate::pool::WorkerPool;
@@ -31,7 +35,6 @@ use dear_observe::{EventKind, Lane, Observe};
 use dear_sim::Trace;
 use dear_time::{Duration, Instant};
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -118,9 +121,10 @@ enum Phase {
 pub struct Runtime {
     program: Arc<Program>,
     states: TypedArena<ReactorId, Option<Box<dyn Any + Send>>>,
-    port_values: TypedArena<PortId, Option<Value>>,
-    action_pending: TypedArena<ActionId, BTreeMap<Tag, Value>>,
-    action_current: TypedArena<ActionId, Option<Value>>,
+    /// Each port's value slot (a connected input reads its source's).
+    port_values: TypedArena<PortId, PortSlot>,
+    /// Each action's current, pending and spare value slots.
+    action_values: TypedArena<ActionId, ActionSlots>,
     queue: EventQueue,
     tag_bound: Option<Tag>,
     last_processed: Option<Tag>,
@@ -143,12 +147,14 @@ pub struct Runtime {
     ready_levels: Vec<Vec<ReactionId>>,
     /// Scratch buffer for the current same-level batch (reused).
     scratch_batch: Vec<ReactionId>,
-    /// Scratch buffer for batch results (reused).
-    scratch_results: Vec<(ReactionId, ReactionOutcome, bool)>,
-    /// Applied outcomes whose buffers allocated, emptied for the next
-    /// reactions to write into. Outcomes that never allocated are not
-    /// kept: a runtime whose reactions write nothing holds none.
-    spare_outcomes: Vec<ReactionOutcome>,
+    /// Scratch buffer for batch results `(reaction, deadline missed,
+    /// shutdown requested)`.
+    scratch_results: Vec<(ReactionId, bool, bool)>,
+    /// Each reaction's buffered effects and staging slots, taken out for
+    /// an execution and restored like reactor state. Empty when no
+    /// reaction declares an effect or a schedule (a timer-only program
+    /// buffers nothing, so it allocates nothing for it).
+    outcomes: TypedArena<ReactionId, ReactionOutcome>,
     /// Scratch list of ports written at the current tag (reused).
     written: Vec<PortId>,
 }
@@ -170,9 +176,17 @@ impl Runtime {
     pub fn new(program: Program) -> Self {
         let states =
             std::mem::take(&mut *program.states.lock().expect("program states poisoned")).map(Some);
-        let port_values = TypedArena::from_fn(program.ports.len(), |_| None);
-        let action_pending = TypedArena::from_fn(program.actions.len(), |_| BTreeMap::new());
-        let action_current = TypedArena::from_fn(program.actions.len(), |_| None);
+        let port_values = TypedArena::from_fn(program.ports.len(), |_| PortSlot::default());
+        let action_values = TypedArena::from_fn(program.actions.len(), |_| ActionSlots::default());
+        let buffers = program
+            .reactions
+            .iter()
+            .any(|r| !r.effects.is_empty() || !r.schedules.is_empty());
+        let outcomes = if buffers {
+            TypedArena::from_fn(program.reactions.len(), |_| ReactionOutcome::default())
+        } else {
+            TypedArena::new()
+        };
         let num_levels = program
             .reactions
             .iter()
@@ -183,8 +197,7 @@ impl Runtime {
             program: Arc::new(program),
             states,
             port_values,
-            action_pending,
-            action_current,
+            action_values,
             queue: EventQueue::default(),
             tag_bound: None,
             last_processed: None,
@@ -199,7 +212,7 @@ impl Runtime {
             ready_levels: (0..num_levels).map(|_| Vec::new()).collect(),
             scratch_batch: Vec::new(),
             scratch_results: Vec::new(),
-            spare_outcomes: Vec::new(),
+            outcomes,
             written: Vec::new(),
         }
     }
@@ -422,7 +435,8 @@ impl Runtime {
             return Err(RuntimeError::NotRunning);
         }
         let tag = self.next_physical_tag(action.id, now);
-        self.insert_action_event(action.id, tag, Box::new(value));
+        let slot = self.action_slot(action, value);
+        self.insert_action_event(action.id, tag, slot);
         Ok(tag)
     }
 
@@ -468,26 +482,27 @@ impl Runtime {
                 });
             }
         }
-        self.insert_action_event(action.id, tag, Box::new(value));
+        let slot = self.action_slot(action, value);
+        self.insert_action_event(action.id, tag, slot);
         Ok(())
     }
 
-    /// Type-erased physical injection used by executors that carry values
-    /// through channels (see [`RealTimeExecutor`](crate::RealTimeExecutor)).
-    ///
-    /// Semantics are identical to [`Runtime::schedule_physical`].
-    pub(crate) fn schedule_physical_raw(
+    /// A slot holding `value`: an emptied one from the action's free list,
+    /// or a new one while every slot is pending.
+    fn action_slot<T: Send + Sync + 'static>(
         &mut self,
-        action: ActionId,
-        value: Value,
-        now: Instant,
-    ) -> Result<Tag, RuntimeError> {
-        if self.phase != Phase::Running {
-            return Err(RuntimeError::NotRunning);
+        action: &PhysicalAction<T>,
+        value: T,
+    ) -> Value {
+        match self.action_values[action.id].free.pop() {
+            Some(mut slot) => {
+                *slot
+                    .downcast_mut::<Option<T>>()
+                    .expect("action value type mismatch") = Some(value);
+                slot
+            }
+            None => Box::new(Some(value)),
         }
-        let tag = self.next_physical_tag(action, now);
-        self.insert_action_event(action, tag, value);
-        Ok(tag)
     }
 
     /// Computes the tag for a physical injection observed at `now`:
@@ -512,7 +527,7 @@ impl Runtime {
                 tag = last.delay(Duration::ZERO);
             }
         }
-        let pending = &self.action_pending[action];
+        let pending = &self.action_values[action].pending;
         while pending.contains_key(&tag) {
             tag = tag.delay(Duration::ZERO);
         }
@@ -520,7 +535,7 @@ impl Runtime {
     }
 
     fn insert_action_event(&mut self, action: ActionId, tag: Tag, value: Value) {
-        self.action_pending[action].insert(tag, value);
+        self.action_values[action].pending.insert(tag, value);
         self.queue.push(tag, Event::Action(action));
     }
 
@@ -561,8 +576,9 @@ impl Runtime {
         entry.actions.sort_unstable();
         entry.actions.dedup();
         for &a in &entry.actions {
-            if let Some(v) = self.action_pending[a].remove(&tag) {
-                self.action_current[a] = Some(v);
+            let slots = &mut self.action_values[a];
+            if let Some(v) = slots.pending.remove(&tag) {
+                slots.current = Some(v);
             }
             for &r in &self.program.actions[a].triggered {
                 self.ready_levels[self.program.reactions[r].level as usize].push(r);
@@ -604,7 +620,7 @@ impl Runtime {
             batch.dedup();
             let mut outcomes = std::mem::take(&mut self.scratch_results);
             self.execute_batch(tag, physical_now, &batch, &mut outcomes);
-            for (rid, mut outcome, missed) in outcomes.drain(..) {
+            for (rid, missed, shutdown) in outcomes.drain(..) {
                 reactions_run += 1;
                 self.stats.executed_reactions += 1;
                 self.executed_log.push(rid);
@@ -625,25 +641,9 @@ impl Runtime {
                             tag: tag.as_logical(),
                         });
                 }
-                shutdown_requested |= outcome.shutdown;
-                for (port, value) in outcome.writes.drain(..) {
-                    if self.port_values[port].is_none() {
-                        self.written.push(port);
-                    }
-                    self.port_values[port] = Some(value);
-                    for &r in &self.program.ports[port].sinks_trigger {
-                        let sink_level = self.program.reactions[r].level as usize;
-                        debug_assert!(sink_level > level);
-                        self.ready_levels[sink_level].push(r);
-                    }
-                }
-                for (action, atag, value) in outcome.schedules.drain(..) {
-                    debug_assert!(atag > tag);
-                    self.insert_action_event(action, atag, value);
-                }
-                if outcome.writes.capacity() + outcome.schedules.capacity() > 0 {
-                    outcome.shutdown = false;
-                    self.spare_outcomes.push(outcome);
+                shutdown_requested |= shutdown;
+                if !self.outcomes.is_empty() {
+                    self.commit(rid, tag, level);
                 }
             }
             batch.clear();
@@ -654,10 +654,22 @@ impl Runtime {
         // Post-tag cleanup (scratch buffers keep their capacity; the tag
         // entry's buffers go back to the queue's free list).
         for p in self.written.drain(..) {
-            self.port_values[p] = None;
+            let slot = &mut self.port_values[p];
+            slot.written = false;
+            if let Some(v) = &mut slot.value {
+                (self.program.ports[p].clear)(v);
+            }
         }
         for &a in &entry.actions {
-            self.action_current[a] = None;
+            let slots = &mut self.action_values[a];
+            let Some(mut v) = slots.current.take() else {
+                continue;
+            };
+            let meta = &self.program.actions[a];
+            if meta.kind == ActionKind::Physical {
+                (meta.clear)(&mut v);
+                slots.free.push(v);
+            }
         }
         if stopping {
             self.phase = Phase::Stopped;
@@ -732,12 +744,47 @@ impl Runtime {
         n
     }
 
+    /// Applies a reaction's buffered writes and schedules. A write is
+    /// committed by a swap: the staging slot gets back the port's emptied
+    /// box (or none yet).
+    fn commit(&mut self, rid: ReactionId, tag: Tag, level: usize) {
+        let outcome = &mut self.outcomes[rid];
+        let effects = &self.program.reactions[rid].effects;
+        for (staged, &port) in outcome.slots.iter_mut().zip(effects) {
+            if !std::mem::take(&mut staged.written) {
+                continue;
+            }
+            let meta = &self.program.ports[port];
+            let target = &mut self.port_values[port];
+            std::mem::swap(&mut target.value, &mut staged.value);
+            if target.written {
+                // An earlier reaction's value is overwritten: drop it.
+                if let Some(v) = &mut staged.value {
+                    (meta.clear)(v);
+                }
+            } else {
+                target.written = true;
+                self.written.push(port);
+            }
+            for &r in &meta.sinks_trigger {
+                let sink_level = self.program.reactions[r].level as usize;
+                debug_assert!(sink_level > level);
+                self.ready_levels[sink_level].push(r);
+            }
+        }
+        for (action, atag, value) in outcome.schedules.drain(..) {
+            debug_assert!(atag > tag);
+            self.action_values[action].pending.insert(atag, value);
+            self.queue.push(atag, Event::Action(action));
+        }
+    }
+
     fn execute_batch(
         &mut self,
         tag: Tag,
         physical: Instant,
         batch: &[ReactionId],
-        out: &mut Vec<(ReactionId, ReactionOutcome, bool)>,
+        out: &mut Vec<(ReactionId, bool, bool)>,
     ) {
         match &self.pool {
             Some(pool) if batch.len() > 1 => {
@@ -753,7 +800,7 @@ impl Runtime {
                 let workers = pool.threads().min(batch.len());
                 let chunk_size = batch.len().div_ceil(workers);
                 let ports = Arc::new(std::mem::take(&mut self.port_values));
-                let actions = Arc::new(std::mem::take(&mut self.action_current));
+                let actions = Arc::new(std::mem::take(&mut self.action_values));
                 let (tx, rx) = mpsc::channel();
                 let mut jobs = 0usize;
                 for chunk_ids in batch.chunks(chunk_size) {
@@ -768,7 +815,12 @@ impl Runtime {
                             let state = self.states[reactor]
                                 .take()
                                 .expect("reactor state aliased within a level");
-                            (rid, state, self.spare_outcomes.pop().unwrap_or_default())
+                            let outcome = if self.outcomes.is_empty() {
+                                ReactionOutcome::default()
+                            } else {
+                                std::mem::take(&mut self.outcomes[rid])
+                            };
+                            (rid, state, outcome)
                         })
                         .collect();
                     let program = Arc::clone(&self.program);
@@ -778,8 +830,8 @@ impl Runtime {
                     pool.submit(Box::new(move || {
                         let results: Vec<_> = chunk
                             .into_iter()
-                            .map(|(rid, mut state, outcome)| {
-                                let (outcome, missed) = run_reaction(
+                            .map(|(rid, mut state, mut outcome)| {
+                                let (missed, shutdown) = run_reaction(
                                     &program,
                                     rid,
                                     state.as_mut(),
@@ -787,9 +839,9 @@ impl Runtime {
                                     physical,
                                     &ports,
                                     &actions,
-                                    outcome,
+                                    &mut outcome,
                                 );
-                                (rid, state, outcome, missed)
+                                (rid, state, outcome, missed, shutdown)
                             })
                             .collect();
                         // Release the arena borrows *before* reporting
@@ -810,13 +862,16 @@ impl Runtime {
                 self.port_values = Arc::try_unwrap(ports)
                     .map_err(|_| "port arena still shared")
                     .expect("workers released the port arena");
-                self.action_current = Arc::try_unwrap(actions)
+                self.action_values = Arc::try_unwrap(actions)
                     .map_err(|_| "action arena still shared")
                     .expect("workers released the action arena");
-                for (rid, state, outcome, missed) in results {
+                for (rid, state, outcome, missed, shutdown) in results {
                     let reactor = self.program.reactions[rid].reactor;
                     self.states[reactor] = Some(state);
-                    out.push((rid, outcome, missed));
+                    if !self.outcomes.is_empty() {
+                        self.outcomes[rid] = outcome;
+                    }
+                    out.push((rid, missed, shutdown));
                 }
                 // Pool results arrive in completion order; apply outcomes
                 // in deterministic reaction-id order.
@@ -826,24 +881,32 @@ impl Runtime {
                 // Sequential fast path: no intermediate collections — in
                 // steady state this executes a whole batch with zero heap
                 // allocations. `batch` is already sorted (and reactions
-                // run in order), so `out` needs no sort.
+                // run in order), so `out` needs no sort. Without an
+                // `outcomes` arena no reaction can write or schedule, so
+                // all of them may share one empty outcome.
+                let mut unused = ReactionOutcome::default();
                 for &rid in batch {
                     let reactor = self.program.reactions[rid].reactor;
                     let mut state = self.states[reactor]
                         .take()
                         .expect("reactor state aliased within a level");
-                    let (outcome, missed) = run_reaction(
+                    let outcome = if self.outcomes.is_empty() {
+                        &mut unused
+                    } else {
+                        &mut self.outcomes[rid]
+                    };
+                    let (missed, shutdown) = run_reaction(
                         &self.program,
                         rid,
                         state.as_mut(),
                         tag,
                         physical,
                         &self.port_values,
-                        &self.action_current,
-                        self.spare_outcomes.pop().unwrap_or_default(),
+                        &self.action_values,
+                        outcome,
                     );
                     self.states[reactor] = Some(state);
-                    out.push((rid, outcome, missed));
+                    out.push((rid, missed, shutdown));
                 }
             }
         }
@@ -851,7 +914,8 @@ impl Runtime {
 }
 
 /// Runs one reaction (or its deadline handler), buffering its effects
-/// in `outcome`, which arrives empty.
+/// in its `outcome`, which arrives with nothing written. Returns whether
+/// the deadline was missed and whether the reaction requested shutdown.
 #[allow(clippy::too_many_arguments)]
 fn run_reaction(
     program: &Program,
@@ -859,10 +923,10 @@ fn run_reaction(
     state: &mut (dyn Any + Send),
     tag: Tag,
     physical: Instant,
-    ports: &TypedArena<PortId, Option<Value>>,
-    actions: &TypedArena<ActionId, Option<Value>>,
-    outcome: ReactionOutcome,
-) -> (ReactionOutcome, bool) {
+    ports: &TypedArena<PortId, PortSlot>,
+    actions: &TypedArena<ActionId, ActionSlots>,
+    outcome: &mut ReactionOutcome,
+) -> (bool, bool) {
     let meta = &program.reactions[rid];
     let missed = meta.deadline.is_some_and(|d| physical > tag.time + d);
     let mut ctx = ReactionCtx {
@@ -873,6 +937,7 @@ fn run_reaction(
         ports,
         actions,
         outcome,
+        shutdown: false,
     };
     if missed {
         let handler = meta
@@ -883,5 +948,5 @@ fn run_reaction(
     } else {
         (meta.body.lock().expect("reaction body poisoned"))(state, &mut ctx);
     }
-    (ctx.outcome, missed)
+    (missed, ctx.shutdown)
 }

@@ -3,6 +3,7 @@
 
 use dear_core::{ProgramBuilder, Runtime, RuntimeError, Shutdown, Startup, StepOutcome, Tag};
 use dear_time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 type Log = Arc<Mutex<Vec<String>>>;
@@ -860,4 +861,229 @@ fn untagged_injection_is_not_delayed_behind_future_pending_event() {
         vec![(tag, 1u8), (future, 9u8)],
         "physical arrival order preserved; both events delivered"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Value lifetimes: what recycling port and action slots must not change.
+// ---------------------------------------------------------------------------
+
+/// A value that counts its own drops.
+struct Counted {
+    id: u64,
+    drops: Arc<AtomicU64>,
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.drops.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// A port value is dropped when it is overwritten or at the end of its
+/// tag, never held until the next write one tag later.
+#[test]
+fn port_values_drop_when_overwritten_or_at_the_end_of_their_tag() {
+    let drops = Arc::new(AtomicU64::new(0));
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut b = ProgramBuilder::new();
+    let mut src = b.reactor("src", 0u64);
+    let out = src.output::<Counted>("o");
+    let t = src.timer("t", Duration::ZERO, Some(Duration::from_millis(1)));
+    let d = drops.clone();
+    src.reaction("emit")
+        .triggered_by(t)
+        .effects(out)
+        .body(move |n: &mut u64, ctx| {
+            // Two writes per tag: the first is overwritten.
+            for _ in 0..2 {
+                *n += 1;
+                let drops = d.clone();
+                ctx.set(out, Counted { id: *n, drops });
+            }
+        });
+    src.finish();
+    let mut sink = b.reactor("sink", ());
+    let inp = sink.input::<Counted>("i");
+    let (d, s) = (drops.clone(), seen.clone());
+    sink.reaction("read").triggered_by(inp).body(move |_, ctx| {
+        let v = ctx.get(inp).expect("written this tag");
+        s.lock().unwrap().push((v.id, d.load(Ordering::SeqCst)));
+    });
+    sink.finish();
+    b.connect(out, inp).unwrap();
+
+    let mut rt = Runtime::new(b.build().unwrap());
+    rt.start(Instant::EPOCH);
+    for k in 1..=50u64 {
+        assert!(matches!(rt.step_fast(), StepOutcome::Processed(_)));
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            2 * k,
+            "both values of tag {k} dropped by its end"
+        );
+    }
+    let seen = seen.lock().unwrap();
+    for (k, &(id, dropped)) in (1..).zip(seen.iter()) {
+        assert_eq!(id, 2 * k, "the sink reads the last write");
+        assert_eq!(dropped, 2 * k - 1, "overwritten value gone, live one not");
+    }
+}
+
+/// A physical action's value is dropped at the end of its own tag; a
+/// value pending at a later tag stays alive until that tag ends.
+#[test]
+fn action_values_drop_at_the_end_of_their_tag() {
+    let drops = Arc::new(AtomicU64::new(0));
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut b = ProgramBuilder::new();
+    let mut r = b.reactor("inbox", ());
+    let act = r.physical_action::<Counted>("msg", Duration::ZERO);
+    let (d, s) = (drops.clone(), seen.clone());
+    r.reaction("read").triggered_by(act).body(move |_, ctx| {
+        let v = ctx.get_action(&act).expect("present");
+        s.lock().unwrap().push((v.id, d.load(Ordering::SeqCst)));
+    });
+    r.finish();
+    let mut rt = Runtime::new(b.build().unwrap());
+    rt.start(Instant::EPOCH);
+    let counted = |id| Counted {
+        id,
+        drops: drops.clone(),
+    };
+    for round in 0..20u64 {
+        let base = Instant::from_millis(10 * round);
+        let id = 2 * round;
+        rt.schedule_physical_at(&act, counted(id), Tag::at(base + Duration::from_millis(1)))
+            .unwrap();
+        rt.schedule_physical_at(
+            &act,
+            counted(id + 1),
+            Tag::at(base + Duration::from_millis(2)),
+        )
+        .unwrap();
+        rt.step_fast();
+        assert_eq!(drops.load(Ordering::SeqCst), id + 1, "first value gone");
+        rt.step_fast();
+        assert_eq!(drops.load(Ordering::SeqCst), id + 2, "second value gone");
+    }
+    let seen = seen.lock().unwrap();
+    for (i, &(id, dropped)) in (0..).zip(seen.iter()) {
+        assert_eq!((id, dropped), (i, i), "value {i} alive while read");
+    }
+}
+
+/// Two writes to one port in one reaction, then two reactions of one
+/// reactor writing the same output at one tag: the last write wins, the
+/// second reaction reads the first one's value before its own write and
+/// its own value after, and the downstream sink reads the winner —
+/// identically on one worker and on three.
+#[test]
+fn last_write_wins_sequentially_and_on_three_workers() {
+    let run = |workers: usize| {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut b = ProgramBuilder::new();
+        for w in 0..4u64 {
+            let mut r = b.reactor(&format!("writer{w}"), 0u64);
+            let out = r.output::<u64>("o");
+            let t = r.timer("t", Duration::ZERO, Some(Duration::from_millis(1)));
+            r.reaction("first")
+                .triggered_by(t)
+                .effects(out)
+                .body(move |n: &mut u64, ctx| {
+                    *n += 1;
+                    ctx.set(out, 1000 * w + *n);
+                    ctx.set(out, 1000 * w + 100 + *n);
+                });
+            let l = log.clone();
+            r.reaction("second")
+                .triggered_by(t)
+                .effects(out)
+                .body(move |n: &mut u64, ctx| {
+                    let before = ctx.get(out).copied();
+                    if *n % 2 == 0 {
+                        ctx.set(out, 1000 * w + 200 + *n);
+                    }
+                    let after = ctx.get(out).copied();
+                    l.lock().unwrap().push((w, before, after));
+                });
+            r.finish();
+            let mut s = b.reactor(&format!("sink{w}"), ());
+            let inp = s.input::<u64>("i");
+            let l = log.clone();
+            s.reaction("read").triggered_by(inp).body(move |_, ctx| {
+                let v = ctx.get(inp).copied();
+                l.lock().unwrap().push((w, v, None));
+            });
+            s.finish();
+            b.connect(out, inp).unwrap();
+        }
+        let mut rt = Runtime::new(b.build().unwrap());
+        rt.set_workers(workers);
+        rt.enable_tracing();
+        rt.start(Instant::EPOCH);
+        rt.stop_at(Instant::from_millis(40)).unwrap();
+        rt.run_fast(u64::MAX);
+        let mut log = log.lock().unwrap().clone();
+        // Same-level reactions of different writers may run in any order
+        // on the pool; what each observed must not differ.
+        log.sort_unstable();
+        (log, rt.trace_log().fingerprint())
+    };
+    let (seq, fp) = run(1);
+    assert_eq!(run(3), (seq.clone(), fp));
+    for w in 0..4u64 {
+        for n in 1..=40u64 {
+            let first = 1000 * w + 100 + n;
+            let last = if n % 2 == 0 {
+                1000 * w + 200 + n
+            } else {
+                first
+            };
+            assert!(seq.contains(&(w, Some(first), Some(last))), "w{w} n{n}");
+            assert!(seq.contains(&(w, Some(last), None)), "sink{w} n{n}");
+        }
+    }
+}
+
+/// Two physical injections into one action at different tags, both
+/// pending at once (and the later one injected first): each value
+/// arrives at its own tag, also after earlier values were consumed.
+#[test]
+fn pending_physical_values_each_arrive_at_their_own_tag() {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut b = ProgramBuilder::new();
+    let mut r = b.reactor("inbox", ());
+    let act = r.physical_action::<String>("msg", Duration::ZERO);
+    let s = seen.clone();
+    r.reaction("read").triggered_by(act).body(move |_, ctx| {
+        let v = ctx.get_action(&act).cloned().expect("present");
+        s.lock().unwrap().push((ctx.tag(), v));
+    });
+    r.finish();
+    let mut rt = Runtime::new(b.build().unwrap());
+    rt.start(Instant::EPOCH);
+    let mut expected = Vec::new();
+    for round in 0..10u64 {
+        let base = Instant::from_millis(10 * round);
+        let (early, late) = (
+            Tag::at(base + Duration::from_millis(2)),
+            Tag::at(base + Duration::from_millis(5)),
+        );
+        rt.schedule_physical_at(&act, format!("late{round}"), late)
+            .unwrap();
+        rt.schedule_physical_at(&act, format!("early{round}"), early)
+            .unwrap();
+        assert!(matches!(rt.step_fast(), StepOutcome::Processed(_)));
+        // A third value, injected while `late` is still pending.
+        let mid = Tag::at(base + Duration::from_millis(3));
+        rt.schedule_physical_at(&act, format!("mid{round}"), mid)
+            .unwrap();
+        rt.run_fast(u64::MAX);
+        expected.extend([
+            (early, format!("early{round}")),
+            (mid, format!("mid{round}")),
+            (late, format!("late{round}")),
+        ]);
+    }
+    assert_eq!(*seen.lock().unwrap(), expected);
 }

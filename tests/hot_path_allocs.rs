@@ -1,8 +1,9 @@
 //! The hot paths' stated bound, as exact counts: in steady state a
 //! reaction of the untraced runtime — with or without a disabled
-//! telemetry handle attached — a pooled SOME/IP encode + decode, a
-//! network send plus its delivery, and a decentralized platform's wake,
-//! outbox drain and two-subscriber notify fan-out allocate **nothing**.
+//! telemetry handle attached — port writes and physical-action
+//! injections, a pooled SOME/IP encode + decode, a network send plus its
+//! delivery, and a decentralized platform's wake, outbox drain and
+//! two-subscriber notify fan-out allocate **nothing**.
 //! A durable-log append allocates only when the segment's `Vec` grows.
 //!
 //! The counter is per thread, so what the test harness allocates on its
@@ -106,6 +107,84 @@ fn disabled_telemetry_allocates_nothing() {
     assert_eq!(fanout_allocations(Some(Observe::disabled())), 0);
 }
 
+/// A runtime shaped like the Computer Vision stage: two physical actions
+/// injected with `schedule_physical_at` at one tag, two reactions
+/// forwarding them to output ports, a two-input reaction writing an
+/// output, and a sink reading it — two injections and three port writes
+/// per tag, each value a recycled slot once warmed up.
+#[test]
+fn port_writes_and_injections_allocate_nothing() {
+    const TAGS: i64 = 4096;
+    let mut b = ProgramBuilder::new();
+    let mut forwarded = Vec::new();
+    let mut actions = Vec::new();
+    for name in ["lane", "frame"] {
+        let mut r = b.reactor(name, ());
+        let arrived = r.physical_action::<FrameBuf>("arrived", Duration::ZERO);
+        let event = r.output::<FrameBuf>("event");
+        r.reaction("forward")
+            .triggered_by(arrived)
+            .effects(event)
+            .body(move |_, ctx| {
+                let frame = ctx.get_action(&arrived).expect("present").clone();
+                ctx.set(event, frame);
+            });
+        r.finish();
+        forwarded.push(event);
+        actions.push(arrived);
+    }
+    let mut logic = b.reactor("logic", ());
+    let (lane, frame) = (
+        logic.input::<FrameBuf>("lane"),
+        logic.input::<FrameBuf>("frame"),
+    );
+    let vehicles = logic.output::<FrameBuf>("vehicles");
+    logic
+        .reaction("detect")
+        .triggered_by(lane)
+        .triggered_by(frame)
+        .effects(vehicles)
+        .body(move |_, ctx| {
+            let lanes = ctx.get(lane).expect("lane present").len();
+            let detected = ctx.get(frame).expect("frame present").clone();
+            black_box(lanes);
+            ctx.set(vehicles, detected);
+        });
+    logic.finish();
+    let mut sink = b.reactor("sink", 0usize);
+    let decided = sink.input::<FrameBuf>("vehicles");
+    sink.reaction("decide")
+        .triggered_by(decided)
+        .body(move |bytes: &mut usize, ctx| {
+            *bytes += ctx.get(decided).expect("vehicles present").len();
+        });
+    sink.finish();
+    b.connect(forwarded[0], lane).expect("lane connects");
+    b.connect(forwarded[1], frame).expect("frame connects");
+    b.connect(vehicles, decided).expect("vehicles connects");
+
+    let mut rt = Runtime::new(b.build().expect("CV-shaped program builds"));
+    rt.start(Instant::EPOCH);
+    let payload = FrameBuf::from(vec![0xAB; 40]);
+    let mut inject_and_step = |i: i64| {
+        let tag = Tag::at(Instant::EPOCH + Duration::from_millis(i + 1));
+        for action in &actions {
+            rt.schedule_physical_at(action, payload.clone(), tag)
+                .expect("future tag");
+        }
+        rt.step(tag.time);
+    };
+    for i in 0..64 {
+        inject_and_step(i);
+    }
+    let before = allocations();
+    for i in 64..64 + TAGS {
+        inject_and_step(i);
+    }
+    assert_eq!(allocations() - before, 0, "allocations over {TAGS} tags");
+    assert_eq!(rt.stats().executed_reactions, 4 * (64 + TAGS) as u64);
+}
+
 /// One pooled encode + decode of a 64 B tagged notification: serialize
 /// through a headroom writer, assemble the wire frame in place, decode
 /// the payload as a view, and read a byte through it.
@@ -178,9 +257,8 @@ fn network_send_and_delivery_allocate_nothing() {
 /// platform wake, a step, a keyed outbox drain when the compute ends, and
 /// a `Binding::notify` fan-out of two frames to two event handlers.
 ///
-/// The publishing reaction pushes to the outbox itself rather than
-/// through a port: port and action values are still boxed, one
-/// allocation per write.
+/// The publishing reaction pushes to the outbox itself; port writes are
+/// `port_writes_and_injections_allocate_nothing`'s.
 #[test]
 fn decentralized_wake_drain_and_fan_out_allocate_nothing() {
     const PERIOD: Duration = Duration::from_millis(10);
