@@ -59,7 +59,6 @@ use services::{
 };
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
 
 /// Per-stage sender deadlines (the paper's §IV.B values by default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -394,7 +393,7 @@ impl PreprocessingLogic {
 /// an error" — the state counts those tag-alignment errors, beside the
 /// pool the vehicle lists are encoded into.
 #[derive(Reactor)]
-#[reactor(state = (Arc<Mutex<u64>>, FramePool))]
+#[reactor(state = (Rc<Cell<u64>>, FramePool))]
 struct ComputerVisionLogic {
     #[output]
     vehicles: Port<FrameBuf>,
@@ -408,7 +407,7 @@ struct ComputerVisionLogic {
 
 impl ComputerVisionLogic {
     fn detect(
-        (mismatches, pool): &mut (Arc<Mutex<u64>>, FramePool),
+        (mismatches, pool): &mut (Rc<Cell<u64>>, FramePool),
         this: &Self,
         ctx: &mut ReactionCtx<'_>,
     ) {
@@ -425,14 +424,14 @@ impl ComputerVisionLogic {
             }
             // "If only one input is received, this is considered an
             // error."
-            _ => *mismatches.lock().expect("mismatch counter") += 1,
+            _ => mismatches.set(mismatches.get() + 1),
         }
     }
 }
 
 /// Decisions collected from the EBA stage: `(decision, eba_tag_nanos,
 /// adapter_tag_nanos)` in emission order.
-type DecisionSink = Arc<Mutex<Vec<(BrakeDecision, u64, u64)>>>;
+type DecisionSink = Rc<RefCell<Vec<(BrakeDecision, u64, u64)>>>;
 
 /// EBA logic: brake decisions under the paper's 5 ms reaction deadline.
 /// The deadline is a run parameter, so it arrives as an `#[external]`
@@ -453,7 +452,7 @@ impl EbaLogic {
         let vehicles =
             VehicleList::from_payload(ctx.get(this.vehicles).unwrap()).expect("vehicles payload");
         let brake = eba_decide(&vehicles);
-        sink.lock().expect("decisions").push((
+        sink.borrow_mut().push((
             BrakeDecision {
                 frame_id: vehicles.frame_id,
                 brake,
@@ -475,7 +474,7 @@ impl EbaLogic {
 /// decisions. A rebuilt CV incarnation counts into the same sink.
 #[derive(Clone, Default)]
 struct Sinks {
-    mismatches: Arc<Mutex<u64>>,
+    mismatches: Rc<Cell<u64>>,
     decisions: DecisionSink,
 }
 
@@ -1000,7 +999,7 @@ impl<'p> World<'p> {
         let mut report = DetReport {
             frames_sent: params.frames,
             coordination: Coordinator::report(coordinator),
-            mismatches_cv: *self.sinks.mismatches.lock().expect("mismatch counter"),
+            mismatches_cv: self.sinks.mismatches.get(),
             ..DetReport::default()
         };
         for stage in &stages {
@@ -1017,7 +1016,7 @@ impl<'p> World<'p> {
             report.untagged_dropped += s.untagged_dropped();
         }
 
-        let collected = std::mem::take(&mut *self.sinks.decisions.lock().expect("decisions"));
+        let collected = self.sinks.decisions.take();
         report.failover = params.redundancy.map(|red| {
             let failover = self
                 .failover

@@ -19,7 +19,8 @@ use dear_transactors::{
     ClientMethodTransactor, DearConfig, FederatedPlatform, MethodSpec, Outbox,
     ServerMethodTransactor,
 };
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
 
 fn encode_i64(v: i64) -> FrameBuf {
     let mut w = PayloadWriter::new();
@@ -78,7 +79,7 @@ impl CalcServer {
 /// The client logic reactor: all three calls issued at one tag, the
 /// printed value recorded in state when the `get` response arrives.
 #[derive(Reactor)]
-#[reactor(state = Arc<Mutex<Option<i64>>>)]
+#[reactor(state = Rc<Cell<Option<i64>>>)]
 struct CalcClient {
     #[output]
     set_req: Port<FrameBuf>,
@@ -97,7 +98,7 @@ struct CalcClient {
 }
 
 impl CalcClient {
-    fn invoke_all(_: &mut Arc<Mutex<Option<i64>>>, this: &Self, ctx: &mut ReactionCtx<'_>) {
+    fn invoke_all(_: &mut Rc<Cell<Option<i64>>>, this: &Self, ctx: &mut ReactionCtx<'_>) {
         // Concurrent, non-blocking, unordered in physical time —
         // yet deterministic: all three share the tag.
         ctx.set(this.set_req, encode_i64(1));
@@ -105,8 +106,8 @@ impl CalcClient {
         ctx.set(this.get_req, FrameBuf::new());
     }
 
-    fn print(sink: &mut Arc<Mutex<Option<i64>>>, this: &Self, ctx: &mut ReactionCtx<'_>) {
-        *sink.lock().unwrap() = Some(decode_i64(ctx.get(this.get_response).unwrap()));
+    fn print(sink: &mut Rc<Cell<Option<i64>>>, this: &Self, ctx: &mut ReactionCtx<'_>) {
+        sink.set(Some(decode_i64(ctx.get(this.get_response).unwrap())));
     }
 }
 
@@ -179,7 +180,7 @@ fn run_det_trial(seed: u64, latency_bound: Duration) -> DetCalcOutcome {
     let s_get = smt_get.bind(&server, &server_binding, spec(METHOD_GET), cfg);
 
     // --- Client: all three calls at one tag ------------------------------
-    let printed: Arc<Mutex<Option<i64>>> = Arc::new(Mutex::new(None));
+    let printed: Rc<Cell<Option<i64>>> = Rc::new(Cell::new(None));
     let outbox_c = Outbox::new();
     let mut bc = ProgramBuilder::new();
     let cmt_set = ClientMethodTransactor::declare(&mut bc, &outbox_c, "set", deadline);
@@ -217,7 +218,7 @@ fn run_det_trial(seed: u64, latency_bound: Duration) -> DetCalcOutcome {
             .iter()
             .map(dear_transactors::TransactorStats::stp_violations)
             .sum::<u64>();
-    let printed_value = printed.lock().unwrap().unwrap_or(-1);
+    let printed_value = printed.get().unwrap_or(-1);
     DetCalcOutcome {
         printed: printed_value,
         stp_violations: stp,

@@ -8,7 +8,9 @@
 //! transactors" (§III.B).
 //!
 //! Test-only: nothing in the case studies offers a field. The tests show
-//! a stock field serving both a stock proxy and DEAR field transactors.
+//! a stock field serving both a stock proxy and a reactor client that
+//! composes the field from two client method transactors and one client
+//! event transactor.
 
 use crate::future::SimFuture;
 use crate::proxy::{EventBuffer, MethodResult, ServiceProxy};
@@ -16,10 +18,35 @@ use crate::skeleton::ServiceSkeleton;
 use dear_sim::{LatencyModel, Simulation};
 use dear_someip::FrameBuf;
 use dear_time::Duration;
-use dear_transactors::FieldIds;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
+
+/// The wire identifiers making up one field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FieldIds {
+    /// Method id of the getter.
+    get_method: u16,
+    /// Method id of the setter.
+    set_method: u16,
+    /// Event id of the change notifier.
+    notifier_event: u16,
+    /// Eventgroup carrying the notifier.
+    eventgroup: u16,
+}
+
+impl FieldIds {
+    /// Conventional layout: getter `base`, setter `base+1`, notifier event
+    /// `0x8000 | base`, eventgroup `base`.
+    const fn conventional(base: u16) -> Self {
+        FieldIds {
+            get_method: base,
+            set_method: base + 1,
+            notifier_event: 0x8000 | base,
+            eventgroup: base,
+        }
+    }
+}
 
 /// Server-side field: owns the value, serves get/set, notifies changes.
 #[derive(Clone)]
@@ -140,8 +167,10 @@ mod tests {
     use dear_sim::{LinkConfig, NetworkHandle, NodeId, VirtualClock};
     use dear_someip::{Binding, SdRegistry};
     use dear_time::Instant;
-    use dear_transactors::{DearConfig, FederatedPlatform, FieldClientTransactor, Outbox};
-    use std::sync::{Arc, Mutex};
+    use dear_transactors::{
+        ClientEventTransactor, ClientMethodTransactor, DearConfig, EventSpec, FederatedPlatform,
+        MethodSpec, Outbox,
+    };
 
     fn world() -> (Simulation, NetworkHandle, SdRegistry) {
         let sim = Simulation::new(0);
@@ -150,6 +179,15 @@ mod tests {
             sim.fork_rng("net"),
         );
         (sim, net, SdRegistry::new())
+    }
+
+    #[test]
+    fn conventional_ids_layout() {
+        let ids = FieldIds::conventional(0x30);
+        assert_eq!(ids.get_method, 0x30);
+        assert_eq!(ids.set_method, 0x31);
+        assert_eq!(ids.notifier_event, 0x8030);
+        assert_eq!(ids.eventgroup, 0x30);
     }
 
     #[test]
@@ -302,12 +340,15 @@ mod tests {
         );
         skel.offer(&mut sim, Duration::from_secs(100));
 
-        // Reactor-based client through field transactors.
-        let got: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
+        // Reactor-based client: the field is one event and two method
+        // transactors (§III.B), declared and bound side by side.
+        let got: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
         let outbox = Outbox::new();
         let mut b = ProgramBuilder::new();
-        let fct =
-            FieldClientTransactor::declare(&mut b, &outbox, "speed", Duration::from_millis(1));
+        let deadline = Duration::from_millis(1);
+        let get = ClientMethodTransactor::declare(&mut b, &outbox, "speed.get", deadline);
+        let set = ClientMethodTransactor::declare(&mut b, &outbox, "speed.set", deadline);
+        let updates = ClientEventTransactor::declare(&mut b, "speed.updates");
         {
             let mut logic = b.reactor("client_logic", ());
             let set_req = logic.output::<FrameBuf>("set");
@@ -320,14 +361,13 @@ mod tests {
             let sink = got.clone();
             logic
                 .reaction("on_set_reply")
-                .triggered_by(fct.set.response)
+                .triggered_by(set.response)
                 .body(move |_, ctx| {
-                    sink.lock()
-                        .unwrap()
-                        .push(ctx.get(fct.set.response).unwrap().to_vec());
+                    sink.borrow_mut()
+                        .push(ctx.get(set.response).unwrap().to_vec());
                 });
             logic.finish();
-            b.connect(set_req, fct.set.request).unwrap();
+            b.connect(set_req, set.request).unwrap();
         }
         let platform = FederatedPlatform::new(
             "client",
@@ -337,12 +377,25 @@ mod tests {
             sim.fork_rng("costs"),
         );
         let binding = Binding::new(&net, &sd, NodeId(2), 0x20);
-        fct.bind(&platform, &binding, SERVICE, 1, ids, cfg);
+        let method = |method| MethodSpec {
+            service: SERVICE,
+            instance: 1,
+            method,
+        };
+        get.bind(&platform, &binding, method(ids.get_method), cfg);
+        set.bind(&platform, &binding, method(ids.set_method), cfg);
+        let spec = EventSpec {
+            service: SERVICE,
+            instance: 1,
+            eventgroup: ids.eventgroup,
+            event: ids.notifier_event,
+        };
+        updates.bind(&platform, &binding, spec, cfg);
         platform.start(&mut sim);
 
         sim.run_until(Instant::from_millis(100));
         assert_eq!(
-            *got.lock().unwrap(),
+            *got.borrow(),
             vec![vec![99]],
             "set reply must reach the reactor client"
         );

@@ -331,7 +331,8 @@ mod tests {
         arena[k] = Some(7);
         assert_eq!(arena[k], Some(7));
         // `std::mem::take` works (Default impl) — the runtime relies on
-        // this to loan arenas to worker threads.
+        // this to take reactor states and reaction bodies out of its
+        // program.
         let taken = std::mem::take(&mut arena);
         assert_eq!(taken.len(), 3);
         assert!(arena.is_empty());

@@ -4,10 +4,9 @@
 //! the program: reading input ports, writing output ports, reading action
 //! payloads, scheduling logical actions, and requesting shutdown. All
 //! writes and schedules are *buffered* in the reaction's own
-//! [`ReactionOutcome`] and applied by the runtime in deterministic
-//! (reaction-id) order after the reaction returns, which is what allows
-//! same-level reactions to execute on parallel workers without changing
-//! observable behaviour.
+//! [`ReactionOutcome`] and committed by the runtime as soon as the
+//! reaction returns; reactions run one at a time, in reaction-id order
+//! within an APG level, so the commit order is deterministic.
 //!
 //! A write lands in the reaction's staging slot for that port: a box
 //! holding an `Option<T>` that is allocated on the first write and reused
@@ -16,7 +15,7 @@
 //! write allocates nothing.
 
 use crate::handles::{ActionId, LogicalAction, PhysicalAction, Port, PortId};
-use crate::program::{Program, Value};
+use crate::program::{ActionMeta, PortMeta, Value};
 use crate::tag::Tag;
 use dear_arena::TypedArena;
 use dear_time::{Duration, Instant};
@@ -87,8 +86,13 @@ impl<T> ActionSource<T> for PhysicalAction<T> {
 pub struct ReactionCtx<'a> {
     pub(crate) tag: Tag,
     pub(crate) physical: Instant,
-    pub(crate) program: &'a Program,
-    pub(crate) reaction: crate::handles::ReactionId,
+    /// The running reaction's qualified name and sorted access lists.
+    pub(crate) name: &'a str,
+    pub(crate) readable: &'a [PortId],
+    pub(crate) effects: &'a [PortId],
+    pub(crate) schedules: &'a [ActionId],
+    pub(crate) port_meta: &'a TypedArena<PortId, PortMeta>,
+    pub(crate) action_meta: &'a TypedArena<ActionId, ActionMeta>,
     pub(crate) ports: &'a TypedArena<PortId, PortSlot>,
     pub(crate) actions: &'a TypedArena<ActionId, ActionSlots>,
     pub(crate) outcome: &'a mut ReactionOutcome,
@@ -101,7 +105,7 @@ impl std::fmt::Debug for ReactionCtx<'_> {
         f.debug_struct("ReactionCtx")
             .field("tag", &self.tag)
             .field("physical", &self.physical)
-            .field("reaction", &self.reaction)
+            .field("reaction", &self.name)
             .finish()
     }
 }
@@ -132,16 +136,12 @@ impl<'a> ReactionCtx<'a> {
         self.tag.lag(self.physical)
     }
 
-    fn meta(&self) -> &crate::program::ReactionMeta {
-        &self.program.reactions[self.reaction]
-    }
-
     fn assert_readable(&self, port: PortId, what: &str) {
         assert!(
-            self.meta().readable.binary_search(&port).is_ok(),
+            self.readable.binary_search(&port).is_ok(),
             "reaction `{}` reads port `{}` without declaring it as a trigger or use ({what})",
-            self.meta().name,
-            self.program.ports[port].name,
+            self.name,
+            self.port_meta[port].name,
         );
     }
 
@@ -156,9 +156,9 @@ impl<'a> ReactionCtx<'a> {
     #[must_use]
     pub fn get<T: 'static>(&self, port: Port<T>) -> Option<&T> {
         self.assert_readable(port.id, "get");
-        let root = self.program.ports[port.id].root;
+        let root = self.port_meta[port.id].root;
         // A reaction may read back what it wrote itself this tag.
-        let staged = match self.meta().effects.binary_search(&root) {
+        let staged = match self.effects.binary_search(&root) {
             Ok(i) => self.outcome.slots.get(i).filter(|s| s.written),
             Err(_) => None,
         };
@@ -179,18 +179,16 @@ impl<'a> ReactionCtx<'a> {
     /// # Panics
     ///
     /// Panics if the port was not declared as an effect of this reaction.
-    pub fn set<T: Send + Sync + 'static>(&mut self, port: Port<T>, value: T) {
-        let effects = &self.program.reactions[self.reaction].effects;
-        let Ok(i) = effects.binary_search(&port.id) else {
+    pub fn set<T: 'static>(&mut self, port: Port<T>, value: T) {
+        let Ok(i) = self.effects.binary_search(&port.id) else {
             panic!(
                 "reaction `{}` writes port `{}` without declaring it as an effect",
-                self.meta().name,
-                self.program.ports[port.id].name,
+                self.name, self.port_meta[port.id].name,
             );
         };
         let slots = &mut self.outcome.slots;
         if slots.is_empty() {
-            slots.resize_with(effects.len(), PortSlot::default);
+            slots.resize_with(self.effects.len(), PortSlot::default);
         }
         let slot = &mut slots[i];
         match &mut slot.value {
@@ -231,20 +229,15 @@ impl<'a> ReactionCtx<'a> {
     /// Panics if the action was not declared via
     /// [`schedules`](crate::ReactionDeclaration::schedules), or if `delay`
     /// is negative.
-    pub fn schedule<T: Send + Sync + 'static>(
-        &mut self,
-        action: LogicalAction<T>,
-        delay: Duration,
-        value: T,
-    ) {
+    pub fn schedule<T: 'static>(&mut self, action: LogicalAction<T>, delay: Duration, value: T) {
         assert!(!delay.is_negative(), "schedule delay must be non-negative");
         assert!(
-            self.meta().schedules.binary_search(&action.id).is_ok(),
+            self.schedules.binary_search(&action.id).is_ok(),
             "reaction `{}` schedules action `{}` without declaring it",
-            self.meta().name,
-            self.program.actions[action.id].name,
+            self.name,
+            self.action_meta[action.id].name,
         );
-        let min_delay = self.program.actions[action.id].min_delay;
+        let min_delay = self.action_meta[action.id].min_delay;
         let tag = self.tag.delay(min_delay + delay);
         self.outcome
             .schedules

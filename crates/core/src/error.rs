@@ -135,6 +135,13 @@ pub enum RuntimeError {
         /// The runtime's current logical tag.
         current: Tag,
     },
+    /// A physical action event was injected at a tag where the action
+    /// already has a pending event. The injection is rejected: accepting
+    /// it would silently overwrite the pending value.
+    OccupiedTag {
+        /// The tag that was requested.
+        requested: Tag,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -144,6 +151,10 @@ impl fmt::Display for RuntimeError {
             RuntimeError::StpViolation { requested, current } => write!(
                 f,
                 "safe-to-process violation: requested tag {requested} is not after current tag {current}"
+            ),
+            RuntimeError::OccupiedTag { requested } => write!(
+                f,
+                "the action already has an event pending at tag {requested}"
             ),
         }
     }
@@ -167,6 +178,10 @@ mod tests {
             current: Tag::ORIGIN,
         };
         assert!(e.to_string().contains("safe-to-process violation"));
+        let e = RuntimeError::OccupiedTag {
+            requested: Tag::ORIGIN,
+        };
+        assert!(e.to_string().contains("already has an event pending"));
         assert_eq!(
             RuntimeError::NotRunning.to_string(),
             "runtime is not running"
@@ -175,7 +190,7 @@ mod tests {
 
     #[test]
     fn errors_implement_std_error() {
-        fn assert_err<E: Error + Send + Sync + 'static>() {}
+        fn assert_err<E: Error + 'static>() {}
         assert_err::<AssemblyError>();
         assert_err::<RuntimeError>();
     }

@@ -16,9 +16,10 @@
 //! * Every event carries a [`Tag`] (logical time + microstep); reactions
 //!   are logically instantaneous, so outputs inherit the triggering tag.
 //! * The port topology plus intra-reactor priorities form an **acyclic
-//!   precedence graph** whose levels drive scheduling; same-level
-//!   reactions are independent and may execute on parallel workers with
-//!   bit-identical observable behaviour.
+//!   precedence graph** whose levels drive scheduling: a runtime executes
+//!   reactions one at a time, level by level and in reaction-id order
+//!   within a level, so reactor states, port values and reaction closures
+//!   may hold `Rc`s.
 //! * **Logical actions** are scheduled by reactions with a logical delay;
 //!   **physical actions** are scheduled from outside (sensors, network
 //!   interrupts) and are the model's controlled nondeterminism inlet.
@@ -72,7 +73,6 @@
 mod context;
 mod error;
 mod handles;
-mod pool;
 mod program;
 mod queue;
 mod runtime;

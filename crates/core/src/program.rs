@@ -6,9 +6,10 @@
 //! §III.A of the paper: port connections and intra-reactor reaction
 //! priorities induce a dependency graph over reactions; the graph must be
 //! acyclic, and its longest-path *levels* drive scheduling. Reactions on
-//! the same level are guaranteed independent, which is what lets the
-//! runtime "transparently exploit concurrency in the APG by mapping
-//! independent reactions to separate worker threads".
+//! the same level are independent, so the paper notes a runtime *may*
+//! execute them concurrently; determinism, however, comes from the tags
+//! and the level order alone, and this runtime executes them one at a
+//! time, in reaction-id order.
 //!
 //! All program tables are [`TypedArena`]s keyed by the id newtypes from
 //! [`crate::handles`], so a `PortId` can never index the reaction table
@@ -27,16 +28,15 @@ use dear_time::Duration;
 use std::any::Any;
 use std::collections::{HashSet, VecDeque};
 use std::marker::PhantomData;
-use std::sync::Mutex;
 
 /// A value slot of a port or action: a box holding an `Option<T>`,
 /// allocated once and then recycled — emptied in place by the port's or
 /// action's [`clear`](PortMeta::clear) instead of being freed. (A
 /// logical action's slot, made by `ReactionCtx::schedule`, is freed at
 /// the end of its tag.)
-pub(crate) type Value = Box<dyn Any + Send + Sync>;
+pub(crate) type Value = Box<dyn Any>;
 /// A type-erased reaction body.
-pub(crate) type BodyFn = Box<dyn FnMut(&mut (dyn Any + Send), &mut ReactionCtx<'_>) + Send>;
+pub(crate) type BodyFn = Box<dyn FnMut(&mut dyn Any, &mut ReactionCtx<'_>)>;
 
 /// Empties a slot holding an `Option<T>`, dropping the value and keeping
 /// the allocation.
@@ -86,19 +86,27 @@ pub(crate) struct TimerMeta {
     pub(crate) triggered: Vec<ReactionId>,
 }
 
+/// A reaction, pushed by [`ReactionDeclaration::body`] and completed in
+/// place by [`ProgramBuilder::build`].
 pub(crate) struct ReactionMeta {
     pub(crate) name: String,
     pub(crate) reactor: ReactorId,
     pub(crate) level: u32,
-    pub(crate) body: Mutex<BodyFn>,
     pub(crate) deadline: Option<Duration>,
-    pub(crate) deadline_handler: Option<Mutex<BodyFn>>,
+    /// Declared triggers and uses, spent by `build`.
+    triggers: Vec<TriggerId>,
+    uses: Vec<PortId>,
     /// Ports this reaction may read (triggers + uses + effects), sorted.
     pub(crate) readable: Vec<PortId>,
     /// Ports this reaction may write, sorted.
     pub(crate) effects: Vec<PortId>,
     /// Actions this reaction may schedule, sorted.
     pub(crate) schedules: Vec<ActionId>,
+    /// The body, and the handler run instead of it when the deadline is
+    /// missed; the runtime owns the program and calls them through
+    /// `&mut`.
+    pub(crate) body: BodyFn,
+    pub(crate) deadline_handler: Option<BodyFn>,
 }
 
 /// A fully assembled, validated reactor program.
@@ -113,10 +121,8 @@ pub struct Program {
     pub(crate) reactions: TypedArena<ReactionId, ReactionMeta>,
     pub(crate) startup: Vec<ReactionId>,
     pub(crate) shutdown: Vec<ReactionId>,
-    /// Initial reactor states, taken by `Runtime::new`. Wrapped in a
-    /// `Mutex` solely so that `&Program` is `Sync` for the level-parallel
-    /// executor (`Box<dyn Any + Send>` alone is not).
-    pub(crate) states: Mutex<TypedArena<ReactorId, Box<dyn Any + Send>>>,
+    /// Initial reactor states, taken by `Runtime::new`.
+    pub(crate) states: TypedArena<ReactorId, Box<dyn Any>>,
     pub(crate) num_levels: u32,
 }
 
@@ -219,18 +225,6 @@ impl Program {
     }
 }
 
-struct ReactionBuild {
-    name: String,
-    reactor: ReactorId,
-    triggers: Vec<TriggerId>,
-    uses: Vec<PortId>,
-    effects: Vec<PortId>,
-    schedules: Vec<ActionId>,
-    body: BodyFn,
-    deadline: Option<Duration>,
-    deadline_handler: Option<BodyFn>,
-}
-
 struct PortBuild {
     name: String,
     kind: PortKind,
@@ -291,11 +285,11 @@ struct PortBuild {
 #[derive(Default)]
 pub struct ProgramBuilder {
     reactors: TypedArena<ReactorId, ReactorMeta>,
-    states: TypedArena<ReactorId, Box<dyn Any + Send>>,
+    states: TypedArena<ReactorId, Box<dyn Any>>,
     ports: TypedArena<PortId, PortBuild>,
     actions: TypedArena<ActionId, ActionMeta>,
     timers: TypedArena<TimerId, TimerMeta>,
-    reactions: TypedArena<ReactionId, ReactionBuild>,
+    reactions: TypedArena<ReactionId, ReactionMeta>,
 }
 
 impl std::fmt::Debug for ProgramBuilder {
@@ -321,7 +315,7 @@ impl ProgramBuilder {
     /// reactor's ports, actions, timers and reactions through it, then
     /// call [`finish`](ReactorBuilder::finish) (or let it go out of scope)
     /// before declaring the next reactor.
-    pub fn reactor<S: Send + 'static>(&mut self, name: &str, state: S) -> ReactorBuilder<'_, S> {
+    pub fn reactor<S: 'static>(&mut self, name: &str, state: S) -> ReactorBuilder<'_, S> {
         let id = self.reactors.push(ReactorMeta { name: name.into() });
         self.states.push(Box::new(state));
         ReactorBuilder {
@@ -338,7 +332,7 @@ impl ProgramBuilder {
     /// the closure, so the builder is immediately usable again — no scoping
     /// gymnastics. Returns whatever the closure returns (typically the
     /// port/action handles needed for wiring).
-    pub fn with_reactor<S: Send + 'static, R>(
+    pub fn with_reactor<S: 'static, R>(
         &mut self,
         name: &str,
         state: S,
@@ -408,7 +402,7 @@ impl ProgramBuilder {
     /// # Panics
     ///
     /// Panics if `delay` is negative.
-    pub fn connect_delayed<T: Clone + Send + Sync + 'static>(
+    pub fn connect_delayed<T: Clone + 'static>(
         &mut self,
         from: Port<T>,
         to: Port<T>,
@@ -649,38 +643,30 @@ impl ProgramBuilder {
             clear: p.clear,
         });
 
-        let reactions: TypedArena<ReactionId, ReactionMeta> =
-            self.reactions.map_enumerated(|id, r| {
-                let mut readable: Vec<PortId> = r
-                    .triggers
-                    .iter()
-                    .filter_map(|t| match t {
-                        TriggerId::Port(p) => Some(*p),
-                        _ => None,
-                    })
-                    .chain(r.uses.iter().copied())
-                    .chain(r.effects.iter().copied())
-                    .collect();
-                readable.sort_unstable();
-                readable.dedup();
-                let mut effects = r.effects;
-                effects.sort_unstable();
-                effects.dedup();
-                let mut schedules = r.schedules;
-                schedules.sort_unstable();
-                schedules.dedup();
-                ReactionMeta {
-                    name: r.name,
-                    reactor: r.reactor,
-                    level: level[id],
-                    body: Mutex::new(r.body),
-                    deadline: r.deadline,
-                    deadline_handler: r.deadline_handler.map(Mutex::new),
-                    readable,
-                    effects,
-                    schedules,
-                }
-            });
+        // Complete each reaction in place (the table is not copied).
+        let mut reactions = self.reactions;
+        for (r, &r_level) in reactions.iter_mut().zip(level.iter()) {
+            r.level = r_level;
+            let mut readable: Vec<PortId> = r
+                .triggers
+                .iter()
+                .filter_map(|t| match t {
+                    TriggerId::Port(p) => Some(*p),
+                    _ => None,
+                })
+                .chain(r.uses.iter().copied())
+                .chain(r.effects.iter().copied())
+                .collect();
+            readable.sort_unstable();
+            readable.dedup();
+            r.readable = readable;
+            r.effects.sort_unstable();
+            r.effects.dedup();
+            r.schedules.sort_unstable();
+            r.schedules.dedup();
+            r.triggers = Vec::new();
+            r.uses = Vec::new();
+        }
 
         Ok(Program {
             reactors: self.reactors,
@@ -690,7 +676,7 @@ impl ProgramBuilder {
             reactions,
             startup,
             shutdown,
-            states: Mutex::new(self.states),
+            states: self.states,
             num_levels,
         })
     }
@@ -711,7 +697,7 @@ impl<S> std::fmt::Debug for ReactorBuilder<'_, S> {
     }
 }
 
-impl<'b, S: Send + 'static> ReactorBuilder<'b, S> {
+impl<'b, S: 'static> ReactorBuilder<'b, S> {
     /// The id of the reactor being built.
     #[must_use]
     pub fn id(&self) -> ReactorId {
@@ -727,7 +713,7 @@ impl<'b, S: Send + 'static> ReactorBuilder<'b, S> {
     /// destructor side effect.
     pub fn finish(self) {}
 
-    fn add_port<T: Send + Sync + 'static>(&mut self, name: &str, kind: PortKind) -> Port<T> {
+    fn add_port<T: 'static>(&mut self, name: &str, kind: PortKind) -> Port<T> {
         let reactor_name = &self.builder.reactors[self.id].name;
         let qualified = format!("{reactor_name}.{name}");
         let id = self.builder.ports.push(PortBuild {
@@ -743,16 +729,16 @@ impl<'b, S: Send + 'static> ReactorBuilder<'b, S> {
     }
 
     /// Declares an input port carrying values of type `T`.
-    pub fn input<T: Send + Sync + 'static>(&mut self, name: &str) -> Port<T> {
+    pub fn input<T: 'static>(&mut self, name: &str) -> Port<T> {
         self.add_port(name, PortKind::Input)
     }
 
     /// Declares an output port carrying values of type `T`.
-    pub fn output<T: Send + Sync + 'static>(&mut self, name: &str) -> Port<T> {
+    pub fn output<T: 'static>(&mut self, name: &str) -> Port<T> {
         self.add_port(name, PortKind::Output)
     }
 
-    fn add_action<T: Send + Sync + 'static>(
+    fn add_action<T: 'static>(
         &mut self,
         name: &str,
         kind: ActionKind,
@@ -774,7 +760,7 @@ impl<'b, S: Send + 'static> ReactorBuilder<'b, S> {
     }
 
     /// Declares a logical action with the given minimum logical delay.
-    pub fn logical_action<T: Send + Sync + 'static>(
+    pub fn logical_action<T: 'static>(
         &mut self,
         name: &str,
         min_delay: Duration,
@@ -790,7 +776,7 @@ impl<'b, S: Send + 'static> ReactorBuilder<'b, S> {
     /// Physical actions are scheduled from outside the runtime via
     /// [`Runtime::schedule_physical`](crate::Runtime::schedule_physical) or
     /// [`Runtime::schedule_physical_at`](crate::Runtime::schedule_physical_at).
-    pub fn physical_action<T: Send + Sync + 'static>(
+    pub fn physical_action<T: 'static>(
         &mut self,
         name: &str,
         min_delay: Duration,
@@ -867,9 +853,9 @@ impl<S> std::fmt::Debug for ReactionDeclaration<'_, S> {
     }
 }
 
-fn wrap_body<S: Send + 'static>(
+fn wrap_body<S: 'static>(
     name: String,
-    mut f: impl FnMut(&mut S, &mut ReactionCtx<'_>) + Send + 'static,
+    mut f: impl FnMut(&mut S, &mut ReactionCtx<'_>) + 'static,
 ) -> BodyFn {
     Box::new(move |state, ctx| {
         let state = state
@@ -879,7 +865,7 @@ fn wrap_body<S: Send + 'static>(
     })
 }
 
-impl<'r, S: Send + 'static> ReactionDeclaration<'r, S> {
+impl<'r, S: 'static> ReactionDeclaration<'r, S> {
     /// Adds a trigger: the reaction runs whenever the trigger is present.
     #[must_use]
     pub fn triggered_by(mut self, source: impl TriggerSource) -> Self {
@@ -921,7 +907,7 @@ impl<'r, S: Send + 'static> ReactionDeclaration<'r, S> {
     pub fn with_deadline(
         mut self,
         deadline: Duration,
-        handler: impl FnMut(&mut S, &mut ReactionCtx<'_>) + Send + 'static,
+        handler: impl FnMut(&mut S, &mut ReactionCtx<'_>) + 'static,
     ) -> Self {
         assert!(!deadline.is_negative(), "deadline must be non-negative");
         self.deadline = Some(deadline);
@@ -930,17 +916,19 @@ impl<'r, S: Send + 'static> ReactionDeclaration<'r, S> {
     }
 
     /// Finishes the declaration with the reaction body and registers it.
-    pub fn body(self, f: impl FnMut(&mut S, &mut ReactionCtx<'_>) + Send + 'static) -> ReactionId {
+    pub fn body(self, f: impl FnMut(&mut S, &mut ReactionCtx<'_>) + 'static) -> ReactionId {
         let body = wrap_body(self.name.clone(), f);
-        self.builder.reactions.push(ReactionBuild {
+        self.builder.reactions.push(ReactionMeta {
             name: self.name,
             reactor: self.reactor,
+            level: 0,
+            deadline: self.deadline,
             triggers: self.triggers,
             uses: self.uses,
+            readable: Vec::new(),
             effects: self.effects,
             schedules: self.schedules,
             body,
-            deadline: self.deadline,
             deadline_handler: self.deadline_handler,
         })
     }

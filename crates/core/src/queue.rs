@@ -13,8 +13,7 @@
 //! [`TagEntry`]. The heap orders ties by the event's own `Ord`, and the
 //! runtime sorts/dedups the merged entry before triggering reactions, so
 //! observable behaviour is identical to the ordered-map implementation —
-//! the `parallel_matches_sequential` and fingerprint suites are the
-//! referee.
+//! the runtime-semantics and fingerprint suites are the referee.
 //!
 //! Events carry the typed ids from [`crate::handles`] (which double as
 //! [`dear_arena::Key`]s), so popping an event yields keys that index the

@@ -1,12 +1,11 @@
-//! The reactor runtime: event queue, tag processing, and level-parallel
-//! reaction execution.
+//! The reactor runtime: event queue, tag processing, and reaction
+//! execution in APG level order.
 //!
 //! [`Runtime`] consumes a validated [`Program`] and processes tags in
-//! strictly increasing order. At each tag, triggered reactions execute in
-//! APG level order; reactions sharing a level are independent by
-//! construction and may run on parallel worker threads without affecting
-//! observable behaviour (verified by the `parallel_matches_sequential`
-//! tests and property tests).
+//! strictly increasing order. At each tag, triggered reactions execute one
+//! at a time, level by level and in reaction-id order within a level;
+//! each reaction's writes and schedules are committed as soon as it
+//! returns.
 //!
 //! The runtime is *poll-driven*: a driver decides **when** to call
 //! [`Runtime::step`], passing the physical clock reading it observed. This
@@ -22,12 +21,13 @@
 //! end of a tag empties each written port's slot in place, and a physical
 //! action keeps its emptied slots on a free list for the next injection.
 //! Values are still dropped when overwritten or at the end of their tag.
+//! Reactor states, port values and reaction closures may hold `Rc`s: the
+//! runtime never moves them to another executor.
 
 use crate::context::{ActionSlots, PortSlot, ReactionCtx, ReactionOutcome};
 use crate::error::RuntimeError;
 use crate::handles::{ActionId, PhysicalAction, PortId, ReactionId, ReactorId};
-use crate::pool::WorkerPool;
-use crate::program::{ActionKind, Program, Value};
+use crate::program::{ActionKind, Program, ReactionMeta, Value};
 use crate::queue::{Event, EventQueue};
 use crate::tag::Tag;
 use dear_arena::TypedArena;
@@ -35,7 +35,6 @@ use dear_observe::{EventKind, Lane, Observe};
 use dear_sim::Trace;
 use dear_time::{Duration, Instant};
 use std::any::Any;
-use std::sync::mpsc;
 use std::sync::Arc;
 
 /// Counters describing a runtime's activity so far.
@@ -119,8 +118,9 @@ enum Phase {
 /// # Ok::<(), dear_core::AssemblyError>(())
 /// ```
 pub struct Runtime {
-    program: Arc<Program>,
-    states: TypedArena<ReactorId, Option<Box<dyn Any + Send>>>,
+    program: Program,
+    /// Reactor states, taken out of `program`.
+    states: TypedArena<ReactorId, Box<dyn Any>>,
     /// Each port's value slot (a connected input reads its source's).
     port_values: TypedArena<PortId, PortSlot>,
     /// Each action's current, pending and spare value slots.
@@ -129,7 +129,6 @@ pub struct Runtime {
     tag_bound: Option<Tag>,
     last_processed: Option<Tag>,
     phase: Phase,
-    pool: Option<WorkerPool>,
     trace: Trace,
     /// Telemetry handle (disabled by default: every record is one branch).
     observe: Observe,
@@ -147,11 +146,7 @@ pub struct Runtime {
     ready_levels: Vec<Vec<ReactionId>>,
     /// Scratch buffer for the current same-level batch (reused).
     scratch_batch: Vec<ReactionId>,
-    /// Scratch buffer for batch results `(reaction, deadline missed,
-    /// shutdown requested)`.
-    scratch_results: Vec<(ReactionId, bool, bool)>,
-    /// Each reaction's buffered effects and staging slots, taken out for
-    /// an execution and restored like reactor state. Empty when no
+    /// Each reaction's buffered effects and staging slots. Empty when no
     /// reaction declares an effect or a schedule (a timer-only program
     /// buffers nothing, so it allocates nothing for it).
     outcomes: TypedArena<ReactionId, ReactionOutcome>,
@@ -171,11 +166,10 @@ impl std::fmt::Debug for Runtime {
 }
 
 impl Runtime {
-    /// Creates a runtime for the given program (sequential execution).
+    /// Creates a runtime for the given program.
     #[must_use]
-    pub fn new(program: Program) -> Self {
-        let states =
-            std::mem::take(&mut *program.states.lock().expect("program states poisoned")).map(Some);
+    pub fn new(mut program: Program) -> Self {
+        let states = std::mem::take(&mut program.states);
         let port_values = TypedArena::from_fn(program.ports.len(), |_| PortSlot::default());
         let action_values = TypedArena::from_fn(program.actions.len(), |_| ActionSlots::default());
         let buffers = program
@@ -194,7 +188,7 @@ impl Runtime {
             .max()
             .unwrap_or(0);
         Runtime {
-            program: Arc::new(program),
+            program,
             states,
             port_values,
             action_values,
@@ -202,7 +196,6 @@ impl Runtime {
             tag_bound: None,
             last_processed: None,
             phase: Phase::Created,
-            pool: None,
             trace: Trace::disabled(),
             observe: Observe::disabled(),
             lane: Lane::Sim,
@@ -211,7 +204,6 @@ impl Runtime {
             executed_log: Vec::new(),
             ready_levels: (0..num_levels).map(|_| Vec::new()).collect(),
             scratch_batch: Vec::new(),
-            scratch_results: Vec::new(),
             outcomes,
             written: Vec::new(),
         }
@@ -223,27 +215,6 @@ impl Runtime {
     #[must_use]
     pub fn executed_at_last_tag(&self) -> &[ReactionId] {
         &self.executed_log
-    }
-
-    /// Sets the number of worker threads used for same-level reactions.
-    ///
-    /// `1` (the default) executes sequentially. Any higher value enables
-    /// the level-parallel executor backed by a **persistent worker pool**:
-    /// the pool's threads are spawned here, once, and reused across all
-    /// batches, levels, and tags until the runtime is dropped (or the
-    /// worker count changes). Observable behaviour is identical to
-    /// sequential execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn set_workers(&mut self, workers: usize) {
-        assert!(workers > 0, "need at least one worker");
-        match &self.pool {
-            _ if workers == 1 => self.pool = None,
-            Some(pool) if pool.threads() == workers => {}
-            _ => self.pool = Some(WorkerPool::new(workers)),
-        }
     }
 
     /// Enables trace recording of reaction executions, deadline misses and
@@ -425,7 +396,7 @@ impl Runtime {
     /// # Errors
     ///
     /// Returns [`RuntimeError::NotRunning`] outside the running phase.
-    pub fn schedule_physical<T: Send + Sync + 'static>(
+    pub fn schedule_physical<T: 'static>(
         &mut self,
         action: &PhysicalAction<T>,
         value: T,
@@ -450,8 +421,9 @@ impl Runtime {
     /// violated, and instead of silently corrupting event order the fault
     /// becomes observable ("the reactor semantics ... translates any
     /// violation of one of the assumptions directly into observable
-    /// errors", §IV.B).
-    pub fn schedule_physical_at<T: Send + Sync + 'static>(
+    /// errors", §IV.B). Returns [`RuntimeError::OccupiedTag`] if the action
+    /// already has an event pending at `tag`; the pending value is kept.
+    pub fn schedule_physical_at<T: 'static>(
         &mut self,
         action: &PhysicalAction<T>,
         value: T,
@@ -482,6 +454,9 @@ impl Runtime {
                 });
             }
         }
+        if self.action_values[action.id].pending.contains_key(&tag) {
+            return Err(RuntimeError::OccupiedTag { requested: tag });
+        }
         let slot = self.action_slot(action, value);
         self.insert_action_event(action.id, tag, slot);
         Ok(())
@@ -489,11 +464,7 @@ impl Runtime {
 
     /// A slot holding `value`: an emptied one from the action's free list,
     /// or a new one while every slot is pending.
-    fn action_slot<T: Send + Sync + 'static>(
-        &mut self,
-        action: &PhysicalAction<T>,
-        value: T,
-    ) -> Value {
+    fn action_slot<T: 'static>(&mut self, action: &PhysicalAction<T>, value: T) -> Value {
         match self.action_values[action.id].free.pop() {
             Some(mut slot) => {
                 *slot
@@ -604,9 +575,9 @@ impl Runtime {
             }
         }
 
-        // Execute in level order; same-level batches may run in parallel.
-        // Reactions can only ever enqueue work at *higher* levels (the APG
-        // is acyclic), so one ascending sweep visits everything.
+        // Execute in level order, committing each reaction as soon as it
+        // returns. Reactions can only ever enqueue work at *higher* levels
+        // (the APG is acyclic), so one ascending sweep visits everything.
         let mut reactions_run = 0u32;
         let mut misses = 0u32;
         let mut shutdown_requested = false;
@@ -618,9 +589,8 @@ impl Runtime {
             batch.append(&mut self.ready_levels[level]);
             batch.sort_unstable();
             batch.dedup();
-            let mut outcomes = std::mem::take(&mut self.scratch_results);
-            self.execute_batch(tag, physical_now, &batch, &mut outcomes);
-            for (rid, missed, shutdown) in outcomes.drain(..) {
+            for &rid in &batch {
+                let (missed, shutdown) = self.run_reaction(rid, tag, physical_now);
                 reactions_run += 1;
                 self.stats.executed_reactions += 1;
                 self.executed_log.push(rid);
@@ -648,7 +618,6 @@ impl Runtime {
             }
             batch.clear();
             self.scratch_batch = batch;
-            self.scratch_results = outcomes;
         }
 
         // Post-tag cleanup (scratch buffers keep their capacity; the tag
@@ -779,174 +748,50 @@ impl Runtime {
         }
     }
 
-    fn execute_batch(
-        &mut self,
-        tag: Tag,
-        physical: Instant,
-        batch: &[ReactionId],
-        out: &mut Vec<(ReactionId, bool, bool)>,
-    ) {
-        match &self.pool {
-            Some(pool) if batch.len() > 1 => {
-                // Partition the batch into at most `threads` contiguous
-                // chunks and hand them to the persistent pool. The
-                // port/action value arenas move behind `Arc`s for the
-                // duration of the batch and are reclaimed exclusively once
-                // every worker has reported back. The result channel is
-                // deliberately per-batch: every job holds a sender clone,
-                // so if a reaction panics on a worker the senders drop and
-                // `recv` fails fast — a persistent channel would deadlock
-                // the runtime thread instead of surfacing the panic.
-                let workers = pool.threads().min(batch.len());
-                let chunk_size = batch.len().div_ceil(workers);
-                let ports = Arc::new(std::mem::take(&mut self.port_values));
-                let actions = Arc::new(std::mem::take(&mut self.action_values));
-                let (tx, rx) = mpsc::channel();
-                let mut jobs = 0usize;
-                for chunk_ids in batch.chunks(chunk_size) {
-                    // Take each involved reactor's state out of the arena.
-                    // Two reactions of the same reactor can never share a
-                    // level (they are ordered by priority), so every take
-                    // succeeds.
-                    let chunk: Vec<(ReactionId, Box<dyn Any + Send>, ReactionOutcome)> = chunk_ids
-                        .iter()
-                        .map(|&rid| {
-                            let reactor = self.program.reactions[rid].reactor;
-                            let state = self.states[reactor]
-                                .take()
-                                .expect("reactor state aliased within a level");
-                            let outcome = if self.outcomes.is_empty() {
-                                ReactionOutcome::default()
-                            } else {
-                                std::mem::take(&mut self.outcomes[rid])
-                            };
-                            (rid, state, outcome)
-                        })
-                        .collect();
-                    let program = Arc::clone(&self.program);
-                    let ports = Arc::clone(&ports);
-                    let actions = Arc::clone(&actions);
-                    let tx = tx.clone();
-                    pool.submit(Box::new(move || {
-                        let results: Vec<_> = chunk
-                            .into_iter()
-                            .map(|(rid, mut state, mut outcome)| {
-                                let (missed, shutdown) = run_reaction(
-                                    &program,
-                                    rid,
-                                    state.as_mut(),
-                                    tag,
-                                    physical,
-                                    &ports,
-                                    &actions,
-                                    &mut outcome,
-                                );
-                                (rid, state, outcome, missed, shutdown)
-                            })
-                            .collect();
-                        // Release the arena borrows *before* reporting
-                        // completion: the send happens-before the main
-                        // thread's recv, so once every result has arrived
-                        // the main thread holds the only Arc.
-                        drop(ports);
-                        drop(actions);
-                        tx.send(results).expect("runtime thread waiting");
-                    }));
-                    jobs += 1;
-                }
-                drop(tx);
-                let mut results = Vec::with_capacity(batch.len());
-                for _ in 0..jobs {
-                    results.extend(rx.recv().expect("reaction panicked on a pool worker"));
-                }
-                self.port_values = Arc::try_unwrap(ports)
-                    .map_err(|_| "port arena still shared")
-                    .expect("workers released the port arena");
-                self.action_values = Arc::try_unwrap(actions)
-                    .map_err(|_| "action arena still shared")
-                    .expect("workers released the action arena");
-                for (rid, state, outcome, missed, shutdown) in results {
-                    let reactor = self.program.reactions[rid].reactor;
-                    self.states[reactor] = Some(state);
-                    if !self.outcomes.is_empty() {
-                        self.outcomes[rid] = outcome;
-                    }
-                    out.push((rid, missed, shutdown));
-                }
-                // Pool results arrive in completion order; apply outcomes
-                // in deterministic reaction-id order.
-                out.sort_by_key(|(rid, _, _)| *rid);
-            }
-            _ => {
-                // Sequential fast path: no intermediate collections — in
-                // steady state this executes a whole batch with zero heap
-                // allocations. `batch` is already sorted (and reactions
-                // run in order), so `out` needs no sort. Without an
-                // `outcomes` arena no reaction can write or schedule, so
-                // all of them may share one empty outcome.
-                let mut unused = ReactionOutcome::default();
-                for &rid in batch {
-                    let reactor = self.program.reactions[rid].reactor;
-                    let mut state = self.states[reactor]
-                        .take()
-                        .expect("reactor state aliased within a level");
-                    let outcome = if self.outcomes.is_empty() {
-                        &mut unused
-                    } else {
-                        &mut self.outcomes[rid]
-                    };
-                    let (missed, shutdown) = run_reaction(
-                        &self.program,
-                        rid,
-                        state.as_mut(),
-                        tag,
-                        physical,
-                        &self.port_values,
-                        &self.action_values,
-                        outcome,
-                    );
-                    self.states[reactor] = Some(state);
-                    out.push((rid, missed, shutdown));
-                }
-            }
-        }
+    /// Runs one reaction (or its deadline handler), buffering its effects
+    /// in its outcome. Returns whether the deadline was missed and whether
+    /// the reaction requested shutdown.
+    fn run_reaction(&mut self, rid: ReactionId, tag: Tag, physical: Instant) -> (bool, bool) {
+        let ReactionMeta {
+            name,
+            reactor,
+            deadline,
+            readable,
+            effects,
+            schedules,
+            body,
+            deadline_handler,
+            ..
+        } = &mut self.program.reactions[rid];
+        let missed = deadline.is_some_and(|d| physical > tag.time + d);
+        let body = if missed {
+            deadline_handler.as_mut().expect("deadline implies handler")
+        } else {
+            body
+        };
+        // Without an `outcomes` arena no reaction can write or schedule,
+        // so all of them may share one empty outcome.
+        let mut unused = ReactionOutcome::default();
+        let outcome = if self.outcomes.is_empty() {
+            &mut unused
+        } else {
+            &mut self.outcomes[rid]
+        };
+        let mut ctx = ReactionCtx {
+            tag,
+            physical,
+            name,
+            readable,
+            effects,
+            schedules,
+            port_meta: &self.program.ports,
+            action_meta: &self.program.actions,
+            ports: &self.port_values,
+            actions: &self.action_values,
+            outcome,
+            shutdown: false,
+        };
+        body(self.states[*reactor].as_mut(), &mut ctx);
+        (missed, ctx.shutdown)
     }
-}
-
-/// Runs one reaction (or its deadline handler), buffering its effects
-/// in its `outcome`, which arrives with nothing written. Returns whether
-/// the deadline was missed and whether the reaction requested shutdown.
-#[allow(clippy::too_many_arguments)]
-fn run_reaction(
-    program: &Program,
-    rid: ReactionId,
-    state: &mut (dyn Any + Send),
-    tag: Tag,
-    physical: Instant,
-    ports: &TypedArena<PortId, PortSlot>,
-    actions: &TypedArena<ActionId, ActionSlots>,
-    outcome: &mut ReactionOutcome,
-) -> (bool, bool) {
-    let meta = &program.reactions[rid];
-    let missed = meta.deadline.is_some_and(|d| physical > tag.time + d);
-    let mut ctx = ReactionCtx {
-        tag,
-        physical,
-        program,
-        reaction: rid,
-        ports,
-        actions,
-        outcome,
-        shutdown: false,
-    };
-    if missed {
-        let handler = meta
-            .deadline_handler
-            .as_ref()
-            .expect("deadline implies handler");
-        (handler.lock().expect("deadline handler poisoned"))(state, &mut ctx);
-    } else {
-        (meta.body.lock().expect("reaction body poisoned"))(state, &mut ctx);
-    }
-    (missed, ctx.shutdown)
 }

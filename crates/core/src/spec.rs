@@ -56,7 +56,7 @@ use crate::program::ProgramBuilder;
 /// [`ProgramBuilder::connect`] and friends.
 pub trait ReactorSpec: Sized {
     /// The reactor's mutable state, passed to every reaction body.
-    type State: Send + 'static;
+    type State: 'static;
 
     /// Foreign handles (ports of *other* reactors, e.g. transactor event
     /// ports) the reactor's reactions reference. `()` when there are none.

@@ -2,6 +2,8 @@
 
 use dear_core::{AssemblyError, ProgramBuilder, Runtime, Startup, Tag};
 use dear_time::{Duration, Instant};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 #[test]
@@ -164,5 +166,40 @@ fn delayed_values_preserve_per_tag_ordering() {
             (Instant::from_millis(9), 3),
             (Instant::from_millis(11), 4),
         ]
+    );
+}
+
+/// A delayed connection carries values that are not `Send`: the logical
+/// action inside it holds the `Rc` until its tag, and the receiver gets
+/// the sender's allocation.
+#[test]
+fn delayed_connection_carries_rc_values() {
+    let sent = Rc::new(String::from("frame"));
+    let got = Rc::new(RefCell::new(Vec::new()));
+    let mut b = ProgramBuilder::new();
+    let mut src = b.reactor("src", sent.clone());
+    let out = src.output::<Rc<String>>("o");
+    src.reaction("emit")
+        .triggered_by(Startup)
+        .effects(out)
+        .body(move |v: &mut Rc<String>, ctx| ctx.set(out, v.clone()));
+    src.finish();
+    let mut sink = b.reactor("sink", ());
+    let inp = sink.input::<Rc<String>>("i");
+    let (log, expected) = (got.clone(), sent.clone());
+    sink.reaction("recv").triggered_by(inp).body(move |_, ctx| {
+        let v = ctx.get(inp).unwrap();
+        log.borrow_mut().push((ctx.tag(), Rc::ptr_eq(v, &expected)));
+    });
+    sink.finish();
+    b.connect_delayed(out, inp, Duration::from_millis(3))
+        .unwrap();
+
+    let mut rt = Runtime::new(b.build().unwrap());
+    rt.start(Instant::EPOCH);
+    rt.run_fast(u64::MAX);
+    assert_eq!(
+        *got.borrow(),
+        vec![(Tag::at(Instant::from_millis(3)), true)]
     );
 }

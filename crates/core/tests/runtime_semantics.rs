@@ -3,6 +3,8 @@
 
 use dear_core::{ProgramBuilder, Runtime, RuntimeError, Shutdown, Startup, StepOutcome, Tag};
 use dear_time::{Duration, Instant};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -771,60 +773,6 @@ fn step_fast_on_empty_queue_reports_state_without_clock_reading() {
     assert_eq!(rt2.step_fast(), StepOutcome::Stopped);
 }
 
-/// The pooled executor is a persistent pool now: repeated `set_workers`
-/// calls with the same count must not tear it down, and switching between
-/// pooled and sequential execution mid-run keeps behaviour identical.
-#[test]
-fn worker_pool_survives_reconfiguration_mid_run() {
-    let run = |schedule: &[(u64, usize)]| -> u64 {
-        let mut b = ProgramBuilder::new();
-        let mut src = b.reactor("src", 0u64);
-        let t = src.timer("t", Duration::ZERO, Some(Duration::from_millis(1)));
-        let out = src.output::<u64>("o");
-        src.reaction("emit")
-            .triggered_by(t)
-            .effects(out)
-            .body(move |n: &mut u64, ctx| {
-                *n += 1;
-                ctx.set(out, *n);
-                if *n >= 30 {
-                    ctx.request_shutdown();
-                }
-            });
-        src.finish();
-        for i in 0..8 {
-            let mut w = b.reactor(&format!("w{i}"), 0u64);
-            let inp = w.input::<u64>("i");
-            w.reaction("work")
-                .triggered_by(inp)
-                .body(move |acc: &mut u64, ctx| {
-                    *acc = acc
-                        .wrapping_mul(31)
-                        .wrapping_add(*ctx.get(inp).unwrap() + i);
-                });
-            w.finish();
-            b.connect(out, inp).unwrap();
-        }
-        let mut rt = Runtime::new(b.build().unwrap());
-        rt.enable_tracing();
-        rt.start(Instant::EPOCH);
-        for &(tags, workers) in schedule {
-            rt.set_workers(workers);
-            rt.run_fast(tags);
-        }
-        rt.run_fast(u64::MAX);
-        rt.trace_log().fingerprint()
-    };
-
-    let seq = run(&[(u64::MAX, 1)]);
-    let pooled = run(&[(u64::MAX, 4)]);
-    let mixed = run(&[(5, 4), (5, 1), (5, 4), (5, 2)]);
-    let re_set = run(&[(5, 4), (5, 4), (5, 4)]);
-    assert_eq!(seq, pooled);
-    assert_eq!(seq, mixed);
-    assert_eq!(seq, re_set);
-}
-
 /// An untagged physical arrival must NOT be re-tagged behind an unrelated
 /// event already pending at a *future* release tag on the same action
 /// (e.g. a tagged message inserted via `schedule_physical_at`): the bump
@@ -975,74 +923,72 @@ fn action_values_drop_at_the_end_of_their_tag() {
 /// Two writes to one port in one reaction, then two reactions of one
 /// reactor writing the same output at one tag: the last write wins, the
 /// second reaction reads the first one's value before its own write and
-/// its own value after, and the downstream sink reads the winner —
-/// identically on one worker and on three.
+/// its own value after, and the downstream sink reads the winner.
 #[test]
-fn last_write_wins_sequentially_and_on_three_workers() {
-    let run = |workers: usize| {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut b = ProgramBuilder::new();
-        for w in 0..4u64 {
-            let mut r = b.reactor(&format!("writer{w}"), 0u64);
-            let out = r.output::<u64>("o");
-            let t = r.timer("t", Duration::ZERO, Some(Duration::from_millis(1)));
-            r.reaction("first")
-                .triggered_by(t)
-                .effects(out)
-                .body(move |n: &mut u64, ctx| {
-                    *n += 1;
-                    ctx.set(out, 1000 * w + *n);
-                    ctx.set(out, 1000 * w + 100 + *n);
-                });
-            let l = log.clone();
-            r.reaction("second")
-                .triggered_by(t)
-                .effects(out)
-                .body(move |n: &mut u64, ctx| {
-                    let before = ctx.get(out).copied();
-                    if *n % 2 == 0 {
-                        ctx.set(out, 1000 * w + 200 + *n);
-                    }
-                    let after = ctx.get(out).copied();
-                    l.lock().unwrap().push((w, before, after));
-                });
-            r.finish();
-            let mut s = b.reactor(&format!("sink{w}"), ());
-            let inp = s.input::<u64>("i");
-            let l = log.clone();
-            s.reaction("read").triggered_by(inp).body(move |_, ctx| {
-                let v = ctx.get(inp).copied();
-                l.lock().unwrap().push((w, v, None));
-            });
-            s.finish();
-            b.connect(out, inp).unwrap();
-        }
-        let mut rt = Runtime::new(b.build().unwrap());
-        rt.set_workers(workers);
-        rt.enable_tracing();
-        rt.start(Instant::EPOCH);
-        rt.stop_at(Instant::from_millis(40)).unwrap();
-        rt.run_fast(u64::MAX);
-        let mut log = log.lock().unwrap().clone();
-        // Same-level reactions of different writers may run in any order
-        // on the pool; what each observed must not differ.
-        log.sort_unstable();
-        (log, rt.trace_log().fingerprint())
-    };
-    let (seq, fp) = run(1);
-    assert_eq!(run(3), (seq.clone(), fp));
+fn last_write_wins_within_and_across_reactions() {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut b = ProgramBuilder::new();
     for w in 0..4u64 {
-        for n in 1..=40u64 {
+        let mut r = b.reactor(&format!("writer{w}"), 0u64);
+        let out = r.output::<u64>("o");
+        let t = r.timer("t", Duration::ZERO, Some(Duration::from_millis(1)));
+        r.reaction("first")
+            .triggered_by(t)
+            .effects(out)
+            .body(move |n: &mut u64, ctx| {
+                *n += 1;
+                ctx.set(out, 1000 * w + *n);
+                ctx.set(out, 1000 * w + 100 + *n);
+            });
+        let l = log.clone();
+        r.reaction("second")
+            .triggered_by(t)
+            .effects(out)
+            .body(move |n: &mut u64, ctx| {
+                let before = ctx.get(out).copied();
+                if *n % 2 == 0 {
+                    ctx.set(out, 1000 * w + 200 + *n);
+                }
+                let after = ctx.get(out).copied();
+                l.lock().unwrap().push((w, before, after));
+            });
+        r.finish();
+        let mut s = b.reactor(&format!("sink{w}"), ());
+        let inp = s.input::<u64>("i");
+        let l = log.clone();
+        s.reaction("read").triggered_by(inp).body(move |_, ctx| {
+            let v = ctx.get(inp).copied();
+            l.lock().unwrap().push((w, v, None));
+        });
+        s.finish();
+        b.connect(out, inp).unwrap();
+    }
+    let mut rt = Runtime::new(b.build().unwrap());
+    rt.start(Instant::EPOCH);
+    rt.stop_at(Instant::from_millis(40)).unwrap();
+    rt.run_fast(u64::MAX);
+    // Timer tags 0..=40 ms (the stop tag is processed). Per tag: every
+    // writer's `second` (one level), then every sink.
+    let mut expected = Vec::new();
+    for n in 1..=41u64 {
+        let written = |w: u64| {
             let first = 1000 * w + 100 + n;
             let last = if n % 2 == 0 {
                 1000 * w + 200 + n
             } else {
                 first
             };
-            assert!(seq.contains(&(w, Some(first), Some(last))), "w{w} n{n}");
-            assert!(seq.contains(&(w, Some(last), None)), "sink{w} n{n}");
+            (first, last)
+        };
+        for w in 0..4u64 {
+            let (first, last) = written(w);
+            expected.push((w, Some(first), Some(last)));
+        }
+        for w in 0..4u64 {
+            expected.push((w, Some(written(w).1), None));
         }
     }
+    assert_eq!(*log.lock().unwrap(), expected);
 }
 
 /// Two physical injections into one action at different tags, both
@@ -1086,4 +1032,209 @@ fn pending_physical_values_each_arrive_at_their_own_tag() {
         ]);
     }
     assert_eq!(*seen.lock().unwrap(), expected);
+}
+
+/// Two exact-tag injections into one action at one tag: the first value
+/// is delivered, the second call fails with `OccupiedTag` instead of
+/// overwriting it, and the next microstep is still free.
+#[test]
+fn schedule_physical_at_rejects_an_occupied_tag() {
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let mut b = ProgramBuilder::new();
+    let mut r = b.reactor("server", ());
+    let act = r.physical_action::<u8>("request", Duration::ZERO);
+    let sink = seen.clone();
+    r.reaction("serve").triggered_by(act).body(move |_, ctx| {
+        let v = *ctx.get_action(&act).unwrap();
+        sink.borrow_mut().push((ctx.tag(), v));
+    });
+    r.finish();
+    let mut rt = Runtime::new(b.build().unwrap());
+    rt.start(Instant::EPOCH);
+
+    let tag = Tag::at(Instant::from_millis(5));
+    rt.schedule_physical_at(&act, 1, tag).unwrap();
+    assert_eq!(
+        rt.schedule_physical_at(&act, 2, tag),
+        Err(RuntimeError::OccupiedTag { requested: tag })
+    );
+    let next = tag.delay(Duration::ZERO);
+    rt.schedule_physical_at(&act, 3, next).unwrap();
+    rt.run_fast(u64::MAX);
+    assert_eq!(*seen.borrow(), vec![(tag, 1u8), (next, 3u8)]);
+    assert_eq!(rt.stats().stp_violations, 0, "not an STP violation");
+}
+
+/// Nothing a program holds needs to be `Send`: an `Rc` reactor state, a
+/// port carrying `Rc<str>`, a physical action carrying an `Rc` and a body
+/// capturing an `Rc` all run, and the runtime releases each payload at
+/// the end of its tag.
+#[test]
+fn non_send_state_ports_and_actions_run() {
+    let total = Rc::new(Cell::new(0u64));
+    let names: Rc<RefCell<Vec<Rc<str>>>> = Rc::new(RefCell::new(Vec::new()));
+    let mut b = ProgramBuilder::new();
+    let mut src = b.reactor("src", total.clone());
+    let out = src.output::<Rc<str>>("name");
+    let act = src.physical_action::<Rc<Vec<u64>>>("batch", Duration::ZERO);
+    src.reaction("forward").triggered_by(act).effects(out).body(
+        move |total: &mut Rc<Cell<u64>>, ctx| {
+            let batch = ctx.get_action(&act).expect("present");
+            total.set(total.get() + batch.iter().sum::<u64>());
+            ctx.set(out, Rc::from(format!("batch{}", batch.len())));
+        },
+    );
+    src.finish();
+    let mut sink = b.reactor("sink", ());
+    let inp = sink.input::<Rc<str>>("name");
+    let seen = names.clone();
+    sink.reaction("collect")
+        .triggered_by(inp)
+        .body(move |_, ctx| {
+            seen.borrow_mut()
+                .push(ctx.get(inp).cloned().expect("present"));
+        });
+    sink.finish();
+    b.connect(out, inp).unwrap();
+
+    let mut rt = Runtime::new(b.build().unwrap());
+    rt.start(Instant::EPOCH);
+    let shared = Rc::new(vec![1, 2, 3]);
+    rt.schedule_physical(&act, shared.clone(), Instant::from_millis(1))
+        .unwrap();
+    rt.schedule_physical(&act, Rc::new(vec![4]), Instant::from_millis(2))
+        .unwrap();
+    rt.run_fast(u64::MAX);
+    assert_eq!(total.get(), 10);
+    let names: Vec<String> = names.borrow().iter().map(|n| n.to_string()).collect();
+    assert_eq!(names, ["batch3", "batch1"]);
+    assert_eq!(
+        Rc::strong_count(&shared),
+        1,
+        "payload released after its tag"
+    );
+}
+
+/// A burst of physical injections between the rounds of a 16-wide
+/// fan-out: every round's fan-in sees all sixteen branch values, and each
+/// injected value is absorbed once, at its own microstep right after the
+/// round it followed and before the next one.
+#[test]
+fn injections_interleave_with_the_rounds_of_a_wide_fan_out() {
+    const WIDTH: u64 = 16;
+    const ROUNDS: u64 = 6;
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut b = ProgramBuilder::new();
+    let mut src = b.reactor("src", 0u64);
+    let t = src.timer("t", Duration::ZERO, Some(Duration::from_millis(1)));
+    let src_out = src.output::<u64>("o");
+    let act = src.physical_action::<u64>("inject", Duration::ZERO);
+    src.reaction("emit")
+        .triggered_by(t)
+        .effects(src_out)
+        .body(move |n: &mut u64, ctx| {
+            *n += 1;
+            ctx.set(src_out, *n);
+        });
+    let l = log.clone();
+    src.reaction("absorb")
+        .triggered_by(act)
+        .body(move |_, ctx| {
+            let v = *ctx.get_action(&act).unwrap();
+            l.borrow_mut().push((ctx.tag(), v));
+        });
+    src.finish();
+    let mut sink = b.reactor("sink", 0u64);
+    let ins: Vec<_> = (0..WIDTH)
+        .map(|i| sink.input::<u64>(&format!("i{i}")))
+        .collect();
+    let mut decl = sink.reaction("sum");
+    for &i in &ins {
+        decl = decl.triggered_by(i);
+    }
+    let (l, sink_ins) = (log.clone(), ins.clone());
+    decl.body(move |rounds: &mut u64, ctx| {
+        let total: u64 = sink_ins.iter().map(|&i| *ctx.get(i).unwrap()).sum();
+        l.borrow_mut().push((ctx.tag(), total));
+        *rounds += 1;
+        if *rounds == ROUNDS {
+            ctx.request_shutdown();
+        }
+    });
+    sink.finish();
+    for (i, &inp) in (0..WIDTH).zip(&ins) {
+        let mut stage = b.reactor(&format!("stage{i}"), ());
+        let si = stage.input::<u64>("i");
+        let so = stage.output::<u64>("o");
+        stage
+            .reaction("work")
+            .triggered_by(si)
+            .effects(so)
+            .body(move |_, ctx| {
+                let v = *ctx.get(si).unwrap();
+                ctx.set(so, v * 31 + i);
+            });
+        stage.finish();
+        b.connect(src_out, si).unwrap();
+        b.connect(so, inp).unwrap();
+    }
+
+    let mut rt = Runtime::new(b.build().unwrap());
+    rt.start(Instant::EPOCH);
+    let mut expected = Vec::new();
+    let mut injected = 0;
+    for round in 1..=ROUNDS {
+        let now = Instant::from_millis(round - 1);
+        assert!(matches!(rt.step_fast(), StepOutcome::Processed(_)));
+        expected.push((Tag::at(now), WIDTH * 31 * round + WIDTH * (WIDTH - 1) / 2));
+        if round % 2 == 1 {
+            // Both readings equal the processed tag's time: the burst is
+            // bumped to the next two microsteps, never merged.
+            let a = rt.schedule_physical(&act, 100 * round, now).unwrap();
+            let b = rt.schedule_physical(&act, 100 * round + 1, now).unwrap();
+            assert_eq!((a, b), (Tag::new(now, 1), Tag::new(now, 2)));
+            rt.run_fast(2);
+            expected.extend([(a, 100 * round), (b, 100 * round + 1)]);
+            injected += 2;
+        }
+    }
+    rt.run_fast(u64::MAX);
+    assert_eq!(*log.borrow(), expected);
+    assert_eq!(
+        rt.stats().executed_reactions,
+        ROUNDS * (WIDTH + 2) + injected
+    );
+}
+
+/// A `#[derive(Reactor)]` state may be an `Rc`: the DSL's state type
+/// needs no `Send` either.
+#[test]
+fn derived_reactor_state_may_hold_an_rc() {
+    use dear_core::{Reaction, ReactionCtx, Reactor, Timer};
+
+    #[derive(Reactor)]
+    #[reactor(state = Rc<Cell<u64>>)]
+    struct Ticker {
+        #[timer(period = "Duration::from_millis(1)")]
+        tick: Timer,
+        #[reaction(triggers(tick))]
+        count: Reaction,
+    }
+
+    impl Ticker {
+        fn count(ticks: &mut Rc<Cell<u64>>, _: &Self, ctx: &mut ReactionCtx<'_>) {
+            ticks.set(ticks.get() + 1);
+            if ticks.get() == 4 {
+                ctx.request_shutdown();
+            }
+        }
+    }
+
+    let ticks = Rc::new(Cell::new(0));
+    let mut b = ProgramBuilder::new();
+    let _: Ticker = b.declare("ticker", ticks.clone());
+    let mut rt = Runtime::new(b.build().unwrap());
+    rt.start(Instant::EPOCH);
+    rt.run_fast(u64::MAX);
+    assert_eq!(ticks.get(), 4);
 }

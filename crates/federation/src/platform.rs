@@ -513,7 +513,7 @@ impl CoordinationPolicy for Coordinated {
         }
     }
 
-    fn inject<T: Send + Sync + 'static>(
+    fn inject<T: 'static>(
         core: &mut Core,
         action: &PhysicalAction<T>,
         value: T,
@@ -801,7 +801,7 @@ impl CoordinatedPlatform {
     /// [`PlatformDriver::inject_now`] are durably logged and can be
     /// rebuilt during recovery replay. `encode` appends a value's bytes
     /// to the buffer it is given (one buffer, reused for every input).
-    pub fn register_durable_input<T: Send + Sync + 'static>(
+    pub fn register_durable_input<T: 'static>(
         &self,
         action: PhysicalAction<T>,
         encode: impl Fn(&T, &mut Vec<u8>) + 'static,

@@ -796,7 +796,7 @@ fn run_rearm_scenario<D: PlatformDriver>(
     let mut b = ProgramBuilder::new();
     let mut r = b.reactor("sink", ());
     let input = r.physical_action::<u8>("input", Duration::ZERO);
-    let (seen, sender) = (steps.clone(), outbox.sender());
+    let (seen, sender) = (steps.clone(), outbox.clone());
     let record = r
         .reaction("record")
         .triggered_by(input)

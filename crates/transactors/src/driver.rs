@@ -98,7 +98,7 @@ pub trait PlatformDriver: Clone + 'static {
     ///
     /// Propagates the runtime's error when the tag is no longer safe to
     /// process (counted by the runtime) or the runtime is not running.
-    fn inject_at<T: Send + Sync + 'static>(
+    fn inject_at<T: 'static>(
         &self,
         sim: &mut Simulation,
         action: &PhysicalAction<T>,
@@ -113,7 +113,7 @@ pub trait PlatformDriver: Clone + 'static {
     /// # Errors
     ///
     /// Propagates the runtime's error when the runtime is not running.
-    fn inject_now<T: Send + Sync + 'static>(
+    fn inject_now<T: 'static>(
         &self,
         sim: &mut Simulation,
         action: &PhysicalAction<T>,

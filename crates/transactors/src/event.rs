@@ -9,7 +9,7 @@
 use crate::config::{tag_to_wire, DearConfig, EventSpec, FailoverEventSpec};
 use crate::driver::PlatformDriver;
 use crate::failover::FailoverBinding;
-use crate::outbox::{OutboundMsg, Outbox, OutboxSender};
+use crate::outbox::{OutboundMsg, Outbox};
 use crate::stats::TransactorStats;
 use dear_core::{PhysicalAction, Port, ProgramBuilder, ReactionCtx};
 use dear_sim::Simulation;
@@ -17,15 +17,15 @@ use dear_someip::{Binding, FrameBuf, ServiceInstance};
 use dear_time::Duration;
 
 fn forward_fn(
-    sender: OutboxSender,
+    outbox: Outbox,
     route: u32,
     deadline: Duration,
     port: Port<FrameBuf>,
-) -> impl FnMut(&mut (), &mut ReactionCtx<'_>) + Send + 'static {
+) -> impl FnMut(&mut (), &mut ReactionCtx<'_>) + 'static {
     move |_, ctx| {
         let payload = ctx.get(port).cloned().unwrap_or_default();
         let out_tag = ctx.tag().delay(deadline);
-        sender.push(OutboundMsg {
+        outbox.push(OutboundMsg {
             route,
             payload,
             tag: tag_to_wire(out_tag),
@@ -58,11 +58,8 @@ impl ServerEventTransactor {
         let event = r.input::<FrameBuf>("event");
         r.reaction("forward_event")
             .triggered_by(event)
-            .with_deadline(
-                deadline,
-                forward_fn(outbox.sender(), route, deadline, event),
-            )
-            .body(forward_fn(outbox.sender(), route, deadline, event));
+            .with_deadline(deadline, forward_fn(outbox.clone(), route, deadline, event))
+            .body(forward_fn(outbox.clone(), route, deadline, event));
         r.finish();
         ServerEventTransactor { event, route }
     }

@@ -14,8 +14,10 @@
 //!   (`tc + Dc`, `+ L + E`, `ts + Ds`, `+ L + E`);
 //! * [`ClientEventTransactor`] / [`ServerEventTransactor`] — the one-way
 //!   event path (the brake-assistant pipeline);
-//! * [`FieldClientTransactor`] — a field as one event plus two method
-//!   transactors, addressed by its [`FieldIds`];
+//! * fields need no transactor of their own: "since fields are composed
+//!   of a get method, a set method and an event, interaction with fields
+//!   requires the use of one event and two method transactors" (§III.B),
+//!   which the caller declares and binds side by side;
 //! * [`FederatedPlatform`] — the one platform driver loop, enforcing the
 //!   PTIDES safe-to-process rule against the platform's local (skewed)
 //!   clock, with modelled per-reaction compute cost so that deadlines
@@ -29,7 +31,8 @@
 //! * [`PlatformDriver`] / [`Coordination`] — what transactors bind to: a
 //!   handle to the loop under either policy, so the same scenario runs
 //!   decentralized or centralized unchanged;
-//! * [`Outbox`] — the deterministic reaction→middleware queue;
+//! * [`Outbox`] — the deterministic reaction→middleware queue, drained
+//!   after each tag;
 //! * [`FailoverBinding`] — deterministic re-binding to redundant
 //!   providers (priority offers, TTL heartbeats, silence watchdog);
 //! * [`TransactorStats`] — observable fault counters (untagged drops,
@@ -45,7 +48,6 @@ mod config;
 mod driver;
 mod event;
 mod failover;
-mod field;
 mod method;
 mod outbox;
 mod platform;
@@ -57,8 +59,7 @@ pub use config::{
 pub use driver::{Coordination, PlatformDriver};
 pub use event::{ClientEventTransactor, ServerEventTransactor};
 pub use failover::FailoverBinding;
-pub use field::{FieldClientTransactor, FieldIds};
 pub use method::{ClientMethodTransactor, ServerMethodTransactor};
-pub use outbox::{OutboundMsg, Outbox, OutboxSender};
+pub use outbox::{OutboundMsg, Outbox};
 pub use platform::{CoordinationPolicy, Decentralized, FederatedPlatform, PlatformCore};
 pub use stats::TransactorStats;

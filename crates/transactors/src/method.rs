@@ -17,7 +17,7 @@
 
 use crate::config::{tag_to_wire, DearConfig, MethodSpec, UntaggedPolicy};
 use crate::driver::PlatformDriver;
-use crate::outbox::{OutboundMsg, Outbox, OutboxSender};
+use crate::outbox::{OutboundMsg, Outbox};
 use crate::stats::TransactorStats;
 use dear_core::{PhysicalAction, Port, ProgramBuilder, ReactionCtx, Tag};
 use dear_someip::{Binding, FrameBuf, Responder, ReturnCode};
@@ -31,15 +31,15 @@ use std::rc::Rc;
 /// the message is still forwarded so the pipeline keeps flowing and the
 /// fault stays observable rather than turning into silent loss).
 fn forward_fn(
-    sender: OutboxSender,
+    outbox: Outbox,
     route: u32,
     deadline: Duration,
     port: Port<FrameBuf>,
-) -> impl FnMut(&mut (), &mut ReactionCtx<'_>) + Send + 'static {
+) -> impl FnMut(&mut (), &mut ReactionCtx<'_>) + 'static {
     move |_, ctx| {
         let payload = ctx.get(port).cloned().unwrap_or_default();
         let out_tag = ctx.tag().delay(deadline);
-        sender.push(OutboundMsg {
+        outbox.push(OutboundMsg {
             route,
             payload,
             tag: tag_to_wire(out_tag),
@@ -79,9 +79,9 @@ impl ClientMethodTransactor {
             .triggered_by(request)
             .with_deadline(
                 deadline,
-                forward_fn(outbox.sender(), route, deadline, request),
+                forward_fn(outbox.clone(), route, deadline, request),
             )
-            .body(forward_fn(outbox.sender(), route, deadline, request));
+            .body(forward_fn(outbox.clone(), route, deadline, request));
         r.reaction("deliver_response")
             .triggered_by(resp_action)
             .effects(response)
@@ -187,9 +187,9 @@ impl ServerMethodTransactor {
             .triggered_by(response)
             .with_deadline(
                 deadline,
-                forward_fn(outbox.sender(), route, deadline, response),
+                forward_fn(outbox.clone(), route, deadline, response),
             )
-            .body(forward_fn(outbox.sender(), route, deadline, response));
+            .body(forward_fn(outbox.clone(), route, deadline, response));
         r.finish();
         ServerMethodTransactor {
             request,

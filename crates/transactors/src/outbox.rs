@@ -1,23 +1,26 @@
 //! The outbox: how reactions talk to the middleware.
 //!
-//! Reaction bodies execute inside the reactor runtime and must be `Send`
-//! (the level-parallel executor may run them on worker threads), so they
-//! cannot capture the single-threaded middleware handles directly.
-//! Instead, a transactor reaction pushes a plain-data [`OutboundMsg`] into
-//! its platform's [`Outbox`]; after each processed tag, the federated
-//! platform driver drains the outbox *in push order* and dispatches each
-//! message to the route handler registered for it (which then performs
-//! the actual proxy/skeleton call on the binding).
+//! A transactor reaction does not call the binding itself. It pushes a
+//! plain-data [`OutboundMsg`] into its platform's [`Outbox`]; after each
+//! processed tag, the federated platform driver drains the outbox *in
+//! push order* and dispatches each message to the route handler
+//! registered for it (which then performs the actual proxy/skeleton call
+//! on the binding).
 //!
-//! This preserves the paper's architecture — the reaction logically
-//! "invokes the method call on the service proxy object" (Fig. 3 step 3) —
-//! while keeping the runtime thread-safe. Payloads travel as [`FrameBuf`]
-//! views, so queueing and draining move references, never bytes.
+//! The deferral is the point. A reaction logically "invokes the method
+//! call on the service proxy object" (Fig. 3 step 3) at its tag, but the
+//! message physically leaves only when the tag's modelled compute
+//! finishes: the driver schedules the drain at that simulated instant,
+//! hands each route handler the `&mut Simulation` a reaction never has,
+//! and lets a coordinated platform log one drain watermark per batch.
+//! Push order is the reactions' execution order, so the wire order is
+//! deterministic. Payloads travel as [`FrameBuf`] views, so queueing and
+//! draining move references, never bytes.
 
 use dear_someip::{FrameBuf, WireTag};
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// A middleware operation requested by a transactor reaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,24 +34,19 @@ pub struct OutboundMsg {
     pub tag: WireTag,
 }
 
-/// A shared, thread-safe queue of outbound middleware operations.
-///
-/// One mutex guards the queue; route allocation (a setup-time counter,
-/// never touched on the message path) is a lock-free atomic, so sender
-/// threads can never contend with it.
+/// A shared queue of outbound middleware operations. Clones share the
+/// queue and the route counter; reactions capture a clone and
+/// [`push`](Outbox::push).
 #[derive(Clone, Default)]
 pub struct Outbox {
-    queue: Arc<Mutex<Vec<OutboundMsg>>>,
-    next_route: Arc<AtomicU32>,
+    queue: Rc<RefCell<Vec<OutboundMsg>>>,
+    next_route: Rc<Cell<u32>>,
 }
 
 impl fmt::Debug for Outbox {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Outbox")
-            .field(
-                "pending",
-                &self.queue.lock().expect("outbox poisoned").len(),
-            )
+            .field("pending", &self.len())
             .finish()
     }
 }
@@ -63,31 +61,32 @@ impl Outbox {
     /// Allocates a fresh route id for a transactor.
     #[must_use]
     pub fn allocate_route(&self) -> u32 {
-        self.next_route.fetch_add(1, Ordering::Relaxed)
+        let route = self.next_route.get();
+        self.next_route.set(route + 1);
+        route
     }
 
-    /// Returns the sendable queue handle for capture in reaction bodies.
-    #[must_use]
-    pub fn sender(&self) -> OutboxSender {
-        OutboxSender(self.queue.clone())
+    /// Enqueues a message.
+    pub fn push(&self, msg: OutboundMsg) {
+        self.queue.borrow_mut().push(msg);
     }
 
     /// Drains all pending messages in push order.
     #[must_use]
     pub fn drain(&self) -> Vec<OutboundMsg> {
-        std::mem::take(&mut *self.queue.lock().expect("outbox poisoned"))
+        self.queue.take()
     }
 
     /// Moves all pending messages, in push order, to the end of `out`;
     /// the queue keeps its capacity for the next tag's pushes.
     pub(crate) fn drain_into(&self, out: &mut Vec<OutboundMsg>) {
-        out.append(&mut self.queue.lock().expect("outbox poisoned"));
+        out.append(&mut self.queue.borrow_mut());
     }
 
     /// Number of queued messages.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.queue.lock().expect("outbox poisoned").len()
+        self.queue.borrow().len()
     }
 
     /// Whether the outbox is empty.
@@ -105,25 +104,8 @@ impl Outbox {
     /// platform's registered route handlers keep matching. Never call
     /// this on a live platform: in-flight routes would collide.
     pub fn reset(&self) {
-        self.queue.lock().expect("outbox poisoned").clear();
-        self.next_route.store(0, Ordering::Relaxed);
-    }
-}
-
-/// The `Send + Sync` half of an [`Outbox`], capturable by reactions.
-#[derive(Clone)]
-pub struct OutboxSender(Arc<Mutex<Vec<OutboundMsg>>>);
-
-impl fmt::Debug for OutboxSender {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "OutboxSender")
-    }
-}
-
-impl OutboxSender {
-    /// Enqueues a message.
-    pub fn push(&self, msg: OutboundMsg) {
-        self.0.lock().expect("outbox poisoned").push(msg);
+        self.queue.borrow_mut().clear();
+        self.next_route.set(0);
     }
 }
 
@@ -134,7 +116,7 @@ mod tests {
     #[test]
     fn push_and_drain_preserve_order() {
         let outbox = Outbox::new();
-        let sender = outbox.sender();
+        let sender = outbox.clone();
         for i in 0..5u8 {
             sender.push(OutboundMsg {
                 route: u32::from(i),
@@ -174,7 +156,7 @@ mod tests {
         let outbox = Outbox::new();
         assert_eq!(outbox.allocate_route(), 0);
         assert_eq!(outbox.allocate_route(), 1);
-        outbox.sender().push(OutboundMsg {
+        outbox.push(OutboundMsg {
             route: 0,
             payload: vec![1].into(),
             tag: WireTag::new(0, 0),
@@ -186,11 +168,5 @@ mod tests {
             0,
             "a rebuilt transactor gets the same route id again"
         );
-    }
-
-    #[test]
-    fn sender_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<OutboxSender>();
     }
 }

@@ -98,7 +98,7 @@ pub trait CoordinationPolicy: Sized + 'static {
     /// # Errors
     ///
     /// Propagates [`PlatformCore::schedule_input`]'s error.
-    fn inject<T: Send + Sync + 'static>(
+    fn inject<T: 'static>(
         core: &mut PlatformCore<Self>,
         action: &PhysicalAction<T>,
         value: T,
@@ -215,7 +215,7 @@ impl<P> PlatformCore<P> {
     ///
     /// Propagates the runtime's error when the tag is no longer safe to
     /// process (counted by the runtime) or the runtime is not running.
-    pub fn schedule_input<T: Send + Sync + 'static>(
+    pub fn schedule_input<T: 'static>(
         &mut self,
         action: &PhysicalAction<T>,
         value: T,
@@ -425,7 +425,7 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
     /// STP violations are counted in the runtime statistics and reported
     /// to the caller; the event is dropped (observable error, paper
     /// §IV.B). Also fails when the runtime is not running.
-    pub(crate) fn inject_at<T: Send + Sync + 'static>(
+    pub(crate) fn inject_at<T: 'static>(
         &self,
         sim: &mut Simulation,
         action: &PhysicalAction<T>,
@@ -442,7 +442,7 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
     /// # Errors
     ///
     /// Propagates the runtime's not-running error.
-    pub(crate) fn inject_now<T: Send + Sync + 'static>(
+    pub(crate) fn inject_now<T: 'static>(
         &self,
         sim: &mut Simulation,
         action: &PhysicalAction<T>,
@@ -451,7 +451,7 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
         self.inject(sim, action, value, None)
     }
 
-    fn inject<T: Send + Sync + 'static>(
+    fn inject<T: 'static>(
         &self,
         sim: &mut Simulation,
         action: &PhysicalAction<T>,
@@ -586,21 +586,19 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
 mod tests {
     use super::*;
     use dear_core::ProgramBuilder;
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     /// A platform whose one reaction fires at 10 ms, counting into the
     /// returned cell.
-    fn counting_platform(sim: &Simulation) -> (FederatedPlatform, Arc<AtomicU64>) {
-        let fired = Arc::new(AtomicU64::new(0));
+    fn counting_platform(sim: &Simulation) -> (FederatedPlatform, Rc<Cell<u64>>) {
+        let fired = Rc::new(Cell::new(0));
         let mut b = ProgramBuilder::new();
         let mut r = b.reactor("counter", fired.clone());
         let t = r.timer("t", Duration::from_millis(10), None);
         r.reaction("count")
             .triggered_by(t)
-            .body(|n: &mut Arc<AtomicU64>, _| {
-                n.fetch_add(1, Relaxed);
-            });
+            .body(|n: &mut Rc<Cell<u64>>, _| n.set(n.get() + 1));
         r.finish();
         let platform = FederatedPlatform::new(
             "p",
@@ -619,10 +617,10 @@ mod tests {
         platform.start(&mut sim); // arms the 10 ms wake
         platform.core().halt();
         sim.run_until(Instant::from_millis(20));
-        assert_eq!(fired.load(Relaxed), 0, "the stale wake stepped the runtime");
+        assert_eq!(fired.get(), 0, "the stale wake stepped the runtime");
         platform.arm(&mut sim);
         sim.run_until(Instant::from_millis(30));
-        assert_eq!(fired.load(Relaxed), 1, "a fresh arm still works");
+        assert_eq!(fired.get(), 1, "a fresh arm still works");
     }
 
     #[test]
@@ -635,13 +633,9 @@ mod tests {
         platform.core().halt();
         assert_eq!(platform.core().generation, 0, "the generation wrapped");
         sim.run_until(Instant::from_millis(20));
-        assert_eq!(fired.load(Relaxed), 0, "the stale wake stepped the runtime");
+        assert_eq!(fired.get(), 0, "the stale wake stepped the runtime");
         platform.arm(&mut sim);
         sim.run_until(Instant::from_millis(30));
-        assert_eq!(
-            fired.load(Relaxed),
-            1,
-            "a fresh arm after the wrap still works"
-        );
+        assert_eq!(fired.get(), 1, "a fresh arm after the wrap still works");
     }
 }

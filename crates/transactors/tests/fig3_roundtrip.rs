@@ -5,12 +5,16 @@
 
 use dear_core::{ProgramBuilder, Runtime, Tag};
 use dear_sim::{LatencyModel, LinkConfig, NetworkHandle, NodeId, Simulation, VirtualClock};
-use dear_someip::{Binding, FrameBuf, SdRegistry, ServiceInstance, SomeIpMessage, WireTag};
+use dear_someip::{
+    Binding, FrameBuf, ReturnCode, SdRegistry, ServiceInstance, SomeIpMessage, WireTag,
+};
 use dear_time::{Duration, Instant};
 use dear_transactors::{
     ClientEventTransactor, ClientMethodTransactor, DearConfig, EventSpec, FederatedPlatform,
     MethodSpec, Outbox, ServerEventTransactor, ServerMethodTransactor, UntaggedPolicy,
 };
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 const SERVICE: u16 = 0x1001;
@@ -355,4 +359,98 @@ fn wire_messages_carry_dear_tags() {
         .with_tag(WireTag::new(11_000_000, 0));
     let decoded = SomeIpMessage::decode(&msg.encode()).unwrap();
     assert_eq!(decoded.tag, Some(WireTag::new(11_000_000, 0)));
+}
+
+/// Two clients call one server method with equal request tags, so both
+/// requests ask to be released at the same tag. The server transactor
+/// must not let the second overwrite the first: each client gets its own
+/// result or `NotOk`, never the result computed from the other client's
+/// request — and never silence.
+#[test]
+fn equal_request_tags_from_two_clients_never_cross_wires() {
+    let mut sim = Simulation::new(3);
+    let net = NetworkHandle::new(
+        LinkConfig::ideal(Duration::from_micros(100)),
+        sim.fork_rng("net"),
+    );
+    let sd = SdRegistry::new();
+    let cfg = DearConfig::new(L, E);
+
+    let outbox = Outbox::new();
+    let mut b = ProgramBuilder::new();
+    let smt = ServerMethodTransactor::declare(&mut b, &outbox, "calc", DS);
+    let resp_out = b.with_reactor("server_logic", (), |logic| {
+        let resp_out = logic.output::<FrameBuf>("response");
+        logic
+            .reaction("serve")
+            .triggered_by(smt.request)
+            .effects(resp_out)
+            .body(move |_, ctx| {
+                let req = ctx.get(smt.request).unwrap()[0];
+                ctx.set(resp_out, vec![req * 10].into());
+            });
+        resp_out
+    });
+    b.connect(resp_out, smt.response).unwrap();
+    let platform = FederatedPlatform::new(
+        "server",
+        Runtime::new(b.build().unwrap()),
+        VirtualClock::ideal(),
+        outbox,
+        sim.fork_rng("server-costs"),
+    );
+    let server = Binding::new(&net, &sd, NodeId(2), 0x22);
+    server.offer(
+        &mut sim,
+        ServiceInstance::new(SERVICE, INSTANCE),
+        Duration::from_secs(3600),
+    );
+    let stats = smt.bind(
+        &platform,
+        &server,
+        MethodSpec {
+            service: SERVICE,
+            instance: INSTANCE,
+            method: METHOD,
+        },
+        cfg,
+    );
+    platform.start(&mut sim);
+
+    // (request, return code, response payload) per reply received.
+    let replies = Rc::new(RefCell::new(Vec::<(u8, ReturnCode, Vec<u8>)>::new()));
+    for (node, request) in [(1u16, 1u8), (3, 2)] {
+        let client = Binding::new(&net, &sd, NodeId(node), 0x10 + node);
+        let replies = replies.clone();
+        sim.schedule_at(Instant::from_millis(1), move |sim| {
+            client.set_outgoing_tag(WireTag::new(1_000_000, 0));
+            client
+                .call(
+                    sim,
+                    SERVICE,
+                    INSTANCE,
+                    METHOD,
+                    vec![request],
+                    move |_, resp| {
+                        let payload = resp.payload.to_vec();
+                        replies
+                            .borrow_mut()
+                            .push((request, resp.return_code, payload));
+                    },
+                )
+                .unwrap();
+        });
+    }
+    sim.run_until(Instant::from_secs(1));
+
+    let replies = replies.borrow();
+    assert_eq!(replies.len(), 2, "every caller hears back: {replies:?}");
+    for (request, code, payload) in replies.iter() {
+        match code {
+            ReturnCode::Ok => assert_eq!(*payload, vec![request * 10], "{replies:?}"),
+            ReturnCode::NotOk => {}
+            other => panic!("unexpected return code {other:?}"),
+        }
+    }
+    assert_eq!(stats.stp_violations(), 1, "the rejected request is counted");
 }

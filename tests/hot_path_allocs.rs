@@ -272,7 +272,7 @@ fn decentralized_wake_drain_and_fan_out_allocate_nothing() {
     let instance = ServiceInstance::new(0x60, 1);
 
     let outbox = Outbox::new();
-    let (route, sender) = (outbox.allocate_route(), outbox.sender());
+    let (route, sender) = (outbox.allocate_route(), outbox.clone());
     let mut b = ProgramBuilder::new();
     let mut r = b.reactor("source", FrameBuf::from(vec![0xAB; 40]));
     let tick = r.timer("tick", PERIOD, Some(PERIOD));
