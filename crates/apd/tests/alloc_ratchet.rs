@@ -32,7 +32,11 @@
 //! that made those changes (centralized was 720 before the incremental
 //! solver, 699 with it, 620 with events as data, 611 with the one
 //! assembly path, 615 with recycled slots, 607 with one thread per
-//! runtime; durable was 783 before its frames were assembled in place).
+//! runtime; durable was 783 before its frames were assembled in place;
+//! observed was 644 before spans were packed into fixed chunks and
+//! metrics resolved to slot ids once, 643 with them: each runtime and
+//! coordinated platform boxes its telemetry when it is on, so one with
+//! it off grows by nothing).
 //! Debug and release builds count the same.
 //!
 //! One test function: the counter is process-global, and the test
@@ -135,7 +139,7 @@ fn one_frame_allocations(name: &str, params: &DetParams) -> u64 {
 
 #[test]
 fn one_frame_run_det_allocation_ratchet() {
-    let ceilings = [491, 607, 610, 730, 644];
+    let ceilings = [491, 607, 610, 730, 643];
     for ((name, params), ceiling) in configurations().into_iter().zip(ceilings) {
         let count = one_frame_allocations(name, &params);
         assert!(

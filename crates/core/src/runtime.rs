@@ -31,11 +31,11 @@ use crate::program::{ActionKind, Program, ReactionMeta, Value};
 use crate::queue::{Event, EventQueue};
 use crate::tag::Tag;
 use dear_arena::TypedArena;
-use dear_observe::{EventKind, Lane, Observe};
+use dear_observe::{CounterId, EventKind, HistogramId, Lane, Observe};
 use dear_sim::Trace;
 use dear_time::{Duration, Instant};
 use std::any::Any;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Counters describing a runtime's activity so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -130,14 +130,13 @@ pub struct Runtime {
     last_processed: Option<Tag>,
     phase: Phase,
     trace: Trace,
-    /// Telemetry handle (disabled by default: every record is one branch).
-    observe: Observe,
-    /// The timeline lane this runtime's spans are drawn on.
-    lane: Lane,
+    /// Enabled telemetry, if attached (off by default: every record is
+    /// one branch).
+    telemetry: Option<Box<Telemetry>>,
     /// Interned reaction names for typed trace records; built once when
-    /// tracing is enabled so the traced hot path clones an `Arc` instead
+    /// tracing is enabled so the traced hot path clones an `Rc` instead
     /// of formatting a `String` per event.
-    reaction_names: TypedArena<ReactionId, Arc<str>>,
+    reaction_names: TypedArena<ReactionId, Rc<str>>,
     stats: RuntimeStats,
     executed_log: Vec<ReactionId>,
     /// Reactions ready at the current tag, bucketed by APG level. Cleared
@@ -152,6 +151,36 @@ pub struct Runtime {
     outcomes: TypedArena<ReactionId, ReactionOutcome>,
     /// Scratch list of ports written at the current tag (reused).
     written: Vec<PortId>,
+}
+
+/// An enabled telemetry handle with the lane this runtime's spans are
+/// drawn on and its metric slots in the handle, resolved once. Boxed
+/// and absent while telemetry is off, so a runtime without it stores
+/// one pointer.
+struct Telemetry {
+    observe: Observe,
+    lane: Lane,
+    tags: CounterId,
+    reactions: CounterId,
+    deadline_misses: CounterId,
+    stp_violations: CounterId,
+    bound_deferrals: CounterId,
+    tag_lag: HistogramId,
+}
+
+impl Telemetry {
+    fn resolve(observe: Observe, lane: Lane) -> Self {
+        Telemetry {
+            tags: observe.register_counter("runtime/tags"),
+            reactions: observe.register_counter("runtime/reactions"),
+            deadline_misses: observe.register_counter("runtime/deadline_misses"),
+            stp_violations: observe.register_counter("runtime/stp_violations"),
+            bound_deferrals: observe.register_counter("runtime/bound_deferrals"),
+            tag_lag: observe.register_histogram("coord/tag_lag_ns"),
+            observe,
+            lane,
+        }
+    }
 }
 
 impl std::fmt::Debug for Runtime {
@@ -197,8 +226,7 @@ impl Runtime {
             last_processed: None,
             phase: Phase::Created,
             trace: Trace::disabled(),
-            observe: Observe::disabled(),
-            lane: Lane::Sim,
+            telemetry: None,
             reaction_names: TypedArena::new(),
             stats: RuntimeStats::default(),
             executed_log: Vec::new(),
@@ -224,14 +252,14 @@ impl Runtime {
         self.intern_names();
     }
 
-    /// Interns reaction names as `Arc<str>` so traced records share them.
+    /// Interns reaction names as `Rc<str>` so traced records share them.
     fn intern_names(&mut self) {
         if self.reaction_names.is_empty() {
             self.reaction_names = self
                 .program
                 .reactions
                 .iter()
-                .map(|r| Arc::from(r.name.as_str()))
+                .map(|r| Rc::from(r.name.as_str()))
                 .collect();
         }
     }
@@ -245,14 +273,9 @@ impl Runtime {
     /// default) keeps the hot path zero-alloc — asserted by the root
     /// `hot_path_allocs` test.
     pub fn set_observe(&mut self, observe: Observe, lane: Lane) {
-        self.observe = observe;
-        self.lane = lane;
-    }
-
-    /// The attached telemetry handle.
-    #[must_use]
-    pub fn observe(&self) -> &Observe {
-        &self.observe
+        self.telemetry = observe
+            .is_enabled()
+            .then(|| Box::new(Telemetry::resolve(observe, lane)));
     }
 
     /// The recorded trace.
@@ -440,11 +463,13 @@ impl Runtime {
         if let Some(last) = self.last_processed {
             if tag <= last {
                 self.stats.stp_violations += 1;
-                self.observe.count("runtime/stp_violations", 1);
+                if let Some(t) = &self.telemetry {
+                    t.observe.add(t.stp_violations, 1);
+                }
                 let name = &self.program.actions[action.id].name;
                 self.trace
                     .record_event(tag.time, "stp-violation", || EventKind::StpViolation {
-                        name: Arc::from(name.as_str()),
+                        name: Rc::from(name.as_str()),
                         requested: tag.as_logical(),
                         current: last.as_logical(),
                     });
@@ -526,7 +551,9 @@ impl Runtime {
         if let (Some(head), Some(bound)) = (self.next_tag(), self.tag_bound) {
             if head >= bound {
                 self.stats.bound_deferrals += 1;
-                self.observe.count("runtime/bound_deferrals", 1);
+                if let Some(t) = &self.telemetry {
+                    t.observe.add(t.bound_deferrals, 1);
+                }
                 return StepOutcome::Idle;
             }
         }
@@ -648,21 +675,19 @@ impl Runtime {
         }
         self.queue.recycle(entry);
         self.stats.processed_tags += 1;
-        if self.observe.is_enabled() {
-            self.observe.count("runtime/tags", 1);
-            self.observe
-                .count("runtime/reactions", u64::from(reactions_run));
+        if let Some(t) = &self.telemetry {
+            t.observe.add(t.tags, 1);
+            t.observe.add(t.reactions, u64::from(reactions_run));
             if misses > 0 {
-                self.observe
-                    .count("runtime/deadline_misses", u64::from(misses));
+                t.observe.add(t.deadline_misses, u64::from(misses));
             }
             // The span covers the tag's logical instant up to the physical
             // clock reading the driver processed it at: its length *is*
             // the processing lag a coordinator imposed on this tag.
-            self.observe
-                .record_duration("coord/tag_lag_ns", physical_now - tag.time);
-            self.observe.span_tagged(
-                self.lane,
+            t.observe
+                .sample_duration(t.tag_lag, physical_now - tag.time);
+            t.observe.span_tagged(
+                t.lane,
                 "tag",
                 tag.time,
                 physical_now.max(tag.time),

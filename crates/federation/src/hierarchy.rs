@@ -59,7 +59,7 @@ use crate::zone::{
     floor_record, zone_uplink_eventgroup, Coordinator, ZoneId, COORD_ROOT_INSTANCE, MAX_ZONES,
 };
 use dear_core::Tag;
-use dear_observe::Lane;
+use dear_observe::{CounterId, HistogramId, Lane, Observe};
 use dear_sim::{NetworkHandle, NodeId, Simulation};
 use dear_someip::{
     Binding, CoordBatch, CoordKind, SdRegistry, ServiceInstance, COORD_EVENT, COORD_METHOD,
@@ -96,6 +96,26 @@ struct RootInner {
     /// The recompute's output buffer, reused across rounds: ascending by
     /// downstream zone, edge order within one.
     relays: Vec<RelayRecord>,
+    /// Metric slots, resolved on the first round telemetry is on.
+    metrics: Option<RootMetrics>,
+}
+
+/// The root's metric slots.
+#[derive(Clone, Copy)]
+struct RootMetrics {
+    fixpoint: CounterId,
+    batch_size: HistogramId,
+    relay_lag: HistogramId,
+}
+
+impl RootMetrics {
+    fn resolve(observe: &Observe) -> Self {
+        RootMetrics {
+            fixpoint: observe.register_counter("coord/fixpoint/root"),
+            batch_size: observe.register_histogram("coord/batch_size"),
+            relay_lag: observe.register_histogram("coord/root_relay_lag_ns"),
+        }
+    }
 }
 
 /// A shared handle to the two-level coordinator (root + zones).
@@ -147,6 +167,7 @@ impl HierarchicalRti {
             fed_map: Vec::new(),
             downstream: Vec::new(),
             relays: Vec::new(),
+            metrics: None,
         })));
         let hook = root.clone();
         binding.register_method(COORD_SERVICE, COORD_METHOD, move |sim, req, _responder| {
@@ -368,7 +389,8 @@ impl HierarchicalRti {
     /// member rejoined) fans down as a retreat, so the zone retreats its
     /// proxy head.
     fn recompute(&self, sim: &mut Simulation) {
-        let (relays, binding) = {
+        let observe = sim.observe();
+        let (relays, binding, metrics) = {
             let mut inner = self.0.borrow_mut();
             let RootInner {
                 binding,
@@ -376,6 +398,7 @@ impl HierarchicalRti {
                 last_relay,
                 downstream,
                 relays,
+                metrics,
                 ..
             } = &mut *inner;
             // No entry is grantable: the round only settles the fixpoint.
@@ -419,21 +442,23 @@ impl HierarchicalRti {
                     stats.batches_sent += 1;
                 }
             }
+            let metrics = observe
+                .is_enabled()
+                .then(|| *metrics.get_or_insert_with(|| RootMetrics::resolve(observe)));
             // Sent with the table unborrowed; the buffer goes back below.
-            (std::mem::take(relays), binding.clone())
+            (std::mem::take(relays), binding.clone(), metrics)
         };
-        let observe = sim.observe();
-        if observe.is_enabled() {
+        if let Some(metrics) = metrics {
             let now = sim.now();
-            observe.count("coord/fixpoint/root", 1);
+            observe.add(metrics.fixpoint, 1);
             observe.instant(Lane::Root, "fixpoint", now);
             // Root-level coordination lag: how far each relayed upstream
             // floor trails true time when it fans back down.
             for batch in relays.chunk_by(|a, b| a.0 == b.0) {
-                observe.record_value("coord/batch_size", batch.len() as u64);
+                observe.sample(metrics.batch_size, batch.len() as u64);
                 for (_, _, floor, _) in batch {
                     if *floor < TAG_MAX {
-                        observe.record_duration("coord/root_relay_lag_ns", now - floor.time);
+                        observe.sample_duration(metrics.relay_lag, now - floor.time);
                     }
                 }
             }

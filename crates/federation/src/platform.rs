@@ -37,7 +37,7 @@ use dear_core::{
     PhysicalAction, ReactionId, Runtime, RuntimeError, RuntimeStats, StepOutcome, Tag,
 };
 use dear_durable::{EventLog, Record};
-use dear_observe::{Lane, Observe};
+use dear_observe::{CounterId, GaugeId, HistogramId, Lane, Observe};
 use dear_sim::{LatencyModel, SimRng, Simulation, VirtualClock};
 use dear_someip::{
     coord_eventgroup, visit_control_records, Binding, CoordBatch, CoordKind, CoordMsg,
@@ -140,9 +140,9 @@ struct Coordinated {
     /// the shared member eventgroup.
     batched: bool,
     stats: TransactorStats,
-    /// Telemetry handle, captured from the simulation at `start` (a
-    /// disabled handle until then — every record call is one branch).
-    observe: Observe,
+    /// Telemetry, captured from the simulation at `start` if it is on
+    /// (absent until then — every record call is one branch).
+    telemetry: Option<Box<Telemetry>>,
     /// Last (head, fence) pair reported to the RTI, to suppress repeats.
     last_net: Option<(WireTag, WireTag)>,
     /// True time of the most recent NET actually sent, for the NET→TAG
@@ -189,6 +189,45 @@ struct Coordinated {
 
 type Core = PlatformCore<Coordinated>;
 
+/// An enabled telemetry handle and the platform's metric slots in it,
+/// resolved once. Boxed and absent while telemetry is off, so a platform
+/// without it stores one pointer.
+struct Telemetry {
+    observe: Observe,
+    nets_sent: CounterId,
+    ltcs_sent: CounterId,
+    nets_suppressed: CounterId,
+    grants_received: CounterId,
+    grant_wait: HistogramId,
+    net_tag_rtt: HistogramId,
+    window_len: HistogramId,
+    dnet_horizon: HistogramId,
+    step_batch_size: HistogramId,
+    grant_batch_size: HistogramId,
+    occupancy: GaugeId,
+    occupancy_hist: HistogramId,
+}
+
+impl Telemetry {
+    fn resolve(observe: Observe) -> Self {
+        Telemetry {
+            nets_sent: observe.register_counter("coord/sent/net"),
+            ltcs_sent: observe.register_counter("coord/sent/ltc"),
+            nets_suppressed: observe.register_counter("coord/nets_suppressed"),
+            grants_received: observe.register_counter("coord/grants_received"),
+            grant_wait: observe.register_histogram("coord/grant_wait_ns"),
+            net_tag_rtt: observe.register_histogram("coord/net_tag_rtt_ns"),
+            window_len: observe.register_histogram("coord/window_len"),
+            dnet_horizon: observe.register_histogram("coord/dnet_horizon_ns"),
+            step_batch_size: observe.register_histogram("coord/step_batch_size"),
+            grant_batch_size: observe.register_histogram("coord/grant_batch_size"),
+            occupancy: observe.register_gauge("frame/occupancy"),
+            occupancy_hist: observe.register_histogram("frame/occupancy_hist"),
+            observe,
+        }
+    }
+}
+
 impl Coordinated {
     fn lane(&self) -> Lane {
         Lane::Federate(self.federate.0)
@@ -205,7 +244,9 @@ impl Coordinated {
         let same_head = !self.external && self.last_net.is_some_and(|(h, _)| h == head);
         if sink || same_head {
             self.stats.record_net_suppressed();
-            self.observe.count("coord/nets_suppressed", 1);
+            if let Some(t) = &self.telemetry {
+                t.observe.add(t.nets_suppressed, 1);
+            }
             true
         } else {
             false
@@ -279,7 +320,9 @@ fn next_net(core: &mut Core, now: Instant, heartbeat: bool) -> Option<CoordMsg> 
     c.last_net = Some((head, fence));
     c.last_net_sent_at = Some(now);
     c.stats.record_net_sent();
-    c.observe.count("coord/sent/net", 1);
+    if let Some(t) = &c.telemetry {
+        t.observe.add(t.nets_sent, 1);
+    }
     Some(CoordMsg::net(c.federate.0, head, fence))
 }
 
@@ -303,8 +346,9 @@ fn send_step_batch(core: &mut Core, sim: &mut Simulation, ltc: CoordMsg) {
     if let Some(net) = net {
         batch.push(&net);
     }
-    c.observe
-        .record_value("coord/step_batch_size", batch.len() as u64);
+    if let Some(t) = &c.telemetry {
+        t.observe.sample(t.step_batch_size, batch.len() as u64);
+    }
     c.call(sim, batch.freeze());
 }
 
@@ -332,8 +376,10 @@ fn apply_grant(core: &mut Core, msg: &CoordMsg, now: Instant) -> bool {
             // coordinator has proven irrelevant downstream. No bound
             // change, nothing to re-arm.
             c.dnet_flags = msg.fence.microstep;
-            c.observe
-                .record_value("coord/dnet_horizon_ns", msg.tag.nanos.min(i64::MAX as u64));
+            if let Some(t) = &c.telemetry {
+                t.observe
+                    .sample(t.dnet_horizon, msg.tag.nanos.min(i64::MAX as u64));
+            }
         }
         return false;
     };
@@ -354,19 +400,21 @@ fn apply_grant(core: &mut Core, msg: &CoordMsg, now: Instant) -> bool {
         // physical time.
         c.stats.record_windowed_grant();
         let len = bound.time - granted.time;
-        c.observe.record_value(
-            "coord/window_len",
-            u64::try_from(len.as_nanos()).unwrap_or(0),
-        );
+        if let Some(t) = &c.telemetry {
+            let len = u64::try_from(len.as_nanos()).unwrap_or(0);
+            t.observe.sample(t.window_len, len);
+        }
     }
     c.stats.record_grant_received(msg.kind == CoordKind::Ptag);
-    c.observe.count("coord/grants_received", 1);
     // The NET→TAG round trip: report out, fixpoint at the coordinator,
     // grant back. The first grant answering the outstanding NET takes
     // the measurement.
-    if let Some(sent) = c.last_net_sent_at.take() {
-        c.observe
-            .record_duration("coord/net_tag_rtt_ns", now - sent);
+    let sent = c.last_net_sent_at.take();
+    if let Some(t) = &c.telemetry {
+        t.observe.add(t.grants_received, 1);
+        if let Some(sent) = sent {
+            t.observe.sample_duration(t.net_tag_rtt, now - sent);
+        }
     }
     true
 }
@@ -388,9 +436,9 @@ fn on_grant_frame(platform: &FederatedPlatform<Coordinated>, sim: &mut Simulatio
         };
         if let Some(records) = batch {
             core.policy.stats.record_coord_batch_received();
-            core.policy
-                .observe
-                .record_value("coord/grant_batch_size", records as u64);
+            if let Some(t) = &core.policy.telemetry {
+                t.observe.sample(t.grant_batch_size, records as u64);
+            }
         }
         applied
     };
@@ -405,9 +453,12 @@ impl CoordinationPolicy for Coordinated {
         // Capture the simulation's telemetry handle: the platform's own
         // coordination metrics and the runtime's per-tag spans both land
         // on this federate's lane.
-        c.observe = sim.observe().clone();
-        c.observe.set_lane_name(c.lane(), &core.name);
-        core.runtime.set_observe(c.observe.clone(), c.lane());
+        let observe = sim.observe();
+        observe.set_lane_name(c.lane(), &core.name);
+        core.runtime.set_observe(observe.clone(), c.lane());
+        c.telemetry = observe
+            .is_enabled()
+            .then(|| Box::new(Telemetry::resolve(observe.clone())));
         if let Some(log) = c.log() {
             // Anchor record: replay restarts the fresh runtime at the
             // same local clock reading.
@@ -436,9 +487,10 @@ impl CoordinationPolicy for Coordinated {
         }
         if let Some(since) = c.blocked_since.take() {
             c.stats.add_grant_wait(now - since);
-            c.observe
-                .record_duration("coord/grant_wait_ns", now - since);
-            c.observe.span(c.lane(), "grant-wait", since, now);
+            if let Some(t) = &c.telemetry {
+                t.observe.sample_duration(t.grant_wait, now - since);
+                t.observe.span(c.lane(), "grant-wait", since, now);
+            }
         }
         true
     }
@@ -470,17 +522,16 @@ impl CoordinationPolicy for Coordinated {
                 local: local_now.as_nanos(),
             });
         }
-        if busy_until > busy_from {
-            c.observe
-                .span_tagged(c.lane(), "compute", busy_from, busy_until, tag.as_logical());
-        }
-        if c.observe.is_enabled() {
+        if let Some(t) = &c.telemetry {
+            if busy_until > busy_from {
+                let tag = tag.as_logical();
+                t.observe
+                    .span_tagged(c.lane(), "compute", busy_from, busy_until, tag);
+            }
             let occupancy = c.binding.pool().stats().occupancy();
-            c.observe.gauge(
-                "frame/occupancy",
-                i64::try_from(occupancy).unwrap_or(i64::MAX),
-            );
-            c.observe.record_value("frame/occupancy_hist", occupancy);
+            let gauge = i64::try_from(occupancy).unwrap_or(i64::MAX);
+            t.observe.set(t.occupancy, gauge);
+            t.observe.sample(t.occupancy_hist, occupancy);
         }
         if c.dnet_flags & DNET_SINK != 0 {
             // DNET sink: no downstream LBTS can move on this LTC, so the
@@ -488,12 +539,16 @@ impl CoordinationPolicy for Coordinated {
             // overhead. Our own grants ride upstream reports, which the
             // coordinator still receives.
             c.stats.record_net_suppressed();
-            c.observe.count("coord/nets_suppressed", 1);
+            if let Some(t) = &c.telemetry {
+                t.observe.add(t.nets_suppressed, 1);
+            }
             return;
         }
         let ltc = CoordMsg::new(CoordKind::Ltc, c.federate.0, tag_to_wire(tag));
         c.stats.record_ltc_sent();
-        c.observe.count("coord/sent/ltc", 1);
+        if let Some(t) = &c.telemetry {
+            t.observe.add(t.ltcs_sent, 1);
+        }
         if c.batched {
             send_step_batch(core, sim, ltc);
         } else {
@@ -693,7 +748,7 @@ impl CoordinatedPlatform {
             coord_instance,
             batched,
             stats: TransactorStats::new(),
-            observe: Observe::disabled(),
+            telemetry: None,
             last_net: None,
             last_net_sent_at: None,
             blocked_since: None,
@@ -851,7 +906,9 @@ impl CoordinatedPlatform {
         c.blocked_since = None;
         c.last_net = None;
         c.last_net_sent_at = None;
-        c.observe.count("recovery/crashes", 1);
+        if let Some(t) = &c.telemetry {
+            t.observe.count("recovery/crashes", 1);
+        }
     }
 
     /// Restarts a crashed federate from its durable log: replays every
@@ -889,7 +946,9 @@ impl CoordinatedPlatform {
                 .max();
             core.restart(fresh);
             let c = &mut core.policy;
-            core.runtime.set_observe(c.observe.clone(), c.lane());
+            let observe = c.telemetry.as_ref().map(|t| t.observe.clone());
+            core.runtime
+                .set_observe(observe.unwrap_or_default(), c.lane());
             c.incarnation += 1;
             c.dnet_flags = 0;
             c.max_processed = None;
@@ -957,16 +1016,15 @@ impl CoordinatedPlatform {
             report.last_processed = c.max_processed;
             report.resent_sends = resend.len() as u64;
             c.crashed = false;
-            c.observe.count("recovery/rejoins", 1);
-            c.observe
-                .record_value("recovery/replayed_tags", report.replayed_tags);
-            c.observe
-                .record_value("recovery/replayed_inputs", report.replayed_inputs);
-            c.observe
-                .record_value("recovery/suppressed_sends", report.suppressed_sends);
-            c.observe
-                .record_duration("recovery/outage_ns", now - crashed_at);
-            c.observe.span(c.lane(), "rejoin", crashed_at, now);
+            if let Some(t) = &c.telemetry {
+                let observe = &t.observe;
+                observe.count("recovery/rejoins", 1);
+                observe.record_value("recovery/replayed_tags", report.replayed_tags);
+                observe.record_value("recovery/replayed_inputs", report.replayed_inputs);
+                observe.record_value("recovery/suppressed_sends", report.suppressed_sends);
+                observe.record_duration("recovery/outage_ns", now - crashed_at);
+                observe.span(c.lane(), "rejoin", crashed_at, now);
+            }
             (report, resend)
         };
         // Outputs the previous incarnation produced but never drained go

@@ -39,7 +39,7 @@ use crate::rti::{
 };
 use crate::solver::{node_floor, TAG_MAX};
 use dear_core::Tag;
-use dear_observe::Lane;
+use dear_observe::{CounterId, HistogramId, Lane, Observe};
 use dear_sim::{NetworkHandle, NodeId, Simulation};
 use dear_someip::{
     coord_eventgroup, Binding, CoordBatch, CoordKind, CoordMsg, SdRegistry, ServiceInstance,
@@ -125,6 +125,32 @@ struct ShellInner {
     table: GrantTable,
     member_count: usize,
     uplink: Option<Uplink>,
+    /// Metric slots, resolved on the first round telemetry is on.
+    metrics: Option<ShellMetrics>,
+}
+
+/// A coordinator's metric slots.
+#[derive(Clone, Copy)]
+struct ShellMetrics {
+    fixpoint: CounterId,
+    grants_per_round: HistogramId,
+    /// A zone's only: the hierarchy's batched protocol.
+    batch_size: HistogramId,
+    floor_lag: HistogramId,
+}
+
+impl ShellMetrics {
+    fn resolve(observe: &Observe, zone: Option<ZoneId>) -> Self {
+        ShellMetrics {
+            fixpoint: observe.register_counter(match zone {
+                None => "coord/fixpoint/flat",
+                Some(_) => "coord/fixpoint/zone",
+            }),
+            grants_per_round: observe.register_histogram("coord/grants_per_round"),
+            batch_size: observe.register_histogram("coord/batch_size"),
+            floor_lag: observe.register_histogram("coord/zone_floor_lag_ns"),
+        }
+    }
 }
 
 impl ShellInner {
@@ -167,6 +193,7 @@ impl Coordinator {
             binding: binding.clone(),
             table: GrantTable::new(),
             member_count: 0,
+            metrics: None,
             uplink: zone.map(|zone| Uplink {
                 zone,
                 member_ids: Vec::new(),
@@ -353,13 +380,15 @@ impl Coordinator {
     /// justified grants, and — in a zone — rolls the zone floor up to the
     /// root when it changed.
     fn recompute(&self, sim: &mut Simulation) {
-        let (grants, rollup, binding, zone) = {
+        let observe = sim.observe();
+        let (grants, rollup, binding, zone, metrics) = {
             let mut inner = self.0.borrow_mut();
             let ShellInner {
                 binding,
                 table,
                 member_count,
                 uplink,
+                metrics,
             } = &mut *inner;
             // Sent with the table unborrowed; the buffer goes back below.
             let mut grants = table.round(*member_count);
@@ -371,23 +400,26 @@ impl Coordinator {
                 uplink.roll_up(table, *member_count)
             });
             let zone = uplink.as_ref().map(|uplink| uplink.zone);
-            (grants, rollup, binding.clone(), zone)
+            let metrics = observe
+                .is_enabled()
+                .then(|| *metrics.get_or_insert_with(|| ShellMetrics::resolve(observe, zone)));
+            (grants, rollup, binding.clone(), zone, metrics)
         };
-        let observe = sim.observe();
-        if observe.is_enabled() {
+        if let Some(metrics) = metrics {
             let now = sim.now();
-            let (fixpoint, lane) = match zone {
-                None => ("coord/fixpoint/flat", Lane::Root),
-                Some(zone) => ("coord/fixpoint/zone", Lane::Zone(zone.0)),
-            };
-            observe.count(fixpoint, 1);
-            observe.record_value("coord/grants_per_round", grants.len() as u64);
+            observe.add(metrics.fixpoint, 1);
+            observe.sample(metrics.grants_per_round, grants.len() as u64);
+            let lane = zone.map_or(Lane::Root, |zone| Lane::Zone(zone.0));
             observe.instant(lane, "fixpoint", now);
+            if zone.is_some() && !grants.is_empty() {
+                // One batch frame per round, one record per grant.
+                observe.sample(metrics.batch_size, grants.len() as u64);
+            }
             // The zone-level coordination lag: how far the floor this
             // round promised to the rest of the federation trails the
             // true time at which it was computed.
             if let Some((floor, _)) = rollup.filter(|&(floor, _)| floor < TAG_MAX) {
-                observe.record_duration("coord/zone_floor_lag_ns", now - floor.time);
+                observe.sample_duration(metrics.floor_lag, now - floor.time);
             }
         }
 
@@ -521,8 +553,6 @@ fn send_grants(
     };
     let mut batch = CoordBatch::pooled(&pool);
     grants.iter().for_each(|grant| batch.push(&record(grant)));
-    sim.observe()
-        .record_value("coord/batch_size", batch.len() as u64);
     binding.notify(
         sim,
         ServiceInstance::new(COORD_SERVICE, zone_instance(zone)),

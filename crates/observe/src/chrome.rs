@@ -1,9 +1,9 @@
 //! Chrome `trace_event` JSON export.
 //!
-//! Serializes a [`Timeline`] into the Trace Event Format understood by
-//! Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing`: one
-//! *process* per subsystem (simulation / federates / coordination), one
-//! *thread* per [`Lane`], complete (`"X"`) events for spans and instant
+//! Serializes a [`Timeline`], decoding its packed records, into the Trace
+//! Event Format understood by Perfetto (<https://ui.perfetto.dev>) and
+//! `chrome://tracing`: one *process* per subsystem (simulation /
+//! federates / coordination), one *thread* per [`Lane`], complete (`"X"`) events for spans and instant
 //! (`"i"`) events for markers. Timestamps are microseconds derived from
 //! virtual-time nanoseconds with integer arithmetic only, so the export
 //! is byte-deterministic like everything else in this crate.
@@ -87,7 +87,7 @@ pub(crate) fn chrome_trace_json(timeline: &Timeline) -> String {
     };
 
     // Metadata: name every process and lane that appears anywhere.
-    let mut lanes: Vec<Lane> = timeline.records().iter().map(|r| r.lane).collect();
+    let mut lanes: Vec<Lane> = timeline.spans().map(|r| r.lane).collect();
     lanes.extend(timeline.lane_names().keys().copied());
     lanes.sort_unstable();
     lanes.dedup();
@@ -116,7 +116,7 @@ pub(crate) fn chrome_trace_json(timeline: &Timeline) -> String {
         out.push_str("}}");
     }
 
-    for r in timeline.records() {
+    for r in timeline.spans() {
         let (pid, tid) = lane_track(r.lane);
         sep(&mut out, &mut first);
         out.push('{');
@@ -133,7 +133,7 @@ pub(crate) fn chrome_trace_json(timeline: &Timeline) -> String {
             }
         }
         let _ = write!(out, ",\"pid\":{pid},\"tid\":{tid},\"name\":");
-        push_json_str(&mut out, &r.name);
+        push_json_str(&mut out, r.name);
         if let Some(tag) = r.tag {
             out.push_str(",\"args\":{\"tag\":");
             push_json_str(&mut out, &tag.to_string());
@@ -321,13 +321,23 @@ mod tests {
         t.set_lane_name(Lane::Federate(0), "lead \"sensor\"");
         t.span(
             Lane::Federate(0),
-            "tag",
+            "tag".into(),
             Instant::from_millis(10),
             Instant::from_millis(11),
             Some(LogicalTag::at(Instant::from_millis(10))),
         );
-        t.instant(Lane::Root, "fixpoint", Instant::from_millis(10), None);
-        t.instant(Lane::Zone(1), "fixpoint", Instant::from_millis(10), None);
+        t.instant(
+            Lane::Root,
+            "fixpoint".into(),
+            Instant::from_millis(10),
+            None,
+        );
+        t.instant(
+            Lane::Zone(1),
+            "fixpoint".into(),
+            Instant::from_millis(10),
+            None,
+        );
         let json = chrome_trace_json(&t);
         assert!(is_valid_json(&json), "export must be valid JSON: {json}");
         assert!(json.contains("\"process_name\""));

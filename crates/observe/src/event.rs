@@ -3,7 +3,7 @@
 //!
 //! A [`EventKind`] carries the *data* of a trace record — the logical tag
 //! and interned component names — instead of a pre-formatted `String`.
-//! Recording one therefore costs an `Arc` clone and a copy of two
+//! Recording one therefore costs an `Rc` clone and a copy of two
 //! integers; the human-readable line (and the fingerprint bytes) are
 //! produced on demand by [`EventKind::render`], whose output is
 //! byte-identical to the `format!` strings the stack recorded before the
@@ -13,7 +13,7 @@
 use dear_time::Instant;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A logical tag `(time, microstep)` as used by the reactor runtime.
 ///
@@ -52,14 +52,14 @@ pub enum EventKind {
     /// A reaction body executed at a tag (`"{name} at {tag}"`).
     Reaction {
         /// Interned reaction name, e.g. `"sensor/sample"`.
-        name: Arc<str>,
+        name: Rc<str>,
         /// The tag it executed at.
         tag: LogicalTag,
     },
     /// A deadline handler ran instead of the body (`"{name} at {tag}"`).
     DeadlineMiss {
         /// Interned reaction name.
-        name: Arc<str>,
+        name: Rc<str>,
         /// The tag it executed at.
         tag: LogicalTag,
     },
@@ -67,7 +67,7 @@ pub enum EventKind {
     /// (`"action {name} requested {tag} but current is {last}"`).
     StpViolation {
         /// Interned action name.
-        name: Arc<str>,
+        name: Rc<str>,
         /// The tag the injection asked for.
         requested: LogicalTag,
         /// The runtime's current tag at rejection time.
@@ -151,7 +151,7 @@ mod tests {
             time: Instant::from_millis(10),
             microstep: 0,
         };
-        let name: Arc<str> = Arc::from("ctrl/apply");
+        let name: Rc<str> = Rc::from("ctrl/apply");
         let k = EventKind::Reaction {
             name: name.clone(),
             tag,
@@ -183,7 +183,7 @@ mod tests {
     fn accessors() {
         let tag = LogicalTag::at(Instant::from_secs(3));
         let k = EventKind::Reaction {
-            name: Arc::from("r"),
+            name: Rc::from("r"),
             tag,
         };
         assert_eq!(k.name(), "r");

@@ -1,13 +1,18 @@
 //! The metrics registry: counters, gauges, and fixed-bucket log-2
 //! latency histograms with deterministic snapshots.
 //!
-//! Everything here is integer arithmetic over `BTreeMap`s, so a
-//! [`Registry::snapshot`] is a pure function of the recorded values:
-//! two runs that record the same values in any order produce
-//! byte-identical snapshot text. That property is what the
-//! snapshot-determinism property tests assert across executor back-ends.
+//! Every key is registered once and answered with a typed slot id
+//! ([`CounterId`], [`GaugeId`], [`HistogramId`]); recording through the
+//! id is an indexed update with no lookup. Everything is integer
+//! arithmetic and the snapshot walks the keys in order, so
+//! [`Registry::snapshot`] is a pure function of the recorded values: two
+//! runs that record the same values in any order produce byte-identical
+//! snapshot text. That property is what the snapshot-determinism property
+//! tests assert.
 
+use dear_arena::{Key, TypedArena};
 use dear_time::Duration;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -139,13 +144,75 @@ impl Histogram {
     }
 }
 
-/// One named metric.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Metric {
-    Counter(u64),
-    Gauge(i64),
-    // Boxed: a histogram's bucket array dwarfs the scalar variants.
-    Histogram(Box<Histogram>),
+macro_rules! metric_id {
+    ($(#[$doc:meta])* $name:ident) => {
+        $(#[$doc])*
+        ///
+        /// A plain slot index, `Copy` and four bytes wide. It belongs to
+        /// the [`Observe`](crate::Observe) that issued it (its clones
+        /// included); the [`Default`] id, which a disabled handle also
+        /// hands out, addresses no slot, and an enabled handle panics if
+        /// asked to record through it.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub struct $name(u32);
+
+        impl Default for $name {
+            fn default() -> Self {
+                $name(u32::MAX)
+            }
+        }
+
+        impl Key for $name {
+            fn from_index(index: usize) -> Self {
+                $name(u32::try_from(index).expect("metric slots exhausted"))
+            }
+            fn index(self) -> usize {
+                self.0 as usize
+            }
+        }
+    };
+}
+
+metric_id! {
+    /// Handle of a counter, from
+    /// [`Observe::register_counter`](crate::Observe::register_counter).
+    CounterId
+}
+metric_id! {
+    /// Handle of a gauge, from
+    /// [`Observe::register_gauge`](crate::Observe::register_gauge).
+    GaugeId
+}
+metric_id! {
+    /// Handle of a histogram, from
+    /// [`Observe::register_histogram`](crate::Observe::register_histogram).
+    HistogramId
+}
+
+/// Where a key's value lives.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Counter(CounterId),
+    Gauge(GaugeId),
+    Histogram(HistogramId),
+}
+
+impl Slot {
+    fn kind(self) -> &'static str {
+        match self {
+            Slot::Counter(_) => "counter",
+            Slot::Gauge(_) => "gauge",
+            Slot::Histogram(_) => "histogram",
+        }
+    }
+
+    /// The panic for `key` asked for as a `wanted` it is not.
+    fn mismatch(self, key: &str, wanted: &str) -> ! {
+        panic!(
+            "metric key `{key}` is registered as a {} and cannot also be a {wanted}",
+            self.kind()
+        )
+    }
 }
 
 /// A keyed collection of metrics with deterministic, key-ordered
@@ -153,100 +220,124 @@ enum Metric {
 ///
 /// Keys are flat strings with `/`-separated scopes by convention
 /// (`"coord/grant_wait_ns"`); [`Registry::snapshot_filtered`] selects a
-/// scope by prefix.
-#[derive(Debug, Clone, Default)]
+/// scope by prefix. Each key is registered once, as one kind, and gets a
+/// slot in that kind's table; recording through the slot's id is an
+/// indexed update. A slot enters the snapshot once it has been recorded
+/// (a counter or gauge once set, a histogram once it holds a sample), so
+/// registering a key shows nothing by itself.
+///
+/// # Panics
+///
+/// Registering a key as a second kind panics: the keys are constants in
+/// the instrumented code, and silently turning a counter into a
+/// histogram would drop what the counter held.
+#[derive(Debug, Default)]
 pub(crate) struct Registry {
-    metrics: BTreeMap<String, Metric>,
+    keys: BTreeMap<Cow<'static, str>, Slot>,
+    counters: TypedArena<CounterId, Option<u64>>,
+    gauges: TypedArena<GaugeId, Option<i64>>,
+    histograms: TypedArena<HistogramId, Histogram>,
 }
 
 impl Registry {
-    /// Adds `by` to the counter `key` (creating it at zero).
-    pub(crate) fn counter_add(&mut self, key: &str, by: u64) {
-        match self.metrics.get_mut(key) {
-            Some(Metric::Counter(v)) => *v += by,
-            Some(other) => *other = Metric::Counter(by),
-            None => {
-                self.metrics.insert(key.to_owned(), Metric::Counter(by));
-            }
+    /// The slot of `key`, made by `make` if new (`owned` supplies the
+    /// stored key then).
+    fn slot(
+        &mut self,
+        key: &str,
+        owned: impl FnOnce() -> Cow<'static, str>,
+        make: impl FnOnce(&mut Self) -> Slot,
+    ) -> Slot {
+        if let Some(&slot) = self.keys.get(key) {
+            return slot;
+        }
+        let slot = make(self);
+        self.keys.insert(owned(), slot);
+        slot
+    }
+
+    /// The counter `key`, registered if new.
+    pub(crate) fn counter(
+        &mut self,
+        key: &str,
+        owned: impl FnOnce() -> Cow<'static, str>,
+    ) -> CounterId {
+        match self.slot(key, owned, |r| Slot::Counter(r.counters.push(None))) {
+            Slot::Counter(id) => id,
+            other => other.mismatch(key, "counter"),
         }
     }
 
-    /// Sets the counter `key` to an absolute value (for absorbing
-    /// externally accumulated stats counters).
-    #[cfg(test)]
-    pub(crate) fn counter_set(&mut self, key: &str, value: u64) {
-        self.insert(key, Metric::Counter(value));
-    }
-
-    /// Sets the gauge `key`.
-    pub(crate) fn gauge_set(&mut self, key: &str, value: i64) {
-        self.insert(key, Metric::Gauge(value));
-    }
-
-    /// Records a sample into the histogram `key` (creating it empty).
-    pub(crate) fn histogram_record(&mut self, key: &str, value: u64) {
-        match self.metrics.get_mut(key) {
-            Some(Metric::Histogram(h)) => h.record(value),
-            _ => {
-                let mut h = Histogram::default();
-                h.record(value);
-                self.metrics
-                    .insert(key.to_owned(), Metric::Histogram(Box::new(h)));
-            }
+    /// The gauge `key`, registered if new.
+    pub(crate) fn gauge(
+        &mut self,
+        key: &str,
+        owned: impl FnOnce() -> Cow<'static, str>,
+    ) -> GaugeId {
+        match self.slot(key, owned, |r| Slot::Gauge(r.gauges.push(None))) {
+            Slot::Gauge(id) => id,
+            other => other.mismatch(key, "gauge"),
         }
     }
 
-    fn insert(&mut self, key: &str, metric: Metric) {
-        match self.metrics.get_mut(key) {
-            Some(slot) => *slot = metric,
-            None => {
-                self.metrics.insert(key.to_owned(), metric);
-            }
+    /// The histogram `key`, registered if new.
+    pub(crate) fn histogram(
+        &mut self,
+        key: &str,
+        owned: impl FnOnce() -> Cow<'static, str>,
+    ) -> HistogramId {
+        let make = |r: &mut Self| Slot::Histogram(r.histograms.push(Histogram::default()));
+        match self.slot(key, owned, make) {
+            Slot::Histogram(id) => id,
+            other => other.mismatch(key, "histogram"),
         }
     }
 
-    /// The current value of a counter, if `key` names one.
+    /// Adds `by` to a counter (recorded from then on, even if `by` is 0).
+    pub(crate) fn add(&mut self, id: CounterId, by: u64) {
+        *self.counters[id].get_or_insert(0) += by;
+    }
+
+    /// Sets a gauge.
+    pub(crate) fn set(&mut self, id: GaugeId, value: i64) {
+        self.gauges[id] = Some(value);
+    }
+
+    /// Records a sample into a histogram.
+    pub(crate) fn sample(&mut self, id: HistogramId, value: u64) {
+        self.histograms[id].record(value);
+    }
+
+    /// The current value of a counter, if `key` names a recorded one.
     #[must_use]
     #[cfg(test)]
-    pub(crate) fn counter(&self, key: &str) -> Option<u64> {
-        match self.metrics.get(key) {
-            Some(Metric::Counter(v)) => Some(*v),
+    pub(crate) fn counter_value(&self, key: &str) -> Option<u64> {
+        match self.keys.get(key) {
+            Some(&Slot::Counter(id)) => self.counters[id],
             _ => None,
         }
     }
 
-    /// The current value of a gauge, if `key` names one.
+    /// The current value of a gauge, if `key` names a recorded one.
     #[must_use]
     #[cfg(test)]
-    pub(crate) fn gauge(&self, key: &str) -> Option<i64> {
-        match self.metrics.get(key) {
-            Some(Metric::Gauge(v)) => Some(*v),
+    pub(crate) fn gauge_value(&self, key: &str) -> Option<i64> {
+        match self.keys.get(key) {
+            Some(&Slot::Gauge(id)) => self.gauges[id],
             _ => None,
         }
     }
 
-    /// A clone of the histogram at `key`, if one exists.
+    /// A clone of the histogram at `key`, if it holds a sample.
     #[must_use]
     #[cfg(test)]
-    pub(crate) fn histogram(&self, key: &str) -> Option<Histogram> {
-        match self.metrics.get(key) {
-            Some(Metric::Histogram(h)) => Some((**h).clone()),
+    pub(crate) fn histogram_of(&self, key: &str) -> Option<Histogram> {
+        match self.keys.get(key) {
+            Some(&Slot::Histogram(id)) if self.histograms[id].count > 0 => {
+                Some(self.histograms[id].clone())
+            }
             _ => None,
         }
-    }
-
-    /// Number of registered metrics.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// `true` when no metric has been registered.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
     }
 
     /// Renders every metric, one line per key, in key order.
@@ -263,21 +354,28 @@ impl Registry {
     #[must_use]
     pub(crate) fn snapshot_filtered(&self, prefix: &str) -> String {
         let mut out = String::new();
-        for (key, metric) in &self.metrics {
+        for (key, &slot) in &self.keys {
             if !key.starts_with(prefix) {
                 continue;
             }
-            match metric {
-                Metric::Counter(v) => {
-                    let _ = writeln!(out, "counter {key} = {v}");
+            match slot {
+                Slot::Counter(id) => {
+                    if let Some(v) = self.counters[id] {
+                        let _ = writeln!(out, "counter {key} = {v}");
+                    }
                 }
-                Metric::Gauge(v) => {
-                    let _ = writeln!(out, "gauge {key} = {v}");
+                Slot::Gauge(id) => {
+                    if let Some(v) = self.gauges[id] {
+                        let _ = writeln!(out, "gauge {key} = {v}");
+                    }
                 }
-                Metric::Histogram(h) => {
-                    let _ = write!(out, "hist {key}: ");
-                    h.render(&mut out);
-                    out.push('\n');
+                Slot::Histogram(id) => {
+                    let h = &self.histograms[id];
+                    if h.count > 0 {
+                        let _ = write!(out, "hist {key}: ");
+                        h.render(&mut out);
+                        out.push('\n');
+                    }
                 }
             }
         }
@@ -327,17 +425,27 @@ mod tests {
         assert_eq!(h.percentile_bound(100), 100);
     }
 
+    fn key(key: &'static str) -> impl FnOnce() -> Cow<'static, str> {
+        move || Cow::Borrowed(key)
+    }
+
     #[test]
     fn snapshot_is_key_ordered_and_deterministic() {
         let mut a = Registry::default();
-        a.counter_add("z/last", 1);
-        a.gauge_set("a/first", -3);
-        a.histogram_record("m/mid", 7);
+        let id = a.counter("z/last", key("z/last"));
+        a.add(id, 1);
+        let id = a.gauge("a/first", key("a/first"));
+        a.set(id, -3);
+        let id = a.histogram("m/mid", key("m/mid"));
+        a.sample(id, 7);
 
         let mut b = Registry::default();
-        b.histogram_record("m/mid", 7);
-        b.counter_add("z/last", 1);
-        b.gauge_set("a/first", -3);
+        let id = b.histogram("m/mid", key("m/mid"));
+        b.sample(id, 7);
+        let id = b.counter("z/last", key("z/last"));
+        b.add(id, 1);
+        let id = b.gauge("a/first", key("a/first"));
+        b.set(id, -3);
 
         assert_eq!(a.snapshot(), b.snapshot());
         let snap = a.snapshot();
@@ -350,8 +458,10 @@ mod tests {
     #[test]
     fn filtered_snapshot_selects_scope() {
         let mut r = Registry::default();
-        r.counter_add("runtime/tags", 5);
-        r.counter_add("coord/nets", 2);
+        let id = r.counter("runtime/tags", key("runtime/tags"));
+        r.add(id, 5);
+        let id = r.counter("coord/nets", key("coord/nets"));
+        r.add(id, 2);
         let s = r.snapshot_filtered("runtime/");
         assert!(s.contains("runtime/tags"));
         assert!(!s.contains("coord/nets"));
@@ -360,18 +470,31 @@ mod tests {
     #[test]
     fn counter_accessors() {
         let mut r = Registry::default();
-        r.counter_add("c", 2);
-        r.counter_add("c", 3);
-        r.counter_set("c2", 9);
-        r.gauge_set("g", -1);
-        r.histogram_record("h", 4);
-        assert_eq!(r.counter("c"), Some(5));
-        assert_eq!(r.counter("c2"), Some(9));
-        assert_eq!(r.gauge("g"), Some(-1));
-        assert_eq!(r.histogram("h").unwrap().count(), 1);
-        assert_eq!(r.counter("g"), None);
-        assert_eq!(r.len(), 4);
-        assert!(!r.is_empty());
+        let c = r.counter("c", key("c"));
+        assert_eq!(r.counter("c", || unreachable!("already stored")), c);
+        r.add(c, 2);
+        r.add(c, 3);
+        let g = r.gauge("g", key("g"));
+        r.set(g, -1);
+        let h = r.histogram("h", key("h"));
+        r.sample(h, 4);
+        assert_eq!(r.counter_value("c"), Some(5));
+        assert_eq!(r.gauge_value("g"), Some(-1));
+        assert_eq!(r.histogram_of("h").unwrap().count(), 1);
+        assert_eq!(r.counter_value("g"), None);
+        assert_eq!(r.keys.len(), 3);
+    }
+
+    #[test]
+    fn only_recorded_slots_are_snapshotted() {
+        let mut r = Registry::default();
+        let c = r.counter("c", key("c"));
+        r.gauge("g", key("g"));
+        r.histogram("h", key("h"));
+        assert_eq!(r.snapshot(), "");
+        // A zero add still records the counter, as it always has.
+        r.add(c, 0);
+        assert_eq!(r.snapshot(), "counter c = 0\n");
     }
 
     #[test]

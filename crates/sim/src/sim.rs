@@ -350,10 +350,12 @@ impl Simulation {
     /// returns the shared [`Observe`] handle.
     ///
     /// Disabled by default: every instrumentation site then costs one
-    /// branch — no locks, no allocation. Components capture the handle
-    /// when they start (e.g. a coordinated platform at
-    /// `start`), so enable observability **before** driving the
-    /// simulation. Calling this twice returns the same handle.
+    /// branch and allocates nothing. Components capture the handle and
+    /// resolve their metric slots in it when they start (a coordinated
+    /// platform at `start`; a coordinator on its first round with
+    /// telemetry on), so enable observability **before** driving the
+    /// simulation. Calling this twice returns the same handle, so slots
+    /// resolved in it stay valid.
     pub fn enable_observability(&mut self) -> Observe {
         if !self.observe.is_enabled() {
             self.observe = Observe::enabled();

@@ -212,9 +212,9 @@ impl Trace {
     /// [`EventKind`] lazily.
     ///
     /// This is the structured twin of [`Trace::record_with`]: the hot
-    /// paths hand over interned `Arc<str>` names and logical tags instead
+    /// paths hand over interned `Rc<str>` names and logical tags instead
     /// of formatting a `String` per event. Disabled-mode cost is one
-    /// branch; enabled-mode cost is an `Arc` clone and a `Vec` push — the
+    /// branch; enabled-mode cost is an `Rc` clone and a `Vec` push — the
     /// detail line is only materialized by fingerprinting or display.
     pub fn record_event(
         &mut self,
@@ -384,13 +384,13 @@ mod tests {
     #[test]
     fn typed_record_fingerprints_like_its_rendering() {
         use dear_observe::{EventKind, LogicalTag};
-        use std::sync::Arc;
+        use std::rc::Rc;
 
         let tag = LogicalTag {
             time: Instant::from_millis(10),
             microstep: 1,
         };
-        let name: Arc<str> = Arc::from("ctrl/apply");
+        let name: Rc<str> = Rc::from("ctrl/apply");
 
         // The legacy string path...
         let mut legacy = Trace::new();

@@ -4,13 +4,16 @@
 //! injections, a pooled SOME/IP encode + decode, a network send plus its
 //! delivery, and a decentralized platform's wake, outbox drain and
 //! two-subscriber notify fan-out allocate **nothing**.
-//! A durable-log append allocates only when the segment's `Vec` grows.
+//! So do resolving metric ids on a disabled telemetry handle and, on an
+//! enabled one, recording through them; enabled spans allocate only the
+//! fixed chunks they fill. A durable-log append allocates only when the
+//! segment's `Vec` grows.
 //!
 //! The counter is per thread, so what the test harness allocates on its
 //! own threads meanwhile is not counted.
 
 use dear::federation::{EventLog, LogRecord};
-use dear::observe::{Lane, Observe};
+use dear::observe::{Lane, LogicalTag, Observe};
 use dear::reactor::{ProgramBuilder, Runtime, Tag};
 use dear::sim::{Frame, LatencyModel, LinkConfig, NetworkHandle, NodeId, Simulation, VirtualClock};
 use dear::someip::{
@@ -105,6 +108,83 @@ fn untraced_reactions_allocate_nothing() {
 #[test]
 fn disabled_telemetry_allocates_nothing() {
     assert_eq!(fanout_allocations(Some(Observe::disabled())), 0);
+}
+
+/// Resolving metric ids on a disabled handle stores nothing: the ids
+/// are defaults, and a runtime attached to the handle resolves its own
+/// without allocating.
+#[test]
+fn resolving_ids_on_disabled_telemetry_allocates_nothing() {
+    let mut rt = Runtime::new(ProgramBuilder::new().build().expect("empty program builds"));
+    let observe = Observe::disabled();
+    let before = allocations();
+    let counter = observe.register_counter("runtime/tags");
+    let gauge = observe.register_gauge("frame/occupancy");
+    let histogram = observe.register_histogram("coord/tag_lag_ns");
+    rt.set_observe(observe.clone(), Lane::Federate(1));
+    observe.add(counter, 1);
+    observe.set(gauge, 1);
+    observe.sample(histogram, 1);
+    assert_eq!(allocations() - before, 0);
+}
+
+/// Enabled telemetry through pre-registered ids: once each slot holds a
+/// value, counter adds, gauge sets and histogram samples are indexed
+/// updates that allocate nothing.
+#[test]
+fn enabled_metrics_through_ids_allocate_nothing() {
+    let observe = Observe::enabled();
+    let counter = observe.register_counter("runtime/reactions");
+    let gauge = observe.register_gauge("frame/occupancy");
+    let histogram = observe.register_histogram("coord/tag_lag_ns");
+    let record = |i: u64| {
+        observe.add(counter, 1);
+        observe.set(gauge, i as i64);
+        observe.sample(histogram, i);
+    };
+    record(0);
+    let before = allocations();
+    (1..=10_000).for_each(record);
+    assert_eq!(allocations() - before, 0);
+    assert!(observe
+        .snapshot()
+        .contains("counter runtime/reactions = 10001"));
+}
+
+/// Enabled spans allocate only the fixed chunks their records fill:
+/// after a warm-up that grows the chunks to their cap and interns the
+/// names, 10 000 spans and instants cost at most one allocation per
+/// 4 096 records.
+#[test]
+fn enabled_spans_allocate_only_their_chunks() {
+    const SPANS: u64 = 10_000;
+    /// The capacity `dear-observe`'s span chunks grow to.
+    const CHUNK: u64 = 4096;
+    let observe = Observe::enabled();
+    let record = |i: u64| {
+        let at = Instant::from_nanos(i * 1_000);
+        if i % 2 == 0 {
+            let tag = LogicalTag::at(at);
+            observe.span_tagged(
+                Lane::Federate(1),
+                "tag",
+                at,
+                at + Duration::from_nanos(500),
+                tag,
+            );
+        } else {
+            observe.instant(Lane::Root, "fixpoint", at);
+        }
+    };
+    (0..SPANS).for_each(record);
+    let before = allocations();
+    (SPANS..2 * SPANS).for_each(record);
+    let allocated = allocations() - before;
+    assert!(
+        allocated <= SPANS.div_ceil(CHUNK),
+        "{allocated} allocations for {SPANS} spans"
+    );
+    assert_eq!(observe.span_count() as u64, 2 * SPANS);
 }
 
 /// A runtime shaped like the Computer Vision stage: two physical actions

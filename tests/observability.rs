@@ -13,7 +13,7 @@ use dear::sim::{LinkConfig, NetworkHandle, NodeId, Simulation, VirtualClock};
 use dear::someip::{Binding, SdRegistry, ServiceInstance};
 use dear::time::{Duration, Instant};
 use dear::transactors::{
-    ClientEventTransactor, DearConfig, EventSpec, Outbox, ServerEventTransactor,
+    ClientEventTransactor, Coordination, DearConfig, EventSpec, Outbox, ServerEventTransactor,
 };
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -283,4 +283,49 @@ fn full_instrumentation_does_not_move_fingerprints() {
         },
     );
     assert_eq!(full.decision_fingerprint(), 0xf3e5_22a0_b4ee_1cff);
+}
+
+/// FNV-1a over the bytes of an export, for pinning it as a literal.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The exported bytes themselves, pinned as literals: the Chrome trace
+/// and snapshot of the platoon flat and hierarchical, and the brake
+/// pipeline's snapshot centralized and with the control diet. The other
+/// tests compare runs with each other; these move only when what the
+/// telemetry records or how it renders it does, so a change to how spans
+/// and metrics are stored must leave every one of them alone.
+#[test]
+fn telemetry_bytes_are_pinned() {
+    let mut digests = Vec::new();
+    for hierarchical in [false, true] {
+        let (_, observe) = run_platoon(7, hierarchical);
+        digests.push(fnv1a(&observe.chrome_trace()));
+        digests.push(fnv1a(&observe.snapshot()));
+    }
+    let centralized = DetParams {
+        frames: 200,
+        coordination: Coordination::Centralized,
+        observability: true,
+        ..DetParams::default()
+    };
+    let diet = DetParams {
+        control_diet: true,
+        ..centralized.clone()
+    };
+    for params in [centralized, diet] {
+        digests.push(fnv1a(&run_det(7, &params).metrics_snapshot));
+    }
+    let pinned: [u64; 6] = [
+        0x6f82_e625_1764_0739, // flat: Chrome trace
+        0xd4d2_79c6_5c0b_f0a9, // flat: snapshot
+        0xd05b_d7bf_87a3_6a1f, // hierarchical: Chrome trace
+        0x2dda_76c2_d313_a918, // hierarchical: snapshot
+        0xcf25_726b_700c_192f, // run_det centralized: snapshot
+        0x25a1_7e4d_6c57_7ebe, // run_det diet: snapshot
+    ];
+    assert_eq!(digests, pinned);
 }
