@@ -48,7 +48,9 @@ use dear_federation::{CoordinatedPlatform, EventLog, PlatformRecovery, Rti};
 use dear_sim::{
     FaultPlan, LatencyModel, LinkConfig, NetworkHandle, NodeId, SimRng, Simulation, VirtualClock,
 };
-use dear_someip::{Binding, FrameBuf, FramePool, PayloadWriter, SdRegistry, ServiceInstance};
+use dear_someip::{
+    Binding, FrameBuf, FramePool, PayloadError, PayloadWriter, SdRegistry, ServiceInstance,
+};
 use dear_time::{Duration, Instant};
 use dear_transactors::{
     ClientEventTransactor, Coordination, DearConfig, EventSpec, FailoverBinding, FailoverEventSpec,
@@ -275,6 +277,9 @@ pub struct DetReport {
     pub end_to_end: Vec<Duration>,
     /// CV tag-alignment errors (must be zero).
     pub mismatches_cv: u64,
+    /// Wire payloads a stage failed to decode, each treated as an absent
+    /// input (must be zero).
+    pub payloads_rejected: u64,
     /// Safe-to-process violations (must be zero when bounds hold).
     pub stp_violations: u64,
     /// Deadline misses across all platforms.
@@ -338,9 +343,9 @@ impl DetReport {
 /// Video Adapter logic: "a sensor that inserts frames into the reactor
 /// network with a tag equal to the physical time of message reception" —
 /// each forwarded frame is stamped with the reception tag. The state is
-/// the pool its payloads are encoded into.
+/// the run's sinks and the pool its payloads are encoded into.
 #[derive(Reactor)]
-#[reactor(state = FramePool)]
+#[reactor(state = (Sinks, FramePool))]
 struct AdapterLogic {
     #[output]
     frame: Port<FrameBuf>,
@@ -351,9 +356,11 @@ struct AdapterLogic {
 }
 
 impl AdapterLogic {
-    fn adapt(pool: &mut FramePool, this: &Self, ctx: &mut ReactionCtx<'_>) {
-        let mut frame =
-            Frame::from_payload(ctx.get(this.camera).unwrap()).expect("camera frame payload");
+    fn adapt((sinks, pool): &mut (Sinks, FramePool), this: &Self, ctx: &mut ReactionCtx<'_>) {
+        let Some(mut frame) = sinks.accept(Frame::from_payload(ctx.get(this.camera).unwrap()))
+        else {
+            return;
+        };
         // The sensor stamp: the tag equals the physical reception time
         // of the frame.
         frame.adapter_nanos = ctx.tag().time.as_nanos();
@@ -364,9 +371,9 @@ impl AdapterLogic {
 /// Preprocessing logic: lane detection plus a same-tag forward of the
 /// raw frame for Computer Vision's alignment check. The frame is
 /// forwarded as received; the lane is encoded into the pool the state
-/// holds.
+/// holds beside the run's sinks.
 #[derive(Reactor)]
-#[reactor(state = FramePool)]
+#[reactor(state = (Sinks, FramePool))]
 struct PreprocessingLogic {
     #[output]
     lane: Port<FrameBuf>,
@@ -379,9 +386,11 @@ struct PreprocessingLogic {
 }
 
 impl PreprocessingLogic {
-    fn preprocess(pool: &mut FramePool, this: &Self, ctx: &mut ReactionCtx<'_>) {
+    fn preprocess((sinks, pool): &mut (Sinks, FramePool), this: &Self, ctx: &mut ReactionCtx<'_>) {
         let received = ctx.get(this.frames).unwrap().clone();
-        let frame = Frame::from_payload(&received).expect("frame payload");
+        let Some(frame) = sinks.accept(Frame::from_payload(&received)) else {
+            return;
+        };
         let lane = crate::logic::preprocess(&frame);
         ctx.set(this.lane, lane.encode(PayloadWriter::pooled(pool)));
         ctx.set(this.frame, received);
@@ -390,10 +399,11 @@ impl PreprocessingLogic {
 
 /// Computer Vision logic: "expects to receive two events with the same
 /// tag at both inputs. If only one input is received, this is considered
-/// an error" — the state counts those tag-alignment errors, beside the
-/// pool the vehicle lists are encoded into.
+/// an error" — the run's sinks count those tag-alignment errors; the
+/// vehicle lists are encoded into the pool beside them. An input whose
+/// payload fails to decode is absent.
 #[derive(Reactor)]
-#[reactor(state = (Rc<Cell<u64>>, FramePool))]
+#[reactor(state = (Sinks, FramePool))]
 struct ComputerVisionLogic {
     #[output]
     vehicles: Port<FrameBuf>,
@@ -406,17 +416,13 @@ struct ComputerVisionLogic {
 }
 
 impl ComputerVisionLogic {
-    fn detect(
-        (mismatches, pool): &mut (Rc<Cell<u64>>, FramePool),
-        this: &Self,
-        ctx: &mut ReactionCtx<'_>,
-    ) {
+    fn detect((sinks, pool): &mut (Sinks, FramePool), this: &Self, ctx: &mut ReactionCtx<'_>) {
         let lane = ctx
             .get(this.lane)
-            .map(|p| LaneBox::from_payload(p).expect("lane payload"));
+            .and_then(|p| sinks.accept(LaneBox::from_payload(p)));
         let frame = ctx
             .get(this.frame)
-            .map(|p| Frame::from_payload(p).expect("frame payload"));
+            .and_then(|p| sinks.accept(Frame::from_payload(p)));
         match (lane, frame) {
             (Some(lane), Some(frame)) if lane.frame_id == frame.id => {
                 let vehicles = detect_vehicles(&frame, &lane);
@@ -424,7 +430,7 @@ impl ComputerVisionLogic {
             }
             // "If only one input is received, this is considered an
             // error."
-            _ => mismatches.set(mismatches.get() + 1),
+            _ => sinks.mismatches.set(sinks.mismatches.get() + 1),
         }
     }
 }
@@ -437,7 +443,7 @@ type DecisionSink = Rc<RefCell<Vec<(BrakeDecision, u64, u64)>>>;
 /// The deadline is a run parameter, so it arrives as an `#[external]`
 /// value rather than a literal in the attribute.
 #[derive(Reactor)]
-#[reactor(state = DecisionSink)]
+#[reactor(state = Sinks)]
 struct EbaLogic {
     #[external]
     vehicles: Port<FrameBuf>,
@@ -448,11 +454,14 @@ struct EbaLogic {
 }
 
 impl EbaLogic {
-    fn decide(sink: &mut DecisionSink, this: &Self, ctx: &mut ReactionCtx<'_>) {
-        let vehicles =
-            VehicleList::from_payload(ctx.get(this.vehicles).unwrap()).expect("vehicles payload");
+    fn decide(sinks: &mut Sinks, this: &Self, ctx: &mut ReactionCtx<'_>) {
+        let Some(vehicles) =
+            sinks.accept(VehicleList::from_payload(ctx.get(this.vehicles).unwrap()))
+        else {
+            return;
+        };
         let brake = eba_decide(&vehicles);
-        sink.borrow_mut().push((
+        sinks.decisions.borrow_mut().push((
             BrakeDecision {
                 frame_id: vehicles.frame_id,
                 brake,
@@ -462,20 +471,33 @@ impl EbaLogic {
         ));
     }
 
-    fn decide_late(sink: &mut DecisionSink, this: &Self, ctx: &mut ReactionCtx<'_>) {
+    fn decide_late(sinks: &mut Sinks, this: &Self, ctx: &mut ReactionCtx<'_>) {
         // Deadline miss: the decision is still produced (and the miss is
         // counted by the runtime) — late but observable, never silently
         // lost.
-        Self::decide(sink, this, ctx);
+        Self::decide(sinks, this, ctx);
     }
 }
 
-/// Where the stage logic reports: CV's tag-alignment errors and EBA's
-/// decisions. A rebuilt CV incarnation counts into the same sink.
+/// Where the stage logic reports: payloads that failed to decode, CV's
+/// tag-alignment errors and EBA's decisions. A rebuilt CV incarnation
+/// counts into the same sinks.
 #[derive(Clone, Default)]
 struct Sinks {
+    rejected: Rc<Cell<u64>>,
     mismatches: Rc<Cell<u64>>,
     decisions: DecisionSink,
+}
+
+impl Sinks {
+    /// A decoded wire payload, or `None` — counted as rejected — when the
+    /// bytes are malformed: the stage then treats the input as absent.
+    fn accept<T>(&self, decoded: Result<T, PayloadError>) -> Option<T> {
+        if decoded.is_err() {
+            self.rejected.set(self.rejected.get() + 1);
+        }
+        decoded.ok()
+    }
 }
 
 /// Offer TTL of every plain service: effectively forever.
@@ -580,8 +602,8 @@ fn adapter_program(d: &mut Decl<'_>) -> Ports<1, 1> {
     let externals = AdapterLogicExternals {
         camera: camera.event,
     };
-    let logic: AdapterLogic =
-        d.b.declare_ext("adapter_logic", FramePool::new(), externals);
+    let state = (d.sinks.clone(), FramePool::new());
+    let logic: AdapterLogic = d.b.declare_ext("adapter_logic", state, externals);
     d.b.connect(logic.frame, publish.event).unwrap();
     ("adapter_logic.adapt", [camera], [publish])
 }
@@ -592,8 +614,8 @@ fn preprocessing_program(d: &mut Decl<'_>) -> Ports<1, 2> {
     let externals = PreprocessingLogicExternals {
         frames: frames.event,
     };
-    let pool = FramePool::new();
-    let logic: PreprocessingLogic = d.b.declare_ext("preprocessing_logic", pool, externals);
+    let state = (d.sinks.clone(), FramePool::new());
+    let logic: PreprocessingLogic = d.b.declare_ext("preprocessing_logic", state, externals);
     d.b.connect(logic.lane, lane.event).unwrap();
     d.b.connect(logic.frame, frame.event).unwrap();
     ("preprocessing_logic.preprocess", [frames], [lane, frame])
@@ -609,7 +631,7 @@ fn cv_program(d: &mut Decl<'_>) -> Ports<2, 1> {
         lane: lane.event,
         frame: frame.event,
     };
-    let state = (d.sinks.mismatches.clone(), FramePool::new());
+    let state = (d.sinks.clone(), FramePool::new());
     let logic: ComputerVisionLogic = d.b.declare_ext("computer_vision_logic", state, externals);
     d.b.connect(logic.vehicles, publish.event).unwrap();
     ("computer_vision_logic.detect", [lane, frame], [publish])
@@ -621,8 +643,7 @@ fn eba_program(d: &mut Decl<'_>) -> Ports<1, 0> {
         vehicles: vehicles.event,
         deadline: d.deadline,
     };
-    let _: EbaLogic =
-        d.b.declare_ext("eba_logic", d.sinks.decisions.clone(), externals);
+    let _: EbaLogic = d.b.declare_ext("eba_logic", d.sinks.clone(), externals);
     ("eba_logic.decide", [vehicles], [])
 }
 
@@ -917,13 +938,21 @@ impl<'p> World<'p> {
         );
         platform.attach_durable(EventLog::in_memory());
         // Both CV inboxes carry raw SOME/IP payloads; the codec is the
-        // identity. The action ids are structural, so the rebuilt
-        // incarnation replays into the same inboxes.
+        // identity, and a replayed payload is copied into a frame of one
+        // pool the two share, which the replayed steps recycle. The
+        // action ids are structural, so the rebuilt incarnation replays
+        // into the same inboxes.
+        let pool = FramePool::new();
         for input in inputs {
+            let pool = pool.clone();
             platform.register_durable_input(
                 input.action(),
                 |frame: &FrameBuf, out| out.extend_from_slice(frame),
-                |bytes| Some(bytes.to_vec().into()),
+                move |bytes| {
+                    let mut frame = pool.acquire();
+                    frame.extend_from_slice(bytes);
+                    Some(frame.freeze())
+                },
             );
         }
 
@@ -1000,6 +1029,7 @@ impl<'p> World<'p> {
             frames_sent: params.frames,
             coordination: Coordinator::report(coordinator),
             mismatches_cv: self.sinks.mismatches.get(),
+            payloads_rejected: self.sinks.rejected.get(),
             ..DetReport::default()
         };
         for stage in &stages {
@@ -1059,6 +1089,7 @@ impl<'p> World<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dear_core::{StepOutcome, Tag};
 
     fn small_params() -> DetParams {
         DetParams {
@@ -1072,6 +1103,7 @@ mod tests {
         let report = run_det(1, &small_params());
         assert_eq!(report.decisions.len(), 100, "every frame decided");
         assert_eq!(report.mismatches_cv, 0);
+        assert_eq!(report.payloads_rejected, 0);
         assert_eq!(report.stp_violations, 0);
         assert_eq!(report.deadline_misses, 0);
         assert_eq!(report.untagged_dropped, 0);
@@ -1079,6 +1111,43 @@ mod tests {
         // Frames arrive in order, none dropped.
         let ids: Vec<u64> = report.decisions.iter().map(|d| d.frame_id).collect();
         assert_eq!(ids, (0..100).collect::<Vec<u64>>());
+    }
+
+    /// A vehicle-list payload of `count` vehicles, written field by field.
+    fn vehicles_payload(count: u32) -> FrameBuf {
+        let mut w = PayloadWriter::new();
+        w.write_u64(1).write_u64(0).write_u64(0).write_u32(count);
+        for track in 0..count {
+            w.write_u32(track).write_u32(10_000);
+        }
+        w.into_frame()
+    }
+
+    #[test]
+    fn malformed_vehicle_payloads_are_counted_not_decided() {
+        let (sinks, outbox) = (Sinks::default(), Outbox::new());
+        let (mut runtime, (_, [vehicles], [])) =
+            build(eba_program, &outbox, Duration::from_millis(5), &sinks);
+        runtime.start(Instant::EPOCH);
+        let mut deliver = |ms, payload| {
+            let tag = Tag::at(Instant::EPOCH + Duration::from_millis(ms));
+            runtime
+                .schedule_physical_at(&vehicles.action(), payload, tag)
+                .unwrap();
+            assert!(matches!(runtime.step(tag.time), StepOutcome::Processed(_)));
+        };
+        // One vehicle more than a list holds, then a cut-off list.
+        let truncated = vehicles_payload(1);
+        deliver(1, vehicles_payload(4));
+        deliver(2, FrameBuf::from(&truncated[..truncated.len() - 2]));
+        assert_eq!(sinks.rejected.get(), 2);
+        assert!(sinks.decisions.borrow().is_empty(), "no decision");
+        // The stage still decides the next well-formed list.
+        deliver(3, vehicles_payload(3));
+        assert_eq!(sinks.rejected.get(), 2);
+        let decisions = sinks.decisions.borrow();
+        assert_eq!(decisions.len(), 1);
+        assert!(decisions[0].0.brake, "a vehicle at 10 m brakes");
     }
 
     #[test]

@@ -37,30 +37,24 @@ pub fn preprocess(frame: &Frame) -> LaneBox {
 pub fn detect_vehicles(frame: &Frame, lane: &LaneBox) -> VehicleList {
     debug_assert_eq!(frame.id, lane.frame_id, "callers must check alignment");
     let h = mix(frame.id ^ 0xC0FF_EE00);
-    let count = (h % 4) as u32; // 0..=3 vehicles
-    let vehicles = (0..count)
-        .map(|i| {
-            let vh = mix(h ^ u64::from(i));
-            Vehicle {
-                track: i,
-                // 5 m .. ~85 m
-                distance_mm: 5_000 + (vh % 80_000) as u32,
-            }
-        })
-        .collect();
-    VehicleList {
-        frame_id: frame.id,
-        capture_nanos: frame.capture_nanos,
-        adapter_nanos: frame.adapter_nanos,
-        vehicles,
+    let count = (h % 4) as u32; // 0..=3 vehicles (`MAX_VEHICLES`)
+    let mut list = VehicleList::new(frame.id, frame.capture_nanos, frame.adapter_nanos);
+    for i in 0..count {
+        let vh = mix(h ^ u64::from(i));
+        list.push(Vehicle {
+            track: i,
+            // 5 m .. ~85 m
+            distance_mm: 5_000 + (vh % 80_000) as u32,
+        });
     }
+    list
 }
 
 /// Decides whether an emergency brake maneuver is required (EBA).
 #[must_use]
 pub fn eba_decide(vehicles: &VehicleList) -> bool {
     vehicles
-        .vehicles
+        .vehicles()
         .iter()
         .any(|v| v.distance_mm < BRAKE_DISTANCE_MM)
 }
@@ -123,6 +117,7 @@ impl Default for StageTimings {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::MAX_VEHICLES;
 
     #[test]
     fn preprocess_is_pure_and_id_stamped() {
@@ -141,8 +136,8 @@ mod tests {
         let a = detect_vehicles(&f, &lane);
         let b = detect_vehicles(&f, &lane);
         assert_eq!(a, b);
-        assert!(a.vehicles.len() <= 3);
-        for v in &a.vehicles {
+        assert!(a.vehicles().len() <= MAX_VEHICLES);
+        for v in a.vehicles() {
             assert!(v.distance_mm >= 5_000);
         }
     }
@@ -160,26 +155,16 @@ mod tests {
 
     #[test]
     fn eba_threshold_behaviour() {
-        let near = VehicleList {
-            frame_id: 0,
-            capture_nanos: 0,
-            adapter_nanos: 0,
-            vehicles: vec![Vehicle {
+        let one = |distance_mm| {
+            let mut list = VehicleList::default();
+            list.push(Vehicle {
                 track: 0,
-                distance_mm: BRAKE_DISTANCE_MM - 1,
-            }],
+                distance_mm,
+            });
+            list
         };
-        let far = VehicleList {
-            frame_id: 0,
-            capture_nanos: 0,
-            adapter_nanos: 0,
-            vehicles: vec![Vehicle {
-                track: 0,
-                distance_mm: BRAKE_DISTANCE_MM,
-            }],
-        };
-        assert!(eba_decide(&near));
-        assert!(!eba_decide(&far));
+        assert!(eba_decide(&one(BRAKE_DISTANCE_MM - 1)));
+        assert!(!eba_decide(&one(BRAKE_DISTANCE_MM)));
         assert!(!eba_decide(&VehicleList::default()));
     }
 

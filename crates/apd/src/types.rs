@@ -126,7 +126,7 @@ impl LaneBox {
 }
 
 /// A detected vehicle with estimated distance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub(crate) struct Vehicle {
     /// Track id within the frame.
     pub(crate) track: u32,
@@ -134,8 +134,17 @@ pub(crate) struct Vehicle {
     pub(crate) distance_mm: u32,
 }
 
+/// The most vehicles one list holds: the detector's bound (`h % 4` in
+/// [`detect_vehicles`](crate::logic::detect_vehicles)), and the wire
+/// bound [`VehicleList::from_payload`] enforces.
+pub(crate) const MAX_VEHICLES: usize = 3;
+
 /// The vehicle list produced by Computer Vision for one frame.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+///
+/// The vehicles are stored inline, so building, decoding and copying a
+/// list never touches the heap. Slots past `len` stay at their default,
+/// so the derived comparisons see only the listed vehicles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct VehicleList {
     /// The frame these detections belong to.
     pub(crate) frame_id: u64,
@@ -143,11 +152,37 @@ pub struct VehicleList {
     pub(crate) capture_nanos: u64,
     /// Adapter tag time (carried through for latency accounting).
     pub(crate) adapter_nanos: u64,
-    /// Detected vehicles in the travel lane.
-    pub(crate) vehicles: Vec<Vehicle>,
+    /// Detected vehicles in the travel lane: the first `len` slots.
+    slots: [Vehicle; MAX_VEHICLES],
+    len: u8,
 }
 
 impl VehicleList {
+    /// An empty list for one frame.
+    pub(crate) fn new(frame_id: u64, capture_nanos: u64, adapter_nanos: u64) -> Self {
+        VehicleList {
+            frame_id,
+            capture_nanos,
+            adapter_nanos,
+            ..VehicleList::default()
+        }
+    }
+
+    /// Appends a vehicle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list already holds [`MAX_VEHICLES`].
+    pub(crate) fn push(&mut self, vehicle: Vehicle) {
+        self.slots[usize::from(self.len)] = vehicle;
+        self.len += 1;
+    }
+
+    /// The detected vehicles in the travel lane.
+    pub(crate) fn vehicles(&self) -> &[Vehicle] {
+        &self.slots[..usize::from(self.len)]
+    }
+
     /// Serializes to a SOME/IP payload.
     #[must_use]
     pub fn to_payload(&self) -> FrameBuf {
@@ -159,8 +194,8 @@ impl VehicleList {
         w.write_u64(self.frame_id)
             .write_u64(self.capture_nanos)
             .write_u64(self.adapter_nanos)
-            .write_u32(u32::try_from(self.vehicles.len()).expect("too many vehicles"));
-        for v in &self.vehicles {
+            .write_u32(u32::from(self.len));
+        for v in self.vehicles() {
             w.write_u32(v.track).write_u32(v.distance_mm);
         }
         w.into_frame()
@@ -170,27 +205,27 @@ impl VehicleList {
     ///
     /// # Errors
     ///
-    /// Returns a [`PayloadError`] on malformed payloads.
+    /// Returns a [`PayloadError`] on malformed payloads, and
+    /// [`PayloadError::CountOutOfBounds`] on a list of more than 3
+    /// vehicles, the most one frame's detection yields.
     pub fn from_payload(bytes: &[u8]) -> Result<Self, PayloadError> {
         let mut r = PayloadReader::new(bytes);
-        let frame_id = r.read_u64()?;
-        let capture_nanos = r.read_u64()?;
-        let adapter_nanos = r.read_u64()?;
-        let n = r.read_u32()?;
-        let mut vehicles = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            vehicles.push(Vehicle {
+        let mut list = VehicleList::new(r.read_u64()?, r.read_u64()?, r.read_u64()?);
+        let count = r.read_u32()?;
+        if count as usize > MAX_VEHICLES {
+            return Err(PayloadError::CountOutOfBounds {
+                count,
+                max: MAX_VEHICLES as u32,
+            });
+        }
+        for _ in 0..count {
+            list.push(Vehicle {
                 track: r.read_u32()?,
                 distance_mm: r.read_u32()?,
             });
         }
         r.finish()?;
-        Ok(VehicleList {
-            frame_id,
-            capture_nanos,
-            adapter_nanos,
-            vehicles,
-        })
+        Ok(list)
     }
 }
 
@@ -243,23 +278,36 @@ mod tests {
         assert_eq!(LaneBox::from_payload(&l.to_payload()).unwrap(), l);
     }
 
+    /// A list of `vehicles` for frame `frame_id`.
+    fn list(frame_id: u64, vehicles: &[(u32, u32)]) -> VehicleList {
+        let mut list = VehicleList::new(frame_id, 5, 6);
+        for &(track, distance_mm) in vehicles {
+            list.push(Vehicle { track, distance_mm });
+        }
+        list
+    }
+
+    /// The payload of a list of `vehicles`, written field by field (so
+    /// it may hold more than a `VehicleList` can).
+    fn raw_payload(frame_id: u64, vehicles: &[(u32, u32)]) -> FrameBuf {
+        let mut w = PayloadWriter::new();
+        w.write_u64(frame_id)
+            .write_u64(5)
+            .write_u64(6)
+            .write_u32(u32::try_from(vehicles.len()).unwrap());
+        for &(track, distance_mm) in vehicles {
+            w.write_u32(track).write_u32(distance_mm);
+        }
+        w.into_frame()
+    }
+
     #[test]
     fn vehicle_list_payload_roundtrip() {
-        let v = VehicleList {
-            frame_id: 9,
-            capture_nanos: 5,
-            adapter_nanos: 6,
-            vehicles: vec![
-                Vehicle {
-                    track: 1,
-                    distance_mm: 25_000,
-                },
-                Vehicle {
-                    track: 2,
-                    distance_mm: 60_000,
-                },
-            ],
-        };
+        let v = list(9, &[(1, 25_000), (2, 60_000)]);
+        assert_eq!(
+            v.to_payload()[..],
+            raw_payload(9, &[(1, 25_000), (2, 60_000)])[..]
+        );
         assert_eq!(VehicleList::from_payload(&v.to_payload()).unwrap(), v);
     }
 
@@ -267,16 +315,7 @@ mod tests {
     fn truncated_payloads_error() {
         let f = Frame::new(1, 2).to_payload();
         assert!(Frame::from_payload(&f[..10]).is_err());
-        let v = VehicleList {
-            frame_id: 1,
-            capture_nanos: 0,
-            adapter_nanos: 0,
-            vehicles: vec![Vehicle {
-                track: 0,
-                distance_mm: 1,
-            }],
-        }
-        .to_payload();
+        let v = list(1, &[(0, 1)]).to_payload();
         assert!(VehicleList::from_payload(&v[..v.len() - 2]).is_err());
     }
 
@@ -296,15 +335,26 @@ mod tests {
         #[test]
         fn prop_vehicle_list_roundtrip(
             frame_id in any::<u64>(),
-            vehicles in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..8)
+            vehicles in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..MAX_VEHICLES + 1)
         ) {
-            let v = VehicleList {
-                frame_id,
-                capture_nanos: 0,
-                adapter_nanos: 0,
-                vehicles: vehicles.into_iter().map(|(track, distance_mm)| Vehicle { track, distance_mm }).collect(),
-            };
+            let v = list(frame_id, &vehicles);
+            prop_assert_eq!(&v.to_payload()[..], &raw_payload(frame_id, &vehicles)[..]);
             prop_assert_eq!(VehicleList::from_payload(&v.to_payload()).unwrap(), v);
+        }
+
+        #[test]
+        fn prop_oversized_vehicle_lists_are_rejected(
+            frame_id in any::<u64>(),
+            vehicles in proptest::collection::vec((any::<u32>(), any::<u32>()), MAX_VEHICLES + 1..8)
+        ) {
+            let bytes = raw_payload(frame_id, &vehicles);
+            prop_assert_eq!(
+                VehicleList::from_payload(&bytes),
+                Err(PayloadError::CountOutOfBounds {
+                    count: u32::try_from(vehicles.len()).unwrap(),
+                    max: MAX_VEHICLES as u32,
+                })
+            );
         }
     }
 }

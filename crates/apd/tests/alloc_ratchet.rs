@@ -26,7 +26,11 @@
 //! replaced; from the third write on, a slot allocates nothing. One
 //! thread per runtime took every count down by 2 per runtime, to 491:
 //! the runtime owns its program by value (no `Arc`) and commits each
-//! reaction as it returns (no batch-result buffer). A change to
+//! reaction as it returns (no batch-result buffer). Vehicle lists stored
+//! inline took every count down by 3 (the one frame's detection, its
+//! decode at EBA and the report's reference check each built a `Vec`),
+//! and the run's count of rejected wire payloads (one more shared cell)
+//! took it up by 1, to 489. A change to
 //! `dear-federation` that moves it has leaked out of its layer. The four
 //! coordinated counts are ceilings, each the exact count at the commit
 //! that made those changes (centralized was 720 before the incremental
@@ -36,7 +40,10 @@
 //! observed was 644 before spans were packed into fixed chunks and
 //! metrics resolved to slot ids once, 643 with them: each runtime and
 //! coordinated platform boxes its telemetry when it is on, so one with
-//! it off grows by nothing).
+//! it off grows by nothing). Inline vehicle lists and the rejected-payload
+//! cell took centralized, diet and observed down by 2, to 605 / 608 /
+//! 641, and durable by 1, to 729: it also builds the frame pool its
+//! replayed inputs are copied into.
 //! Debug and release builds count the same.
 //!
 //! One test function: the counter is process-global, and the test
@@ -139,7 +146,7 @@ fn one_frame_allocations(name: &str, params: &DetParams) -> u64 {
 
 #[test]
 fn one_frame_run_det_allocation_ratchet() {
-    let ceilings = [491, 607, 610, 730, 643];
+    let ceilings = [489, 605, 608, 729, 641];
     for ((name, params), ceiling) in configurations().into_iter().zip(ceilings) {
         let count = one_frame_allocations(name, &params);
         assert!(

@@ -59,6 +59,7 @@ fn recovered_run_is_byte_identical_across_seeds_and_diet() {
             assert_eq!(rec.incarnation, 1);
             assert_eq!(r.stp_violations, 0);
             assert_eq!(r.mismatches_cv, 0);
+            assert_eq!(r.payloads_rejected, 0);
             assert_eq!(r.wrong_decisions, 0);
         }
     }

@@ -967,6 +967,7 @@ impl CoordinatedPlatform {
                 replay_mismatches: 0,
             };
             let mut resend: Vec<OutboundMsg> = Vec::new();
+            let mut step = Vec::new();
             for record in &records {
                 match record {
                     Record::Started { anchor } => {
@@ -997,8 +998,10 @@ impl CoordinatedPlatform {
                         }
                         // Outbound effects of the replayed step: swallow
                         // what the wire already saw, hold the rest for a
-                        // post-replay re-send.
-                        for msg in core.outbox.drain() {
+                        // post-replay re-send. One buffer takes every
+                        // step's, so the outbox keeps its capacity.
+                        core.outbox.drain_into(&mut step);
+                        for msg in step.drain(..) {
                             if watermark.is_some_and(|w| wire_to_tag(msg.tag) <= w) {
                                 c.stats.record_replay_suppressed();
                                 report.suppressed_sends += 1;

@@ -32,6 +32,13 @@ pub enum PayloadError {
     TrailingBytes(usize),
     /// A length prefix exceeded the remaining payload.
     LengthOutOfBounds(u32),
+    /// An element count exceeded the most the receiving type holds.
+    CountOutOfBounds {
+        /// The count on the wire.
+        count: u32,
+        /// The most the type holds.
+        max: u32,
+    },
 }
 
 impl fmt::Display for PayloadError {
@@ -47,6 +54,9 @@ impl fmt::Display for PayloadError {
             PayloadError::TrailingBytes(n) => write!(f, "{n} unconsumed payload bytes"),
             PayloadError::LengthOutOfBounds(n) => {
                 write!(f, "length prefix {n} exceeds remaining payload")
+            }
+            PayloadError::CountOutOfBounds { count, max } => {
+                write!(f, "element count {count} exceeds the bound of {max}")
             }
         }
     }

@@ -71,15 +71,9 @@ impl Outbox {
         self.queue.borrow_mut().push(msg);
     }
 
-    /// Drains all pending messages in push order.
-    #[must_use]
-    pub fn drain(&self) -> Vec<OutboundMsg> {
-        self.queue.take()
-    }
-
     /// Moves all pending messages, in push order, to the end of `out`;
     /// the queue keeps its capacity for the next tag's pushes.
-    pub(crate) fn drain_into(&self, out: &mut Vec<OutboundMsg>) {
+    pub fn drain_into(&self, out: &mut Vec<OutboundMsg>) {
         out.append(&mut self.queue.borrow_mut());
     }
 
@@ -125,7 +119,13 @@ mod tests {
             });
         }
         assert_eq!(outbox.len(), 5);
-        let drained = outbox.drain();
+        let mut drained = vec![OutboundMsg {
+            route: 9,
+            payload: FrameBuf::new(),
+            tag: WireTag::new(0, 0),
+        }];
+        outbox.drain_into(&mut drained);
+        assert_eq!(drained.remove(0).route, 9, "drained messages are appended");
         assert_eq!(drained.len(), 5);
         assert!(outbox.is_empty());
         for (i, msg) in drained.iter().enumerate() {

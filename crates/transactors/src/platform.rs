@@ -191,7 +191,8 @@ impl<P> PlatformCore<P> {
     pub fn halt(&mut self) {
         self.bump_generation();
         self.armed_wake = None;
-        let _ = self.outbox.drain();
+        self.outbox.drain_into(&mut self.drained);
+        self.drained.clear();
     }
 
     /// Supersedes every wake-up armed so far.

@@ -133,6 +133,7 @@ fn det() {
         let context = format!("seed {seed}");
         assert_every_frame_decided_once(&r, params.frames, &context);
         assert_eq!(r.mismatches_cv, 0, "{context}");
+        assert_eq!(r.payloads_rejected, 0, "{context}");
         assert_eq!(r.deadline_misses, 0, "{context}");
         assert_eq!(r.wrong_decisions, 0, "{context}");
         assert!(
@@ -436,6 +437,7 @@ fn rejoin() {
                 assert_eq!(rec.replay_mismatches, 0, "{context}");
                 assert!(rec.replayed_tags > 0, "{context}");
                 assert_eq!(r.mismatches_cv, 0, "{context}");
+                assert_eq!(r.payloads_rejected, 0, "{context}");
                 // The restart is scheduled, not detected.
                 assert_eq!(rec.outage, dead_for, "{context}");
 

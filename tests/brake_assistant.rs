@@ -49,6 +49,7 @@ fn det_build_is_error_free_and_seed_independent() {
     for (i, r) in reports.iter().enumerate() {
         assert_eq!(r.decisions.len(), 400, "seed {i}: every frame decided");
         assert_eq!(r.mismatches_cv, 0, "seed {i}");
+        assert_eq!(r.payloads_rejected, 0, "seed {i}");
         assert_eq!(r.stp_violations, 0, "seed {i}");
         assert_eq!(r.deadline_misses, 0, "seed {i}");
         assert_eq!(r.wrong_decisions, 0, "seed {i}");

@@ -62,6 +62,7 @@ fn centralized_and_decentralized_traces_are_byte_identical() {
         ] {
             assert_eq!(r.decisions.len(), 200, "seed {seed} {label}");
             assert_eq!(r.mismatches_cv, 0, "seed {seed} {label}");
+            assert_eq!(r.payloads_rejected, 0, "seed {seed} {label}");
             assert_eq!(r.stp_violations, 0, "seed {seed} {label}");
             assert_eq!(r.deadline_misses, 0, "seed {seed} {label}");
             assert_eq!(r.wrong_decisions, 0, "seed {seed} {label}");

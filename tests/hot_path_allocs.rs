@@ -7,11 +7,13 @@
 //! So do resolving metric ids on a disabled telemetry handle and, on an
 //! enabled one, recording through them; enabled spans allocate only the
 //! fixed chunks they fill. A durable-log append allocates only when the
-//! segment's `Vec` grows.
+//! segment's `Vec` grows. End to end, a frame of the brake assistant
+//! allocates nothing in the decentralized, centralized and diet builds.
 //!
 //! The counter is per thread, so what the test harness allocates on its
 //! own threads meanwhile is not counted.
 
+use dear::apd::{run_det, DetParams, RecoveryParams};
 use dear::federation::{EventLog, LogRecord};
 use dear::observe::{Lane, LogicalTag, Observe};
 use dear::reactor::{ProgramBuilder, Runtime, Tag};
@@ -21,7 +23,9 @@ use dear::someip::{
     SomeIpMessage, WireTag,
 };
 use dear::time::{Duration, Instant};
-use dear::transactors::{tag_to_wire, FederatedPlatform, OutboundMsg, Outbox, PlatformDriver};
+use dear::transactors::{
+    tag_to_wire, Coordination, FederatedPlatform, OutboundMsg, Outbox, PlatformDriver,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -442,4 +446,88 @@ fn durable_append_allocates_only_for_segment_growth() {
         "{allocated} allocations for {RECORDS} appends"
     );
     assert_eq!(log.replay()[4..], records[..]);
+}
+
+/// The five brake configurations the benchmark runs, at `frames` frames
+/// (the durable one crashes the CV federate after frame `frames / 2` for
+/// 10 ms), each with the most allocations that `frames` more frames may
+/// add, and why:
+/// - decentralized, centralized and diet: 1, the report's decision list
+///   doubling once more;
+/// - observed: 12, the telemetry's span chunks and the report's list
+///   growing (6 when this bound was set);
+/// - durable: 1 100, one owned copy per replayed input in
+///   `Record::decode` — the log replays about half the run, two inputs a
+///   frame (1 007 when this bound was set).
+fn brake_configurations(frames: u64) -> [(&'static str, DetParams, u64); 5] {
+    let centralized = DetParams {
+        frames,
+        coordination: Coordination::Centralized,
+        ..DetParams::default()
+    };
+    let recovery = RecoveryParams {
+        crash_after_frame: frames / 2,
+        dead_for: Duration::from_millis(10),
+    };
+    [
+        (
+            "decentralized",
+            DetParams {
+                frames,
+                ..DetParams::default()
+            },
+            1,
+        ),
+        ("centralized", centralized.clone(), 1),
+        (
+            "diet",
+            DetParams {
+                control_diet: true,
+                ..centralized.clone()
+            },
+            1,
+        ),
+        (
+            "observed",
+            DetParams {
+                observability: true,
+                ..centralized.clone()
+            },
+            12,
+        ),
+        (
+            "durable",
+            DetParams {
+                recovery: Some(recovery),
+                ..centralized
+            },
+            1_100,
+        ),
+    ]
+}
+
+/// `run_det` at seed 7 over 2 000 frames minus over 1 000: construction
+/// and teardown cancel, so what is left is what 1 000 more frames cost —
+/// every layer at once, the application logic included.
+#[test]
+fn brake_frames_allocate_nothing() {
+    const FRAMES: u64 = 1_000;
+    let run = |params: &DetParams| {
+        let before = allocations();
+        let report = run_det(7, params);
+        let allocated = allocations() - before;
+        assert_eq!(report.decisions.len() as u64, params.frames);
+        assert_eq!(report.payloads_rejected, 0);
+        allocated
+    };
+    let short = brake_configurations(FRAMES);
+    for ((name, long, bound), (_, short, _)) in
+        brake_configurations(2 * FRAMES).into_iter().zip(short)
+    {
+        let added = run(&long) - run(&short);
+        assert!(
+            added <= bound,
+            "{name}: {FRAMES} more frames allocated {added} times (bound {bound})"
+        );
+    }
 }
