@@ -162,8 +162,9 @@ impl FaultPlan {
         })
     }
 
-    /// Schedules a latency spike on the directed link `src -> dst`.
-    pub(crate) fn latency_spike(
+    /// Schedules a latency spike on the directed link `src -> dst`: its
+    /// frames sample `model` instead of the configured one for `duration`.
+    pub fn latency_spike(
         &mut self,
         at: Instant,
         src: NodeId,

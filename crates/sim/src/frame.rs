@@ -11,50 +11,34 @@
 //!
 //! The design is in the spirit of `bytes::Bytes`, reduced to what this
 //! workspace needs and implemented without dependencies or `unsafe`:
-//! uniqueness is checked through [`Arc::get_mut`], which is also what
+//! uniqueness is checked through [`Rc::get_mut`], which is also what
 //! makes the in-place wire assembly of [`FrameBuf::extend_in_place`]
 //! sound — a buffer is only ever mutated while exactly one handle to it
 //! exists.
 //!
+//! The frame path is single-threaded, like every runtime in the
+//! workspace: the simulator drives bindings, network and outboxes on one
+//! thread, so frames and pools are `Rc` + `Cell`, with no lock or atomic
+//! on an acquire, a clone or a drop (and neither `Send` nor `Sync`).
+//!
 //! **Ownership rule:** a frame belongs to the pool it was acquired from,
-//! for its whole life. Views may cross crates, threads and simulated
-//! nodes freely; the bytes travel *by reference*, and the final drop —
+//! for its whole life. Views may cross crates and simulated nodes
+//! freely; the bytes travel *by reference*, and the final drop —
 //! wherever it happens — recycles the buffer into the origin pool. A
 //! frame created from a plain `Vec<u8>` (via `From`) has no pool and
 //! simply deallocates.
-//!
-//! One deliberate imprecision: when two views of one buffer race their
-//! final drops on *different threads*, both may observe a strong count
-//! above 1 and neither recycles — the buffer then simply deallocates
-//! and the pool re-allocates on a later acquire. This is safe and
-//! self-healing, and it cannot happen on the single-threaded simulation
-//! data path (bindings, network, outbox draining), where the
-//! steady-state zero-allocation guarantee is measured and asserted; an
-//! exact last-dropper protocol would put a second atomic refcount on
-//! every clone and drop to close a gap that only costs one stray
-//! allocation when hit.
 
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+use std::rc::{Rc, Weak};
 
 /// Default cap on a pool's free list (see [`FramePool::set_max_free`]):
 /// large enough that no steady-state workload in this workspace ever
 /// hits it, small enough that a transient fan-out burst cannot pin an
 /// unbounded peak working set forever.
 pub(crate) const DEFAULT_MAX_FREE: usize = 1024;
-
-/// Locks a pool mutex, recovering from poisoning: a worker thread that
-/// panicked while holding the guard leaves the free list intact (it only
-/// pushes/pops whole `Arc`s), so the data is still consistent — the pool
-/// degrades to allocation only if the list itself were lost. Aborting
-/// every later recycle/acquire over a dead thread's panic would turn one
-/// failure into a cascade.
-fn lock_free_list(free: &Mutex<Vec<Arc<Shared>>>) -> MutexGuard<'_, Vec<Arc<Shared>>> {
-    free.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Counters describing a pool's allocation behaviour.
 ///
@@ -100,37 +84,41 @@ impl fmt::Display for FramePoolStats {
 }
 
 struct PoolInner {
-    free: Mutex<Vec<Arc<Shared>>>,
-    max_free: AtomicUsize,
-    created: AtomicU64,
-    reused: AtomicU64,
-    recycled: AtomicU64,
-    dropped: AtomicU64,
+    free: RefCell<Vec<Rc<Shared>>>,
+    max_free: Cell<usize>,
+    created: Cell<u64>,
+    reused: Cell<u64>,
+    recycled: Cell<u64>,
+    dropped: Cell<u64>,
 }
 
 impl Default for PoolInner {
     fn default() -> Self {
         PoolInner {
-            free: Mutex::new(Vec::new()),
-            max_free: AtomicUsize::new(DEFAULT_MAX_FREE),
-            created: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
-            recycled: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            free: RefCell::default(),
+            max_free: Cell::new(DEFAULT_MAX_FREE),
+            created: Cell::default(),
+            reused: Cell::default(),
+            recycled: Cell::default(),
+            dropped: Cell::default(),
         }
     }
 }
 
+fn bump(counter: &Cell<u64>) {
+    counter.set(counter.get() + 1);
+}
+
 /// The shared backing store of one frame. Only ever mutated while a
-/// single handle exists (enforced via `Arc::get_mut`).
+/// single handle exists (enforced via `Rc::get_mut`).
 struct Shared {
     buf: Vec<u8>,
     pool: Weak<PoolInner>,
 }
 
 impl Shared {
-    fn detached(buf: Vec<u8>) -> Arc<Self> {
-        Arc::new(Shared {
+    fn detached(buf: Vec<u8>) -> Rc<Self> {
+        Rc::new(Shared {
             buf,
             pool: Weak::new(),
         })
@@ -139,41 +127,28 @@ impl Shared {
 
 /// Returns a uniquely held buffer to its origin pool (no-op for detached
 /// buffers or when the pool is gone). Callers that hold a non-unique
-/// `Arc` simply drop it; the *last* holder recycles. Final drops racing
-/// on different threads may all observe a count above 1 and skip — the
-/// buffer then deallocates instead of recycling (see the module docs
-/// for why this imprecision is acceptable).
-fn recycle(mut shared: Arc<Shared>) {
-    // Fast path for shared buffers: a plain load instead of `get_mut`'s
-    // compare-exchange. No `Weak<Shared>` is ever created, so observing
-    // a strong count above 1 while holding a reference proves another
-    // holder exists.
-    if Arc::strong_count(&shared) != 1 {
+/// `Rc` simply drop it; the *last* holder recycles.
+fn recycle(mut shared: Rc<Shared>) {
+    let Some(pool) = Rc::get_mut(&mut shared).and_then(|s| s.pool.upgrade()) else {
+        return;
+    };
+    let mut free = pool.free.borrow_mut();
+    if free.len() >= pool.max_free.get() {
+        // Free list at capacity: deallocate instead of pinning a burst's
+        // peak working set forever.
+        drop(free);
+        bump(&pool.dropped);
         return;
     }
-    let pool = match Arc::get_mut(&mut shared) {
-        Some(s) => s.pool.upgrade(),
-        None => return,
-    };
-    if let Some(pool) = pool {
-        let mut free = lock_free_list(&pool.free);
-        if free.len() >= pool.max_free.load(Ordering::Relaxed) {
-            // Free list at capacity: deallocate instead of pinning a
-            // burst's peak working set forever.
-            drop(free);
-            pool.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        free.push(shared);
-        drop(free);
-        pool.recycled.fetch_add(1, Ordering::Relaxed);
-    }
+    free.push(shared);
+    drop(free);
+    bump(&pool.recycled);
 }
 
 /// A shared pool of recycled frame buffers.
 ///
-/// Cheap to clone; clones share the pool. Thread-safe: frames may be
-/// dropped (and thus recycled) from reactor worker threads.
+/// Cheap to clone; clones share the pool. Single-threaded: the pool and
+/// its frames are `Rc`-based and stay on the thread that made them.
 ///
 /// # Examples
 ///
@@ -195,7 +170,7 @@ fn recycle(mut shared: Arc<Shared>) {
 /// ```
 #[derive(Clone, Default)]
 pub struct FramePool {
-    inner: Arc<PoolInner>,
+    inner: Rc<PoolInner>,
 }
 
 impl fmt::Debug for FramePool {
@@ -230,35 +205,35 @@ impl FramePool {
     /// burst forced into existence stays on the free list for the life
     /// of the pool. Defaults to 1024 buffers.
     pub fn set_max_free(&self, max_free: usize) {
-        self.inner.max_free.store(max_free, Ordering::Relaxed);
+        self.inner.max_free.set(max_free);
     }
 
     /// The current free-list cap.
     #[must_use]
     #[cfg(test)]
     pub(crate) fn max_free(&self) -> usize {
-        self.inner.max_free.load(Ordering::Relaxed)
+        self.inner.max_free.get()
     }
 
     /// Checks a cleared buffer out of the pool (recycling a free one when
     /// available, allocating otherwise).
     #[must_use]
     pub fn acquire(&self) -> FrameMut {
-        let recycled = lock_free_list(&self.inner.free).pop();
+        let recycled = self.inner.free.borrow_mut().pop();
         let shared = match recycled {
             Some(mut shared) => {
-                self.inner.reused.fetch_add(1, Ordering::Relaxed);
-                Arc::get_mut(&mut shared)
+                bump(&self.inner.reused);
+                Rc::get_mut(&mut shared)
                     .expect("free-list buffers are uniquely held")
                     .buf
                     .clear();
                 shared
             }
             None => {
-                self.inner.created.fetch_add(1, Ordering::Relaxed);
-                Arc::new(Shared {
+                bump(&self.inner.created);
+                Rc::new(Shared {
                     buf: Vec::new(),
-                    pool: Arc::downgrade(&self.inner),
+                    pool: Rc::downgrade(&self.inner),
                 })
             }
         };
@@ -271,17 +246,17 @@ impl FramePool {
     /// Number of buffers currently on the free list.
     #[must_use]
     pub fn free_count(&self) -> usize {
-        lock_free_list(&self.inner.free).len()
+        self.inner.free.borrow().len()
     }
 
     /// Allocation counters.
     #[must_use]
     pub fn stats(&self) -> FramePoolStats {
         FramePoolStats {
-            created: self.inner.created.load(Ordering::Relaxed),
-            reused: self.inner.reused.load(Ordering::Relaxed),
-            recycled: self.inner.recycled.load(Ordering::Relaxed),
-            dropped: self.inner.dropped.load(Ordering::Relaxed),
+            created: self.inner.created.get(),
+            reused: self.inner.reused.get(),
+            recycled: self.inner.recycled.get(),
+            dropped: self.inner.dropped.get(),
         }
     }
 }
@@ -292,7 +267,7 @@ impl FramePool {
 pub struct FrameMut {
     /// Always `Some` until `freeze`/`into_payload_vec` take it (kept as an
     /// `Option` so `Drop` can recycle un-frozen builders).
-    shared: Option<Arc<Shared>>,
+    shared: Option<Rc<Shared>>,
     headroom: usize,
 }
 
@@ -317,7 +292,7 @@ impl FrameMut {
     }
 
     fn buf(&mut self) -> &mut Vec<u8> {
-        &mut Arc::get_mut(self.shared.as_mut().expect("builder not consumed"))
+        &mut Rc::get_mut(self.shared.as_mut().expect("builder not consumed"))
             .expect("FrameMut is uniquely held")
             .buf
     }
@@ -401,7 +376,7 @@ impl FrameMut {
     #[must_use]
     pub fn into_payload_vec(mut self) -> Vec<u8> {
         let shared = self.shared.take().expect("builder not consumed");
-        let mut buf = match Arc::try_unwrap(shared) {
+        let mut buf = match Rc::try_unwrap(shared) {
             Ok(s) => s.buf,
             Err(_) => unreachable!("FrameMut is uniquely held"),
         };
@@ -430,7 +405,7 @@ impl Drop for FrameMut {
 pub struct FrameBuf {
     /// `None` only for the empty default and after `Drop` took the
     /// buffer for recycling.
-    shared: Option<Arc<Shared>>,
+    shared: Option<Rc<Shared>>,
     start: usize,
     end: usize,
 }
@@ -495,10 +470,10 @@ impl FrameBuf {
     /// buffer, insufficient headroom, or trailing bytes after the view).
     pub fn extend_in_place(mut self, prefix: &[u8], suffix: &[u8]) -> Result<FrameBuf, FrameBuf> {
         let (start, end) = (self.start, self.end);
-        let Some(arc) = self.shared.as_mut() else {
+        let Some(rc) = self.shared.as_mut() else {
             return Err(self);
         };
-        match Arc::get_mut(arc) {
+        match Rc::get_mut(rc) {
             Some(shared) if start >= prefix.len() && end == shared.buf.len() => {
                 let new_start = start - prefix.len();
                 shared.buf[new_start..start].copy_from_slice(prefix);
@@ -741,14 +716,6 @@ mod tests {
     }
 
     #[test]
-    fn frames_are_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<FrameBuf>();
-        assert_send_sync::<FrameMut>();
-        assert_send_sync::<FramePool>();
-    }
-
-    #[test]
     fn dropping_the_pool_detaches_outstanding_frames() {
         let pool = FramePool::new();
         let f = pool.acquire().freeze();
@@ -786,28 +753,5 @@ mod tests {
         drop(frames);
         assert_eq!(pool.free_count(), 0);
         assert_eq!(pool.stats().dropped, 3);
-    }
-
-    #[test]
-    fn poisoned_free_list_degrades_to_allocation_instead_of_panicking() {
-        let pool = FramePool::new();
-        drop(pool.acquire()); // one buffer on the free list
-        assert_eq!(pool.free_count(), 1);
-        // A worker panics while holding the free-list lock.
-        let inner = Arc::clone(&pool.inner);
-        std::thread::spawn(move || {
-            let _guard = inner.free.lock().expect("not yet poisoned");
-            panic!("worker dies while holding the pool lock");
-        })
-        .join()
-        .expect_err("the worker thread panicked");
-        assert!(pool.inner.free.lock().is_err(), "mutex is poisoned");
-        // Every pool operation still works: the list data is intact.
-        assert_eq!(pool.free_count(), 1);
-        let frame = pool.acquire();
-        assert_eq!(pool.stats().reused, 1, "recovered guard still recycles");
-        drop(frame);
-        assert_eq!(pool.stats().recycled, 2);
-        assert_eq!(pool.free_count(), 1);
     }
 }

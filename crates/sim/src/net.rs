@@ -304,58 +304,60 @@ impl NetworkHandle {
     /// guarantee that this frame is delivered strictly after any frame
     /// previously sent on the same link.
     pub fn send(&self, sim: &mut Simulation, frame: Frame) {
-        let deliver_at = {
-            let mut net = self.0.borrow_mut();
+        let (at, slot, key) = {
+            let mut guard = self.0.borrow_mut();
+            let net = &mut *guard;
             net.stats.sent += 1;
-            // A downed link or node swallows the frame before any latency
+            // A downed node or link swallows the frame before any latency
             // or loss sampling, so killing either perturbs no other RNG
             // draws. Only the *sender* being down matters here: frames to
             // a downed node still travel (its durable inbox is alive).
-            if net.downed_nodes.contains(&frame.src) || !net.link_state(frame.src, frame.dst).up {
+            if net.downed_nodes.contains(&frame.src) {
                 net.stats.faulted += 1;
                 return;
             }
-            // Sample everything we need while holding the borrow. Fault
-            // overrides substitute for the configured models; the base
-            // configuration (and the assumed bound `L`) stays intact.
-            let latency = {
-                let state = net.link_state(frame.src, frame.dst);
-                let cfg = state
-                    .latency_override
-                    .clone()
-                    .unwrap_or_else(|| state.config.latency.clone());
-                cfg.sample(&mut net.rng)
-            };
-            let drop_p = {
-                let state = net.link_state(frame.src, frame.dst);
-                state.drop_override.unwrap_or(state.config.drop_probability)
-            };
+            // The one link lookup of the send (fields borrowed apart, so
+            // the RNG and the counters stay usable alongside it).
+            let default = &net.default_link;
+            let state = net
+                .links
+                .entry((frame.src, frame.dst))
+                .or_insert_with(|| LinkState::new(default.clone()));
+            if !state.up {
+                net.stats.faulted += 1;
+                return;
+            }
+            // Latency first, then the drop draw. Fault overrides
+            // substitute for the configured models; the base configuration
+            // (and the assumed bound `L`) stays intact.
+            let latency = state
+                .latency_override
+                .as_ref()
+                .unwrap_or(&state.config.latency)
+                .sample(&mut net.rng);
+            let drop_p = state.drop_override.unwrap_or(state.config.drop_probability);
             if drop_p > 0.0 && net.rng.chance(drop_p) {
                 net.stats.dropped += 1;
-                None
-            } else {
-                let now = sim.now();
-                let state = net.link_state(frame.src, frame.dst);
-                let mut at = now + latency;
-                if state.config.fifo {
-                    at = at.max(state.next_free);
-                    state.next_free = at + Duration::from_nanos(1);
-                }
-                Some(at)
+                return;
             }
+            let mut at = sim.now() + latency;
+            if state.config.fifo {
+                at = at.max(state.next_free);
+                state.next_free = at + Duration::from_nanos(1);
+            }
+            let key = match net.key {
+                Some((id, key)) if id == sim.id() => Some(key),
+                _ => None,
+            };
+            (at, net.in_flight.insert(frame), key)
         };
-        let Some(at) = deliver_at else { return };
-        let key = self.key_in(sim);
-        let slot = self.0.borrow_mut().in_flight.insert(frame);
+        let key = key.unwrap_or_else(|| self.register_in(sim));
         sim.schedule_fire(at, key, slot);
     }
 
-    /// The network's component key in `sim`, registering on first use.
-    fn key_in(&self, sim: &mut Simulation) -> u32 {
-        match self.0.borrow().key {
-            Some((id, key)) if id == sim.id() => return key,
-            _ => {}
-        }
+    /// Registers the network as a component of `sim` (at its first
+    /// delivery there) and returns its key.
+    fn register_in(&self, sim: &mut Simulation) -> u32 {
         let key = sim.register_component(self.0.clone());
         self.0.borrow_mut().key = Some((sim.id(), key));
         key
@@ -364,15 +366,17 @@ impl NetworkHandle {
     fn deliver(&self, sim: &mut Simulation, frame: Frame) {
         // Clone the receiver out so the network is not borrowed while the
         // receiver runs (receivers commonly send further frames).
-        let receiver = self.0.borrow().receivers.get(&frame.dst).cloned();
-        match receiver {
-            Some(r) => {
-                self.0.borrow_mut().stats.delivered += 1;
-                r(sim, frame);
+        let receiver = {
+            let mut net = self.0.borrow_mut();
+            let receiver = net.receivers.get(&frame.dst).cloned();
+            match receiver {
+                Some(_) => net.stats.delivered += 1,
+                None => net.stats.unroutable += 1,
             }
-            None => {
-                self.0.borrow_mut().stats.unroutable += 1;
-            }
+            receiver
+        };
+        if let Some(r) = receiver {
+            r(sim, frame);
         }
     }
 

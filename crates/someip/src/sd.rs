@@ -114,9 +114,42 @@ impl SdInner {
     }
 }
 
+/// The offers of `service` with an instance id in `lo..=hi`, ascending
+/// by instance id: a range of the map, not a scan of every offer.
+fn offers_in(
+    offers: &BTreeMap<ServiceInstance, Offer>,
+    service: u16,
+    lo: u16,
+    hi: u16,
+) -> impl Iterator<Item = &Offer> {
+    offers
+        .range(ServiceInstance::new(service, lo)..=ServiceInstance::new(service, hi))
+        .map(|(_, offer)| offer)
+}
+
 /// The deterministic best-offer choice for `(service, pattern)`:
 /// lowest `(priority, instance)` among valid offers.
 fn best_of(
+    offers: &BTreeMap<ServiceInstance, Offer>,
+    now: Instant,
+    service: u16,
+    pattern: u16,
+) -> Option<Offer> {
+    let (lo, hi) = if pattern == ANY_INSTANCE {
+        (0, u16::MAX)
+    } else {
+        (pattern, pattern)
+    };
+    offers_in(offers, service, lo, hi)
+        .filter(|o| o.valid_until >= now)
+        .min_by_key(|o| (o.priority, o.instance.instance))
+        .copied()
+}
+
+/// [`best_of`] as a scan of every offer: the oracle its range lookup is
+/// tested against.
+#[cfg(test)]
+fn best_of_scan(
     offers: &BTreeMap<ServiceInstance, Offer>,
     now: Instant,
     service: u16,
@@ -281,10 +314,8 @@ impl SdRegistry {
             });
             // Offers made before the first watcher existed never armed an
             // expiry event; arm them now so their TTLs are enforced too.
-            let expiries = inner
-                .offers
-                .values()
-                .filter(|o| o.instance.service == service && o.valid_until < Instant::MAX)
+            let expiries = offers_in(&inner.offers, service, 0, u16::MAX)
+                .filter(|o| o.valid_until < Instant::MAX)
                 .map(|o| (o.instance, o.valid_until))
                 .collect();
             (initial, callback, expiries)
@@ -436,10 +467,8 @@ impl SdRegistry {
     #[must_use]
     pub fn offers_of(&self, sim: &Simulation, service: u16) -> Vec<Offer> {
         let inner = self.0.borrow();
-        let mut offers: Vec<Offer> = inner
-            .offers
-            .values()
-            .filter(|o| o.instance.service == service && o.valid_until >= sim.now())
+        let mut offers: Vec<Offer> = offers_in(&inner.offers, service, 0, u16::MAX)
+            .filter(|o| o.valid_until >= sim.now())
             .copied()
             .collect();
         offers.sort_by_key(|o| (o.priority, o.instance.instance));
@@ -450,6 +479,50 @@ impl SdRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The range lookup picks exactly what the full scan picks, over
+        /// mixed services, priorities, TTLs, lookup times and patterns
+        /// (`ANY_INSTANCE` included, and an offered instance id 0xFFFF).
+        #[test]
+        fn best_of_matches_the_full_scan(
+            entries in proptest::collection::vec((0u16..4, 0u16..8, 0u8..3, 0u64..20), 0..24),
+            service in 0u16..5,
+            pattern in 0u16..9,
+            now in 0u64..22,
+        ) {
+            // Ids 6 and 7 stand for the top of the id space; pattern 8
+            // is the wildcard.
+            let id = |i: u16| match i {
+                6 => 0xFFFE,
+                7 => 0xFFFF,
+                8 => ANY_INSTANCE,
+                i => i,
+            };
+            let offers: BTreeMap<ServiceInstance, Offer> = entries
+                .into_iter()
+                .map(|(service, instance, priority, until)| {
+                    let instance = ServiceInstance::new(service, id(instance));
+                    let offer = Offer {
+                        instance,
+                        node: NodeId(instance.instance),
+                        valid_until: Instant::from_millis(until),
+                        priority,
+                    };
+                    (instance, offer)
+                })
+                .collect();
+            let now = Instant::from_millis(now);
+            let pattern = id(pattern);
+            prop_assert_eq!(
+                best_of(&offers, now, service, pattern),
+                best_of_scan(&offers, now, service, pattern)
+            );
+        }
+    }
 
     #[test]
     fn offer_then_find() {

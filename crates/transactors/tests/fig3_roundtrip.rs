@@ -26,7 +26,7 @@ const DS: Duration = Duration::from_millis(2); // server response deadline
 const L: Duration = Duration::from_millis(5); // worst-case latency bound
 const E: Duration = Duration::from_millis(1); // worst-case clock error
 
-type TagLog = Arc<Mutex<Vec<(Tag, FrameBuf)>>>;
+type TagLog = Rc<RefCell<Vec<(Tag, FrameBuf)>>>;
 
 /// Builds the two-platform Figure 3 deployment and runs one round trip.
 /// Returns (client log: request sent, then response received; server
@@ -38,7 +38,7 @@ fn run_roundtrip(seed: u64, net_latency: LatencyModel) -> (TagLog, TagLog) {
     let cfg = DearConfig::new(L, E);
 
     // --- Client platform (node 1) ---------------------------------------
-    let client_log: TagLog = Arc::new(Mutex::new(Vec::new()));
+    let client_log: TagLog = Rc::default();
     let outbox_c = Outbox::new();
     let mut bc = ProgramBuilder::new();
     let cmt = ClientMethodTransactor::declare(&mut bc, &outbox_c, "calc", DC);
@@ -52,7 +52,7 @@ fn run_roundtrip(seed: u64, net_latency: LatencyModel) -> (TagLog, TagLog) {
             .triggered_by(t)
             .effects(req_out)
             .body(move |_, ctx| {
-                log.lock().unwrap().push((ctx.tag(), vec![7].into()));
+                log.borrow_mut().push((ctx.tag(), vec![7].into()));
                 ctx.set(req_out, vec![7].into());
             });
         let log = client_log.clone();
@@ -60,8 +60,7 @@ fn run_roundtrip(seed: u64, net_latency: LatencyModel) -> (TagLog, TagLog) {
             .reaction("receive")
             .triggered_by(cmt.response)
             .body(move |_, ctx| {
-                log.lock()
-                    .unwrap()
+                log.borrow_mut()
                     .push((ctx.tag(), ctx.get(cmt.response).unwrap().clone()));
             });
         logic.finish();
@@ -88,7 +87,7 @@ fn run_roundtrip(seed: u64, net_latency: LatencyModel) -> (TagLog, TagLog) {
     );
 
     // --- Server platform (node 2), clock 200 µs ahead (within E) ---------
-    let server_log: TagLog = Arc::new(Mutex::new(Vec::new()));
+    let server_log: TagLog = Rc::default();
     let outbox_s = Outbox::new();
     let mut bs = ProgramBuilder::new();
     let smt = ServerMethodTransactor::declare(&mut bs, &outbox_s, "calc", DS);
@@ -102,7 +101,7 @@ fn run_roundtrip(seed: u64, net_latency: LatencyModel) -> (TagLog, TagLog) {
             .effects(resp_out)
             .body(move |_, ctx| {
                 let req = ctx.get(smt.request).unwrap().clone();
-                log.lock().unwrap().push((ctx.tag(), req.clone()));
+                log.borrow_mut().push((ctx.tag(), req.clone()));
                 ctx.set(resp_out, vec![req[0] + 1].into());
             });
         logic.finish();
@@ -147,14 +146,14 @@ fn fig3_tag_algebra_exact() {
     );
 
     // tc = 10 ms. Request released at the server at tc + Dc + L + E = 17 ms.
-    let server = server_log.lock().unwrap();
+    let server = server_log.borrow();
     assert_eq!(server.len(), 1, "exactly one request served");
     assert_eq!(server[0].0, Tag::at(Instant::from_millis(17)));
     assert_eq!(server[0].1, vec![7]);
 
     // The request leaves at tc = 10 ms; ts = 17 ms, so the response is
     // released at the client at ts + Ds + L + E = 25 ms.
-    let client = client_log.lock().unwrap();
+    let client = client_log.borrow();
     assert_eq!(client.len(), 2, "one request sent, one response received");
     assert_eq!(client[0].0, Tag::at(Instant::from_millis(10)));
     assert_eq!(client[0].1, vec![7]);
@@ -173,7 +172,7 @@ fn fig3_result_is_independent_of_network_jitter_seed() {
             seed,
             LatencyModel::uniform(Duration::from_micros(100), Duration::from_millis(4)),
         );
-        let log = client_log.lock().unwrap().clone();
+        let log = client_log.borrow().clone();
         results.push(log);
     }
     for r in &results[1..] {
