@@ -30,7 +30,10 @@
 //! inline took every count down by 3 (the one frame's detection, its
 //! decode at EBA and the report's reference check each built a `Vec`),
 //! and the run's count of rejected wire payloads (one more shared cell)
-//! took it up by 1, to 489. A change to
+//! took it up by 1, to 489. Tags passed with their message instead of
+//! through the binding's two side queues took every count down by 6, to
+//! 483: the one frame's six first pushes into those queues (one
+//! `VecDeque` buffer each) are gone. A change to
 //! `dear-federation` that moves it has leaked out of its layer. The four
 //! coordinated counts are ceilings, each the exact count at the commit
 //! that made those changes (centralized was 720 before the incremental
@@ -43,7 +46,8 @@
 //! it off grows by nothing). Inline vehicle lists and the rejected-payload
 //! cell took centralized, diet and observed down by 2, to 605 / 608 /
 //! 641, and durable by 1, to 729: it also builds the frame pool its
-//! replayed inputs are copied into.
+//! replayed inputs are copied into. Tags carried with their message took
+//! all four down by 6, to 599 / 602 / 723 / 635.
 //! Debug and release builds count the same.
 //!
 //! One test function: the counter is process-global, and the test
@@ -146,7 +150,7 @@ fn one_frame_allocations(name: &str, params: &DetParams) -> u64 {
 
 #[test]
 fn one_frame_run_det_allocation_ratchet() {
-    let ceilings = [489, 605, 608, 729, 641];
+    let ceilings = [483, 599, 602, 723, 635];
     for ((name, params), ceiling) in configurations().into_iter().zip(ceilings) {
         let count = one_frame_allocations(name, &params);
         assert!(

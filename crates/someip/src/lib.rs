@@ -11,10 +11,12 @@
 //! * the per-node **binding** ([`Binding`]): pending-request tables,
 //!   method/event handler dispatch, fan-out notifications;
 //! * the paper's **modified binding** (§III.B): an optional logical
-//!   timestamp ([`WireTag`]) appended to outgoing messages and recovered
-//!   on reception, fed through the **timestamp bypass**
-//!   ([`Binding::set_outgoing_tag`] / [`Binding::take_incoming_tag`]) so
-//!   that the standard proxy/skeleton interfaces remain unchanged;
+//!   timestamp ([`WireTag`]) that travels with its message. A transactor
+//!   passes it to a tagged send ([`Binding::call_tagged`],
+//!   [`Binding::notify_tagged`], [`Responder::reply_tagged`]; Fig. 3
+//!   steps 2–5 and 13–16) and reads it back from the received
+//!   [`SomeIpMessage::tag`] (steps 7–10 and 18–21). The tag-free sends the
+//!   standard proxy/skeleton use stay unchanged;
 //! * the **coordination service** ([`CoordMsg`]): the NET/TAG/PTAG/LTC
 //!   control messages a centralized coordinator (`dear-federation`'s RTI)
 //!   exchanges with federates, carried as ordinary SOME/IP methods and

@@ -25,7 +25,9 @@ use crate::config::{DearConfig, UntaggedPolicy};
 use crate::outbox::OutboundMsg;
 use crate::platform::{CoordinationPolicy, FederatedPlatform};
 use crate::stats::TransactorStats;
-use dear_core::{PhysicalAction, ReactionId, Runtime, RuntimeError, RuntimeStats, Tag};
+use dear_core::{
+    PhysicalAction, Port, ReactionId, ReactorBuilder, Runtime, RuntimeError, RuntimeStats, Tag,
+};
 use dear_sim::{LatencyModel, Simulation};
 use dear_someip::{FrameBuf, WireTag};
 use std::fmt;
@@ -125,6 +127,9 @@ pub trait PlatformDriver: Clone + 'static {
     /// Delivers a received message to a physical action according to the
     /// DEAR rules: tagged messages are released at `wire_tag + L + E`;
     /// untagged messages follow the configured [`UntaggedPolicy`].
+    ///
+    /// Returns the release tag, or `None` when the message was dropped
+    /// (counted in `stats` as an untagged drop or an STP violation).
     fn deliver(
         &self,
         sim: &mut Simulation,
@@ -133,24 +138,23 @@ pub trait PlatformDriver: Clone + 'static {
         wire_tag: Option<WireTag>,
         cfg: &DearConfig,
         stats: &TransactorStats,
-    ) {
-        match wire_tag {
+    ) -> Option<Tag> {
+        let at = match wire_tag {
             Some(w) => {
                 let base = crate::config::wire_to_tag(w);
-                let release = Tag::new(base.time + cfg.stp_offset(), base.microstep);
-                if self.inject_at(sim, action, payload, release).is_err() {
-                    stats.record_stp_violation();
-                }
+                Some(Tag::new(base.time + cfg.stp_offset(), base.microstep))
             }
-            None => match cfg.untagged {
-                UntaggedPolicy::Fail => stats.record_untagged_dropped(),
-                UntaggedPolicy::PhysicalTime => {
-                    if self.inject_now(sim, action, payload).is_err() {
-                        stats.record_stp_violation();
-                    }
-                }
-            },
+            None if cfg.untagged == UntaggedPolicy::Fail => {
+                stats.record_untagged_dropped();
+                return None;
+            }
+            None => None,
+        };
+        let released = self.platform().inject(sim, action, payload, at);
+        if released.is_err() {
+            stats.record_stp_violation();
         }
+        released.ok()
     }
 }
 
@@ -158,6 +162,27 @@ impl<P: CoordinationPolicy> PlatformDriver for FederatedPlatform<P> {
     fn platform(&self) -> &FederatedPlatform<impl CoordinationPolicy> {
         self
     }
+}
+
+/// Declares a transactor's inbound reaction `name`: the value a received
+/// message injected into `action` is set on `port` at its release tag
+/// (Fig. 3 steps 11 and 22).
+pub(crate) fn declare_deliver(
+    r: &mut ReactorBuilder<'_, ()>,
+    name: &str,
+    action: PhysicalAction<FrameBuf>,
+    port: Port<FrameBuf>,
+) {
+    r.reaction(name)
+        .triggered_by(action)
+        .effects(port)
+        .body(move |_, ctx| {
+            let v = ctx
+                .get_action(&action)
+                .cloned()
+                .expect("action value present");
+            ctx.set(port, v);
+        });
 }
 
 #[cfg(test)]

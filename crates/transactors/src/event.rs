@@ -6,32 +6,15 @@
 //! receive. The brake-assistant pipeline (Fig. 4) is a chain of exactly
 //! these transactors.
 
-use crate::config::{tag_to_wire, DearConfig, EventSpec, FailoverEventSpec};
-use crate::driver::PlatformDriver;
+use crate::config::{DearConfig, EventSpec, FailoverEventSpec};
+use crate::driver::{declare_deliver, PlatformDriver};
 use crate::failover::FailoverBinding;
-use crate::outbox::{OutboundMsg, Outbox};
+use crate::outbox::{declare_forward, Outbox};
 use crate::stats::TransactorStats;
-use dear_core::{PhysicalAction, Port, ProgramBuilder, ReactionCtx};
+use dear_core::{PhysicalAction, Port, ProgramBuilder};
 use dear_sim::Simulation;
 use dear_someip::{Binding, FrameBuf, ServiceInstance};
 use dear_time::Duration;
-
-fn forward_fn(
-    outbox: Outbox,
-    route: u32,
-    deadline: Duration,
-    port: Port<FrameBuf>,
-) -> impl FnMut(&mut (), &mut ReactionCtx<'_>) + 'static {
-    move |_, ctx| {
-        let payload = ctx.get(port).cloned().unwrap_or_default();
-        let out_tag = ctx.tag().delay(deadline);
-        outbox.push(OutboundMsg {
-            route,
-            payload,
-            tag: tag_to_wire(out_tag),
-        });
-    }
-}
 
 /// Server-side (publisher) event transactor.
 ///
@@ -53,13 +36,9 @@ impl ServerEventTransactor {
         name: &str,
         deadline: Duration,
     ) -> Self {
-        let route = outbox.allocate_route();
         let mut r = b.reactor(&format!("{name}.server_event_transactor"), ());
         let event = r.input::<FrameBuf>("event");
-        r.reaction("forward_event")
-            .triggered_by(event)
-            .with_deadline(deadline, forward_fn(outbox.clone(), route, deadline, event))
-            .body(forward_fn(outbox.clone(), route, deadline, event));
+        let route = declare_forward(&mut r, "forward_event", outbox, deadline, event);
         r.finish();
         ServerEventTransactor { event, route }
     }
@@ -67,15 +46,10 @@ impl ServerEventTransactor {
     /// Binds the transactor to the publisher's middleware binding.
     pub fn bind(&self, platform: &impl PlatformDriver, binding: &Binding, spec: EventSpec) {
         let binding = binding.clone();
+        let instance = ServiceInstance::new(spec.service, spec.instance);
         platform.register_route(self.route, move |sim, msg| {
-            binding.set_outgoing_tag(msg.tag);
-            binding.notify(
-                sim,
-                ServiceInstance::new(spec.service, spec.instance),
-                spec.eventgroup,
-                spec.event,
-                msg.payload,
-            );
+            let (group, event) = (spec.eventgroup, spec.event);
+            binding.notify_tagged(sim, instance, group, event, msg.payload, msg.tag);
         });
     }
 }
@@ -99,16 +73,7 @@ impl ClientEventTransactor {
         let mut r = b.reactor(&format!("{name}.client_event_transactor"), ());
         let event = r.output::<FrameBuf>("event");
         let evt_action = r.physical_action::<FrameBuf>("event_arrived", Duration::ZERO);
-        r.reaction("deliver_event")
-            .triggered_by(evt_action)
-            .effects(event)
-            .body(move |_, ctx| {
-                let v = ctx
-                    .get_action(&evt_action)
-                    .cloned()
-                    .expect("action value present");
-                ctx.set(event, v);
-            });
+        declare_deliver(&mut r, "deliver_event", evt_action, event);
         r.finish();
         ClientEventTransactor { event, evt_action }
     }
@@ -136,14 +101,8 @@ impl ClientEventTransactor {
             ServiceInstance::new(spec.service, spec.instance),
             spec.eventgroup,
         );
-        let action = self.evt_action;
-        let platform = platform.clone();
-        let binding_cb = binding.clone();
-        let stats_cb = stats.clone();
-        binding.on_event(spec.service, spec.event, move |sim, msg| {
-            let wire_tag = binding_cb.take_incoming_tag().or(msg.tag);
-            platform.deliver(sim, &action, msg.payload, wire_tag, &cfg, &stats_cb);
-        });
+        let event = (spec.service, spec.event);
+        self.on_event(platform, binding, event, cfg, &stats, None);
         stats
     }
 
@@ -171,16 +130,30 @@ impl ClientEventTransactor {
         let stats = TransactorStats::new();
         let failover =
             FailoverBinding::attach(sim, binding, spec.service, spec.eventgroup, stats.clone());
-        let action = self.evt_action;
-        let platform = platform.clone();
-        let binding_cb = binding.clone();
-        let stats_cb = stats.clone();
-        let failover_cb = failover.clone();
-        binding.on_event(spec.service, spec.event, move |sim, msg| {
-            let wire_tag = binding_cb.take_incoming_tag().or(msg.tag);
-            failover_cb.note_event(sim);
-            platform.deliver(sim, &action, msg.payload, wire_tag, &cfg, &stats_cb);
-        });
+        let event = (spec.service, spec.event);
+        let alive = Some(failover.clone());
+        self.on_event(platform, binding, event, cfg, &stats, alive);
         (stats, failover)
+    }
+
+    /// Routes each received `(service, event)` notification into the
+    /// reactor network at its own tag `+ L + E`, after telling `failover`
+    /// the provider is alive.
+    fn on_event(
+        &self,
+        platform: &impl PlatformDriver,
+        binding: &Binding,
+        (service, event): (u16, u16),
+        cfg: DearConfig,
+        stats: &TransactorStats,
+        failover: Option<FailoverBinding>,
+    ) {
+        let (action, platform, stats) = (self.evt_action, platform.clone(), stats.clone());
+        binding.on_event(service, event, move |sim, msg| {
+            if let Some(failover) = &failover {
+                failover.note_event(sim);
+            }
+            platform.deliver(sim, &action, msg.payload, msg.tag, &cfg, &stats);
+        });
     }
 }

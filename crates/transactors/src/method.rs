@@ -15,37 +15,16 @@
 //!   skeleton with wire tag `ts + Ds` (steps 12–17);
 //! * client response interrupt: release at `ts + Ds + L + E` (18–22).
 
-use crate::config::{tag_to_wire, DearConfig, MethodSpec, UntaggedPolicy};
-use crate::driver::PlatformDriver;
-use crate::outbox::{OutboundMsg, Outbox};
+use crate::config::{tag_to_wire, DearConfig, MethodSpec};
+use crate::driver::{declare_deliver, PlatformDriver};
+use crate::outbox::{declare_forward, Outbox};
 use crate::stats::TransactorStats;
-use dear_core::{PhysicalAction, Port, ProgramBuilder, ReactionCtx, Tag};
+use dear_core::{PhysicalAction, Port, ProgramBuilder, Tag};
 use dear_someip::{Binding, FrameBuf, Responder, ReturnCode};
 use dear_time::Duration;
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::rc::Rc;
-
-/// Builds the tag-stamping forward closure shared by a reaction body and
-/// its deadline handler (a violated deadline is recorded by the runtime;
-/// the message is still forwarded so the pipeline keeps flowing and the
-/// fault stays observable rather than turning into silent loss).
-fn forward_fn(
-    outbox: Outbox,
-    route: u32,
-    deadline: Duration,
-    port: Port<FrameBuf>,
-) -> impl FnMut(&mut (), &mut ReactionCtx<'_>) + 'static {
-    move |_, ctx| {
-        let payload = ctx.get(port).cloned().unwrap_or_default();
-        let out_tag = ctx.tag().delay(deadline);
-        outbox.push(OutboundMsg {
-            route,
-            payload,
-            tag: tag_to_wire(out_tag),
-        });
-    }
-}
 
 /// Client-side method transactor.
 ///
@@ -70,28 +49,12 @@ impl ClientMethodTransactor {
         name: &str,
         deadline: Duration,
     ) -> Self {
-        let route = outbox.allocate_route();
         let mut r = b.reactor(&format!("{name}.client_method_transactor"), ());
         let request = r.input::<FrameBuf>("request");
         let response = r.output::<FrameBuf>("response");
         let resp_action = r.physical_action::<FrameBuf>("response_arrived", Duration::ZERO);
-        r.reaction("forward_request")
-            .triggered_by(request)
-            .with_deadline(
-                deadline,
-                forward_fn(outbox.clone(), route, deadline, request),
-            )
-            .body(forward_fn(outbox.clone(), route, deadline, request));
-        r.reaction("deliver_response")
-            .triggered_by(resp_action)
-            .effects(response)
-            .body(move |_, ctx| {
-                let v = ctx
-                    .get_action(&resp_action)
-                    .cloned()
-                    .expect("action value present");
-                ctx.set(response, v);
-            });
+        let route = declare_forward(&mut r, "forward_request", outbox, deadline, request);
+        declare_deliver(&mut r, "deliver_response", resp_action, response);
         r.finish();
         ClientMethodTransactor {
             request,
@@ -110,37 +73,28 @@ impl ClientMethodTransactor {
         cfg: DearConfig,
     ) -> TransactorStats {
         let stats = TransactorStats::new();
-        let action = self.resp_action;
-        let platform = platform.clone();
-        let binding = binding.clone();
+        let (action, platform_cb, binding) = (self.resp_action, platform.clone(), binding.clone());
         let stats_out = stats.clone();
-        platform
-            .clone()
-            .register_route(self.route, move |sim, msg| {
-                // Fig. 3 step 2: deposit tc+Dc in the bypass, then step 3: the
-                // plain (tag-agnostic) proxy call.
-                binding.set_outgoing_tag(msg.tag);
-                let platform = platform.clone();
-                let binding_cb = binding.clone();
-                let stats = stats_out.clone();
-                let result = binding.call(
-                    sim,
-                    spec.service,
-                    spec.instance,
-                    spec.method,
-                    msg.payload,
-                    move |sim, resp| {
-                        // Steps 18–22: pick ts+Ds from the bypass and release
-                        // the response at ts+Ds+L+E.
-                        let wire_tag = binding_cb.take_incoming_tag().or(resp.tag);
-                        platform.deliver(sim, &action, resp.payload, wire_tag, &cfg, &stats);
-                    },
-                );
-                if result.is_err() {
-                    binding.discard_outgoing_tag();
-                    stats_out.record_send_failure();
-                }
-            });
+        platform.register_route(self.route, move |sim, msg| {
+            // Steps 2–6: the proxy call carries tc + Dc; steps 18–22
+            // release the response at ts + Ds + L + E.
+            let (platform, stats) = (platform_cb.clone(), stats_out.clone());
+            let (service, instance, method) = (spec.service, spec.instance, spec.method);
+            let sent = binding.call_tagged(
+                sim,
+                service,
+                instance,
+                method,
+                msg.payload,
+                msg.tag,
+                move |sim, resp| {
+                    platform.deliver(sim, &action, resp.payload, resp.tag, &cfg, &stats);
+                },
+            );
+            if sent.is_err() {
+                stats_out.record_send_failure();
+            }
+        });
         stats
     }
 }
@@ -157,6 +111,7 @@ pub struct ServerMethodTransactor {
     pub response: Port<FrameBuf>,
     req_action: PhysicalAction<FrameBuf>,
     route: u32,
+    deadline: Duration,
 }
 
 impl ServerMethodTransactor {
@@ -168,42 +123,32 @@ impl ServerMethodTransactor {
         name: &str,
         deadline: Duration,
     ) -> Self {
-        let route = outbox.allocate_route();
         let mut r = b.reactor(&format!("{name}.server_method_transactor"), ());
         let request = r.output::<FrameBuf>("request");
         let response = r.input::<FrameBuf>("response");
         let req_action = r.physical_action::<FrameBuf>("request_arrived", Duration::ZERO);
-        r.reaction("deliver_request")
-            .triggered_by(req_action)
-            .effects(request)
-            .body(move |_, ctx| {
-                let v = ctx
-                    .get_action(&req_action)
-                    .cloned()
-                    .expect("action value present");
-                ctx.set(request, v);
-            });
-        r.reaction("forward_response")
-            .triggered_by(response)
-            .with_deadline(
-                deadline,
-                forward_fn(outbox.clone(), route, deadline, response),
-            )
-            .body(forward_fn(outbox.clone(), route, deadline, response));
+        declare_deliver(&mut r, "deliver_request", req_action, request);
+        let route = declare_forward(&mut r, "forward_response", outbox, deadline, response);
         r.finish();
         ServerMethodTransactor {
             request,
             response,
             req_action,
             route,
+            deadline,
         }
     }
 
     /// Binds the transactor: registers the served method on the binding
     /// and the response route on the platform.
     ///
-    /// Responses are correlated to requests in FIFO order, which matches
-    /// the tag order the reactor network processes requests in.
+    /// Each request waits under its release tag `ts`, and the server logic
+    /// answers at `ts` (Fig. 3 step 12), so a response tagged `w` goes to
+    /// the earliest waiting request whose `ts + Ds` is `w`. Matching on
+    /// the release tag rather than on `w` alone keeps two requests
+    /// released at one instant apart: `ts + Ds` drops the microstep. A
+    /// response no request waits for is counted in
+    /// [`TransactorStats::send_failures`].
     pub fn bind(
         &self,
         platform: &impl PlatformDriver,
@@ -212,56 +157,33 @@ impl ServerMethodTransactor {
         cfg: DearConfig,
     ) -> TransactorStats {
         let stats = TransactorStats::new();
-        let pending: Rc<RefCell<VecDeque<Responder>>> = Rc::new(RefCell::new(VecDeque::new()));
+        let pending: Rc<RefCell<BTreeMap<Tag, Responder>>> = Rc::default();
 
-        let action = self.req_action;
-        let platform_in = platform.clone();
-        let binding_in = binding.clone();
-        let stats_in = stats.clone();
+        let (action, platform_in, stats_in) = (self.req_action, platform.clone(), stats.clone());
         let pending_in = pending.clone();
         binding.register_method(spec.service, spec.method, move |sim, req, responder| {
-            // Steps 7–10: the binding already fed the bypass; retrieve the
-            // tag and schedule the release at tc+Dc+L+E.
-            let wire_tag = binding_in.take_incoming_tag().or(req.tag);
-            match wire_tag {
-                Some(w) => {
-                    let base = crate::config::wire_to_tag(w);
-                    let release = Tag::new(base.time + cfg.stp_offset(), base.microstep);
-                    match platform_in.inject_at(sim, &action, req.payload, release) {
-                        Ok(()) => pending_in.borrow_mut().push_back(responder),
-                        Err(_) => {
-                            stats_in.record_stp_violation();
-                            responder.reply_error(sim, ReturnCode::NotOk);
-                        }
-                    }
-                }
-                None => match cfg.untagged {
-                    UntaggedPolicy::Fail => {
-                        stats_in.record_untagged_dropped();
-                        responder.reply_error(sim, ReturnCode::NotOk);
-                    }
-                    UntaggedPolicy::PhysicalTime => {
-                        match platform_in.inject_now(sim, &action, req.payload) {
-                            Ok(_) => pending_in.borrow_mut().push_back(responder),
-                            Err(_) => {
-                                stats_in.record_stp_violation();
-                                responder.reply_error(sim, ReturnCode::NotOk);
-                            }
-                        }
-                    }
-                },
+            // Steps 7–11: release the request at tc + Dc + L + E.
+            match platform_in.deliver(sim, &action, req.payload, req.tag, &cfg, &stats_in) {
+                Some(release) => drop(pending_in.borrow_mut().insert(release, responder)),
+                None => responder.reply_error(sim, ReturnCode::NotOk),
             }
         });
 
-        let binding_out = binding.clone();
+        let (deadline, stats_out) = (self.deadline, stats.clone());
         platform.register_route(self.route, move |sim, msg| {
-            let responder = pending
-                .borrow_mut()
-                .pop_front()
-                .expect("response produced without pending request");
-            // Steps 13–16: deposit ts+Ds, then the plain skeleton reply.
-            binding_out.set_outgoing_tag(msg.tag);
-            responder.reply(sim, msg.payload);
+            let responder = {
+                let mut pending = pending.borrow_mut();
+                let release = pending
+                    .keys()
+                    .find(|ts| tag_to_wire(ts.delay(deadline)) == msg.tag)
+                    .copied();
+                release.and_then(|ts| pending.remove(&ts))
+            };
+            match responder {
+                // Steps 13–17: the skeleton reply carries ts + Ds.
+                Some(responder) => responder.reply_tagged(sim, msg.payload, msg.tag),
+                None => stats_out.record_send_failure(),
+            }
         });
         stats
     }

@@ -17,7 +17,10 @@
 //! deterministic. Payloads travel as [`FrameBuf`] views, so queueing and
 //! draining move references, never bytes.
 
+use crate::config::tag_to_wire;
+use dear_core::{Port, ReactionCtx, ReactorBuilder};
 use dear_someip::{FrameBuf, WireTag};
+use dear_time::Duration;
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
@@ -32,6 +35,39 @@ pub struct OutboundMsg {
     /// The tag to attach on the wire (already includes the sender
     /// deadline, i.e. `t + D`).
     pub tag: WireTag,
+}
+
+/// Declares a transactor's outbound reaction `name` on a new route of
+/// `outbox`, and returns the route: each value of `port` is pushed to it
+/// with wire tag `t + deadline` (Fig. 3 steps 1–2 and 12–13). The
+/// deadline handler forwards too: a violated deadline is recorded by the
+/// runtime, and the message still leaves, so the pipeline keeps flowing
+/// and the fault stays observable rather than turning into silent loss.
+pub(crate) fn declare_forward(
+    r: &mut ReactorBuilder<'_, ()>,
+    name: &str,
+    outbox: &Outbox,
+    deadline: Duration,
+    port: Port<FrameBuf>,
+) -> u32 {
+    let route = outbox.allocate_route();
+    let forward = || {
+        let outbox = outbox.clone();
+        move |_: &mut (), ctx: &mut ReactionCtx<'_>| {
+            let payload = ctx.get(port).cloned().unwrap_or_default();
+            let tag = tag_to_wire(ctx.tag().delay(deadline));
+            outbox.push(OutboundMsg {
+                route,
+                payload,
+                tag,
+            });
+        }
+    };
+    r.reaction(name)
+        .triggered_by(port)
+        .with_deadline(deadline, forward())
+        .body(forward());
+    route
 }
 
 /// A shared queue of outbound middleware operations. Clones share the

@@ -452,7 +452,9 @@ impl<P: CoordinationPolicy> FederatedPlatform<P> {
         self.inject(sim, action, value, None)
     }
 
-    fn inject<T: 'static>(
+    /// Injects at `at`, or at the local clock reading when `None`;
+    /// returns the tag the value was scheduled at.
+    pub(crate) fn inject<T: 'static>(
         &self,
         sim: &mut Simulation,
         action: &PhysicalAction<T>,

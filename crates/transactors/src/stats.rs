@@ -113,9 +113,10 @@ impl TransactorStats {
         self.0.stp_violations.get()
     }
 
-    /// Outgoing operations that failed (e.g. service not discovered).
+    /// Outgoing operations that failed: a call whose service was not
+    /// discovered, or a server response no pending request matched.
     #[must_use]
-    pub(crate) fn send_failures(&self) -> u64 {
+    pub fn send_failures(&self) -> u64 {
         self.0.send_failures.get()
     }
 

@@ -11,8 +11,11 @@ use dear_someip::{
 use dear_time::{Duration, Instant};
 use dear_transactors::{
     ClientEventTransactor, ClientMethodTransactor, DearConfig, EventSpec, FederatedPlatform,
-    MethodSpec, Outbox, ServerEventTransactor, ServerMethodTransactor, UntaggedPolicy,
+    MethodSpec, Outbox, ServerEventTransactor, ServerMethodTransactor, TransactorStats,
+    UntaggedPolicy,
 };
+use proptest::collection;
+use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
@@ -360,13 +363,14 @@ fn wire_messages_carry_dear_tags() {
     assert_eq!(decoded.tag, Some(WireTag::new(11_000_000, 0)));
 }
 
-/// Two clients call one server method with equal request tags, so both
-/// requests ask to be released at the same tag. The server transactor
-/// must not let the second overwrite the first: each client gets its own
-/// result or `NotOk`, never the result computed from the other client's
-/// request — and never silence.
-#[test]
-fn equal_request_tags_from_two_clients_never_cross_wires() {
+/// One reply a client heard: (its request, return code, response payload).
+type Reply = (u8, ReturnCode, Vec<u8>);
+
+/// The Fig. 3 server on node 2 (logic: reply `request * 10`; `Ds`,
+/// L = 5 ms, E = 1 ms; ideal 100 µs links), called once by one plain
+/// client binding per `(request, send time, wire tag)`. Returns the
+/// replies in arrival order and the server transactor's counters.
+fn serve(calls: &[(u8, Instant, WireTag)]) -> (Vec<Reply>, TransactorStats) {
     let mut sim = Simulation::new(3);
     let net = NetworkHandle::new(
         LinkConfig::ideal(Duration::from_micros(100)),
@@ -416,20 +420,20 @@ fn equal_request_tags_from_two_clients_never_cross_wires() {
     );
     platform.start(&mut sim);
 
-    // (request, return code, response payload) per reply received.
-    let replies = Rc::new(RefCell::new(Vec::<(u8, ReturnCode, Vec<u8>)>::new()));
-    for (node, request) in [(1u16, 1u8), (3, 2)] {
+    let replies = Rc::new(RefCell::new(Vec::<Reply>::new()));
+    for (i, &(request, at, tag)) in calls.iter().enumerate() {
+        let node = 1 + 2 * i as u16;
         let client = Binding::new(&net, &sd, NodeId(node), 0x10 + node);
         let replies = replies.clone();
-        sim.schedule_at(Instant::from_millis(1), move |sim| {
-            client.set_outgoing_tag(WireTag::new(1_000_000, 0));
+        sim.schedule_at(at, move |sim| {
             client
-                .call(
+                .call_tagged(
                     sim,
                     SERVICE,
                     INSTANCE,
                     METHOD,
                     vec![request],
+                    tag,
                     move |_, resp| {
                         let payload = resp.payload.to_vec();
                         replies
@@ -441,8 +445,19 @@ fn equal_request_tags_from_two_clients_never_cross_wires() {
         });
     }
     sim.run_until(Instant::from_secs(1));
+    let replies = replies.borrow().clone();
+    (replies, stats)
+}
 
-    let replies = replies.borrow();
+/// Two clients call one server method with equal request tags, so both
+/// requests ask to be released at the same tag. The server transactor
+/// must not let the second overwrite the first: each client gets its own
+/// result or `NotOk`, never the result computed from the other client's
+/// request — and never silence.
+#[test]
+fn equal_request_tags_from_two_clients_never_cross_wires() {
+    let (at, tag) = (Instant::from_millis(1), WireTag::new(1_000_000, 0));
+    let (replies, stats) = serve(&[(1, at, tag), (2, at, tag)]);
     assert_eq!(replies.len(), 2, "every caller hears back: {replies:?}");
     for (request, code, payload) in replies.iter() {
         match code {
@@ -452,4 +467,145 @@ fn equal_request_tags_from_two_clients_never_cross_wires() {
         }
     }
     assert_eq!(stats.stp_violations(), 1, "the rejected request is counted");
+}
+
+/// Requests that arrive out of tag order are released in tag order; each
+/// reply must still go to the client whose request it was computed from.
+/// Both calls are inside the bound, so neither is rejected.
+#[test]
+fn requests_arriving_out_of_tag_order_get_their_own_replies() {
+    let (replies, stats) = serve(&[
+        (1, Instant::from_millis(1), WireTag::new(1_500_000, 0)),
+        (2, Instant::from_micros(1_010), WireTag::new(1_000_000, 0)),
+    ]);
+    assert_eq!(
+        replies,
+        vec![(2, ReturnCode::Ok, vec![20]), (1, ReturnCode::Ok, vec![10])]
+    );
+    assert_eq!(stats.stp_violations(), 0);
+    assert_eq!(stats.send_failures(), 0);
+}
+
+/// Two requests released at one instant, microsteps 1 and 2, arriving in
+/// the opposite order: `ts + Ds` drops the microstep, so both responses
+/// carry the same wire tag, and each must still reach its own client.
+#[test]
+fn requests_released_at_one_instant_get_their_own_replies() {
+    let (replies, stats) = serve(&[
+        (1, Instant::from_millis(1), WireTag::new(1_000_000, 2)),
+        (2, Instant::from_micros(1_010), WireTag::new(1_000_000, 1)),
+    ]);
+    assert_eq!(
+        replies,
+        vec![(2, ReturnCode::Ok, vec![20]), (1, ReturnCode::Ok, vec![10])]
+    );
+    assert_eq!(stats.stp_violations(), 0);
+    assert_eq!(stats.send_failures(), 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// 2–6 clients call at random times inside `L` with random request
+    /// tags inside `L` (a 250 µs grid and microsteps 0–2, so equal tags
+    /// and one-instant releases both occur). Every client hears back,
+    /// with the result of its own request or with `NotOk`, and every
+    /// `NotOk` is a counted STP violation.
+    #[test]
+    fn every_client_gets_its_own_reply_or_a_counted_not_ok(
+        draws in collection::vec((0i64..5_000, 0u64..20, 0u32..3), 2..7),
+    ) {
+        let calls: Vec<_> = (1u8..)
+            .zip(&draws)
+            .map(|(request, &(send_us, slot, microstep))| {
+                let at = Instant::from_millis(1) + Duration::from_micros(send_us);
+                (request, at, WireTag::new(1_000_000 + slot * 250_000, microstep))
+            })
+            .collect();
+        let (replies, stats) = serve(&calls);
+        prop_assert_eq!(replies.len(), calls.len());
+        for (request, code, payload) in &replies {
+            match code {
+                ReturnCode::Ok => prop_assert_eq!(payload, &vec![request * 10]),
+                ReturnCode::NotOk => {}
+                other => prop_assert!(false, "unexpected return code {:?}", other),
+            }
+        }
+        let not_ok = replies.iter().filter(|r| r.1 == ReturnCode::NotOk).count();
+        prop_assert_eq!(stats.stp_violations(), not_ok as u64);
+        prop_assert_eq!(stats.send_failures(), 0);
+    }
+}
+
+/// A notification for an event nobody handles, in a subscribed
+/// eventgroup, is dropped by the binding; it must not lend its tag to
+/// the next notification, which is released at its own tag `+ L + E`.
+#[test]
+fn each_notification_is_released_at_its_own_tag() {
+    let mut sim = Simulation::new(5);
+    let net = NetworkHandle::new(
+        LinkConfig::ideal(Duration::from_millis(1)),
+        sim.fork_rng("net"),
+    );
+    let sd = SdRegistry::new();
+    let instance = ServiceInstance::new(SERVICE, INSTANCE);
+    let spec = EventSpec {
+        service: SERVICE,
+        instance: INSTANCE,
+        eventgroup: 1,
+        event: 0x8002,
+    };
+
+    let outbox = Outbox::new();
+    let mut b = ProgramBuilder::new();
+    let cet = ClientEventTransactor::declare(&mut b, "bound");
+    let log: TagLog = Rc::default();
+    let sink = log.clone();
+    b.with_reactor("subscriber", (), |logic| {
+        logic
+            .reaction("consume")
+            .triggered_by(cet.event)
+            .body(move |_, ctx| {
+                let payload = ctx.get(cet.event).unwrap().clone();
+                sink.borrow_mut().push((ctx.tag(), payload));
+            });
+    });
+    let platform = FederatedPlatform::new(
+        "subscriber",
+        Runtime::new(b.build().unwrap()),
+        VirtualClock::ideal(),
+        outbox,
+        sim.fork_rng("sub-costs"),
+    );
+    let stats = cet.bind(
+        &platform,
+        &Binding::new(&net, &sd, NodeId(2), 0x22),
+        spec,
+        DearConfig::new(L, E),
+    );
+    platform.start(&mut sim);
+
+    let publisher = Binding::new(&net, &sd, NodeId(1), 0x11);
+    publisher.offer(&mut sim, instance, Duration::from_secs(3600));
+    publisher.notify_tagged(
+        &mut sim,
+        instance,
+        1,
+        0x8001,
+        vec![1],
+        WireTag::new(1_000, 0),
+    );
+    publisher.notify_tagged(
+        &mut sim,
+        instance,
+        1,
+        0x8002,
+        vec![2],
+        WireTag::new(9_000, 0),
+    );
+    sim.run_until(Instant::from_millis(100));
+
+    let release = Tag::at(Instant::from_micros(9) + L + E);
+    assert_eq!(*log.borrow(), vec![(release, FrameBuf::from(vec![2]))]);
+    assert_eq!(stats.stp_violations(), 0);
 }

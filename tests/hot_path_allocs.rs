@@ -384,16 +384,15 @@ fn decentralized_wake_drain_and_fan_out_allocate_nothing() {
     server.offer(&mut sim, instance, Duration::from_secs(1 << 30));
     let publisher = server.clone();
     platform.register_route(route, move |sim, msg| {
-        publisher.set_outgoing_tag(msg.tag);
-        publisher.notify(sim, instance, 1, 0x8001, msg.payload);
+        publisher.notify_tagged(sim, instance, 1, 0x8001, msg.payload, msg.tag);
     });
     let received = Rc::new(Cell::new(0i64));
     for node in [2u16, 3] {
         let client = Binding::new(&net, &sd, NodeId(node), 0x20 + node);
         client.subscribe(instance, 1);
-        let (sink, tags) = (received.clone(), client.clone());
-        client.on_event(0x60, 0x8001, move |_, _| {
-            black_box(tags.take_incoming_tag());
+        let sink = received.clone();
+        client.on_event(0x60, 0x8001, move |_, msg| {
+            black_box(msg.tag);
             sink.set(sink.get() + 1);
         });
     }
